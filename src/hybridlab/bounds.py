@@ -436,6 +436,8 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res, chunk=1024):
     H(Y) on the summed p(y).  Candidates that come within the SCAN_* bands
     of each target's running best are rescored by _score_candidates.
     """
+    if aux_cap < 1 or grid_res < 1:
+        raise ValueError("aux_cap and grid_res must be >= 1")
     p_s = source.probs
     s_size = p_s.size
     x_size = channel.input_size
@@ -544,8 +546,6 @@ def p2p_optimize(
     as computed by the reference per-candidate formula, is the largest;
     candidates tied in exact arithmetic are separated by float rounding.
     """
-    if aux_cap < 1 or grid_res < 1:
-        raise ValueError("aux_cap and grid_res must be >= 1")
     res = _scan_p2p(source, channel, d, [target_D], aux_cap, grid_res)[0]
     uncoded_ok = res["uncoded_ed"] <= target_D + 1e-12
     if res["best_key"] is None:
@@ -753,8 +753,6 @@ _DIAMOND_TERM_NAMES = (
 
 def _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond_batch):
     """Four rate terms for a batch of conditionals c[n, y2, y3, x2, x3]."""
-    y2_size = int(y2_map.max()) + 1 if y2_map.size else 1
-    y2_size = max(y2_size, cond_batch.shape[1])
     y3_size = cond_batch.shape[2]
     p23 = np.zeros((cond_batch.shape[1], y3_size))
     np.add.at(p23, (y2_map, y3_map), px1)

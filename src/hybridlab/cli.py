@@ -229,8 +229,11 @@ def cmd_bounds_twrc(opts: dict) -> int:
             }
     elif not opts.get("sweep"):
         if all(k in doc for k in ("S13", "S23", "S31", "S32")):
-            ch = gaussian_twrc.GaussianTwrcParams(
-                S13=doc["S13"], S23=doc["S23"], S31=doc["S31"], S32=doc["S32"])
+            try:
+                ch = gaussian_twrc.GaussianTwrcParams(
+                    S13=doc["S13"], S23=doc["S23"], S31=doc["S31"], S32=doc["S32"])
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(str(exc)) from exc
             for scheme in schemes:
                 best = gaussian_twrc.optimize_scheme(ch, scheme)
                 result["schemes"][scheme] = {
@@ -254,11 +257,13 @@ def cmd_bounds_diamond(opts: dict) -> int:
         if name not in doc:
             raise ScenarioError(
                 f"diamond grid bounds need deterministic stage maps; missing {name!r}")
+    grid_res = int(opts.get("grid_res", 6))
+    if grid_res < 1:
+        raise ScenarioError("--grid-res must be >= 1")
     res = bounds.det_diamond_bounds(
         doc["y2_map"], doc["y3_map"], doc["y4_map"],
         int(_field(doc, "x2_size")), int(_field(doc, "x3_size")),
-        px1_res=int(opts.get("grid_res", 6)),
-        relay_res=int(opts.get("grid_res", 6)),
+        px1_res=grid_res, relay_res=grid_res,
     )
     json_path = opts["out"] + ".json"
     write_json(json_path, {
@@ -311,11 +316,13 @@ def cmd_check_thm1(opts: dict) -> int:
     scenario = build_p2p_scenario(doc)
     result: dict = {}
     if opts.get("optimize"):
+        aux_cap = int(opts.get("aux_cap", 4))
+        grid_res = int(opts.get("grid_res", 12))
+        if aux_cap < 1 or grid_res < 1:
+            raise ScenarioError("--aux-cap and --grid-res must be >= 1")
         report, spec = bounds.p2p_optimize(
             scenario.source, scenario.channel, scenario.distortion,
-            target_D=float(opts["target_d"]),
-            aux_cap=int(opts.get("aux_cap", 4)),
-            grid_res=int(opts.get("grid_res", 12)),
+            target_D=float(opts["target_d"]), aux_cap=aux_cap, grid_res=grid_res,
             margin=opts.get("margin", bounds.DEFAULT_MARGIN))
         result["report"] = _report_to_dict(report)
         if spec is not None:
@@ -340,6 +347,24 @@ def cmd_check_thm1(opts: dict) -> int:
     return 0
 
 
+def _check_twrc_shapes(uplink, downlink, y1_size, y2_size, spec) -> None:
+    """Alphabet agreement between a discrete two-way-relay scenario and spec."""
+    if uplink.input_size != spec.px1.alphabet_size * spec.px2.alphabet_size:
+        raise ScenarioError("uplink rows must be indexed by (x1, x2)")
+    if y1_size * y2_size != downlink.output_size:
+        raise ScenarioError("downlink output does not factor as (y1, y2)")
+    y3_size = uplink.output_size
+    if spec.relay_kernel.input_size != y3_size:
+        raise ScenarioError(f"relay_kernel needs {y3_size} rows, one per relay output y3")
+    shape = (spec.relay_kernel.output_size, y3_size)
+    if spec.relay_map.shape != shape:
+        raise ScenarioError(f"relay_map must have shape {shape} (u3, y3)")
+    x3_size = downlink.input_size
+    if np.any(spec.relay_map < 0) or np.any(spec.relay_map >= x3_size):
+        raise ScenarioError(
+            f"relay_map symbols must lie in the relay input alphabet 0..{x3_size - 1}")
+
+
 def cmd_check_thm3(opts: dict) -> int:
     started = time.time()
     doc = load_scenario(opts["scenario"], "twrc_discrete")
@@ -354,6 +379,7 @@ def cmd_check_thm3(opts: dict) -> int:
         relay_kernel=_kernel(spec_doc, "relay_kernel"),
         relay_map=np.asarray(_field(spec_doc, "relay_map"), dtype=int),
     )
+    _check_twrc_shapes(uplink, downlink, y1_size, y2_size, spec)
     report = bounds.twrc_region_check(
         uplink, downlink, y1_size, y2_size, spec,
         margin=opts.get("margin", bounds.DEFAULT_MARGIN),

@@ -25,6 +25,8 @@ SIGMA2_GRID_HI = 1e6
 SIGMA2_GRID_POINTS = 120
 AF_SIGMA2_LIMIT = 1e8
 ALPHA_BETA_STEP = 0.02
+# Numpy grid values within this of the best are rescored by the scalar formula.
+GRID_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class GaussianTwrcParams:
 
     def __post_init__(self):
         for name in ("S13", "S23", "S31", "S32"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:     # also rejects NaN
+                raise ValueError(f"{name} must be a finite nonnegative number")
         if self.gains is not None:
             if self.P is None or self.P <= 0:
                 raise ValueError("gains require a positive power P")
@@ -109,27 +111,27 @@ def _clamp_pair(r1_terms, r2_terms, scheme: str) -> RatePoint:
     return RatePoint(max(r1, 0.0), max(r2, 0.0), scheme, (b1, b2), clamped)
 
 
-def _hc_direction(Sa: float, Sb: float, S31: float, S32: float,
-                  alpha: float, beta: float, sigma2: float,
-                  beta_variant: bool) -> tuple[float, float]:
+def _hc_direction(Sa, Sb, S31, S32, alpha, beta, sigma2, beta_variant: bool,
+                  sqrt=math.sqrt, log2=math.log2):
     """The two rate expressions of the general region for one direction.
 
     For R1 pass (Sa, Sb) = (S23, S31); for R2 pass (S13, S32).  The printed
-    formulas for R2 mirror R1 with those substitutions.
+    formulas for R2 mirror R1 with those substitutions.  With sqrt/log2 set
+    to np.sqrt/np.log2, beta and sigma2 may be broadcastable arrays.
     """
     T = S31 + S32 + 1.0
-    mix = math.sqrt(alpha / T) + math.sqrt(beta * sigma2)
-    mix_up = math.sqrt(alpha * (Sb + 1.0) / T) + math.sqrt(beta * sigma2)
+    mix = sqrt(alpha / T) + sqrt(beta * sigma2)
+    mix_up = sqrt(alpha * (Sb + 1.0) / T) + sqrt(beta * sigma2)
 
     num1 = (alpha * Sa * (Sb + 1.0) / T + beta * Sa + 1.0) * (Sb + 1.0 + sigma2) \
         - Sa * mix_up * mix_up
     den1 = (alpha * Sa / T + beta * Sa + 1.0) * (1.0 + sigma2) - Sa * mix * mix
-    expr1 = 0.5 * math.log2(num1 / den1)
+    expr1 = 0.5 * log2(num1 / den1)
 
     second_coef = beta if beta_variant else (1.0 - alpha)
     num2 = (alpha * Sa * (Sb + 1.0) / T + second_coef * Sa + 1.0) * (1.0 + sigma2)
     den2 = den1
-    expr2 = 0.5 * math.log2(num2 / den2) - gauss_c(1.0 / sigma2)
+    expr2 = 0.5 * log2(num2 / den2) - 0.5 * log2(1.0 + 1.0 / sigma2)   # gauss_c(1/sigma2)
     return expr1, expr2
 
 
@@ -244,20 +246,54 @@ def _general_sum(ch, alpha, beta, sigma2, beta_variant) -> float:
     return hc_general_rates(ch, SchemeParams(alpha, beta, sigma2), beta_variant).sum_rate
 
 
-def _optimize_general(ch: GaussianTwrcParams, beta_variant: bool) -> OptimizedScheme:
+def _grid_row_sums(ch: GaussianTwrcParams, alpha: float, betas: np.ndarray,
+                   s2: np.ndarray, beta_variant: bool) -> np.ndarray:
+    """Clamped sum rates on one alpha row, shape (beta, sigma2), in numpy
+    arithmetic.  Agrees with `_general_sum` up to log2 rounding."""
+    b, s = betas[:, None], s2[None, :]
+    with np.errstate(all="ignore"):
+        r1 = _hc_direction(ch.S23, ch.S31, ch.S31, ch.S32, alpha, b, s, beta_variant,
+                           np.sqrt, np.log2)
+        r2 = _hc_direction(ch.S13, ch.S32, ch.S31, ch.S32, alpha, b, s, beta_variant,
+                           np.sqrt, np.log2)
+        return np.maximum(np.minimum(*r1), 0.0) + np.maximum(np.minimum(*r2), 0.0)
+
+
+def _grid_incumbent(ch: GaussianTwrcParams, beta_variant: bool) -> tuple:
+    """Coarse (alpha, beta, sigma2) grid argmax: (v, alpha, beta, sigma2)."""
     step = ALPHA_BETA_STEP
     n = int(round(1.0 / step))
-    sgrid = _log_sigma_grid()
-    best = (-1.0, 0.0, 0.0, sgrid[0])
+    s2 = _log_sigma_grid()[::6]
+    best = (-1.0, 0.0, 0.0, s2[0])
     for ia in range(n + 1):
         alpha = ia * step
-        for ib in range(n - ia + 1):
-            beta = ib * step
-            for s2 in sgrid[::6]:
-                v = _general_sum(ch, alpha, beta, s2, beta_variant)
-                if v > best[0]:
-                    best = (v, alpha, beta, s2)
-    _, alpha, beta, s2 = best
+        vals = _grid_row_sums(ch, alpha, np.arange(n - ia + 1) * step, s2, beta_variant)
+        finite = np.isfinite(vals)
+        top = max(float(vals.max(where=finite, initial=-np.inf)), best[0])
+        near = np.flatnonzero((vals >= top - GRID_TIE_TOL) | ~finite)
+        for ib, js in zip(*np.unravel_index(near, vals.shape)):
+            beta = int(ib) * step
+            v = _general_sum(ch, alpha, beta, s2[js], beta_variant)
+            if v > best[0]:
+                best = (v, alpha, beta, s2[js])
+    return best
+
+
+def _optimize_general(ch: GaussianTwrcParams, beta_variant: bool) -> OptimizedScheme:
+    """Maximize the general-region sum rate over (alpha, beta, sigma2).
+
+    The coarse grid is alpha, beta in steps of ALPHA_BETA_STEP with
+    alpha + beta <= 1, times every sixth point of the sigma2 log-grid.  Each
+    alpha row is evaluated at once in numpy, which serves only as a filter:
+    the points within GRID_TIE_TOL of the larger of the row maximum and the
+    running best, and any point whose numpy value is not finite, are
+    rescored in grid order by the scalar formula `_general_sum`, and the
+    first point whose scalar value is strictly greater than every earlier
+    one is the incumbent.  This is the first scalar maximum over the whole
+    grid, as a plain scalar triple loop would pick.
+    """
+    step = ALPHA_BETA_STEP
+    _, alpha, beta, s2 = _grid_incumbent(ch, beta_variant)
     # Refine sigma2 at the incumbent (alpha, beta), then (alpha, beta) by
     # coordinate descent, then sigma2 once more.
     s2, _ = _optimize_sigma(lambda s: _general_sum(ch, alpha, beta, s, beta_variant))

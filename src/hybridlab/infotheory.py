@@ -15,8 +15,7 @@ from typing import Iterable, Sequence as SeqT
 import numpy as np
 
 # Constructors renormalize inputs whose sum deviates by <= RENORM_TOL and
-# reject beyond that; post-construction sums are exact to SUM_TOL.
-SUM_TOL = 1e-12
+# reject beyond that.
 RENORM_TOL = 1e-9
 # Negative mutual-information round-off is clamped up to this magnitude and
 # treated as a logic error beyond it.

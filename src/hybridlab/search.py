@@ -8,7 +8,6 @@ tie-break without changing results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, sqrt
 from typing import Callable, Iterator
 
@@ -18,21 +17,6 @@ GOLDEN = (sqrt(5.0) - 1.0) / 2.0
 # Refinement accepts only improvements beyond this to avoid cycling on
 # piecewise-smooth objectives.
 IMPROVE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    simplex_resolution: int = 12
-    golden_tol: float = 1e-9
-    golden_max_iter: int = 200
-    descent_max_rounds: int = 60
-    max_grid_points: int = 2_000_000
-
-    def __post_init__(self):
-        if self.simplex_resolution < 1 or self.golden_tol <= 0:
-            raise ValueError("resolutions and tolerances must be positive")
-        if self.golden_max_iter < 1 or self.descent_max_rounds < 1:
-            raise ValueError("iteration caps must be positive")
 
 
 def simplex_point_count(k: int, m: int) -> int:

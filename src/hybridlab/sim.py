@@ -163,19 +163,6 @@ def encode_p2p(s: np.ndarray, cb: Codebook, eps_prime: float,
     return m, x, covering_failed
 
 
-def decode_p2p(y: np.ndarray, cb: Codebook, eps: float, dec_map: np.ndarray,
-               joint_uy: JointPmf) -> tuple[int, np.ndarray]:
-    """Unique joint-typicality decoding; none-or-many falls back to index 0."""
-    y = np.asarray(y, dtype=int)
-    u_size, y_size = joint_uy.dims
-    flat = cb.entries * y_size + y[None, :]
-    hits = np.flatnonzero(
-        _typical_mask(flat, u_size * y_size, joint_uy.probs.ravel(), eps))
-    m_hat = int(hits[0]) if hits.size == 1 else 0
-    shat = np.asarray(dec_map, dtype=int)[cb.entries[m_hat], y]
-    return m_hat, shat
-
-
 def run_p2p(scenario: P2pScenario, spec: HybridCodeSpec,
             config: TrialConfig) -> dict:
     """Monte Carlo trials of the single-sender scheme.

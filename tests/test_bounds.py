@@ -193,6 +193,14 @@ class TestP2pOptimize:
             p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
                          target_D=0.1, aux_cap=0)
 
+    @pytest.mark.parametrize("aux_cap, grid_res", [(0, 4), (2, 0)])
+    def test_sweep_bad_arguments(self, aux_cap, grid_res):
+        # aux_cap=0 used to scan nothing and report even uncoded targets
+        # infeasible; grid_res=0 failed inside the simplex enumeration.
+        with pytest.raises(ValueError, match="aux_cap and grid_res must be >= 1"):
+            p2p_feasibility_sweep(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+                                  [0.2, 0.5], aux_cap=aux_cap, grid_res=grid_res)
+
 
 def scenario_channel(name):
     with open(resources.files("hybridlab") / "scenarios" / name) as fh:

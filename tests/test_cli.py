@@ -53,6 +53,35 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")]) == 2
 
 
+    @pytest.mark.parametrize("flag", ["--aux-cap", "--grid-res"])
+    def test_optimize_needs_positive_sizes(self, tmp_path, flag):
+        assert run(["check-thm1", scen("bsc_uncoded.json"), "--optimize",
+                    "--target-d", "0.15", flag, "0",
+                    "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("snr", [-1.0, float("nan"), float("inf")],
+                             ids=["negative", "nan", "inf"])
+    def test_explicit_snr_must_be_finite_nonnegative(self, tmp_path, snr):
+        scenario = tmp_path / "snr.json"
+        scenario.write_text(json.dumps({"kind": "twrc_gaussian", "S13": snr,
+                                        "S23": 1.0, "S31": 1.0, "S32": 1.0}))
+        assert run(["bounds-twrc", str(scenario), "--out", str(tmp_path / "o")]) == 2
+
+    def test_diamond_needs_positive_grid(self, tmp_path):
+        assert run(["bounds-diamond", scen("example1.json"), "--grid-res", "0",
+                    "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("relay_map", [[[0, 2], [1, 1]], [[0, 0, 1], [1, 1, 0]]],
+                             ids=["symbol", "shape"])
+    def test_relay_map_outside_alphabet(self, tmp_path, relay_map):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"px1": [0.5, 0.5], "px2": [0.5, 0.5],
+                                    "relay_kernel": [[1, 0], [0, 1]],
+                                    "relay_map": relay_map}))
+        assert run(["check-thm3", scen("twrc_xor.json"), "--spec", str(spec),
+                    "--out", str(tmp_path / "o")]) == 2
+
+
 class TestBoundsTwrc:
     def test_single_distance_schemes(self, tmp_path):
         out = str(tmp_path / "twrc")

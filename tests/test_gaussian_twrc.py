@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridlab import gaussian_twrc
 from hybridlab.gaussian_twrc import (
     GaussianTwrcParams,
+    RatePoint,
     SchemeParams,
     af_rates,
     fig8_sweep,
@@ -112,6 +114,72 @@ class TestOptimization:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             optimize_scheme(params_from_distance(0.5), "nope")
+
+
+def reference_grid(ch, beta_variant):
+    """The coarse-grid argmax as a plain scalar triple loop."""
+    step = gaussian_twrc.ALPHA_BETA_STEP
+    n = int(round(1.0 / step))
+    sgrid = gaussian_twrc._log_sigma_grid()
+    best = (-1.0, 0.0, 0.0, sgrid[0])
+    for ia in range(n + 1):
+        alpha = ia * step
+        for ib in range(n - ia + 1):
+            beta = ib * step
+            for s2 in sgrid[::6]:
+                v = gaussian_twrc._general_sum(ch, alpha, beta, s2, beta_variant)
+                if v > best[0]:
+                    best = (v, alpha, beta, s2)
+    return best
+
+
+GRID_CHANNELS = (
+    [(f"r={r},P={P}", params_from_distance(r, P))
+     for r in (0.1, 0.3, 0.5, 0.7, 0.9) for P in (1.0, 100.0)]
+    + [("r=0.41,P=10", params_from_distance(0.41, 10.0))]
+    + [(f"random{seed}", random_params(seed)) for seed in range(9)]
+)
+
+
+class TestGeneralGrid:
+    @pytest.mark.parametrize("beta_variant", [False, True])
+    @pytest.mark.parametrize("ch", [c for _, c in GRID_CHANNELS],
+                             ids=[name for name, _ in GRID_CHANNELS])
+    def test_matches_scalar_triple_loop(self, ch, beta_variant):
+        assert gaussian_twrc._grid_incumbent(ch, beta_variant) == reference_grid(ch, beta_variant)
+
+    @pytest.mark.parametrize("ch", [GaussianTwrcParams(S13=0.0, S23=0.0, S31=0.0, S32=0.0),
+                                    params_from_distance(0.5)], ids=["zero", "r=0.5"])
+    def test_scalar_formula_decides_near_ties(self, ch, monkeypatch):
+        # On the zero-SNR channel every grid point has sum rate exactly 0, so
+        # the first point must win.  Numpy values perturbed by less than
+        # half the tie band must not change the incumbent.
+        expected = reference_grid(ch, False)
+        rng = np.random.default_rng(0)
+        exact = gaussian_twrc._grid_row_sums
+
+        def noisy(*args):
+            vals = exact(*args)
+            return vals + rng.uniform(-4e-13, 4e-13, size=vals.shape)
+
+        monkeypatch.setattr(gaussian_twrc, "_grid_row_sums", noisy)
+        assert gaussian_twrc._grid_incumbent(ch, False) == expected
+
+    @pytest.mark.parametrize("r, params, point", [
+        (0.3, SchemeParams(alpha=0.621, beta=0.009999999999999998, sigma2=4.368477857839868),
+         RatePoint(R1=2.2749981623136235, R2=3.4909003769724705, scheme="hc_general",
+                   binding=(1, 0), clamped=False)),
+        (0.5, SchemeParams(alpha=0.2, beta=0.02, sigma2=12.949165324529844),
+         RatePoint(R1=3.040863042416072, R2=3.040863042416072, scheme="hc_general",
+                   binding=(1, 1), clamped=False)),
+        (0.7, SchemeParams(alpha=0.621, beta=0.009999999999999998, sigma2=4.368477857839868),
+         RatePoint(R1=3.4909003769724696, R2=2.2749981623136235, scheme="hc_general",
+                   binding=(0, 1), clamped=False)),
+    ])
+    def test_optimize_pins_recorded_result(self, r, params, point):
+        best = optimize_scheme(params_from_distance(r), "hc_general")
+        assert best.params == params
+        assert best.point == point
 
 
 class TestSweep:
