@@ -250,19 +250,39 @@ def cmd_bounds_twrc(opts: dict) -> int:
     return 0
 
 
+def _stage_map(doc: dict, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A deterministic diamond stage map with nonnegative integer symbols, of
+    the given shape, or one-dimensional and nonempty when shape is None."""
+    if name not in doc:
+        raise ScenarioError(
+            f"diamond grid bounds need deterministic stage maps; missing {name!r}")
+    try:
+        table = np.asarray(doc[name], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be a numeric array: {exc}") from exc
+    if shape is None and (table.ndim != 1 or table.size == 0):
+        raise ScenarioError(f"{name} must be a nonempty list, one symbol per source input")
+    if shape is not None and table.shape != shape:
+        raise ScenarioError(f"{name} must have shape {shape}, got {table.shape}")
+    if np.any(table < 0) or np.any(table != np.floor(table)):
+        raise ScenarioError(f"{name} symbols must be nonnegative integers")
+    return table.astype(int)
+
+
 def cmd_bounds_diamond(opts: dict) -> int:
     started = time.time()
     doc = load_scenario(opts["scenario"], "diamond")
-    for name in ("y2_map", "y3_map", "y4_map"):
-        if name not in doc:
-            raise ScenarioError(
-                f"diamond grid bounds need deterministic stage maps; missing {name!r}")
+    y2_map = _stage_map(doc, "y2_map")
+    y3_map = _stage_map(doc, "y3_map", y2_map.shape)    # both over the source input
+    x2_size, x3_size = int(_field(doc, "x2_size")), int(_field(doc, "x3_size"))
+    if x2_size < 1 or x3_size < 1:
+        raise ScenarioError("x2_size and x3_size must be >= 1")
+    y4_map = _stage_map(doc, "y4_map", (x2_size, x3_size))
     grid_res = int(opts.get("grid_res", 6))
     if grid_res < 1:
         raise ScenarioError("--grid-res must be >= 1")
     res = bounds.det_diamond_bounds(
-        doc["y2_map"], doc["y3_map"], doc["y4_map"],
-        int(_field(doc, "x2_size")), int(_field(doc, "x3_size")),
+        y2_map, y3_map, y4_map, x2_size, x3_size,
         px1_res=grid_res, relay_res=grid_res,
     )
     json_path = opts["out"] + ".json"

@@ -9,6 +9,7 @@ across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence as SeqT
 
@@ -301,8 +302,29 @@ def is_typical(
     if any(s.size != n for s in seqs):
         raise ValueError("sequence length mismatch")
     flat = np.ravel_multi_index(tuple(seqs), dims)
-    counts = np.bincount(flat, minlength=int(np.prod(dims))).reshape(dims)
-    return bool(np.all(np.abs(counts / n - p) <= epsilon * p))
+    return bool(typical_mask(flat, p.ravel(), epsilon))
+
+
+def typical_mask(cells: np.ndarray, p: np.ndarray, epsilon: float) -> np.ndarray:
+    """Relative-slack typicality of many sequences at once.
+
+    `cells` has shape (..., n): one length-n sequence of flat cell indices
+    into the flat pmf `p` per leading index.  Returns the boolean (...) mask
+    of |count(c)/n - p(c)| <= epsilon * p(c) over every cell c.  All counts
+    come from one bincount over row-offset cell indices, so the largest
+    intermediates are the (rows, cells) count and slack tables.  Indices
+    must lie in 0..p.size-1; they are not checked, and one out of range
+    would be counted in the next row.
+    """
+    *lead, n = cells.shape
+    rows = math.prod(lead)
+    offsets = np.arange(rows)[:, None] * p.size
+    counts = np.bincount((cells.reshape(rows, n) + offsets).ravel(),
+                         minlength=rows * p.size).reshape(*lead, p.size)
+    slack = counts / n
+    slack -= p
+    np.abs(slack, out=slack)
+    return np.all(slack <= epsilon * p, axis=-1)
 
 
 def empirical_distortion(s, shat, d: DistortionMeasure) -> float:

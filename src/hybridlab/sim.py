@@ -9,20 +9,34 @@ small-blocklength enumeration.
 Random-number discipline: one root seed; each (purpose, trial) pair gets its
 own counter-derived stream, so changing the trial count never reshuffles
 earlier trials and encoder, decoder and channel randomness never mix.
+
+Trials run in chunks of at most _CHUNK_SYMBOLS codeword symbols.  The only
+per-trial work is drawing each trial's uniforms from its own streams; the
+symbols, typicality tests, index selection, channel outputs, error events
+and distortions are computed for the whole chunk at once.  Every stream
+draws the same values in the same order as a trial-by-trial loop would, so
+the reports do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iproduct
 
 import numpy as np
 
 from .bounds import HybridCodeSpec, MacHybridSpec, _mac_joint, _p2p_joint
-from .infotheory import ConditionalPmf, DistortionMeasure, JointPmf, Pmf
+from .infotheory import (ConditionalPmf, DistortionMeasure, JointPmf, Pmf,
+                         typical_mask)
 
 MEMORY_CAP_SYMBOLS = 2 ** 22
+# Codeword symbols per chunk of batched trials.  A chunk holds several int64
+# and float64 arrays per symbol, about 600 kB in all at 2^13; 2^15 raised
+# the peak memory of the mc-small benchmark by 2 MB, and 2^12 was slower
+# for no less memory.
+_CHUNK_SYMBOLS = 2 ** 13
 
 # Stream purposes for counter-based seed derivation.
 _SOURCE, _CODEBOOK, _CHANNEL, _TIEBREAK = 0, 1, 2, 3
@@ -32,14 +46,16 @@ class MemoryCapError(RuntimeError):
     """Raised when a configuration would exceed the codebook memory cap."""
 
 
+def _seed_sequence(root_seed: int, purpose: int, trial: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=root_seed, spawn_key=(purpose, trial))
+
+
 def derived_seed(root_seed: int, purpose: int, trial: int) -> int:
-    ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(purpose, trial))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(root_seed, purpose, trial).generate_state(1, dtype=np.uint64)[0])
 
 
 def _rng(root_seed: int, purpose: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=root_seed, spawn_key=(purpose, trial)))
+    return np.random.default_rng(_seed_sequence(root_seed, purpose, trial))
 
 
 # ---------------------------------------------------------------------------
@@ -104,39 +120,88 @@ def generate_codebook(n: int, rate: float, pmf: Pmf, seed: int,
         raise MemoryCapError(
             f"codebook needs {m * n} symbols, cap is {memory_cap}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    entries = rng.choice(pmf.alphabet_size, size=(m, n), p=pmf.probs)
+    entries = _symbols(rng.random((m, n)), pmf.probs)
     entries.flags.writeable = False
     return Codebook(entries=entries, n=n, rate=rate, pmf=pmf, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized typicality over codeword batches
+# Per-trial streams, drawn for a chunk of trials
 # ---------------------------------------------------------------------------
 
-def _typical_mask(flat_cells: np.ndarray, num_cells: int, p: np.ndarray,
-                  epsilon: float) -> np.ndarray:
-    """Typicality of each row of flattened cell indices against pmf p.
-
-    flat_cells has shape (batch, n); returns a boolean (batch,) mask using
-    the relative-slack test per cell, with zero-probability cells required to
-    be unvisited.
-    """
-    n = flat_cells.shape[1]
-    counts = (flat_cells[:, :, None] == np.arange(num_cells)[None, None, :]).sum(axis=1)
-    return np.all(np.abs(counts / n - p[None, :]) <= epsilon * p[None, :], axis=1)
+def _chunks(trials: int, symbols_per_trial: int):
+    """Consecutive trial-index arrays of at most _CHUNK_SYMBOLS symbols each."""
+    size = max(1, _CHUNK_SYMBOLS // symbols_per_trial)
+    for first in range(0, trials, size):
+        yield np.arange(first, min(first + size, trials))
 
 
-def _sample_rows(kernel: ConditionalPmf, inputs: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One output draw per position, position i using kernel row inputs[i]."""
+def _symbols(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Inverse-cdf symbols: the algorithm of Generator.choice(p=probs), so
+    mapping rng.random(shape) here equals rng.choice(probs.size, shape, p=probs)
+    and leaves the stream in the same state."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
+
+
+def _uniforms(root_seed: int, purpose: int, trials: np.ndarray, n: int) -> np.ndarray:
+    """Row i holds n uniforms from the stream of trial trials[i]."""
+    out = np.empty((trials.size, n))
+    for row, t in enumerate(trials.tolist()):
+        _rng(root_seed, purpose, t).random(out=out[row])
+    return out
+
+
+def _codebook_uniforms(root_seed: int, keys: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Row i holds the (m, n) uniforms generate_codebook draws for the
+    codebook seeded by derived_seed(root_seed, _CODEBOOK, keys[i])."""
+    out = np.empty((keys.size, m, n))
+    for row, k in enumerate(keys.tolist()):
+        seed = derived_seed(root_seed, _CODEBOOK, k)
+        np.random.default_rng(np.random.SeedSequence(seed)).random(out=out[row])
+    return out
+
+
+def _channel_outputs(kernel: ConditionalPmf, inputs: np.ndarray,
+                     uniforms: np.ndarray) -> np.ndarray:
+    """One output per position, position i using kernel row inputs[..., i]."""
     cum = np.cumsum(kernel.rows, axis=1)
-    u = rng.random(inputs.size)
-    return (u[:, None] > cum[inputs]).sum(axis=1)
+    return (uniforms[..., None] > cum[inputs]).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# Point-to-point encoder / decoder
+# Joint-typicality encoding
 # ---------------------------------------------------------------------------
+
+def _pair_typical(codewords: np.ndarray, seq: np.ndarray, joint: JointPmf,
+                  epsilon: float) -> np.ndarray:
+    """Typicality of (codeword, seq) against a two-axis joint (codeword axis
+    first), for codewords (..., m, n) and sequences (..., n): mask (..., m)."""
+    return typical_mask(codewords * joint.dims[1] + seq[..., None, :],
+                        joint.probs.ravel(), epsilon)
+
+
+def _select(hits: list[np.ndarray], tie_rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Encoder index choice for each sender's (rows, m) hit mask.
+
+    A row with exactly one hit takes it and draws nothing.  Otherwise the
+    index is drawn uniformly among the hits, or among all m indices when
+    there is no hit, from tie_rng(row): one tie-break generator per row,
+    built only for rows that draw and shared by the senders in order.
+    Returns each sender's indices and covering-failure (no hit) flags.
+    """
+    counts = [h.sum(axis=1) for h in hits]
+    chosen = [h.argmax(axis=1) for h in hits]
+    for row in np.flatnonzero(np.any([c != 1 for c in counts], axis=0)).tolist():
+        rng = tie_rng(row)
+        for h, c, idx in zip(hits, counts, chosen):
+            if c[row] > 1:
+                idx[row] = np.flatnonzero(h[row])[rng.integers(int(c[row]))]
+            elif c[row] == 0:
+                idx[row] = rng.integers(h.shape[1])
+    return chosen, [c == 0 for c in counts]
+
 
 def encode_p2p(s: np.ndarray, cb: Codebook, eps_prime: float,
                enc_map: np.ndarray, joint_us: JointPmf,
@@ -149,19 +214,15 @@ def encode_p2p(s: np.ndarray, cb: Codebook, eps_prime: float,
     failure flag).
     """
     s = np.asarray(s, dtype=int)
-    u_size, s_size = joint_us.dims
-    flat = cb.entries * s_size + s[None, :]
-    hits = _typical_mask(flat, u_size * s_size, joint_us.probs.ravel(), eps_prime)
-    hit_idx = np.flatnonzero(hits)
-    if hit_idx.size > 0:
-        m = int(hit_idx[rng.integers(hit_idx.size)]) if hit_idx.size > 1 else int(hit_idx[0])
-        covering_failed = False
-    else:
-        m = int(rng.integers(cb.size))
-        covering_failed = True
+    hits = _pair_typical(cb.entries, s, joint_us, eps_prime)
+    [(m,)], [(covering_failed,)] = _select([hits[None]], lambda row: rng)
     x = np.asarray(enc_map, dtype=int)[cb.entries[m], s]
-    return m, x, covering_failed
+    return int(m), x, bool(covering_failed)
 
+
+# ---------------------------------------------------------------------------
+# Point-to-point simulator
+# ---------------------------------------------------------------------------
 
 def run_p2p(scenario: P2pScenario, spec: HybridCodeSpec,
             config: TrialConfig) -> dict:
@@ -171,46 +232,38 @@ def run_p2p(scenario: P2pScenario, spec: HybridCodeSpec,
     its own derived streams, then tracks the covering failure E1, the decode
     miss E2 on the chosen codeword given covering succeeded, and the packing
     confusion E3 by another codeword.  The overall error flag is their union.
+    The decoder takes the only typical codeword, or index 0 unless exactly
+    one is typical.  Trials are evaluated in chunks (see the module
+    docstring); each trial's streams are drawn exactly as a one-trial-at-a-
+    time loop would draw them.
     """
     joint = _p2p_joint(scenario.source, scenario.channel, spec)
     joint_us = joint.marginal([1, 0])   # (u, s)
     joint_uy = joint.marginal([1, 3])   # (u, y)
-    n, trials = config.n, config.trials
+    n, trials, seed = config.n, config.trials, config.seed
     m_count = codebook_size(n, spec.rate)
     if m_count * n > config.memory_cap:
         raise MemoryCapError("codebook exceeds memory cap")
-    u_size, y_size = joint_uy.dims
-    p_uy = joint_uy.probs.ravel()
-    c_e1 = c_e2 = c_e3 = c_err = 0
+    p_u = joint_us.marginal_pmf(0).probs
+    e1, e2, e3 = (np.empty(trials, dtype=bool) for _ in range(3))
     dists = np.empty(trials)
-    ok_dists = []
-    for t in range(trials):
-        s = _rng(config.seed, _SOURCE, t).choice(
-            scenario.source.alphabet_size, size=n, p=scenario.source.probs)
-        cb = generate_codebook(n, spec.rate, joint_us.marginal_pmf(0),
-                               derived_seed(config.seed, _CODEBOOK, t),
-                               config.memory_cap)
-        tie_rng = _rng(config.seed, _TIEBREAK, t)
-        m, x, e1 = encode_p2p(s, cb, config.epsilon_prime, spec.enc_map,
-                              joint_us, tie_rng)
-        y = _sample_rows(scenario.channel, x, _rng(config.seed, _CHANNEL, t))
-        flat = cb.entries * y_size + y[None, :]
-        typ = _typical_mask(flat, u_size * y_size, p_uy, config.epsilon)
-        e2_not1 = (not e1) and (not bool(typ[m]))
-        e3 = bool(np.any(np.delete(typ, m)))
-        hits = np.flatnonzero(typ)
-        m_hat = int(hits[0]) if hits.size == 1 else 0
-        shat = spec.dec_map[cb.entries[m_hat], y]
-        dist = float(scenario.distortion.table[s, shat].mean())
-        err = e1 or e2_not1 or e3
-        c_e1 += e1
-        c_e2 += e2_not1
-        c_e3 += e3
-        c_err += err
-        dists[t] = dist
-        if not err:
-            ok_dists.append(dist)
-    return _p2p_report(trials, n, c_e1, c_e2, c_e3, c_err, dists, ok_dists)
+    for ts in _chunks(trials, m_count * n):
+        rows = np.arange(ts.size)
+        s = _symbols(_uniforms(seed, _SOURCE, ts, n), scenario.source.probs)
+        cb = _symbols(_codebook_uniforms(seed, ts, m_count, n), p_u)
+        [m], [e1[ts]] = _select([_pair_typical(cb, s, joint_us, config.epsilon_prime)],
+                                lambda row: _rng(seed, _TIEBREAK, int(ts[row])))
+        x = spec.enc_map[cb[rows, m], s]
+        y = _channel_outputs(scenario.channel, x, _uniforms(seed, _CHANNEL, ts, n))
+        typ = _pair_typical(cb, y, joint_uy, config.epsilon)
+        chosen_typical = typ[rows, m]
+        hits = typ.sum(axis=1)
+        e2[ts] = ~e1[ts] & ~chosen_typical
+        e3[ts] = hits - chosen_typical > 0
+        m_hat = np.where(hits == 1, typ.argmax(axis=1), 0)
+        shat = spec.dec_map[cb[rows, m_hat], y]
+        dists[ts] = scenario.distortion.table[s, shat].mean(axis=1)
+    return _p2p_report(n, e1, e2, e3, dists)
 
 
 def _binom_halfwidth(count: int, trials: int) -> float:
@@ -218,26 +271,33 @@ def _binom_halfwidth(count: int, trials: int) -> float:
     return 1.96 * math.sqrt(max(p * (1 - p), 0.0) / trials)
 
 
-def _p2p_report(trials, n, c_e1, c_e2, c_e3, c_err, dists, ok_dists) -> dict:
+def _p2p_report(n, e1, e2, e3, dists) -> dict:
+    trials = dists.size
+    err = e1 | e2 | e3
+    c_e1, c_err = int(e1.sum()), int(err.sum())
+    ok_dists = dists[~err]
     return {
         "n": n,
         "trials": trials,
         "p_e1": c_e1 / trials,
-        "p_e2_given_not_e1": c_e2 / trials,
-        "p_e3": c_e3 / trials,
+        "p_e2_given_not_e1": int(e2.sum()) / trials,
+        "p_e3": int(e3.sum()) / trials,
         "p_error": c_err / trials,
         "halfwidth_e1": _binom_halfwidth(c_e1, trials),
         "halfwidth_error": _binom_halfwidth(c_err, trials),
         "mean_distortion": float(np.mean(dists)),
         "distortion_halfwidth": float(1.96 * np.std(dists, ddof=1) / math.sqrt(trials))
         if trials > 1 else 0.0,
-        "mean_distortion_no_error": float(np.mean(ok_dists)) if ok_dists else None,
+        "mean_distortion_no_error": float(np.mean(ok_dists)) if ok_dists.size else None,
     }
 
 
 # ---------------------------------------------------------------------------
 # Two-sender simulator
 # ---------------------------------------------------------------------------
+
+_MAC_EVENTS = ("e1", "e2", "e3", "e4", "e5", "e6")
+
 
 def run_mac(scenario: MacScenario, spec: MacHybridSpec,
             config: TrialConfig) -> dict:
@@ -247,7 +307,9 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     chosen pair falling outside the typical set at the decoder, and E4/E5/E6
     are the packing confusions with both, only the first, or only the second
     index wrong.  The decoder searches every index pair exhaustively and
-    falls back to pair (0, 0) unless exactly one pair is typical.
+    falls back to pair (0, 0) unless exactly one pair is typical.  Streams,
+    encoding and channel are drawn per chunk of trials as in run_p2p; the
+    pair search runs one trial at a time.
     """
     if spec.q_pmf.alphabet_size != 1:
         raise ValueError("simulation supports a trivial time-sharing alphabet only")
@@ -256,74 +318,72 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     j_us1 = j.marginal([3, 1])           # (u1, s1)
     j_us2 = j.marginal([4, 2])           # (u2, s2)
     j_uuy = j.marginal([3, 4, 7])        # (u1, u2, y)
-    n, trials = config.n, config.trials
+    n, trials, seed = config.n, config.trials, config.seed
     m1 = codebook_size(n, spec.R1)
     m2 = codebook_size(n, spec.R2)
     if (m1 + m2) * n > config.memory_cap or m1 * m2 * n > config.memory_cap:
         raise MemoryCapError("codebooks or pair search exceed memory cap")
     u1_size, u2_size, y_size = j_uuy.dims
-    s1_size, s2_size = scenario.sources.dims
+    s2_size = scenario.sources.dims[1]
     p_uuy = j_uuy.probs.ravel()
     num_cells = u1_size * u2_size * y_size
-    counts = {k: 0 for k in ("e1", "e2", "e3", "e4", "e5", "e6", "err")}
+    events = {key: np.empty(trials, dtype=bool) for key in _MAC_EVENTS}
     d1s = np.empty(trials)
     d2s = np.empty(trials)
-    src_flat_pmf = scenario.sources.probs.ravel()
-    enc1 = spec.enc1[0]
-    enc2 = spec.enc2[0]
-    dec1 = spec.dec1[0]
-    dec2 = spec.dec2[0]
-    for t in range(trials):
-        flat_s = _rng(config.seed, _SOURCE, t).choice(
-            src_flat_pmf.size, size=n, p=src_flat_pmf)
+    enc1, enc2 = spec.enc1[0], spec.enc2[0]
+    dec1, dec2 = spec.dec1[0], spec.dec2[0]
+    for ts in _chunks(trials, (m1 + m2) * n):
+        rows = np.arange(ts.size)
+        flat_s = _symbols(_uniforms(seed, _SOURCE, ts, n), scenario.sources.probs.ravel())
         s1, s2 = np.divmod(flat_s, s2_size)
-        cb1 = generate_codebook(n, spec.R1, j_us1.marginal_pmf(0),
-                                derived_seed(config.seed, _CODEBOOK, 2 * t),
-                                config.memory_cap)
-        cb2 = generate_codebook(n, spec.R2, j_us2.marginal_pmf(0),
-                                derived_seed(config.seed, _CODEBOOK, 2 * t + 1),
-                                config.memory_cap)
-        tie_rng = _rng(config.seed, _TIEBREAK, t)
-        idx1, x1, e1 = encode_p2p(s1, cb1, config.epsilon_prime, enc1, j_us1, tie_rng)
-        idx2, x2, e2 = encode_p2p(s2, cb2, config.epsilon_prime, enc2, j_us2, tie_rng)
-        y = _sample_rows(scenario.mac, x1 * (spec.enc2.max() + 1) + x2,
-                         _rng(config.seed, _CHANNEL, t))
-        # Typicality of every index pair, factorized through one-hot counts.
-        a = np.zeros((m1, n, u1_size * y_size))
-        a[np.arange(m1)[:, None], np.arange(n)[None, :], cb1.entries * y_size + y[None, :]] = 1.0
-        b = np.zeros((m2, n, u2_size))
-        b[np.arange(m2)[:, None], np.arange(n)[None, :], cb2.entries] = 1.0
-        pair_counts = np.einsum("mic,nid->mncd", a, b)   # (m1, m2, u1*y, u2)
-        pair_counts = pair_counts.reshape(m1, m2, u1_size, y_size, u2_size)
-        pair_counts = pair_counts.transpose(0, 1, 2, 4, 3).reshape(m1, m2, num_cells)
-        typ = np.all(
-            np.abs(pair_counts / n - p_uuy[None, None, :]) <= config.epsilon * p_uuy,
-            axis=2)
-        e3 = not bool(typ[idx1, idx2])
-        other1 = np.ones(m1, dtype=bool)
-        other1[idx1] = False
-        other2 = np.ones(m2, dtype=bool)
-        other2[idx2] = False
-        e4 = bool(np.any(typ[np.ix_(other1, other2)]))
-        e5 = bool(np.any(typ[other1, idx2]))
-        e6 = bool(np.any(typ[idx1, other2]))
-        hits = np.argwhere(typ)
-        h1, h2 = (int(hits[0][0]), int(hits[0][1])) if hits.shape[0] == 1 else (0, 0)
-        u1_hat, u2_hat = cb1.entries[h1], cb2.entries[h2]
-        shat1 = dec1[u1_hat, u2_hat, y]
-        shat2 = dec2[u1_hat, u2_hat, y]
-        d1s[t] = float(scenario.d1.table[s1, shat1].mean())
-        d2s[t] = float(scenario.d2.table[s2, shat2].mean())
-        err = e1 or e2 or e3 or e4 or e5 or e6
-        for key, flag in zip(("e1", "e2", "e3", "e4", "e5", "e6", "err"),
-                             (e1, e2, e3, e4, e5, e6, err)):
-            counts[key] += flag
+        cb1 = _symbols(_codebook_uniforms(seed, 2 * ts, m1, n), j_us1.marginal_pmf(0).probs)
+        cb2 = _symbols(_codebook_uniforms(seed, 2 * ts + 1, m2, n), j_us2.marginal_pmf(0).probs)
+        (idx1, idx2), (events["e1"][ts], events["e2"][ts]) = _select(
+            [_pair_typical(cb1, s1, j_us1, config.epsilon_prime),
+             _pair_typical(cb2, s2, j_us2, config.epsilon_prime)],
+            lambda row: _rng(seed, _TIEBREAK, int(ts[row])))
+        x1 = enc1[cb1[rows, idx1], s1]
+        x2 = enc2[cb2[rows, idx2], s2]
+        y = _channel_outputs(scenario.mac, x1 * (spec.enc2.max() + 1) + x2,
+                             _uniforms(seed, _CHANNEL, ts, n))
+        h1 = np.zeros(ts.size, dtype=int)
+        h2 = np.zeros(ts.size, dtype=int)
+        for row, t in enumerate(ts):
+            # Typicality of every index pair, factorized through one-hot counts.
+            a = np.zeros((m1, n, u1_size * y_size))
+            a[np.arange(m1)[:, None], np.arange(n)[None, :],
+              cb1[row] * y_size + y[row][None, :]] = 1.0
+            b = np.zeros((m2, n, u2_size))
+            b[np.arange(m2)[:, None], np.arange(n)[None, :], cb2[row]] = 1.0
+            pair_counts = np.einsum("mic,nid->mncd", a, b)   # (m1, m2, u1*y, u2)
+            pair_counts = pair_counts.reshape(m1, m2, u1_size, y_size, u2_size)
+            pair_counts = pair_counts.transpose(0, 1, 2, 4, 3).reshape(m1, m2, num_cells)
+            typ = np.all(
+                np.abs(pair_counts / n - p_uuy[None, None, :]) <= config.epsilon * p_uuy,
+                axis=2)
+            i1, i2 = idx1[row], idx2[row]
+            other1 = np.ones(m1, dtype=bool)
+            other1[i1] = False
+            other2 = np.ones(m2, dtype=bool)
+            other2[i2] = False
+            events["e3"][t] = not typ[i1, i2]
+            events["e4"][t] = np.any(typ[np.ix_(other1, other2)])
+            events["e5"][t] = np.any(typ[other1, i2])
+            events["e6"][t] = np.any(typ[i1, other2])
+            hits = np.argwhere(typ)
+            if hits.shape[0] == 1:
+                h1[row], h2[row] = hits[0]
+        u1_hat, u2_hat = cb1[rows, h1], cb2[rows, h2]
+        d1s[ts] = scenario.d1.table[s1, dec1[u1_hat, u2_hat, y]].mean(axis=1)
+        d2s[ts] = scenario.d2.table[s2, dec2[u1_hat, u2_hat, y]].mean(axis=1)
+    err = np.logical_or.reduce([events[key] for key in _MAC_EVENTS])
     report = {"n": n, "trials": trials}
-    for key in ("e1", "e2", "e3", "e4", "e5", "e6"):
-        report[f"p_{key}"] = counts[key] / trials
-        report[f"halfwidth_{key}"] = _binom_halfwidth(counts[key], trials)
-    report["p_error"] = counts["err"] / trials
-    report["halfwidth_error"] = _binom_halfwidth(counts["err"], trials)
+    for key in _MAC_EVENTS:
+        count = int(events[key].sum())
+        report[f"p_{key}"] = count / trials
+        report[f"halfwidth_{key}"] = _binom_halfwidth(count, trials)
+    report["p_error"] = int(err.sum()) / trials
+    report["halfwidth_error"] = _binom_halfwidth(int(err.sum()), trials)
     report["mean_distortion_1"] = float(np.mean(d1s))
     report["mean_distortion_2"] = float(np.mean(d2s))
     return report
@@ -332,17 +392,6 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
 # ---------------------------------------------------------------------------
 # Codebook-independence check
 # ---------------------------------------------------------------------------
-
-def _select_index(cb_entries: np.ndarray, s: np.ndarray, joint_us: JointPmf,
-                  eps_prime: float, rng: np.random.Generator) -> int:
-    u_size, s_size = joint_us.dims
-    flat = cb_entries * s_size + s[None, :]
-    hits = np.flatnonzero(
-        _typical_mask(flat, u_size * s_size, joint_us.probs.ravel(), eps_prime))
-    if hits.size > 0:
-        return int(hits[rng.integers(hits.size)]) if hits.size > 1 else int(hits[0])
-    return int(rng.integers(cb_entries.shape[0]))
-
 
 def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
                  outer_trials: int, seed: int = 0, min_count: int = 50) -> dict:
@@ -354,30 +403,45 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
     (codeword 0, source block) cell.  Reports the maximum ratio of the
     empirical conditional pmf to the i.i.d. generation pmf over cells with at
     least min_count samples; inconclusive (not an error) when no cell
-    qualifies.
+    qualifies.  Trials are evaluated in chunks with the streams of a
+    one-trial-at-a-time loop (see the module docstring).  The |U|^n pattern
+    table is capped at MEMORY_CAP_SYMBOLS entries.
     """
     m_count = codebook_size(n, rate)
     if m_count < 2:
         raise ValueError("rate too small: need at least two codewords")
     u_size, s_size = joint_us.dims
-    p_u = joint_us.marginal_pmf(0)
-    p_s = joint_us.marginal_pmf(1)
-    patterns = np.array(list(iproduct(range(u_size), repeat=n)), dtype=int)
-    pattern_prob = np.prod(p_u.probs[patterns], axis=1)
+    if u_size ** n > MEMORY_CAP_SYMBOLS or m_count * n > MEMORY_CAP_SYMBOLS:
+        raise MemoryCapError(
+            f"{u_size}^{n} codeword patterns or a {m_count}-word codebook "
+            f"exceed the cap of {MEMORY_CAP_SYMBOLS}")
+    p_u = joint_us.marginal_pmf(0).probs
+    p_s = joint_us.marginal_pmf(1).probs
+    # Probability of every codeword pattern, in C order over (u_1, ..., u_n).
+    pattern_prob = reduce(np.multiply.outer, [p_u] * n).ravel()
     cells: dict[tuple, np.ndarray] = {}
     kept = 0
-    for t in range(outer_trials):
-        s = _rng(seed, _SOURCE, t).choice(s_size, size=n, p=p_s.probs)
-        cb = generate_codebook(n, rate, p_u, derived_seed(seed, _CODEBOOK, t))
-        m = _select_index(cb.entries, s, joint_us, eps_prime,
-                          _rng(seed, _TIEBREAK, t))
-        if m != 0:
+    for ts in _chunks(outer_trials, m_count * n):
+        s = _symbols(_uniforms(seed, _SOURCE, ts, n), p_s)
+        cb = _symbols(_codebook_uniforms(seed, ts, m_count, n), p_u)
+        [m], _ = _select([_pair_typical(cb, s, joint_us, eps_prime)],
+                         lambda row: _rng(seed, _TIEBREAK, int(ts[row])))
+        sel = m == 0
+        if not sel.any():
             continue
-        kept += 1
-        key = (tuple(cb.entries[0]), tuple(s))
-        vec = cells.setdefault(key, np.zeros(patterns.shape[0]))
-        pat_idx = int(np.ravel_multi_index(tuple(cb.entries[1]), (u_size,) * n))
-        vec[pat_idx] += 1
+        kept += int(sel.sum())
+        # Cell rows (codeword 0, source block); group codeword-1 patterns by cell.
+        cell_rows, inverse, sizes = np.unique(
+            np.concatenate([cb[sel, 0], s[sel]], axis=1), axis=0,
+            return_inverse=True, return_counts=True)
+        pats = np.ravel_multi_index(tuple(cb[sel, 1].T), (u_size,) * n)
+        groups = np.split(pats[np.argsort(inverse.ravel(), kind="stable")],
+                          np.cumsum(sizes)[:-1])
+        for row, group in zip(cell_rows, groups):
+            key = (tuple(row[:n]), tuple(row[n:]))
+            if key not in cells:
+                cells[key] = np.zeros(pattern_prob.size)
+            np.add.at(cells[key], group, 1.0)
     max_ratio = 0.0
     well_sampled = 0
     cell_stats = {}

@@ -71,6 +71,24 @@ class TestExitCodes:
         assert run(["bounds-diamond", scen("example1.json"), "--grid-res", "0",
                     "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("maps", [
+        {"y4_map": [[0, 1]]},
+        {"y4_map": [[0, 1], [1, 2], [2, 0]]},
+        {"y4_map": [[0, -1], [1, 2]]},
+        {"y4_map": [[0, 1.5], [1, 2]]},
+        {"y4_map": [[0, 1], [1]]},
+        {"y3_map": [0, 1]},
+        {"y2_map": [[0, 0, 1]]},
+        {"y2_map": [], "y3_map": []},
+        {"x2_size": 0, "y4_map": [[], []]},
+    ], ids=["y4-rows", "y4-extra-row", "y4-negative", "y4-fraction", "y4-ragged",
+            "y3-length", "y2-2d", "y2-empty", "x2-size-0"])
+    def test_diamond_stage_maps_match_declared_sizes(self, tmp_path, maps):
+        scenario = tmp_path / "diamond.json"
+        doc = read_json(scen("example1.json"))
+        scenario.write_text(json.dumps({**doc, **maps}))
+        assert run(["bounds-diamond", str(scenario), "--out", str(tmp_path / "o")]) == 2
+
     @pytest.mark.parametrize("relay_map", [[[0, 2], [1, 1]], [[0, 0, 1], [1, 1, 0]]],
                              ids=["symbol", "shape"])
     def test_relay_map_outside_alphabet(self, tmp_path, relay_map):

@@ -17,6 +17,7 @@ from hybridlab.infotheory import (
     entropy,
     is_typical,
     mutual_information,
+    typical_mask,
 )
 
 
@@ -183,6 +184,19 @@ class TestTypicality:
         smaller = eps * min(shrink, 0.999)
         if is_typical(seq, ref, smaller):
             assert is_typical(seq, ref, eps)
+
+    def test_batched_mask_matches_single_sequences(self):
+        # Rows of one batch must not leak counts into each other.
+        rng = np.random.default_rng(0)
+        ref = JointPmf([[0.3, 0.1, 0.0], [0.2, 0.1, 0.3]])
+        cells = rng.choice(6, size=(5, 7, 10), p=ref.probs.ravel())
+        mask = typical_mask(cells, ref.probs.ravel(), 1.0)
+        assert mask.shape == (5, 7)
+        assert mask.any() and not mask.all()
+        u, s = np.divmod(cells, 3)
+        for i in range(5):
+            for j in range(7):
+                assert mask[i, j] == is_typical((u[i, j], s[i, j]), ref, 1.0)
 
 
 class TestDistortion:

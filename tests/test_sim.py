@@ -1,9 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridlab.bounds import HybridCodeSpec, lossless_mac_spec, noiseless_pair_mac
+from hybridlab import cli, sim
+from hybridlab.bounds import (HybridCodeSpec, MacHybridSpec, lossless_mac_spec,
+                              noiseless_pair_mac)
 from hybridlab.infotheory import ConditionalPmf, DistortionMeasure, JointPmf, Pmf
 from hybridlab.sim import (
     Codebook,
@@ -13,6 +17,7 @@ from hybridlab.sim import (
     TrialConfig,
     codebook_size,
     derived_seed,
+    encode_p2p,
     generate_codebook,
     lemma1_check,
     lemma1_exact_n2,
@@ -129,6 +134,24 @@ class TestRunP2p:
             run_p2p(scenario, spec, cfg)
 
 
+def identity_mac():
+    """Noiseless pair MAC with u_j = s_j, x_j = s_j and shat_j read off y."""
+    sources = JointPmf([[0.35, 0.15], [0.15, 0.35]])
+    scenario = MacScenario(sources=sources, mac=noiseless_pair_mac(2, 2),
+                           d1=HAMMING2, d2=HAMMING2)
+    aux = np.zeros((1, 2, 2))
+    aux[0] = np.eye(2)                       # u_j = s_j
+    enc = np.zeros((1, 2, 2), dtype=int)
+    enc[0] = [[0, 1], [0, 1]]                # x_j = s_j regardless of u_j
+    y = np.arange(4)
+    dec1 = np.broadcast_to(y // 2, (1, 2, 2, 4)).copy()   # shat1 from y
+    dec2 = np.broadcast_to(y % 2, (1, 2, 2, 4)).copy()
+    spec = MacHybridSpec(q_pmf=Pmf([1.0]), aux1=aux, aux2=aux,
+                         enc1=enc, enc2=enc, dec1=dec1, dec2=dec2,
+                         R1=1.0, R2=1.0)
+    return scenario, spec
+
+
 class TestRunMac:
     @staticmethod
     def scenario_and_spec():
@@ -166,21 +189,7 @@ class TestRunMac:
         # Symbol maps that carry the source through the noiseless pair
         # channel directly: distortion is zero no matter which error events
         # fire, and the two single-index packing events are symmetric.
-        from hybridlab.bounds import MacHybridSpec
-
-        sources = JointPmf([[0.35, 0.15], [0.15, 0.35]])
-        scenario = MacScenario(sources=sources, mac=noiseless_pair_mac(2, 2),
-                               d1=HAMMING2, d2=HAMMING2)
-        aux = np.zeros((1, 2, 2))
-        aux[0] = np.eye(2)                       # u_j = s_j
-        enc = np.zeros((1, 2, 2), dtype=int)
-        enc[0] = [[0, 1], [0, 1]]                # x_j = s_j regardless of u_j
-        y = np.arange(4)
-        dec1 = np.broadcast_to(y // 2, (1, 2, 2, 4)).copy()   # shat1 from y
-        dec2 = np.broadcast_to(y % 2, (1, 2, 2, 4)).copy()
-        spec = MacHybridSpec(q_pmf=Pmf([1.0]), aux1=aux, aux2=aux,
-                             enc1=enc, enc2=enc, dec1=dec1, dec2=dec2,
-                             R1=1.0, R2=1.0)
+        scenario, spec = identity_mac()
         cfg = TrialConfig(n=8, trials=200, epsilon=0.75, epsilon_prime=0.5, seed=0)
         rep = run_mac(scenario, spec, cfg)
         assert rep["mean_distortion_1"] == 0.0
@@ -230,3 +239,130 @@ class TestLemma1:
     def test_rate_too_small(self):
         with pytest.raises(ValueError):
             lemma1_check(2, 0.0, IDENTITY_COUPLING, 0.25, outer_trials=10)
+
+    def test_pattern_table_capped_before_enumeration(self):
+        # 2^23 codeword patterns exceed the cap; nothing is drawn or allocated.
+        with pytest.raises(MemoryCapError):
+            lemma1_check(23, 0.5, IDENTITY_COUPLING, 0.25, outer_trials=1)
+
+
+class TestEncodeSelection:
+    """The encoder rule: one hit is taken without a draw; several hits or
+    none draw uniformly among the hits or among all indices."""
+
+    S = np.array([0, 1])
+
+    def encode(self, entries, rng):
+        cb = Codebook(entries=np.array(entries), n=2, rate=0.5, pmf=UNIF2, seed=0)
+        return encode_p2p(self.S, cb, 0.25, [[0, 0], [1, 1]], IDENTITY_COUPLING, rng)
+
+    def test_single_hit_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        m, x, failed = self.encode([[1, 0], [0, 1], [0, 0]], rng)
+        assert (m, failed) == (1, False)
+        assert x.tolist() == [0, 1]
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_several_hits_draw_among_hits(self):
+        m, _, failed = self.encode([[0, 1], [1, 0], [0, 1]], np.random.default_rng(5))
+        assert m == [0, 2][np.random.default_rng(5).integers(2)]
+        assert not failed
+
+    def test_no_hit_draws_among_all(self):
+        m, _, failed = self.encode([[1, 0], [0, 0], [1, 1]], np.random.default_rng(5))
+        assert m == np.random.default_rng(5).integers(3)
+        assert failed
+
+    def test_senders_share_one_tie_stream_in_order(self):
+        # Row 0: sender 1 has two hits, sender 2 none, so both draw from one
+        # stream, sender 1 first.  Row 1: one hit each, so no stream is built.
+        hits1 = np.array([[True, False, True], [False, True, False]])
+        hits2 = np.array([[False] * 4, [False, False, False, True]])
+        built = []
+
+        def tie_rng(row):
+            built.append(row)
+            return np.random.default_rng(9)
+
+        (idx1, idx2), (failed1, failed2) = sim._select([hits1, hits2], tie_rng)
+        ref = np.random.default_rng(9)
+        assert idx1.tolist() == [[0, 2][ref.integers(2)], 1]
+        assert idx2.tolist() == [ref.integers(4), 3]
+        assert failed1.tolist() == [False, False] and failed2.tolist() == [True, False]
+        assert built == [0]
+
+
+# ---------------------------------------------------------------------------
+# Reports pinned to the trial-by-trial simulator
+# ---------------------------------------------------------------------------
+
+# repr of every report below, recorded from the simulator before trials were
+# batched (numpy 2.x, where cell keys print as np.int64(...)).
+PINNED = json.loads((Path(__file__).parent / "data" / "sim_pins.json").read_text())
+SCENARIOS = Path(sim.__file__).parent / "scenarios"
+
+
+def _pinned_cases():
+    p2p = cli.build_p2p_scenario(cli.load_scenario(str(SCENARIOS / "p2p_hybrid.json"), "p2p"))
+    spec = cli.build_p2p_spec(cli.load_json(str(SCENARIOS / "p2p_hybrid_spec.json")))
+    cases = {
+        f"p2p_n{n}_seed{seed}": lambda n=n, seed=seed: run_p2p(p2p, spec, TrialConfig(
+            n=n, trials=40, epsilon=0.75, epsilon_prime=0.5, seed=seed))
+        for n in (8, 20, 32) for seed in range(4)
+    }
+    bsc = P2pScenario(source=UNIF2, channel=ConditionalPmf.bsc(0.1), distortion=HAMMING2)
+    uncoded = HybridCodeSpec.uncoded(enc=[0, 1], dec=[0, 1], num_sources=2)
+    cases["uncoded_n1000_seed0"] = lambda: run_p2p(
+        bsc, uncoded, TrialConfig(n=1000, trials=40, seed=0))
+    mac, mac_spec = identity_mac()
+    cases["mac_identity_n4_seed0"] = lambda: run_mac(mac, mac_spec, TrialConfig(
+        n=4, trials=40, epsilon=0.75, epsilon_prime=0.5, seed=0))
+    doc = cli.load_json(str(SCENARIOS / "lemma1.json"))
+    for n, trials, min_count in ((2, 600, 5), (4, 400, 2)):
+        cases[f"lemma1_n{n}_seed0"] = lambda n=n, trials=trials, min_count=min_count: (
+            lemma1_check(n, doc["rate"], JointPmf(doc["joint_us"]), doc["eps_prime"],
+                         trials, seed=0, min_count=min_count))
+    return cases
+
+
+PINNED_CASES = _pinned_cases()
+
+
+class TestPinnedReports:
+    def test_cases_cover_recorded_reports(self):
+        assert sorted(PINNED_CASES) == sorted(PINNED)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_report_matches_recorded(self, name):
+        assert repr(PINNED_CASES[name]()) == PINNED[name]
+
+    # 1 symbol runs one trial per chunk.  896 symbols splits p2p n=8 (18
+    # trials per chunk of 40), the MAC (7 of 40), lemma1 n=2 (224 of 600)
+    # and lemma1 n=4 (56 of 400) unevenly; 7680 splits p2p n=20 (3 of 40)
+    # and uncoded n=1000 (7 of 40) unevenly.
+    @pytest.mark.parametrize("chunk_symbols", [1, 896, 7680])
+    def test_chunk_size_does_not_change_reports(self, monkeypatch, chunk_symbols):
+        monkeypatch.setattr(sim, "_CHUNK_SYMBOLS", chunk_symbols)
+        for name, case in PINNED_CASES.items():
+            assert repr(case()) == PINNED[name], name
+
+    def test_lemma1_draws_tie_breaks_only_without_a_single_hit(self, monkeypatch):
+        hit_counts, tie_trials = [], []
+        select, rng = sim._select, sim._rng
+
+        def recording_select(hits, tie_rng):
+            [sender_hits] = hits
+            hit_counts.extend(sender_hits.sum(axis=1).tolist())
+            return select(hits, tie_rng)
+
+        def recording_rng(root_seed, purpose, trial):
+            if purpose == sim._TIEBREAK:
+                tie_trials.append(trial)
+            return rng(root_seed, purpose, trial)
+
+        monkeypatch.setattr(sim, "_select", recording_select)
+        monkeypatch.setattr(sim, "_rng", recording_rng)
+        assert repr(PINNED_CASES["lemma1_n2_seed0"]()) == PINNED["lemma1_n2_seed0"]
+        assert len(hit_counts) == 600
+        assert 0 in hit_counts and max(hit_counts) > 1
+        assert tie_trials == [t for t, c in enumerate(hit_counts) if c != 1]
