@@ -196,6 +196,21 @@ def write_manifest(subcommand: str, options: dict, outputs: list[str],
 # Subcommand implementations (resolved-option dicts in, files out)
 # ---------------------------------------------------------------------------
 
+def _twrc_schemes(ch: gaussian_twrc.GaussianTwrcParams, with_params: bool) -> dict:
+    """Best rate point of every scheme; with_params adds the optimizer's
+    (alpha, beta, sigma2), None for schemes that have none."""
+    rows = {}
+    for scheme in ("cutset", "af", "nnc", "hc_special", "hc_general"):
+        best = gaussian_twrc.optimize_scheme(ch, scheme)
+        row = {"R1": best.point.R1, "R2": best.point.R2,
+               "sum_rate": best.point.sum_rate, "label": best.point.scheme}
+        if with_params:
+            for name in ("alpha", "beta", "sigma2"):
+                row[name] = getattr(best.params, name) if best.params else None
+        rows[scheme] = row
+    return rows
+
+
 def cmd_bounds_twrc(opts: dict) -> int:
     started = time.time()
     doc = load_scenario(opts["scenario"], "twrc_gaussian")
@@ -203,7 +218,6 @@ def cmd_bounds_twrc(opts: dict) -> int:
     ple = float(doc.get("path_loss_exp", 3.0))
     outputs = []
     result: dict = {"schemes": {}}
-    schemes = ("cutset", "af", "nnc", "hc_special", "hc_general")
     if opts.get("sweep"):
         r_grid = doc.get("r_grid")
         rows = gaussian_twrc.fig8_sweep(power, r_grid=r_grid, path_loss_exp=ple)
@@ -217,32 +231,16 @@ def cmd_bounds_twrc(opts: dict) -> int:
         if not 0.0 < r < 1.0:
             raise ScenarioError(f"distance r={r} must lie strictly in (0, 1)")
         ch = gaussian_twrc.params_from_distance(r, power, ple)
-        for scheme in schemes:
-            best = gaussian_twrc.optimize_scheme(ch, scheme)
-            result["schemes"][scheme] = {
-                "R1": best.point.R1, "R2": best.point.R2,
-                "sum_rate": best.point.sum_rate,
-                "alpha": best.params.alpha if best.params else None,
-                "beta": best.params.beta if best.params else None,
-                "sigma2": best.params.sigma2 if best.params else None,
-                "label": best.point.scheme,
-            }
+        result["schemes"] = _twrc_schemes(ch, with_params=True)
     elif not opts.get("sweep"):
-        if all(k in doc for k in ("S13", "S23", "S31", "S32")):
-            try:
-                ch = gaussian_twrc.GaussianTwrcParams(
-                    S13=doc["S13"], S23=doc["S23"], S31=doc["S31"], S32=doc["S32"])
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(str(exc)) from exc
-            for scheme in schemes:
-                best = gaussian_twrc.optimize_scheme(ch, scheme)
-                result["schemes"][scheme] = {
-                    "R1": best.point.R1, "R2": best.point.R2,
-                    "sum_rate": best.point.sum_rate,
-                    "label": best.point.scheme,
-                }
-        else:
+        if not all(k in doc for k in ("S13", "S23", "S31", "S32")):
             raise ScenarioError("need --sweep, --r, or explicit SNRs S13..S32")
+        try:
+            ch = gaussian_twrc.GaussianTwrcParams(
+                S13=doc["S13"], S23=doc["S23"], S31=doc["S31"], S32=doc["S32"])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(str(exc)) from exc
+        result["schemes"] = _twrc_schemes(ch, with_params=False)
     json_path = opts["out"] + ".json"
     write_json(json_path, result)
     outputs.append(json_path)

@@ -13,9 +13,12 @@ earlier trials and encoder, decoder and channel randomness never mix.
 Trials run in chunks of at most _CHUNK_SYMBOLS codeword symbols.  The only
 per-trial work is drawing each trial's uniforms from its own streams; the
 symbols, typicality tests, index selection, channel outputs, error events
-and distortions are computed for the whole chunk at once.  Every stream
-draws the same values in the same order as a trial-by-trial loop would, so
-the reports do not depend on the chunk size.
+and distortions are computed for the whole chunk at once.  The exception is
+the MAC decoder's search over every index pair, which holds an (m1, m2)
+table per trial: one GEMM gives every pair's cell counts and a lookup
+table of every count decides typicality (_typical_index_pairs).  Every
+stream draws the same values in the same order as a trial-by-trial loop
+would, so the reports do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ _SOURCE, _CODEBOOK, _CHANNEL, _TIEBREAK = 0, 1, 2, 3
 
 
 class MemoryCapError(RuntimeError):
-    """Raised when a configuration would exceed the codebook memory cap."""
+    """Raised when a configuration would exceed the memory cap."""
 
 
 def _seed_sequence(root_seed: int, purpose: int, trial: int) -> np.random.SeedSequence:
@@ -299,6 +302,39 @@ def _p2p_report(n, e1, e2, e3, dists) -> dict:
 _MAC_EVENTS = ("e1", "e2", "e3", "e4", "e5", "e6")
 
 
+def _count_lookup(p_uuy: np.ndarray, n: int, epsilon: float) -> np.ndarray:
+    """ok[c, d, k]: whether k of n positions in cell (c, d) pass the
+    typicality test against p(u1, u2, y), where c = u1*|Y| + y and d = u2.
+    The test is typical_mask's float expression at every possible count."""
+    u1_size, u2_size, y_size = p_uuy.shape
+    p = p_uuy.transpose(0, 2, 1).reshape(u1_size * y_size, u2_size, 1)
+    k = np.arange(n + 1, dtype=float)
+    return np.abs(k / n - p) <= epsilon * p
+
+
+def _typical_index_pairs(cells1: np.ndarray, cb2: np.ndarray,
+                         ok: np.ndarray) -> np.ndarray:
+    """(m1, m2) joint typicality of every codeword pair with y^n.
+
+    cells1 (m1, n) holds u1*|Y| + y for every sender-1 codeword, cb2 (m2, n)
+    the sender-2 codewords and ok the _count_lookup table.  One GEMM of
+    one-hot layouts, (C*m1, n) times (n, D*m2), gives every pair's cell
+    counts, exact as integers in float64.  Cast to the smallest unsigned
+    type that holds n, they index the table, which decides each cell.
+    """
+    c_size, d_size, _ = ok.shape
+    (m1, n), m2 = cells1.shape, cb2.shape[0]
+    a = (np.arange(c_size)[:, None, None] == cells1).reshape(c_size * m1, n)
+    b = (np.arange(d_size)[:, None, None] == cb2).reshape(d_size * m2, n)
+    counts = (a.astype(float) @ b.T.astype(float)).astype(np.min_scalar_type(n))
+    counts = counts.reshape(c_size, m1, d_size, m2)
+    typ = np.ones((m1, m2), dtype=bool)
+    for c in range(c_size):
+        for d in range(d_size):
+            typ &= ok[c, d].take(counts[c, :, d])
+    return typ
+
+
 def run_mac(scenario: MacScenario, spec: MacHybridSpec,
             config: TrialConfig) -> dict:
     """Monte Carlo trials of the two-sender scheme with a joint decoder.
@@ -308,8 +344,11 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     are the packing confusions with both, only the first, or only the second
     index wrong.  The decoder searches every index pair exhaustively and
     falls back to pair (0, 0) unless exactly one pair is typical.  Streams,
-    encoding and channel are drawn per chunk of trials as in run_p2p; the
-    pair search runs one trial at a time.
+    encoding and channel are drawn per chunk of trials as in run_p2p.  The
+    pair search takes one GEMM per trial for the (m1, m2, cells) count
+    table and decides typicality from a lookup table of every count 0..n
+    (_typical_index_pairs); the memory cap bounds that table and its
+    one-hot factors.
     """
     if spec.q_pmf.alphabet_size != 1:
         raise ValueError("simulation supports a trivial time-sharing alphabet only")
@@ -321,12 +360,16 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     n, trials, seed = config.n, config.trials, config.seed
     m1 = codebook_size(n, spec.R1)
     m2 = codebook_size(n, spec.R2)
-    if (m1 + m2) * n > config.memory_cap or m1 * m2 * n > config.memory_cap:
-        raise MemoryCapError("codebooks or pair search exceed memory cap")
     u1_size, u2_size, y_size = j_uuy.dims
+    # Float entries of the pair search: both one-hot factors and the counts.
+    pair_entries = (u1_size * y_size * m1 + u2_size * m2) * n + m1 * m2 * j_uuy.probs.size
+    if (m1 + m2) * n > config.memory_cap or pair_entries > config.memory_cap:
+        raise MemoryCapError(
+            f"codebooks need {(m1 + m2) * n} symbols and the pair search "
+            f"{pair_entries} entries, cap is {config.memory_cap}")
     s2_size = scenario.sources.dims[1]
-    p_uuy = j_uuy.probs.ravel()
-    num_cells = u1_size * u2_size * y_size
+    x2_size = j.dims[6]
+    ok = _count_lookup(j_uuy.probs, n, config.epsilon)
     events = {key: np.empty(trials, dtype=bool) for key in _MAC_EVENTS}
     d1s = np.empty(trials)
     d2s = np.empty(trials)
@@ -344,23 +387,12 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
             lambda row: _rng(seed, _TIEBREAK, int(ts[row])))
         x1 = enc1[cb1[rows, idx1], s1]
         x2 = enc2[cb2[rows, idx2], s2]
-        y = _channel_outputs(scenario.mac, x1 * (spec.enc2.max() + 1) + x2,
+        y = _channel_outputs(scenario.mac, x1 * x2_size + x2,
                              _uniforms(seed, _CHANNEL, ts, n))
         h1 = np.zeros(ts.size, dtype=int)
         h2 = np.zeros(ts.size, dtype=int)
         for row, t in enumerate(ts):
-            # Typicality of every index pair, factorized through one-hot counts.
-            a = np.zeros((m1, n, u1_size * y_size))
-            a[np.arange(m1)[:, None], np.arange(n)[None, :],
-              cb1[row] * y_size + y[row][None, :]] = 1.0
-            b = np.zeros((m2, n, u2_size))
-            b[np.arange(m2)[:, None], np.arange(n)[None, :], cb2[row]] = 1.0
-            pair_counts = np.einsum("mic,nid->mncd", a, b)   # (m1, m2, u1*y, u2)
-            pair_counts = pair_counts.reshape(m1, m2, u1_size, y_size, u2_size)
-            pair_counts = pair_counts.transpose(0, 1, 2, 4, 3).reshape(m1, m2, num_cells)
-            typ = np.all(
-                np.abs(pair_counts / n - p_uuy[None, None, :]) <= config.epsilon * p_uuy,
-                axis=2)
+            typ = _typical_index_pairs(cb1[row] * y_size + y[row], cb2[row], ok)
             i1, i2 = idx1[row], idx2[row]
             other1 = np.ones(m1, dtype=bool)
             other1[i1] = False

@@ -67,6 +67,20 @@ class TestExitCodes:
                                         "S23": 1.0, "S31": 1.0, "S32": 1.0}))
         assert run(["bounds-twrc", str(scenario), "--out", str(tmp_path / "o")]) == 2
 
+    def test_mac_pair_search_over_cap_exits_3(self, tmp_path):
+        # Identity maps at n = 9, R = 1: 512 x 512 pairs over 16 cells hold
+        # 4.2 M count entries, over the 2^22 cap, where m1 * m2 * n is 2.4 M.
+        identity = [[[1.0, 0.0], [0.0, 1.0]]]
+        dec = [[[[0, 0, 1, 1]] * 2] * 2], [[[[0, 1, 0, 1]] * 2] * 2]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "q_pmf": [1.0], "aux1": identity, "aux2": identity,
+            "enc1": [[[0, 1], [0, 1]]], "enc2": [[[0, 1], [0, 1]]],
+            "dec1": dec[0], "dec2": dec[1], "R1": 1.0, "R2": 1.0}))
+        assert run(["simulate", scen("mac_noiseless_pair.json"), "--spec", str(spec),
+                    "--n", "9", "--trials", "1", "--eps", "0.75", "--eps-prime", "0.5",
+                    "--out", str(tmp_path / "o")]) == 3
+
     def test_diamond_needs_positive_grid(self, tmp_path):
         assert run(["bounds-diamond", scen("example1.json"), "--grid-res", "0",
                     "--out", str(tmp_path / "o")]) == 2
@@ -117,6 +131,22 @@ class TestBoundsTwrc:
         lines = open(out + ".csv").read().splitlines()
         assert lines[0] == "r,R_CS,R_AF,R_NNC,R_HC"
         assert len(lines) == 20
+
+    def test_only_distance_output_carries_parameters(self, tmp_path):
+        base = {"R1", "R2", "sum_rate", "label"}
+        assert run(["bounds-twrc", scen("fig8.json"), "--r", "0.3",
+                    "--out", str(tmp_path / "r")]) == 0
+        schemes = read_json(str(tmp_path / "r.json"))["schemes"]
+        assert {k: set(v) for k, v in schemes.items()} == {
+            k: base | {"alpha", "beta", "sigma2"} for k in schemes}
+        assert schemes["af"]["alpha"] is None and schemes["hc_general"]["sigma2"] > 0
+        scenario = tmp_path / "snr.json"
+        scenario.write_text(json.dumps({"kind": "twrc_gaussian", "S13": 3.5,
+                                        "S23": 0.7, "S31": 12.0, "S32": 2.25}))
+        assert run(["bounds-twrc", str(scenario), "--out", str(tmp_path / "s")]) == 0
+        schemes = read_json(str(tmp_path / "s.json"))["schemes"]
+        assert len(schemes) == 5
+        assert all(set(v) == base for v in schemes.values())
 
 
 class TestBoundsDiamond:

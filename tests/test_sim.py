@@ -152,6 +152,25 @@ def identity_mac():
     return scenario, spec
 
 
+def noisy_mac():
+    """The pair channel mixed with a uniform row, u_j a BSC(0.2) copy of s_j,
+    x_j = u_j and shat_j = u_j.  At n = 6, R = 0.67 and eps = 2.5 / 1.5 its
+    trials show every error event, zero and several typical pairs, and
+    unique hits away from (0, 0)."""
+    sources = JointPmf([[0.35, 0.15], [0.15, 0.35]])
+    mac = ConditionalPmf(0.9 * np.eye(4) + 0.1 / 4)
+    scenario = MacScenario(sources=sources, mac=mac, d1=HAMMING2, d2=HAMMING2)
+    aux = np.array([[[0.8, 0.2], [0.2, 0.8]]])
+    enc = np.array([[[0, 0], [1, 1]]])
+    u = np.arange(2)
+    dec1 = np.broadcast_to(u[:, None, None], (1, 2, 2, 4)).copy()
+    dec2 = np.broadcast_to(u[None, :, None], (1, 2, 2, 4)).copy()
+    spec = MacHybridSpec(q_pmf=Pmf([1.0]), aux1=aux, aux2=aux,
+                         enc1=enc, enc2=enc, dec1=dec1, dec2=dec2,
+                         R1=0.67, R2=0.67)
+    return scenario, spec
+
+
 class TestRunMac:
     @staticmethod
     def scenario_and_spec():
@@ -206,6 +225,113 @@ class TestRunMac:
                           memory_cap=200)
         with pytest.raises(MemoryCapError):
             run_mac(scenario, spec, cfg)
+
+    def test_memory_cap_counts_pair_search_entries(self, monkeypatch):
+        # n = 4, R = 1: 16 x 16 codewords, C = |U1||Y| = 8 and D = |U2| = 2.
+        # The search holds (8*16 + 2*16) * 4 one-hot entries and 16*16*16
+        # counts, 4736 in all, where m1 * m2 * n is only 1024.
+        scenario, spec = identity_mac()
+
+        def config(cap):
+            return TrialConfig(n=4, trials=1, epsilon=0.75, epsilon_prime=0.5,
+                               memory_cap=cap)
+
+        run_mac(scenario, spec, config(4736))
+
+        def no_draws(*args):
+            raise AssertionError("drew a stream before the cap check")
+
+        monkeypatch.setattr(sim, "_uniforms", no_draws)
+        monkeypatch.setattr(sim, "_codebook_uniforms", no_draws)
+        with pytest.raises(MemoryCapError):
+            run_mac(scenario, spec, config(4735))
+
+
+def einsum_typical_pairs(cb1, cb2, y, p_uuy, epsilon):
+    """The pair search run_mac used before _typical_index_pairs, kept as the
+    reference: one-hot tensors, an einsum to (m1, m2, cells) float counts
+    and the typicality test on every cell."""
+    u1_size, u2_size, y_size = p_uuy.shape
+    (m1, n), m2 = cb1.shape, cb2.shape[0]
+    a = np.zeros((m1, n, u1_size * y_size))
+    a[np.arange(m1)[:, None], np.arange(n)[None, :], cb1 * y_size + y[None, :]] = 1.0
+    b = np.zeros((m2, n, u2_size))
+    b[np.arange(m2)[:, None], np.arange(n)[None, :], cb2] = 1.0
+    pair_counts = np.einsum("mic,nid->mncd", a, b)
+    pair_counts = pair_counts.reshape(m1, m2, u1_size, y_size, u2_size)
+    pair_counts = pair_counts.transpose(0, 1, 2, 4, 3).reshape(m1, m2, -1)
+    p = p_uuy.ravel()
+    return np.all(np.abs(pair_counts / n - p[None, None, :]) <= epsilon * p, axis=2)
+
+
+class TestPairSearchOracle:
+    """sim._typical_index_pairs against the einsum pair search, required ==."""
+
+    @staticmethod
+    def problem(rng, u1_size, u2_size, y_size, n):
+        m1, m2 = rng.integers(1, 17, size=2)
+        cb1 = rng.integers(u1_size, size=(m1, n))
+        cb2 = rng.integers(u2_size, size=(m2, n))
+        y = rng.integers(y_size, size=n)
+        # p(u1, u2, y) near the type of pair (0, 0), so some pairs are
+        # typical; cells pair (0, 0) never visits keep probability 0 unless
+        # the perturbation reaches them.
+        counts = np.zeros((u1_size, u2_size, y_size))
+        np.add.at(counts, (cb1[0], cb2[0], y), 1.0)
+        bump = rng.random(counts.shape) * (rng.random(counts.shape) < 0.3)
+        p = (counts + bump) / (counts + bump).sum()
+        # eps on the boundary of pair (0, 0)'s count in one positive cell.
+        cell = tuple(rng.choice(np.argwhere(p > 0)))
+        k = counts[cell]
+        epsilon = abs(k / n - p[cell]) / p[cell] if rng.random() < 0.7 else rng.random()
+        return cb1, cb2, y, p, epsilon
+
+    @staticmethod
+    def gemm_mask(cb1, cb2, y, p, epsilon):
+        n = cb1.shape[1]
+        ok = sim._count_lookup(p, n, epsilon)
+        return sim._typical_index_pairs(cb1 * p.shape[2] + y, cb2, ok)
+
+    def test_matches_einsum_on_random_problems(self):
+        rng = np.random.default_rng(20261018)
+        some_typical = zero_cells = 0
+        for _ in range(300):
+            u1_size, u2_size = rng.integers(1, 4, size=2)
+            y_size = rng.integers(1, 5)
+            n = rng.integers(1, 13)
+            cb1, cb2, y, p, eps = self.problem(rng, u1_size, u2_size, y_size, n)
+            want = einsum_typical_pairs(cb1, cb2, y, p, eps)
+            got = self.gemm_mask(cb1, cb2, y, p, eps)
+            assert got.shape == want.shape and got.dtype == bool
+            assert np.array_equal(got, want)
+            some_typical += bool(want.any())
+            zero_cells += bool((p == 0).any())
+        assert some_typical >= 100 and zero_cells >= 100
+
+    def test_counts_above_255(self):
+        # One u1/u2 symbol and a skewed two-symbol y at n = 300: a cell
+        # count above 255 would wrap in uint8 and change the mask.
+        rng = np.random.default_rng(7)
+        n = 300
+        cb1 = np.zeros((3, n), dtype=int)
+        cb2 = np.zeros((4, n), dtype=int)
+        y = (rng.random(n) < 0.1).astype(int)
+        p = np.array([[[0.9, 0.1]]])
+        for eps in (0.2, abs(np.count_nonzero(y == 0) / n - 0.9) / 0.9):
+            want = einsum_typical_pairs(cb1, cb2, y, p, eps)
+            assert want.all()
+            assert np.array_equal(self.gemm_mask(cb1, cb2, y, p, eps), want)
+
+    def test_lookup_is_the_cell_test_at_every_count(self):
+        rng = np.random.default_rng(3)
+        p = rng.random((2, 3, 4))
+        p[0, 1] = 0.0
+        p /= p.sum()
+        n, eps = 11, 0.4
+        ok = sim._count_lookup(p, n, eps)
+        assert ok.shape == (2 * 4, 3, n + 1)
+        for u1, u2, yy, k in np.ndindex(2, 3, 4, n + 1):
+            assert ok[u1 * 4 + yy, u2, k] == (abs(k / n - p[u1, u2, yy]) <= eps * p[u1, u2, yy])
 
 
 IDENTITY_COUPLING = JointPmf(np.eye(2) / 2)
@@ -317,6 +443,12 @@ def _pinned_cases():
     mac, mac_spec = identity_mac()
     cases["mac_identity_n4_seed0"] = lambda: run_mac(mac, mac_spec, TrialConfig(
         n=4, trials=40, epsilon=0.75, epsilon_prime=0.5, seed=0))
+    # The benchmark's 256 x 256 pair search.
+    cases["mac_identity_n8_seed0"] = lambda: run_mac(mac, mac_spec, TrialConfig(
+        n=8, trials=5, epsilon=0.75, epsilon_prime=0.5, seed=0))
+    noisy, noisy_spec = noisy_mac()
+    cases["mac_noisy_n6_seed0"] = lambda: run_mac(noisy, noisy_spec, TrialConfig(
+        n=6, trials=40, epsilon=2.5, epsilon_prime=1.5, seed=0))
     doc = cli.load_json(str(SCENARIOS / "lemma1.json"))
     for n, trials, min_count in ((2, 600, 5), (4, 400, 2)):
         cases[f"lemma1_n{n}_seed0"] = lambda n=n, trials=trials, min_count=min_count: (
