@@ -13,7 +13,6 @@ achievability of the expected distortion directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,8 +317,7 @@ def _rd_point(p_s: np.ndarray, dtab: np.ndarray, beta: float,
     return max(rate, 0.0), dist
 
 
-def rd_function(source: Pmf, d: DistortionMeasure, D: float,
-                tol: float = BA_TOL) -> float:
+def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
     """Rate-distortion function R(D) in bits via Blahut-Arimoto.
 
     Raises ValueError when D is below the minimum achievable distortion.
@@ -774,8 +772,8 @@ def _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond_batch):
 
 def _row_product_batch(row_grid: np.ndarray, num_rows: int) -> np.ndarray:
     """All kernels whose every row comes from row_grid: (G^rows, rows, k)."""
-    combos = list(itertools.product(range(row_grid.shape[0]), repeat=num_rows))
-    return row_grid[np.asarray(combos, dtype=int)]
+    count = row_grid.shape[0]
+    return row_grid[_digits(np.arange(count ** num_rows), count, num_rows)]
 
 
 def det_diamond_bounds(
@@ -784,15 +782,15 @@ def det_diamond_bounds(
     y4_map,
     x2_size: int,
     x3_size: int,
-    px1_res: int = 6,
-    relay_res: int = 6,
+    grid_res: int = 6,
 ) -> DetDiamondBounds:
     """Grid maximization of the deterministic-diamond rate expression over the
     three input-distribution families (relay-dependent, independent, joint).
 
     Both network stages must be deterministic maps: y2_map/y3_map over the
-    source alphabet, y4_map over (x2, x3).  Relay conditionals range over
-    per-row simplex grids (which include all deterministic maps as corners).
+    source alphabet, y4_map over (x2, x3).  The source pmf and the relay
+    conditionals range over simplex grids of resolution 1/grid_res (the
+    relay grids include all deterministic maps as corners).
     """
     y2_map = np.asarray(y2_map, dtype=int)
     y3_map = np.asarray(y3_map, dtype=int)
@@ -807,21 +805,21 @@ def det_diamond_bounds(
     y4_onehot[np.arange(x2_size)[:, None], np.arange(x3_size)[None, :], y4_map] = 1.0
 
     # Candidate conditionals per family, built once.
-    a_batch = _row_product_batch(simplex_grid_array(x2_size, relay_res), y2_size)
-    b_batch = _row_product_batch(simplex_grid_array(x3_size, relay_res), y3_size)
+    a_const = simplex_grid_array(x2_size, grid_res)
+    b_const = simplex_grid_array(x3_size, grid_res)
+    a_batch = _row_product_batch(a_const, y2_size)
+    b_batch = _row_product_batch(b_const, y3_size)
     hybrid_cond = np.einsum("iac,jbd->ijabcd", a_batch, b_batch).reshape(
         -1, y2_size, y3_size, x2_size, x3_size)
-    a_const = simplex_grid_array(x2_size, relay_res)
-    b_const = simplex_grid_array(x3_size, relay_res)
     adt_cond = np.einsum("ic,jd->ijcd", a_const, b_const).reshape(-1, x2_size, x3_size)
     adt_cond = np.broadcast_to(
         adt_cond[:, None, None, :, :], (adt_cond.shape[0], y2_size, y3_size, x2_size, x3_size))
-    joint_grid = simplex_grid_array(x2_size * x3_size, relay_res).reshape(-1, x2_size, x3_size)
+    joint_grid = simplex_grid_array(x2_size * x3_size, grid_res).reshape(-1, x2_size, x3_size)
     cut_cond = np.broadcast_to(
         joint_grid[:, None, None, :, :], (joint_grid.shape[0], y2_size, y3_size, x2_size, x3_size))
 
     best = {"hybrid": (-np.inf, 0, None), "adt": (-np.inf, 0, None), "cutset": (-np.inf, 0, None)}
-    px1_grid = simplex_grid_array(x1_size, px1_res)
+    px1_grid = simplex_grid_array(x1_size, grid_res)
     for pi, px1 in enumerate(px1_grid):
         for fam, cond in (("hybrid", hybrid_cond), ("adt", adt_cond), ("cutset", cut_cond)):
             vals, binds = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)

@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -30,9 +29,6 @@ from .infotheory import (
     JointPmf,
     Pmf,
 )
-
-SEED_ENV_VAR = "HYBRIDLAB_SEED"
-
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario/spec files or option combinations."""
@@ -281,8 +277,7 @@ def cmd_bounds_diamond(opts: dict) -> int:
         raise ScenarioError("--grid-res must be >= 1")
     res = bounds.det_diamond_bounds(
         y2_map, y3_map, y4_map, x2_size, x3_size,
-        px1_res=grid_res, relay_res=grid_res,
-    )
+        grid_res=grid_res)
     json_path = opts["out"] + ".json"
     write_json(json_path, {
         "hybrid": res.hybrid,
@@ -415,11 +410,15 @@ def cmd_simulate(opts: dict) -> int:
     if opts.get("lemma1"):
         doc = load_json(opts["scenario"])
         joint_us = JointPmf(_field(doc, "joint_us"))
+        n, trials, rate = int(opts["n"]), int(opts["trials"]), float(_field(doc, "rate"))
+        if n < 1 or trials < 1:
+            raise ScenarioError("--n and --trials must be >= 1")
+        if sim.codebook_size(n, rate) < 2:
+            raise ScenarioError(f"rate {rate} at --n {n} gives fewer than two codewords")
         check = sim.lemma1_check(
-            n=int(opts["n"]), rate=float(_field(doc, "rate")),
-            joint_us=joint_us,
+            n=n, rate=rate, joint_us=joint_us,
             eps_prime=float(doc.get("eps_prime", opts["eps_prime"])),
-            outer_trials=int(opts["trials"]), seed=seed,
+            outer_trials=trials, seed=seed,
             min_count=int(opts.get("min_count", 50)))
         check["cells"] = {repr(k): v for k, v in check["cells"].items()}
         result["independence_check"] = check
@@ -427,12 +426,15 @@ def cmd_simulate(opts: dict) -> int:
         doc = load_scenario(opts["scenario"], ("p2p", "mac"))
         spec_doc = load_json(opts["spec"])
         n_values = opts.get("n_sweep") or [int(opts["n"])]
-        rows = []
-        for n in n_values:
-            config = sim.TrialConfig(
+        try:
+            configs = [sim.TrialConfig(
                 n=int(n), trials=int(opts["trials"]),
                 epsilon=float(opts["eps"]),
-                epsilon_prime=float(opts["eps_prime"]), seed=seed)
+                epsilon_prime=float(opts["eps_prime"]), seed=seed) for n in n_values]
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
+        rows = []
+        for config in configs:
             if doc["kind"] == "p2p":
                 report = sim.run_p2p(build_p2p_scenario(doc),
                                      build_p2p_spec(spec_doc), config)
@@ -552,8 +554,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, default_out):
         p.add_argument("--out", default=default_out,
                        help="output path prefix (files get .json/.csv/.svg suffixes)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker bound; results are independent of this value")
 
     p = sub.add_parser("bounds-twrc", help="Gaussian two-way-relay bounds")
     p.add_argument("scenario")
@@ -615,15 +615,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_options(args: argparse.Namespace) -> dict:
     opts = {k: v for k, v in vars(args).items() if k != "subcommand"}
     if args.subcommand == "simulate":
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            opts["seed"] = int(env)
         if opts.get("n_sweep"):
-            opts["n_sweep"] = [int(v) for v in str(opts["n_sweep"]).split(",")]
+            try:
+                opts["n_sweep"] = [int(v) for v in str(opts["n_sweep"]).split(",")]
+            except ValueError as exc:
+                raise ScenarioError(f"--n-sweep needs comma-separated integers: {exc}") from exc
         if not opts.get("lemma1") and not opts.get("spec"):
             raise ScenarioError("simulate needs --spec unless --lemma1 is given")
-        if opts.get("optimize") is None:
-            opts.pop("optimize", None)
     if args.subcommand == "check-thm1" and args.optimize and args.target_d is None:
         raise ScenarioError("--optimize requires --target-d")
     return opts

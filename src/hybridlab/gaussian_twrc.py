@@ -7,8 +7,7 @@ optimization and the node-distance sweep used for comparison plots.
 
 All rates are in bits per transmission.  The general-region formulas are
 implemented verbatim as printed in the source material, including the
-(1 - alpha) factor in the second numerator; `beta_variant=True` substitutes
-beta there for exploration only.
+(1 - alpha) factor in the second numerator.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ def _clamp_pair(r1_terms, r2_terms, scheme: str) -> RatePoint:
     return RatePoint(max(r1, 0.0), max(r2, 0.0), scheme, (b1, b2), clamped)
 
 
-def _hc_direction(Sa, Sb, S31, S32, alpha, beta, sigma2, beta_variant: bool,
+def _hc_direction(Sa, Sb, S31, S32, alpha, beta, sigma2,
                   sqrt=math.sqrt, log2=math.log2):
     """The two rate expressions of the general region for one direction.
 
@@ -128,20 +127,16 @@ def _hc_direction(Sa, Sb, S31, S32, alpha, beta, sigma2, beta_variant: bool,
     den1 = (alpha * Sa / T + beta * Sa + 1.0) * (1.0 + sigma2) - Sa * mix * mix
     expr1 = 0.5 * log2(num1 / den1)
 
-    second_coef = beta if beta_variant else (1.0 - alpha)
-    num2 = (alpha * Sa * (Sb + 1.0) / T + second_coef * Sa + 1.0) * (1.0 + sigma2)
+    num2 = (alpha * Sa * (Sb + 1.0) / T + (1.0 - alpha) * Sa + 1.0) * (1.0 + sigma2)
     den2 = den1
     expr2 = 0.5 * log2(num2 / den2) - 0.5 * log2(1.0 + 1.0 / sigma2)   # gauss_c(1/sigma2)
     return expr1, expr2
 
 
-def hc_general_rates(ch: GaussianTwrcParams, sp: SchemeParams,
-                     beta_variant: bool = False) -> RatePoint:
+def hc_general_rates(ch: GaussianTwrcParams, sp: SchemeParams) -> RatePoint:
     """General hybrid-coding rate corner for given (alpha, beta, sigma2)."""
-    r1 = _hc_direction(ch.S23, ch.S31, ch.S31, ch.S32,
-                       sp.alpha, sp.beta, sp.sigma2, beta_variant)
-    r2 = _hc_direction(ch.S13, ch.S32, ch.S31, ch.S32,
-                       sp.alpha, sp.beta, sp.sigma2, beta_variant)
+    r1 = _hc_direction(ch.S23, ch.S31, ch.S31, ch.S32, sp.alpha, sp.beta, sp.sigma2)
+    r2 = _hc_direction(ch.S13, ch.S32, ch.S31, ch.S32, sp.alpha, sp.beta, sp.sigma2)
     return _clamp_pair(r1, r2, "hc_general")
 
 
@@ -220,8 +215,7 @@ def _optimize_sigma(f) -> tuple[float, float]:
     return float(grid[i]), float(vals[i])
 
 
-def optimize_scheme(ch: GaussianTwrcParams, scheme: str,
-                    beta_variant: bool = False) -> OptimizedScheme:
+def optimize_scheme(ch: GaussianTwrcParams, scheme: str) -> OptimizedScheme:
     """Deterministically maximize the sum rate over the scheme's free parameters."""
     if scheme == "af":
         pt = af_rates(ch)
@@ -238,28 +232,26 @@ def optimize_scheme(ch: GaussianTwrcParams, scheme: str,
         pt = hc_special_rates(ch, s2)
         return OptimizedScheme("hc_special", SchemeParams(0.0, 1.0, s2), pt, v)
     if scheme == "hc_general":
-        return _optimize_general(ch, beta_variant)
+        return _optimize_general(ch)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _general_sum(ch, alpha, beta, sigma2, beta_variant) -> float:
-    return hc_general_rates(ch, SchemeParams(alpha, beta, sigma2), beta_variant).sum_rate
+def _general_sum(ch, alpha, beta, sigma2) -> float:
+    return hc_general_rates(ch, SchemeParams(alpha, beta, sigma2)).sum_rate
 
 
 def _grid_row_sums(ch: GaussianTwrcParams, alpha: float, betas: np.ndarray,
-                   s2: np.ndarray, beta_variant: bool) -> np.ndarray:
+                   s2: np.ndarray) -> np.ndarray:
     """Clamped sum rates on one alpha row, shape (beta, sigma2), in numpy
     arithmetic.  Agrees with `_general_sum` up to log2 rounding."""
     b, s = betas[:, None], s2[None, :]
     with np.errstate(all="ignore"):
-        r1 = _hc_direction(ch.S23, ch.S31, ch.S31, ch.S32, alpha, b, s, beta_variant,
-                           np.sqrt, np.log2)
-        r2 = _hc_direction(ch.S13, ch.S32, ch.S31, ch.S32, alpha, b, s, beta_variant,
-                           np.sqrt, np.log2)
+        r1 = _hc_direction(ch.S23, ch.S31, ch.S31, ch.S32, alpha, b, s, np.sqrt, np.log2)
+        r2 = _hc_direction(ch.S13, ch.S32, ch.S31, ch.S32, alpha, b, s, np.sqrt, np.log2)
         return np.maximum(np.minimum(*r1), 0.0) + np.maximum(np.minimum(*r2), 0.0)
 
 
-def _grid_incumbent(ch: GaussianTwrcParams, beta_variant: bool) -> tuple:
+def _grid_incumbent(ch: GaussianTwrcParams) -> tuple:
     """Coarse (alpha, beta, sigma2) grid argmax: (v, alpha, beta, sigma2)."""
     step = ALPHA_BETA_STEP
     n = int(round(1.0 / step))
@@ -267,19 +259,19 @@ def _grid_incumbent(ch: GaussianTwrcParams, beta_variant: bool) -> tuple:
     best = (-1.0, 0.0, 0.0, s2[0])
     for ia in range(n + 1):
         alpha = ia * step
-        vals = _grid_row_sums(ch, alpha, np.arange(n - ia + 1) * step, s2, beta_variant)
+        vals = _grid_row_sums(ch, alpha, np.arange(n - ia + 1) * step, s2)
         finite = np.isfinite(vals)
         top = max(float(vals.max(where=finite, initial=-np.inf)), best[0])
         near = np.flatnonzero((vals >= top - GRID_TIE_TOL) | ~finite)
         for ib, js in zip(*np.unravel_index(near, vals.shape)):
             beta = int(ib) * step
-            v = _general_sum(ch, alpha, beta, s2[js], beta_variant)
+            v = _general_sum(ch, alpha, beta, s2[js])
             if v > best[0]:
                 best = (v, alpha, beta, s2[js])
     return best
 
 
-def _optimize_general(ch: GaussianTwrcParams, beta_variant: bool) -> OptimizedScheme:
+def _optimize_general(ch: GaussianTwrcParams) -> OptimizedScheme:
     """Maximize the general-region sum rate over (alpha, beta, sigma2).
 
     The coarse grid is alpha, beta in steps of ALPHA_BETA_STEP with
@@ -293,16 +285,16 @@ def _optimize_general(ch: GaussianTwrcParams, beta_variant: bool) -> OptimizedSc
     grid, as a plain scalar triple loop would pick.
     """
     step = ALPHA_BETA_STEP
-    _, alpha, beta, s2 = _grid_incumbent(ch, beta_variant)
+    _, alpha, beta, s2 = _grid_incumbent(ch)
     # Refine sigma2 at the incumbent (alpha, beta), then (alpha, beta) by
     # coordinate descent, then sigma2 once more.
-    s2, _ = _optimize_sigma(lambda s: _general_sum(ch, alpha, beta, s, beta_variant))
+    s2, _ = _optimize_sigma(lambda s: _general_sum(ch, alpha, beta, s))
     (alpha, beta), _ = coordinate_descent_triangle(
-        lambda a, b: _general_sum(ch, a, b, s2, beta_variant),
+        lambda a, b: _general_sum(ch, a, b, s2),
         (alpha, beta), steps=(step, step / 4, step / 20))
-    s2, v = _optimize_sigma(lambda s: _general_sum(ch, alpha, beta, s, beta_variant))
+    s2, _ = _optimize_sigma(lambda s: _general_sum(ch, alpha, beta, s))
     params = SchemeParams(alpha, beta, s2)
-    pt = hc_general_rates(ch, params, beta_variant)
+    pt = hc_general_rates(ch, params)
     return OptimizedScheme("hc_general", params, pt, pt.sum_rate)
 
 

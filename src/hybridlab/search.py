@@ -1,14 +1,12 @@
 """Deterministic optimization helpers shared by the bound evaluators.
 
 Simplex grids, golden-section refinement and coordinate descent.  All
-routines are pure and deterministic given their configuration, so grid work
-can be partitioned across workers and merged with max + lexicographic
-tie-break without changing results.
+routines are pure and deterministic given their arguments.
 """
 
 from __future__ import annotations
 
-from math import comb, sqrt
+from math import sqrt
 from typing import Callable, Iterator
 
 import numpy as np
@@ -19,17 +17,10 @@ GOLDEN = (sqrt(5.0) - 1.0) / 2.0
 IMPROVE_TOL = 1e-12
 
 
-def simplex_point_count(k: int, m: int) -> int:
-    return comb(m + k - 1, k - 1)
-
-
-def enumerate_simplex(k: int, m: int, max_points: int | None = None) -> Iterator[np.ndarray]:
+def enumerate_simplex(k: int, m: int) -> Iterator[np.ndarray]:
     """Lexicographic stream of all pmfs on k symbols with coordinates j/m."""
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    total = simplex_point_count(k, m)
-    if max_points is not None and total > max_points:
-        raise ValueError(f"simplex grid has {total} points, exceeding cap {max_points}")
 
     def rec(prefix: list[int], remaining: int, slots: int):
         if slots == 1:
@@ -42,9 +33,9 @@ def enumerate_simplex(k: int, m: int, max_points: int | None = None) -> Iterator
         yield np.asarray(counts, dtype=float) / m
 
 
-def simplex_grid_array(k: int, m: int, max_points: int | None = None) -> np.ndarray:
+def simplex_grid_array(k: int, m: int) -> np.ndarray:
     """All grid pmfs stacked into one (count, k) array, lexicographic order."""
-    return np.stack(list(enumerate_simplex(k, m, max_points)))
+    return np.stack(list(enumerate_simplex(k, m)))
 
 
 def golden_refine(

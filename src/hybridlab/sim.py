@@ -319,14 +319,16 @@ def _typical_index_pairs(cells1: np.ndarray, cb2: np.ndarray,
     cells1 (m1, n) holds u1*|Y| + y for every sender-1 codeword, cb2 (m2, n)
     the sender-2 codewords and ok the _count_lookup table.  One GEMM of
     one-hot layouts, (C*m1, n) times (n, D*m2), gives every pair's cell
-    counts, exact as integers in float64.  Cast to the smallest unsigned
-    type that holds n, they index the table, which decides each cell.
+    counts.  Cast to the smallest unsigned type that holds n, they index the
+    table, which decides each cell.
     """
     c_size, d_size, _ = ok.shape
     (m1, n), m2 = cells1.shape, cb2.shape[0]
     a = (np.arange(c_size)[:, None, None] == cells1).reshape(c_size * m1, n)
     b = (np.arange(d_size)[:, None, None] == cb2).reshape(d_size * m2, n)
-    counts = (a.astype(float) @ b.T.astype(float)).astype(np.min_scalar_type(n))
+    # float32 sums of 0/1 products are exact integers up to 2^24; counts are
+    # at most n, and run_mac's memory cap (2^22 by default) bounds n.
+    counts = (a.astype(np.float32) @ b.T.astype(np.float32)).astype(np.min_scalar_type(n))
     counts = counts.reshape(c_size, m1, d_size, m2)
     typ = np.ones((m1, m2), dtype=bool)
     for c in range(c_size):

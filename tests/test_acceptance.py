@@ -237,39 +237,42 @@ def test_criterion_8_codebook_independence():
 
 
 def test_criterion_9_determinism_and_replay(tmp_path):
-    # Byte-identical re-runs of representative subcommands, replay from the
-    # manifest, and --jobs immunity.
+    # Two runs of every subcommand into two directories write byte-identical
+    # outputs, and replaying every manifest reproduces the recorded digests.
     def run(argv):
         assert cli.main(argv) == 0
 
-    jobs_variants = ("1", "4")
+    mac_spec = tmp_path / "mac_spec.json"
+    mac_spec.write_text(json.dumps({"px1": [0.5, 0.5], "px2": [0.5, 0.5]}))
     outputs = {}
-    for jobs in jobs_variants:
-        base = tmp_path / f"jobs{jobs}"
+    for name in ("a", "b"):
+        base = tmp_path / name
         base.mkdir()
-        run(["bounds-diamond", scen("example1.json"),
-             "--out", str(base / "dia"), "--jobs", jobs])
-        run(["bounds-twrc", scen("fig8.json"), "--r", "0.5",
-             "--out", str(base / "twrc"), "--jobs", jobs])
+        run(["bounds-diamond", scen("example1.json"), "--out", str(base / "dia")])
+        run(["bounds-twrc", scen("fig8.json"), "--sweep", "--r", "0.5",
+             "--out", str(base / "twrc")])
+        run(["plot", str(base / "twrc.csv"), "--out", str(base / "plot")])
+        run(["region-mac", scen("mac_correlated.json"), "--spec", str(mac_spec),
+             "--substitution", "lossless", "--out", str(base / "mac")])
+        run(["check-thm1", scen("p2p_hybrid.json"),
+             "--spec", scen("p2p_hybrid_spec.json"), "--out", str(base / "t1")])
+        run(["check-thm3", scen("twrc_xor.json"),
+             "--spec", scen("twrc_xor_spec.json"), "--out", str(base / "t3")])
         run(["simulate", scen("p2p_hybrid.json"),
              "--spec", scen("p2p_hybrid_spec.json"),
              "--n", "8", "--trials", "50", "--eps", "0.75",
-             "--eps-prime", "0.5", "--out", str(base / "sim"),
-             "--jobs", jobs])
-        run(["check-thm3", scen("twrc_xor.json"),
-             "--spec", scen("twrc_xor_spec.json"),
-             "--out", str(base / "t3"), "--jobs", jobs])
-        outputs[jobs] = {
+             "--eps-prime", "0.5", "--out", str(base / "sim")])
+        outputs[name] = {
             p.name: p.read_bytes()
             for p in sorted(base.iterdir()) if not p.name.endswith("manifest.json")}
-    assert outputs["1"] == outputs["4"]
+    assert len(outputs["a"]) == 8
+    assert outputs["a"] == outputs["b"]
 
-    # Replaying every manifest reproduces the recorded digests.
     replayed = 0
-    for manifest_path in sorted((tmp_path / "jobs1").glob("*.manifest.json")):
+    for manifest_path in sorted((tmp_path / "a").glob("*.manifest.json")):
         with open(manifest_path) as fh:
             recorded = json.load(fh)["outputs"]
         fresh = cli.replay_manifest(str(manifest_path))
         assert fresh == recorded
         replayed += 1
-    assert replayed == 4
+    assert replayed == 7

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from importlib import resources
 
 import pytest
@@ -102,6 +101,26 @@ class TestExitCodes:
         doc = read_json(scen("example1.json"))
         scenario.write_text(json.dumps({**doc, **maps}))
         assert run(["bounds-diamond", str(scenario), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "0"],
+        ["--trials", "0"],
+        ["--eps", "-1"],
+        ["--n-sweep", "8,x"],
+    ], ids=["n-0", "trials-0", "eps-negative", "n-sweep-not-int"])
+    def test_simulate_bad_numbers(self, tmp_path, capsys, args):
+        assert run(["simulate", scen("p2p_hybrid.json"),
+                    "--spec", scen("p2p_hybrid_spec.json"), *args,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_lemma1_needs_two_codewords(self, tmp_path, capsys, n):
+        # lemma1.json has rate 0.5: n = 1 gives floor(2^0.5) = 1 codeword.
+        assert run(["simulate", scen("lemma1.json"), "--lemma1", "--n", n,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("relay_map", [[[0, 2], [1, 1]], [[0, 0, 1], [1, 1, 0]]],
                              ids=["symbol", "shape"])
@@ -218,17 +237,6 @@ class TestSimulate:
         assert manifest["subcommand"] == "simulate"
         assert manifest["root_seed"] == 0
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        out = str(tmp_path / "sim")
-        monkeypatch.setenv("HYBRIDLAB_SEED", "42")
-        assert run(["simulate", scen("p2p_hybrid.json"),
-                    "--spec", scen("p2p_hybrid_spec.json"),
-                    "--n", "8", "--trials", "20",
-                    "--eps", "0.75", "--eps-prime", "0.5",
-                    "--out", out]) == 0
-        manifest = read_json(out + ".manifest.json")
-        assert manifest["root_seed"] == 42
-
     def test_n_sweep(self, tmp_path):
         out = str(tmp_path / "sweep")
         assert run(["simulate", scen("p2p_hybrid.json"),
@@ -282,9 +290,18 @@ class TestReplay:
         fresh = cli.replay_manifest(manifest_path)
         assert fresh == original
 
-    def test_jobs_flag_does_not_change_output(self, tmp_path):
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        for out, jobs in ((a, "1"), (b, "4")):
-            assert run(["bounds-diamond", scen("example1.json"),
-                        "--out", out, "--jobs", jobs]) == 0
-        assert open(a + ".json", "rb").read() == open(b + ".json", "rb").read()
+    def test_stale_jobs_option_still_replays(self, tmp_path):
+        # Manifests written while the CLI had a --jobs flag record "jobs" in
+        # their options; replaying one must ignore it.
+        out = str(tmp_path / "sim")
+        assert run(["simulate", scen("p2p_hybrid.json"),
+                    "--spec", scen("p2p_hybrid_spec.json"),
+                    "--n", "8", "--trials", "20",
+                    "--eps", "0.75", "--eps-prime", "0.5",
+                    "--out", out]) == 0
+        manifest_path = out + ".manifest.json"
+        manifest = read_json(manifest_path)
+        assert "jobs" not in manifest["options"]
+        manifest["options"]["jobs"] = 4
+        cli.write_json(manifest_path, manifest)
+        assert cli.replay_manifest(manifest_path) == manifest["outputs"]
