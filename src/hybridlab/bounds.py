@@ -5,7 +5,7 @@ optimizer, the two-sender MAC region, the discrete two-way-relay region, the
 diamond-network bound with its deterministic specialization, and the
 Blahut-Arimoto routines for the separation baseline R(D) vs C.
 
-Strict inequalities are tested with a caller-supplied margin (default 1e-9);
+Strict inequalities are tested with the fixed margin MARGIN = 1e-9:
 boundary equality reports not-satisfied.  The degenerate single-letter
 auxiliary (uncoded transmission) bypasses the inequality and reports
 achievability of the expected distortion directly.
@@ -13,13 +13,14 @@ achievability of the expected distortion directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .infotheory import (
     ConditionalPmf,
     DistortionMeasure,
+    InvalidDistributionError,
     JointPmf,
     Pmf,
     compose_joint,
@@ -29,7 +30,7 @@ from .infotheory import (
 )
 from .search import simplex_grid_array
 
-DEFAULT_MARGIN = 1e-9
+MARGIN = 1e-9
 BA_TOL = 1e-9
 BA_MAX_ITER = 10_000
 
@@ -147,45 +148,35 @@ def _p2p_joint(source: Pmf, channel: ConditionalPmf, spec: HybridCodeSpec) -> Jo
     )
 
 
-def expected_distortion_p2p(
-    source: Pmf, channel: ConditionalPmf, d: DistortionMeasure, spec: HybridCodeSpec
-) -> float:
-    joint = _p2p_joint(source, channel, spec)
-    p_suy = joint.marginal([0, 1, 3]).probs
-    if spec.dec_map.shape[1] != channel.output_size:
-        raise ValueError("dec map must be [u][y]")
-    dist = d.table[:, spec.dec_map]  # (S, U, Y)
-    return float(np.sum(p_suy * dist))
-
-
 def check_p2p(
     source: Pmf,
     channel: ConditionalPmf,
     d: DistortionMeasure,
     spec: HybridCodeSpec,
-    margin: float = DEFAULT_MARGIN,
 ) -> BoundReport:
     """Evaluate the single-sender hybrid achievability condition.
 
     Reports I(S;U), I(U;Y) and the expected distortion of the symbol maps;
-    satisfied iff I(S;U) + margin < I(U;Y).  The degenerate aux_size == 1
+    satisfied iff I(S;U) + MARGIN < I(U;Y).  The degenerate aux_size == 1
     spec is reported as uncoded transmission and is satisfied by convention
     (nonstrict): both informations are zero and only the distortion matters.
     """
-    ed = expected_distortion_p2p(source, channel, d, spec)
+    joint = _p2p_joint(source, channel, spec)
+    if spec.dec_map.shape[1] != channel.output_size:
+        raise ValueError("dec map must be [u][y]")
+    ed = float(np.sum(joint.marginal([0, 1, 3]).probs * d.table[:, spec.dec_map]))
     if spec.aux_size == 1:
         c = Constraint("I(S;U) < I(U;Y)", 0.0, 0.0)
         return BoundReport(
             constraints=(c,), satisfied=True, binding_constraint=c.name,
             distortions=(ed,), info={"uncoded": True},
         )
-    joint = _p2p_joint(source, channel, spec)
     i_su = mutual_information(joint, [0], [1])
     i_uy = mutual_information(joint, [1], [3])
     c = Constraint("I(S;U) < I(U;Y)", i_su, i_uy)
     return BoundReport(
         constraints=(c,),
-        satisfied=bool(i_su + margin < i_uy),
+        satisfied=bool(i_su + MARGIN < i_uy),
         binding_constraint=c.name,
         distortions=(ed,),
         info={"uncoded": False, "slack": i_uy - i_su},
@@ -204,9 +195,10 @@ def _mac_joint(sources: JointPmf, mac: ConditionalPmf, spec: MacHybridSpec) -> J
         raise ValueError("source joint does not match aux kernel shapes")
     x1_size = int(spec.enc1.max()) + 1
     x2_size = int(spec.enc2.max()) + 1
-    if mac.input_size % x2_size != 0:
-        raise ValueError("MAC rows must be indexed by (x1, x2) in C order")
-    x1_size = mac.input_size // x2_size if mac.input_size // x2_size >= x1_size else x1_size
+    if x1_size * x2_size != mac.input_size:
+        raise InvalidDistributionError(
+            f"MAC has {mac.input_size} rows, but the encoders emit |X1| = {x1_size} "
+            f"and |X2| = {x2_size} symbols; rows must be indexed by (x1, x2) in C order")
     base = JointPmf.product(spec.q_pmf, sources)
     k_aux1 = ConditionalPmf(spec.aux1.reshape(q_size * s1_size, u1_size))
     k_aux2 = ConditionalPmf(spec.aux2.reshape(q_size * s2_size, u2_size))
@@ -227,7 +219,6 @@ def mac_region_check(
     d1: DistortionMeasure,
     d2: DistortionMeasure,
     spec: MacHybridSpec,
-    margin: float = DEFAULT_MARGIN,
 ) -> BoundReport:
     """Evaluate the three-inequality MAC hybrid-coding region for a spec."""
     j = _mac_joint(sources, mac, spec)
@@ -251,7 +242,7 @@ def mac_region_check(
     constraints = (c1, c2, c3)
     slacks = [c.rhs - c.lhs for c in constraints]
     binding = constraints[int(np.argmin(slacks))].name
-    satisfied = all(c.lhs + margin < c.rhs for c in constraints)
+    satisfied = all(c.lhs + MARGIN < c.rhs for c in constraints)
 
     # Expected distortions of the symbol-by-symbol reconstructions.
     p = j.marginal([0, 1, 2, 3, 4, 7]).probs  # (q, s1, s2, u1, u2, y)
@@ -531,7 +522,6 @@ def p2p_optimize(
     target_D: float,
     aux_cap: int = 4,
     grid_res: int = 12,
-    margin: float = DEFAULT_MARGIN,
 ) -> tuple[BoundReport, HybridCodeSpec | None]:
     """Exhaustive search for the code spec maximizing I(U;Y) - I(S;U) with
     expected distortion at most target_D.
@@ -553,22 +543,14 @@ def p2p_optimize(
         )
         return report, None
     spec = _spec_from_key(source, channel, d, res["best_key"], grid_res)
-    achievable = uncoded_ok or res["best_slack"] > margin
-    report = check_p2p(source, channel, d, spec, margin)
-    info = dict(report.info)
-    info.update({
-        "achievable": bool(achievable),
+    report = check_p2p(source, channel, d, spec)
+    return replace(report, info={
+        **report.info,
+        "achievable": bool(uncoded_ok or res["best_slack"] > MARGIN),
         "best_slack": res["best_slack"],
         "best_distortion": res["best_ed"],
         "uncoded_distortion": res["uncoded_ed"],
-    })
-    return BoundReport(
-        constraints=report.constraints,
-        satisfied=report.satisfied,
-        binding_constraint=report.binding_constraint,
-        distortions=report.distortions,
-        info=info,
-    ), spec
+    }), spec
 
 
 def p2p_feasibility_sweep(
@@ -578,14 +560,13 @@ def p2p_feasibility_sweep(
     targets: list[float],
     aux_cap: int = 4,
     grid_res: int = 12,
-    margin: float = DEFAULT_MARGIN,
 ) -> list[bool]:
     """Achievability of each target distortion, sharing one candidate scan."""
     results = _scan_p2p(source, channel, d, list(targets), aux_cap, grid_res)
     out = []
     for target, res in zip(targets, results):
         uncoded_ok = res["uncoded_ed"] <= target + 1e-12
-        coded_ok = res["best_key"] is not None and res["best_slack"] > margin
+        coded_ok = res["best_key"] is not None and res["best_slack"] > MARGIN
         out.append(bool(uncoded_ok or coded_ok))
     return out
 
@@ -611,7 +592,6 @@ def twrc_region_check(
     y1_size: int,
     y2_size: int,
     spec: TwrcSpec,
-    margin: float = DEFAULT_MARGIN,
     r2_penalty_on_x2: bool = False,
 ) -> BoundReport:
     """Rate corner of the discrete two-way-relay achievability region.
@@ -843,8 +823,17 @@ def det_diamond_bounds(
 # MAC substitution builders: lossless and distributed-compression forms
 # ---------------------------------------------------------------------------
 
-def lossless_mac_spec(sources: JointPmf, px1: Pmf, px2: Pmf,
-                      x1_size: int, x2_size: int, y_size: int) -> MacHybridSpec:
+def _substitution_maps(px: Pmf, k: ConditionalPmf) -> tuple[np.ndarray, np.ndarray]:
+    """Aux kernel and encoder map of U = (X, Ut), with X ~ px independent of
+    the source and Ut from the test channel k(ut | s).  The aux symbol is
+    u = x * |Ut| + ut; the encoder sends x = u // |Ut|.  Shapes (1, S, U)
+    and (1, U, S)."""
+    aux = np.kron(px.probs[None, :], k.rows)
+    enc = np.repeat(np.arange(px.alphabet_size), k.output_size)
+    return aux[None], np.tile(enc[None, :, None], (1, 1, k.input_size))
+
+
+def lossless_mac_spec(sources: JointPmf, px1: Pmf, px2: Pmf, y_size: int) -> MacHybridSpec:
     """Auxiliary choice U_j = (X_j, S_j) with inputs independent of sources.
 
     Under this substitution the three region inequalities reduce to the
@@ -853,34 +842,15 @@ def lossless_mac_spec(sources: JointPmf, px1: Pmf, px2: Pmf,
     of the auxiliary symbol directly.
     """
     s1_size, s2_size = sources.dims
-
-    def aux(px, s_size):
-        u_size = px.alphabet_size * s_size
-        a = np.zeros((1, s_size, u_size))
-        for s in range(s_size):
-            for x in range(px.alphabet_size):
-                a[0, s, x * s_size + s] = px.probs[x]
-        return a
-
-    def enc(px, s_size):
-        u_size = px.alphabet_size * s_size
-        e = np.zeros((1, u_size, s_size), dtype=int)
-        for u in range(u_size):
-            e[0, u, :] = u // s_size
-        return e
-
-    u1_size = x1_size * s1_size
-    u2_size = x2_size * s2_size
+    aux1, enc1 = _substitution_maps(px1, ConditionalPmf.identity(s1_size))
+    aux2, enc2 = _substitution_maps(px2, ConditionalPmf.identity(s2_size))
+    u1_size, u2_size = aux1.shape[2], aux2.shape[2]
     dec1 = np.zeros((1, u1_size, u2_size, y_size), dtype=int)
     dec1[0] = (np.arange(u1_size) % s1_size)[:, None, None]
     dec2 = np.zeros((1, u1_size, u2_size, y_size), dtype=int)
     dec2[0] = (np.arange(u2_size) % s2_size)[None, :, None]
-    return MacHybridSpec(
-        q_pmf=Pmf([1.0]),
-        aux1=aux(px1, s1_size), aux2=aux(px2, s2_size),
-        enc1=enc(px1, s1_size), enc2=enc(px2, s2_size),
-        dec1=dec1, dec2=dec2,
-    )
+    return MacHybridSpec(q_pmf=Pmf([1.0]), aux1=aux1, aux2=aux2, enc1=enc1, enc2=enc2,
+                         dec1=dec1, dec2=dec2)
 
 
 def lossless_reduced_values(sources: JointPmf, mac: ConditionalPmf,
@@ -917,34 +887,12 @@ def distributed_mac_spec(k1: ConditionalPmf, k2: ConditionalPmf,
     Reconstruction maps are placeholders (index 0): only constraint values
     are meaningful for this form.
     """
-    s1_size, s2_size = k1.input_size, k2.input_size
-    ut1, ut2 = k1.output_size, k2.output_size
+    aux1, enc1 = _substitution_maps(px1, k1)
+    aux2, enc2 = _substitution_maps(px2, k2)
     y_size = px1.alphabet_size * px2.alphabet_size
-
-    def aux(px, k):
-        u_size = px.alphabet_size * k.output_size
-        a = np.zeros((1, k.input_size, u_size))
-        for s in range(k.input_size):
-            for x in range(px.alphabet_size):
-                for ut in range(k.output_size):
-                    a[0, s, x * k.output_size + ut] = px.probs[x] * k.rows[s, ut]
-        return a
-
-    def enc(px, k, s_size):
-        u_size = px.alphabet_size * k.output_size
-        e = np.zeros((1, u_size, s_size), dtype=int)
-        for u in range(u_size):
-            e[0, u, :] = u // k.output_size
-        return e
-
-    u1_size = px1.alphabet_size * ut1
-    u2_size = px2.alphabet_size * ut2
-    dec = np.zeros((1, u1_size, u2_size, y_size), dtype=int)
+    dec = np.zeros((1, aux1.shape[2], aux2.shape[2], y_size), dtype=int)
     return MacHybridSpec(
-        q_pmf=Pmf([1.0]),
-        aux1=aux(px1, k1), aux2=aux(px2, k2),
-        enc1=enc(px1, k1, s1_size), enc2=enc(px2, k2, s2_size),
-        dec1=dec, dec2=dec,
+        q_pmf=Pmf([1.0]), aux1=aux1, aux2=aux2, enc1=enc1, enc2=enc2, dec1=dec, dec2=dec,
         R1=float(entropy(px1)), R2=float(entropy(px2)),
     )
 

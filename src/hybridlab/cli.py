@@ -3,7 +3,8 @@
 Subcommands ingest JSON scenario files, run the bound evaluators or the
 Monte Carlo simulator, and write JSON/CSV/SVG artifacts.  Every run emits a
 manifest (resolved options, root seed, output digests); re-dispatching a
-manifest reproduces the outputs byte-identically.
+manifest reproduces the outputs byte-identically.  A run that fails writes
+nothing.
 
 Exit codes: 0 success, 2 input/schema error, 3 resource-cap rejection,
 4 internal invariant violation.
@@ -189,7 +190,9 @@ def write_manifest(subcommand: str, options: dict, outputs: list[str],
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations (resolved-option dicts in, files out)
+# Subcommand implementations: a resolved-option dict in, {suffix: content}
+# out, in write order.  A subcommand writes nothing itself; it records any
+# option it resolves in the dict, which dispatch saves in the manifest.
 # ---------------------------------------------------------------------------
 
 def _twrc_schemes(ch: gaussian_twrc.GaussianTwrcParams, with_params: bool) -> dict:
@@ -207,25 +210,20 @@ def _twrc_schemes(ch: gaussian_twrc.GaussianTwrcParams, with_params: bool) -> di
     return rows
 
 
-def cmd_bounds_twrc(opts: dict) -> int:
-    started = time.time()
+def cmd_bounds_twrc(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "twrc_gaussian")
     power = float(doc.get("P", 10.0))
     ple = float(doc.get("path_loss_exp", 3.0))
-    outputs = []
+    r = opts.get("r")
+    if r is not None and not 0.0 < r < 1.0:
+        raise ScenarioError(f"distance r={r} must lie strictly in (0, 1)")
+    artifacts = {}
     result: dict = {"schemes": {}}
     if opts.get("sweep"):
-        r_grid = doc.get("r_grid")
-        rows = gaussian_twrc.fig8_sweep(power, r_grid=r_grid, path_loss_exp=ple)
-        csv_path = opts["out"] + ".csv"
-        with open(csv_path, "w") as fh:
-            fh.write(gaussian_twrc.sweep_to_csv(rows))
-        outputs.append(csv_path)
+        rows = gaussian_twrc.fig8_sweep(power, r_grid=doc.get("r_grid"), path_loss_exp=ple)
+        artifacts[".csv"] = gaussian_twrc.sweep_to_csv(rows)
         result["sweep_rows"] = len(rows)
-    r = opts.get("r")
     if r is not None:
-        if not 0.0 < r < 1.0:
-            raise ScenarioError(f"distance r={r} must lie strictly in (0, 1)")
         ch = gaussian_twrc.params_from_distance(r, power, ple)
         result["schemes"] = _twrc_schemes(ch, with_params=True)
     elif not opts.get("sweep"):
@@ -237,11 +235,8 @@ def cmd_bounds_twrc(opts: dict) -> int:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
         result["schemes"] = _twrc_schemes(ch, with_params=False)
-    json_path = opts["out"] + ".json"
-    write_json(json_path, result)
-    outputs.append(json_path)
-    write_manifest("bounds-twrc", opts, outputs, None, started)
-    return 0
+    artifacts[".json"] = result
+    return artifacts
 
 
 def _stage_map(doc: dict, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -263,8 +258,7 @@ def _stage_map(doc: dict, name: str, shape: tuple[int, ...] | None = None) -> np
     return table.astype(int)
 
 
-def cmd_bounds_diamond(opts: dict) -> int:
-    started = time.time()
+def cmd_bounds_diamond(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "diamond")
     y2_map = _stage_map(doc, "y2_map")
     y3_map = _stage_map(doc, "y3_map", y2_map.shape)    # both over the source input
@@ -278,20 +272,16 @@ def cmd_bounds_diamond(opts: dict) -> int:
     res = bounds.det_diamond_bounds(
         y2_map, y3_map, y4_map, x2_size, x3_size,
         grid_res=grid_res)
-    json_path = opts["out"] + ".json"
-    write_json(json_path, {
+    return {".json": {
         "hybrid": res.hybrid,
         "adt": res.adt,
         "cutset": res.cutset,
         "hybrid_binding": res.hybrid_binding,
         "argmax": res.argmax,
-    })
-    write_manifest("bounds-diamond", opts, [json_path], None, started)
-    return 0
+    }}
 
 
-def cmd_region_mac(opts: dict) -> int:
-    started = time.time()
+def cmd_region_mac(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "mac")
     scenario = build_mac_scenario(doc)
     spec_doc = load_json(opts["spec"])
@@ -299,10 +289,8 @@ def cmd_region_mac(opts: dict) -> int:
     result: dict = {}
     if substitution == "lossless":
         px1, px2 = _pmf(spec_doc, "px1"), _pmf(spec_doc, "px2")
-        x1 = px1.alphabet_size
-        x2 = px2.alphabet_size
         mspec = bounds.lossless_mac_spec(
-            scenario.sources, px1, px2, x1, x2, scenario.mac.output_size)
+            scenario.sources, px1, px2, scenario.mac.output_size)
         reduced = bounds.lossless_reduced_values(scenario.sources, scenario.mac, px1, px2)
         result["reduced_constraints"] = [list(pair) for pair in reduced]
     elif substitution == "distributed":
@@ -314,17 +302,12 @@ def cmd_region_mac(opts: dict) -> int:
     else:
         mspec = build_mac_spec(spec_doc)
     report = bounds.mac_region_check(
-        scenario.sources, scenario.mac, scenario.d1, scenario.d2, mspec,
-        margin=opts.get("margin", bounds.DEFAULT_MARGIN))
+        scenario.sources, scenario.mac, scenario.d1, scenario.d2, mspec)
     result["report"] = _report_to_dict(report)
-    json_path = opts["out"] + ".json"
-    write_json(json_path, result)
-    write_manifest("region-mac", opts, [json_path], None, started)
-    return 0
+    return {".json": result}
 
 
-def cmd_check_thm1(opts: dict) -> int:
-    started = time.time()
+def cmd_check_thm1(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "p2p")
     scenario = build_p2p_scenario(doc)
     result: dict = {}
@@ -335,8 +318,7 @@ def cmd_check_thm1(opts: dict) -> int:
             raise ScenarioError("--aux-cap and --grid-res must be >= 1")
         report, spec = bounds.p2p_optimize(
             scenario.source, scenario.channel, scenario.distortion,
-            target_D=float(opts["target_d"]), aux_cap=aux_cap, grid_res=grid_res,
-            margin=opts.get("margin", bounds.DEFAULT_MARGIN))
+            target_D=float(opts["target_d"]), aux_cap=aux_cap, grid_res=grid_res)
         result["report"] = _report_to_dict(report)
         if spec is not None:
             result["spec"] = {
@@ -351,13 +333,9 @@ def cmd_check_thm1(opts: dict) -> int:
             raise ScenarioError("need --spec FILE or --optimize")
         spec = build_p2p_spec(load_json(opts["spec"]))
         report = bounds.check_p2p(
-            scenario.source, scenario.channel, scenario.distortion, spec,
-            margin=opts.get("margin", bounds.DEFAULT_MARGIN))
+            scenario.source, scenario.channel, scenario.distortion, spec)
         result["report"] = _report_to_dict(report)
-    json_path = opts["out"] + ".json"
-    write_json(json_path, result)
-    write_manifest("check-thm1", opts, [json_path], None, started)
-    return 0
+    return {".json": result}
 
 
 def _check_twrc_shapes(uplink, downlink, y1_size, y2_size, spec) -> None:
@@ -378,8 +356,7 @@ def _check_twrc_shapes(uplink, downlink, y1_size, y2_size, spec) -> None:
             f"relay_map symbols must lie in the relay input alphabet 0..{x3_size - 1}")
 
 
-def cmd_check_thm3(opts: dict) -> int:
-    started = time.time()
+def cmd_check_thm3(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "twrc_discrete")
     uplink = _kernel(doc, "uplink")
     downlink = _kernel(doc, "downlink")
@@ -395,20 +372,21 @@ def cmd_check_thm3(opts: dict) -> int:
     _check_twrc_shapes(uplink, downlink, y1_size, y2_size, spec)
     report = bounds.twrc_region_check(
         uplink, downlink, y1_size, y2_size, spec,
-        margin=opts.get("margin", bounds.DEFAULT_MARGIN),
         r2_penalty_on_x2=bool(opts.get("alt_penalty", False)))
-    json_path = opts["out"] + ".json"
-    write_json(json_path, {"report": _report_to_dict(report)})
-    write_manifest("check-thm3", opts, [json_path], None, started)
-    return 0
+    return {".json": {"report": _report_to_dict(report)}}
 
 
-def cmd_simulate(opts: dict) -> int:
-    started = time.time()
+def cmd_simulate(opts: dict) -> dict:
     seed = opts["seed"]
-    result: dict = {}
-    if opts.get("lemma1"):
+    lemma1 = opts.get("lemma1")
+    if lemma1:
         doc = load_json(opts["scenario"])
+    else:
+        doc = load_scenario(opts["scenario"], ("p2p", "mac"))
+    if opts.get("eps_prime") is None:   # a value given on the command line wins
+        opts["eps_prime"] = float(doc.get("eps_prime", 0.2)) if lemma1 else 0.2
+    eps_prime = float(opts["eps_prime"])
+    if lemma1:
         joint_us = JointPmf(_field(doc, "joint_us"))
         n, trials, rate = int(opts["n"]), int(opts["trials"]), float(_field(doc, "rate"))
         if n < 1 or trials < 1:
@@ -416,37 +394,27 @@ def cmd_simulate(opts: dict) -> int:
         if sim.codebook_size(n, rate) < 2:
             raise ScenarioError(f"rate {rate} at --n {n} gives fewer than two codewords")
         check = sim.lemma1_check(
-            n=n, rate=rate, joint_us=joint_us,
-            eps_prime=float(doc.get("eps_prime", opts["eps_prime"])),
+            n=n, rate=rate, joint_us=joint_us, eps_prime=eps_prime,
             outer_trials=trials, seed=seed,
             min_count=int(opts.get("min_count", 50)))
         check["cells"] = {repr(k): v for k, v in check["cells"].items()}
-        result["independence_check"] = check
-    else:
-        doc = load_scenario(opts["scenario"], ("p2p", "mac"))
-        spec_doc = load_json(opts["spec"])
-        n_values = opts.get("n_sweep") or [int(opts["n"])]
-        try:
-            configs = [sim.TrialConfig(
-                n=int(n), trials=int(opts["trials"]),
-                epsilon=float(opts["eps"]),
-                epsilon_prime=float(opts["eps_prime"]), seed=seed) for n in n_values]
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-        rows = []
-        for config in configs:
-            if doc["kind"] == "p2p":
-                report = sim.run_p2p(build_p2p_scenario(doc),
-                                     build_p2p_spec(spec_doc), config)
-            else:
-                report = sim.run_mac(build_mac_scenario(doc),
-                                     build_mac_spec(spec_doc), config)
-            rows.append(report)
-        result["aggregates"] = rows
-    json_path = opts["out"] + ".json"
-    write_json(json_path, result)
-    write_manifest("simulate", opts, [json_path], seed, started)
-    return 0
+        return {".json": {"independence_check": check}}
+    spec_doc = load_json(opts["spec"])
+    n_values = opts.get("n_sweep") or [int(opts["n"])]
+    try:
+        configs = [sim.TrialConfig(
+            n=int(n), trials=int(opts["trials"]), epsilon=float(opts["eps"]),
+            epsilon_prime=eps_prime, seed=seed) for n in n_values]
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    rows = []
+    for config in configs:
+        if doc["kind"] == "p2p":
+            report = sim.run_p2p(build_p2p_scenario(doc), build_p2p_spec(spec_doc), config)
+        else:
+            report = sim.run_mac(build_mac_scenario(doc), build_mac_spec(spec_doc), config)
+        rows.append(report)
+    return {".json": {"aggregates": rows}}
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +472,7 @@ def render_svg(header: list[str], rows: list[list[float]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(opts: dict) -> int:
-    started = time.time()
+def cmd_plot(opts: dict) -> dict:
     try:
         with open(opts["csv"]) as fh:
             reader = list(csv.reader(fh))
@@ -522,11 +489,7 @@ def cmd_plot(opts: dict) -> int:
         raise ScenarioError(f"non-numeric CSV cell: {exc}") from exc
     if any(len(r) != len(header) for r in rows):
         raise ScenarioError("ragged CSV rows")
-    svg = render_svg(header, rows)
-    with open(opts["out"] + ".svg", "w") as fh:
-        fh.write(svg)
-    write_manifest("plot", opts, [opts["out"] + ".svg"], None, started)
-    return 0
+    return {".svg": render_svg(header, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--spec", required=True)
     p.add_argument("--substitution", choices=("lossless", "distributed"), default=None)
-    p.add_argument("--margin", type=float, default=bounds.DEFAULT_MARGIN)
     common(p, "mac_region")
 
     p = sub.add_parser("check-thm1", help="single-sender condition check / optimizer")
@@ -580,7 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-d", type=float, default=None)
     p.add_argument("--aux-cap", type=int, default=4)
     p.add_argument("--grid-res", type=int, default=12)
-    p.add_argument("--margin", type=float, default=bounds.DEFAULT_MARGIN)
     common(p, "p2p_check")
 
     p = sub.add_parser("check-thm3", help="discrete two-way-relay region corner")
@@ -588,7 +549,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--alt-penalty", action="store_true",
                    help="exploration: condition the second R2 penalty on X2")
-    p.add_argument("--margin", type=float, default=bounds.DEFAULT_MARGIN)
     common(p, "twrc_check")
 
     p = sub.add_parser("simulate", help="Monte Carlo hybrid-coding trials")
@@ -597,7 +557,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--eps", type=float, default=0.3)
-    p.add_argument("--eps-prime", type=float, default=0.2)
+    p.add_argument("--eps-prime", type=float, default=None,
+                   help="typicality slack eps' (default 0.2; with --lemma1 the "
+                        "scenario's eps_prime when it has one)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-sweep", default=None,
                    help="comma-separated block lengths, one aggregate row each")
@@ -628,7 +590,24 @@ def _resolve_options(args: argparse.Namespace) -> dict:
 
 
 def dispatch(subcommand: str, options: dict) -> int:
-    return _DISPATCH[subcommand](dict(options))
+    """Run one subcommand, then write its artifacts and the manifest.
+
+    The subcommand computes every artifact before the first is written, so
+    a run that fails leaves no file behind.
+    """
+    started = time.time()
+    opts = dict(options)
+    outputs = []
+    for suffix, content in _DISPATCH[subcommand](opts).items():
+        path = opts["out"] + suffix
+        if suffix == ".json":
+            write_json(path, content)
+        else:
+            with open(path, "w") as fh:
+                fh.write(content)
+        outputs.append(path)
+    write_manifest(subcommand, opts, outputs, opts.get("seed"), started)
+    return 0
 
 
 def replay_manifest(path: str) -> dict:

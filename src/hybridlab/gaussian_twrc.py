@@ -32,39 +32,18 @@ GRID_TIE_TOL = 1e-12
 class GaussianTwrcParams:
     """Received SNRs (linear scale) of a Gaussian two-way relay network.
 
-    S_jk is the SNR at node j of the signal from node k.  When gains and
-    power are supplied, S_jk = g_jk^2 * P must hold within 1e-9.
+    S_jk is the SNR at node j of the signal from node k.
     """
 
     S13: float
     S23: float
     S31: float
     S32: float
-    P: float | None = None
-    gains: dict | None = None
 
     def __post_init__(self):
         for name in ("S13", "S23", "S31", "S32"):
             if not 0.0 <= getattr(self, name) < math.inf:     # also rejects NaN
                 raise ValueError(f"{name} must be a finite nonnegative number")
-        if self.gains is not None:
-            if self.P is None or self.P <= 0:
-                raise ValueError("gains require a positive power P")
-            for name, g in self.gains.items():
-                snr = getattr(self, name.replace("g", "S"))
-                if abs(g * g * self.P - snr) > 1e-9 * max(1.0, snr):
-                    raise ValueError(f"inconsistent gain/SNR pair for {name}")
-
-    @staticmethod
-    def from_gains(g13: float, g23: float, g31: float, g32: float, P: float) -> "GaussianTwrcParams":
-        return GaussianTwrcParams(
-            S13=g13 * g13 * P,
-            S23=g23 * g23 * P,
-            S31=g31 * g31 * P,
-            S32=g32 * g32 * P,
-            P=P,
-            gains={"g13": g13, "g23": g23, "g31": g31, "g32": g32},
-        )
 
 
 @dataclass(frozen=True)
@@ -306,7 +285,8 @@ def params_from_distance(r: float, P: float = 10.0, path_loss_exp: float = 3.0) 
     e = path_loss_exp / 2.0
     g13 = g31 = r ** (-e)
     g23 = g32 = (1.0 - r) ** (-e)
-    return GaussianTwrcParams.from_gains(g13, g23, g31, g32, P)
+    return GaussianTwrcParams(S13=g13 * g13 * P, S23=g23 * g23 * P,
+                              S31=g31 * g31 * P, S32=g32 * g32 * P)
 
 
 def fig8_sweep(P: float = 10.0, r_grid=None, path_loss_exp: float = 3.0) -> list[dict]:

@@ -117,8 +117,7 @@ def test_criterion_5_mac_substitution_identities():
             doc = load(name)
             sources = JointPmf(doc["sources"])
             mac = ConditionalPmf(doc["mac"])
-            spec = bounds.lossless_mac_spec(sources, UNIF2, UNIF2, 2, 2,
-                                            mac.output_size)
+            spec = bounds.lossless_mac_spec(sources, UNIF2, UNIF2, mac.output_size)
             rep = bounds.mac_region_check(sources, mac, HAMMING2, HAMMING2, spec)
             reduced = bounds.lossless_reduced_values(sources, mac, UNIF2, UNIF2)
             for c, (lhs, rhs) in zip(rep.constraints, reduced):

@@ -28,7 +28,13 @@ from hybridlab.bounds import (
     rd_function,
     twrc_region_check,
 )
-from hybridlab.infotheory import ConditionalPmf, DistortionMeasure, JointPmf, Pmf
+from hybridlab.infotheory import (
+    ConditionalPmf,
+    DistortionMeasure,
+    InvalidDistributionError,
+    JointPmf,
+    Pmf,
+)
 from hybridlab.search import simplex_grid_array
 
 
@@ -328,7 +334,7 @@ class TestMacRegion:
     def test_lossless_substitution_matches_reduction(self):
         sources = correlated_sources()
         mac = xor_bsc_mac(0.1)
-        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2, 2, 2)
+        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2)
         rep = mac_region_check(sources, mac, HAMMING2, HAMMING2, spec)
         reduced = lossless_reduced_values(sources, mac, UNIF2, UNIF2)
         for c, (lhs, rhs) in zip(rep.constraints, reduced):
@@ -337,7 +343,7 @@ class TestMacRegion:
 
     def test_lossless_substitution_zero_distortion(self):
         sources = correlated_sources()
-        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2, 2, 4)
+        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 4)
         rep = mac_region_check(sources, noiseless_pair_mac(2, 2),
                                HAMMING2, HAMMING2, spec)
         assert rep.distortions[0] == pytest.approx(0.0, abs=1e-12)
@@ -356,9 +362,39 @@ class TestMacRegion:
             assert c.lhs == pytest.approx(lhs, abs=1e-12)
             assert c.rhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("px1", [UNIF2, Pmf([0.2, 0.3, 0.5])], ids=["binary", "ternary"])
+    def test_substitutions_share_aux_and_encoders(self, px1):
+        # U = (X, Ut) with u = x * |Ut| + ut: the lossless form is the
+        # distributed one with identity test channels.
+        sources = correlated_sources()
+        k1 = ConditionalPmf([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
+        dist = distributed_mac_spec(k1, ConditionalPmf.identity(2), px1, UNIF2)
+        for s in range(2):
+            for x in range(px1.alphabet_size):
+                for t in range(3):
+                    assert dist.aux1[0, s, x * 3 + t] == px1.probs[x] * k1.rows[s, t]
+                    assert dist.enc1[0, x * 3 + t, s] == x
+        lossless = lossless_mac_spec(sources, px1, UNIF2, 4)
+        ident = distributed_mac_spec(ConditionalPmf.identity(2), ConditionalPmf.identity(2),
+                                     px1, UNIF2)
+        for name in ("aux1", "aux2", "enc1", "enc2"):
+            assert np.array_equal(getattr(lossless, name), getattr(ident, name))
+
+    def test_mac_rows_must_match_encoder_alphabets(self):
+        # Sender 2 never sends its symbol 1: the encoders span 2 x 1 inputs,
+        # not the 4 rows of the pair channel, which must not be re-indexed.
+        ident = [[[1.0, 0.0], [0.0, 1.0]]]
+        dec = np.zeros((1, 2, 2, 4), dtype=int)
+        spec = MacHybridSpec(q_pmf=Pmf([1.0]), aux1=ident, aux2=ident,
+                             enc1=[[[0, 1], [0, 1]]], enc2=[[[0, 0], [0, 0]]],
+                             dec1=dec, dec2=dec)
+        with pytest.raises(InvalidDistributionError, match="MAC has 4 rows"):
+            mac_region_check(correlated_sources(), noiseless_pair_mac(2, 2),
+                             HAMMING2, HAMMING2, spec)
+
     def test_binding_constraint_has_min_slack(self):
         sources = correlated_sources()
-        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2, 2, 2)
+        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2)
         rep = mac_region_check(sources, xor_bsc_mac(0.1), HAMMING2, HAMMING2, spec)
         slacks = {c.name: c.rhs - c.lhs for c in rep.constraints}
         assert slacks[rep.binding_constraint] == pytest.approx(min(slacks.values()), abs=1e-15)
@@ -376,7 +412,7 @@ class TestMacRegion:
                         rows[x1 * 2 + x2, y1 * 2 + y2] = (
                             (1 - pa if y1 == x1 else pa) * (1 - pb if y2 == x2 else pb))
         mac = ConditionalPmf(rows)
-        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2, 2, 4)
+        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 4)
         rep = mac_region_check(sources, mac, HAMMING2, HAMMING2, spec)
         c1, c2, c3 = rep.constraints
         assert c3.lhs == pytest.approx(c1.lhs + c2.lhs, abs=1e-12)

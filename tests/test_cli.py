@@ -35,6 +35,26 @@ class TestExitCodes:
         assert run(["bounds-twrc", scen("fig8.json"), "--r", "1.5",
                     "--out", str(tmp_path / "o")]) == 2
 
+    def test_failed_run_writes_nothing(self, tmp_path):
+        # The sweep is valid on its own; the bad distance must not leave its
+        # CSV behind without a JSON or a manifest.
+        assert run(["bounds-twrc", scen("fig8.json"), "--sweep", "--r", "1.5",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mac_rows_must_match_encoder_alphabets(self, tmp_path):
+        # Sender 2 never sends its symbol 1, so the encoders span 2 x 1
+        # inputs of a MAC with 4 rows.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "q_pmf": [1.0], "aux1": [[[1, 0], [0, 1]]], "aux2": [[[1, 0], [0, 1]]],
+            "enc1": [[[0, 1], [0, 1]]], "enc2": [[[0, 0], [0, 0]]],
+            "dec1": [[[[0] * 4] * 2] * 2], "dec2": [[[[0] * 4] * 2] * 2]}))
+        out = tmp_path / "o"
+        assert run(["region-mac", scen("mac_noiseless_pair.json"), "--spec", str(spec),
+                    "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == [spec]
+
     def test_optimize_needs_target(self, tmp_path):
         assert run(["check-thm1", scen("bsc_uncoded.json"), "--optimize",
                     "--out", str(tmp_path / "o")]) == 2
@@ -247,6 +267,26 @@ class TestSimulate:
         doc = read_json(out + ".json")
         assert [row["n"] for row in doc["aggregates"]] == [8, 12]
 
+    def test_eps_prime_flag_wins_over_scenario(self, tmp_path):
+        # lemma1.json fixes eps_prime = 0.25; every value from 0.1 to 0.9
+        # keeps the same trials at n = 2, so the flag is set to 1.0.
+        outs = {}
+        for name, flag in (("scenario", []), ("flag", ["--eps-prime", "1.0"])):
+            out = str(tmp_path / name)
+            assert run(["simulate", scen("lemma1.json"), "--lemma1", "--n", "2",
+                        "--trials", "300", "--min-count", "10", *flag, "--out", out]) == 0
+            outs[name] = out
+        assert open(outs["scenario"] + ".json").read() != open(outs["flag"] + ".json").read()
+        assert read_json(outs["scenario"] + ".manifest.json")["options"]["eps_prime"] == 0.25
+        assert read_json(outs["flag"] + ".manifest.json")["options"]["eps_prime"] == 1.0
+
+    def test_coding_runs_default_eps_prime(self, tmp_path):
+        out = str(tmp_path / "sim")
+        assert run(["simulate", scen("p2p_hybrid.json"),
+                    "--spec", scen("p2p_hybrid_spec.json"),
+                    "--n", "8", "--trials", "5", "--eps", "0.75", "--out", out]) == 0
+        assert read_json(out + ".manifest.json")["options"]["eps_prime"] == 0.2
+
     def test_lemma1_mode(self, tmp_path):
         out = str(tmp_path / "lem")
         assert run(["simulate", scen("lemma1.json"), "--lemma1",
@@ -290,18 +330,20 @@ class TestReplay:
         fresh = cli.replay_manifest(manifest_path)
         assert fresh == original
 
-    def test_stale_jobs_option_still_replays(self, tmp_path):
-        # Manifests written while the CLI had a --jobs flag record "jobs" in
-        # their options; replaying one must ignore it.
-        out = str(tmp_path / "sim")
-        assert run(["simulate", scen("p2p_hybrid.json"),
-                    "--spec", scen("p2p_hybrid_spec.json"),
-                    "--n", "8", "--trials", "20",
-                    "--eps", "0.75", "--eps-prime", "0.5",
-                    "--out", out]) == 0
+    @pytest.mark.parametrize("argv, key, value", [
+        (["simulate", scen("p2p_hybrid.json"), "--spec", scen("p2p_hybrid_spec.json"),
+          "--n", "8", "--trials", "20", "--eps", "0.75", "--eps-prime", "0.5"], "jobs", 4),
+        (["check-thm1", scen("p2p_hybrid.json"), "--spec", scen("p2p_hybrid_spec.json")],
+         "margin", 1e-9),
+    ], ids=["simulate-jobs", "check-thm1-margin"])
+    def test_stale_jobs_option_still_replays(self, tmp_path, argv, key, value):
+        # Manifests written while the CLI had the --jobs and --margin flags
+        # record them in their options; replaying one must ignore them.
+        out = str(tmp_path / "run")
+        assert run(argv + ["--out", out]) == 0
         manifest_path = out + ".manifest.json"
         manifest = read_json(manifest_path)
-        assert "jobs" not in manifest["options"]
-        manifest["options"]["jobs"] = 4
+        assert key not in manifest["options"]
+        manifest["options"][key] = value
         cli.write_json(manifest_path, manifest)
         assert cli.replay_manifest(manifest_path) == manifest["outputs"]

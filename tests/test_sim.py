@@ -177,7 +177,7 @@ class TestRunMac:
         sources = JointPmf([[0.35, 0.15], [0.15, 0.35]])
         scenario = MacScenario(sources=sources, mac=noiseless_pair_mac(2, 2),
                                d1=HAMMING2, d2=HAMMING2)
-        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2, 2, 4)
+        spec = lossless_mac_spec(sources, UNIF2, UNIF2, 4)
         return scenario, spec
 
     def test_report_shape_and_determinism(self):
@@ -198,7 +198,7 @@ class TestRunMac:
 
     def test_rejects_time_sharing(self):
         scenario, spec = self.scenario_and_spec()
-        bad = lossless_mac_spec(scenario.sources, UNIF2, UNIF2, 2, 2, 4)
+        bad = lossless_mac_spec(scenario.sources, UNIF2, UNIF2, 4)
         object.__setattr__(bad, "q_pmf", Pmf.uniform(2))
         cfg = TrialConfig(n=4, trials=2, epsilon=0.75, epsilon_prime=0.5)
         with pytest.raises(ValueError):
