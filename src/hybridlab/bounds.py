@@ -13,15 +13,18 @@ achievability of the expected distortion directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .infotheory import (
+    MEMORY_CAP_SYMBOLS,
     ConditionalPmf,
     DistortionMeasure,
     InvalidDistributionError,
     JointPmf,
+    MemoryCapError,
     Pmf,
     compose_joint,
     conditional_mutual_information,
@@ -192,7 +195,9 @@ def _mac_joint(sources: JointPmf, mac: ConditionalPmf, spec: MacHybridSpec) -> J
     q_size, s1_size, u1_size = spec.aux1.shape
     _, s2_size, u2_size = spec.aux2.shape
     if sources.dims != (s1_size, s2_size):
-        raise ValueError("source joint does not match aux kernel shapes")
+        raise InvalidDistributionError(
+            f"sources have shape {sources.dims}, but the aux kernels take "
+            f"({s1_size}, {s2_size}) source symbols")
     x1_size = int(spec.enc1.max()) + 1
     x2_size = int(spec.enc2.max()) + 1
     if x1_size * x2_size != mac.input_size:
@@ -729,11 +734,16 @@ _DIAMOND_TERM_NAMES = (
 )
 
 
+def _stage_joint(px1, y2_map, y3_map, shape) -> np.ndarray:
+    """p(y2, y3) of the deterministic first stage."""
+    p23 = np.zeros(shape)
+    np.add.at(p23, (y2_map, y3_map), px1)
+    return p23
+
+
 def _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond_batch):
     """Four rate terms for a batch of conditionals c[n, y2, y3, x2, x3]."""
-    y3_size = cond_batch.shape[2]
-    p23 = np.zeros((cond_batch.shape[1], y3_size))
-    np.add.at(p23, (y2_map, y3_map), px1)
+    p23 = _stage_joint(px1, y2_map, y3_map, cond_batch.shape[1:3])
     T = p23[None, :, :, None, None] * cond_batch     # (n, y2, y3, x2, x3)
     h23 = float(_entropy_rows(p23, (0, 1)))
     h2 = float(_entropy_rows(p23.sum(axis=1), 0))
@@ -756,6 +766,66 @@ def _row_product_batch(row_grid: np.ndarray, num_rows: int) -> np.ndarray:
     return row_grid[_digits(np.arange(count ** num_rows), count, num_rows)]
 
 
+DIAMOND_TIE_TOL = 1e-12
+# Candidates per _det_diamond_terms call when near-ties are rescored; bounds
+# the rebuilt conditionals when a whole row ties.
+_DIAMOND_RESCORE_CHUNK = 4096
+
+
+def _xlog2x(p: np.ndarray) -> np.ndarray:
+    return p * np.log2(p, out=np.zeros_like(p), where=p > 0)
+
+
+def _product_family(a: np.ndarray, b: np.ndarray, y4_onehot: np.ndarray) -> tuple:
+    """Relay kernels a (Na, y2, x2) and b (Nb, y3, x3), each pushed through
+    the y4 map: ay[i, y2, x3, y4] = sum_x2 a_i[y2, x2] 1[y4(x2, x3) = y4],
+    and by[j, y3, x2, y4] likewise."""
+    return (a, b, np.einsum("iac,cde->iade", a, y4_onehot),
+            np.einsum("jbd,cde->jbce", b, y4_onehot))
+
+
+def _product_family_values(p23: np.ndarray, family: tuple) -> np.ndarray:
+    """min of the four _det_diamond_terms for every candidate
+    c[y2, y3, x2, x3] = a_i[y2, x2] b_j[y3, x3], flat in (i, j) C order.
+
+    With q_j[y2, x2, y4] = sum_y3 p23[y2, y3] by_j[y3, x2, y4], the joint
+    p(y2, x2, y4) is a_i q_j, so H(Y2) + H(Y4|X2,Y2) is h2 + sum a_i w_j with
+    w_j = p2 log p2 - sum_y4 q_j log q_j: one GEMM for all pairs.  The
+    other relay is the same with roles swapped, and p(y4) = sum a_i q_j is
+    one GEMM per output symbol.  Agrees with _det_diamond_terms to a few
+    ulps; used only to choose which candidates to rescore.
+    """
+    a, b, ay, by = family
+    na, nb = a.shape[0], b.shape[0]
+    p2, p3 = p23.sum(axis=1), p23.sum(axis=0)
+    q = np.einsum("ab,jbce->jace", p23, by)          # (Nb, y2, x2, y4)
+    r = np.einsum("ab,iade->ibde", p23, ay)          # (Na, y3, x3, y4)
+    w = _xlog2x(p2)[None, :, None] - _xlog2x(q).sum(axis=3)
+    v = _xlog2x(p3)[None, :, None] - _xlog2x(r).sum(axis=3)
+    a_flat = a.reshape(na, -1)
+    t2 = a_flat @ w.reshape(nb, -1).T - _xlog2x(p2).sum()
+    t3 = v.reshape(na, -1) @ b.reshape(nb, -1).T - _xlog2x(p3).sum()
+    t4 = np.zeros((na, nb))
+    for e in range(q.shape[3]):
+        t4 -= _xlog2x(a_flat @ q[..., e].reshape(nb, -1).T)
+    h23 = -_xlog2x(p23).sum()
+    return np.minimum(np.minimum(t2, t3), np.minimum(t4, h23)).ravel()
+
+
+def _rescore_products(px1, y2_map, y3_map, y4_onehot, family, ks):
+    """Reference terms of the product candidates ks, in _DIAMOND_RESCORE_CHUNK
+    batches."""
+    a, b = family[:2]
+    vals, binds = [], []
+    for start in range(0, ks.size, _DIAMOND_RESCORE_CHUNK):
+        i, j = np.divmod(ks[start:start + _DIAMOND_RESCORE_CHUNK], b.shape[0])
+        cond = a[i][:, :, None, :, None] * b[j][:, None, :, None, :]
+        v, bind = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+        vals.append(v)
+        binds.append(bind)
+    return np.concatenate(vals), np.concatenate(binds)
+
+
 def det_diamond_bounds(
     y2_map,
     y3_map,
@@ -771,6 +841,21 @@ def det_diamond_bounds(
     source alphabet, y4_map over (x2, x3).  The source pmf and the relay
     conditionals range over simplex grids of resolution 1/grid_res (the
     relay grids include all deterministic maps as corners).
+
+    Each family reports the strict-> first maximum in (px1 index, candidate
+    index) order of the values _det_diamond_terms gives.  The hybrid family
+    a(x2|y2) b(x3|y3) and the independent family (row-constant a and b) are
+    products, evaluated in factored form by _product_family_values, and
+    those values only filter: a first pass over px1 keeps the rows whose
+    largest factored value is within DIAMOND_TIE_TOL of the overall largest,
+    and in each kept row the candidates within DIAMOND_TIE_TOL of the row's
+    largest (and any non-finite one) are rebuilt and rescored by
+    _det_diamond_terms, which decides.  The joint (cutset) family is scored
+    by _det_diamond_terms directly.
+
+    Raises MemoryCapError before allocating when one px1 row of the hybrid
+    family, Na * Nb values with Na = G2^|Y2| and Nb = G3^|Y3| candidate
+    kernels, or its factor tables exceed MEMORY_CAP_SYMBOLS entries.
     """
     y2_map = np.asarray(y2_map, dtype=int)
     y3_map = np.asarray(y3_map, dtype=int)
@@ -781,31 +866,55 @@ def det_diamond_bounds(
     y3_size = int(y3_map.max()) + 1
     y4_size = int(y4_map.max()) + 1
     x1_size = y2_map.size
+    na = math.comb(grid_res + x2_size - 1, x2_size - 1) ** y2_size
+    nb = math.comb(grid_res + x3_size - 1, x3_size - 1) ** y3_size
+    factors = (na + nb) * max(y2_size, y3_size) * x2_size * x3_size * y4_size
+    if max(na * nb, factors) > MEMORY_CAP_SYMBOLS:
+        raise MemoryCapError(
+            f"the diamond's hybrid family has {na} x {nb} candidates per source "
+            f"pmf, over the cap of {MEMORY_CAP_SYMBOLS} entries")
     y4_onehot = np.zeros((x2_size, x3_size, y4_size))
     y4_onehot[np.arange(x2_size)[:, None], np.arange(x3_size)[None, :], y4_map] = 1.0
 
-    # Candidate conditionals per family, built once.
     a_const = simplex_grid_array(x2_size, grid_res)
     b_const = simplex_grid_array(x3_size, grid_res)
-    a_batch = _row_product_batch(a_const, y2_size)
-    b_batch = _row_product_batch(b_const, y3_size)
-    hybrid_cond = np.einsum("iac,jbd->ijabcd", a_batch, b_batch).reshape(
-        -1, y2_size, y3_size, x2_size, x3_size)
-    adt_cond = np.einsum("ic,jd->ijcd", a_const, b_const).reshape(-1, x2_size, x3_size)
-    adt_cond = np.broadcast_to(
-        adt_cond[:, None, None, :, :], (adt_cond.shape[0], y2_size, y3_size, x2_size, x3_size))
+    families = {
+        "hybrid": _product_family(_row_product_batch(a_const, y2_size),
+                                  _row_product_batch(b_const, y3_size), y4_onehot),
+        "adt": _product_family(np.repeat(a_const[:, None], y2_size, axis=1),
+                               np.repeat(b_const[:, None], y3_size, axis=1), y4_onehot),
+    }
+    px1_grid = simplex_grid_array(x1_size, grid_res)
+    p23_grid = [_stage_joint(px1, y2_map, y3_map, (y2_size, y3_size)) for px1 in px1_grid]
+    best = {}
+    for fam, family in families.items():
+        tops, odd = [], []
+        for p23 in p23_grid:
+            vals = _product_family_values(p23, family)
+            finite = np.isfinite(vals)
+            tops.append(vals.max(initial=-np.inf, where=finite))
+            odd.append(not finite.all())
+        floor = max(tops) - DIAMOND_TIE_TOL
+        best[fam] = (-np.inf, 0, None)
+        for pi in range(len(px1_grid)):
+            if not odd[pi] and tops[pi] < floor:
+                continue
+            vals = _product_family_values(p23_grid[pi], family)
+            ks = np.flatnonzero(~np.isfinite(vals) | (vals >= tops[pi] - DIAMOND_TIE_TOL))
+            ref, binds = _rescore_products(px1_grid[pi], y2_map, y3_map, y4_onehot, family, ks)
+            k = int(np.argmax(ref))
+            if ref[k] > best[fam][0]:
+                best[fam] = (float(ref[k]), int(binds[k]), (pi, int(ks[k])))
+
     joint_grid = simplex_grid_array(x2_size * x3_size, grid_res).reshape(-1, x2_size, x3_size)
     cut_cond = np.broadcast_to(
         joint_grid[:, None, None, :, :], (joint_grid.shape[0], y2_size, y3_size, x2_size, x3_size))
-
-    best = {"hybrid": (-np.inf, 0, None), "adt": (-np.inf, 0, None), "cutset": (-np.inf, 0, None)}
-    px1_grid = simplex_grid_array(x1_size, grid_res)
+    best["cutset"] = (-np.inf, 0, None)
     for pi, px1 in enumerate(px1_grid):
-        for fam, cond in (("hybrid", hybrid_cond), ("adt", adt_cond), ("cutset", cut_cond)):
-            vals, binds = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
-            k = int(np.argmax(vals))
-            if vals[k] > best[fam][0]:
-                best[fam] = (float(vals[k]), int(binds[k]), (pi, k))
+        vals, binds = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cut_cond)
+        k = int(np.argmax(vals))
+        if vals[k] > best["cutset"][0]:
+            best["cutset"] = (float(vals[k]), int(binds[k]), (pi, k))
     return DetDiamondBounds(
         hybrid=best["hybrid"][0],
         adt=best["adt"][0],

@@ -28,6 +28,7 @@ from .infotheory import (
     DistortionMeasure,
     InvalidDistributionError,
     JointPmf,
+    MemoryCapError,
     Pmf,
 )
 
@@ -210,17 +211,40 @@ def _twrc_schemes(ch: gaussian_twrc.GaussianTwrcParams, with_params: bool) -> di
     return rows
 
 
+def _finite(value, name: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be a number, got {value!r}") from exc
+    if not np.isfinite(number):
+        raise ScenarioError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _relay_distance(r: float) -> float:
+    if not 0.0 < r < 1.0:
+        raise ScenarioError(f"distance r={r} must lie strictly in (0, 1)")
+    return r
+
+
 def cmd_bounds_twrc(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "twrc_gaussian")
-    power = float(doc.get("P", 10.0))
-    ple = float(doc.get("path_loss_exp", 3.0))
+    power = _finite(doc.get("P", 10.0), "P")
+    if power < 0:
+        raise ScenarioError(f"P must be >= 0, got {power}")
+    ple = _finite(doc.get("path_loss_exp", 3.0), "path_loss_exp")
     r = opts.get("r")
-    if r is not None and not 0.0 < r < 1.0:
-        raise ScenarioError(f"distance r={r} must lie strictly in (0, 1)")
+    if r is not None:
+        _relay_distance(r)
+    r_grid = doc.get("r_grid")
+    if r_grid is not None:
+        if not isinstance(r_grid, list):
+            raise ScenarioError("r_grid must be a list of distances")
+        r_grid = [_relay_distance(_finite(x, "r_grid entry")) for x in r_grid]
     artifacts = {}
     result: dict = {"schemes": {}}
     if opts.get("sweep"):
-        rows = gaussian_twrc.fig8_sweep(power, r_grid=doc.get("r_grid"), path_loss_exp=ple)
+        rows = gaussian_twrc.fig8_sweep(power, r_grid=r_grid, path_loss_exp=ple)
         artifacts[".csv"] = gaussian_twrc.sweep_to_csv(rows)
         result["sweep_rows"] = len(rows)
     if r is not None:
@@ -626,7 +650,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, InvalidDistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except sim.MemoryCapError as exc:
+    except MemoryCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive

@@ -21,10 +21,17 @@ RENORM_TOL = 1e-9
 # Negative mutual-information round-off is clamped up to this magnitude and
 # treated as a logic error beyond it.
 NEG_MI_TOL = 1e-9
+# Largest table, in array entries, that the simulators and the diamond
+# evaluator may allocate.
+MEMORY_CAP_SYMBOLS = 2 ** 22
 
 
 class InvalidDistributionError(ValueError):
     """Raised when a probability vector or kernel fails validation."""
+
+
+class MemoryCapError(RuntimeError):
+    """Raised when a configuration would exceed the memory cap."""
 
 
 def _as_prob_vector(probs: Iterable[float]) -> np.ndarray:

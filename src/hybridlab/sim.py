@@ -31,10 +31,9 @@ from itertools import product as iproduct
 import numpy as np
 
 from .bounds import HybridCodeSpec, MacHybridSpec, _mac_joint, _p2p_joint
-from .infotheory import (ConditionalPmf, DistortionMeasure, JointPmf, Pmf,
-                         typical_mask)
+from .infotheory import (MEMORY_CAP_SYMBOLS, ConditionalPmf, DistortionMeasure,
+                         JointPmf, MemoryCapError, Pmf, typical_mask)
 
-MEMORY_CAP_SYMBOLS = 2 ** 22
 # Codeword symbols per chunk of batched trials.  A chunk holds several int64
 # and float64 arrays per symbol, about 600 kB in all at 2^13; 2^15 raised
 # the peak memory of the mc-small benchmark by 2 MB, and 2^12 was slower
@@ -43,10 +42,6 @@ _CHUNK_SYMBOLS = 2 ** 13
 
 # Stream purposes for counter-based seed derivation.
 _SOURCE, _CODEBOOK, _CHANNEL, _TIEBREAK = 0, 1, 2, 3
-
-
-class MemoryCapError(RuntimeError):
-    """Raised when a configuration would exceed the memory cap."""
 
 
 def _seed_sequence(root_seed: int, purpose: int, trial: int) -> np.random.SeedSequence:

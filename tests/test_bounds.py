@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from importlib import resources
 
 import numpy as np
@@ -33,6 +34,7 @@ from hybridlab.infotheory import (
     DistortionMeasure,
     InvalidDistributionError,
     JointPmf,
+    MemoryCapError,
     Pmf,
 )
 from hybridlab.search import simplex_grid_array
@@ -392,6 +394,17 @@ class TestMacRegion:
             mac_region_check(correlated_sources(), noiseless_pair_mac(2, 2),
                              HAMMING2, HAMMING2, spec)
 
+    def test_sources_must_match_aux_kernels(self):
+        # aux1 takes three source symbols; the sources have two.
+        spec = MacHybridSpec(q_pmf=Pmf([1.0]), aux1=[[[1, 0], [0, 1], [0.5, 0.5]]],
+                             aux2=[[[1, 0], [0, 1]]],
+                             enc1=[[[0, 0, 0], [1, 1, 1]]], enc2=[[[0, 0], [1, 1]]],
+                             dec1=np.zeros((1, 2, 3, 4), dtype=int),
+                             dec2=np.zeros((1, 2, 2, 4), dtype=int))
+        with pytest.raises(InvalidDistributionError, match="sources have shape"):
+            mac_region_check(correlated_sources(), noiseless_pair_mac(2, 2),
+                             HAMMING2, HAMMING2, spec)
+
     def test_binding_constraint_has_min_slack(self):
         sources = correlated_sources()
         spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2)
@@ -499,3 +512,132 @@ class TestDiamond:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             det_diamond_bounds([0, 1], [0, 1], [[0, 1]], 2, 2)
+
+    def test_over_cap_raises_before_allocating(self):
+        # Ternary relays at grid 6: 28^3 x 28^3 = 4.8e8 hybrid candidates per
+        # source pmf, which the full conditional tensor would hold 81 times.
+        cyclic = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        start = time.perf_counter()
+        with pytest.raises(MemoryCapError, match="21952 x 21952"):
+            det_diamond_bounds([0, 1, 2], [0, 1, 2], cyclic, 3, 3, grid_res=6)
+        assert time.perf_counter() - start < 1.0
+
+
+def reference_det_diamond(y2_map, y3_map, y4_map, x2_size, x3_size, grid_res=6):
+    """The full-batch loop: every family's conditionals scored at once by
+    _det_diamond_terms, first maximum in (px1, candidate) order."""
+    y2_map, y3_map, y4_map = (np.asarray(m, dtype=int) for m in (y2_map, y3_map, y4_map))
+    y2_size, y3_size, y4_size = (int(m.max()) + 1 for m in (y2_map, y3_map, y4_map))
+    y4_onehot = np.zeros((x2_size, x3_size, y4_size))
+    y4_onehot[np.arange(x2_size)[:, None], np.arange(x3_size)[None, :], y4_map] = 1.0
+    shape = (y2_size, y3_size, x2_size, x3_size)
+    a_const = simplex_grid_array(x2_size, grid_res)
+    b_const = simplex_grid_array(x3_size, grid_res)
+    a_batch = bounds._row_product_batch(a_const, y2_size)
+    b_batch = bounds._row_product_batch(b_const, y3_size)
+    hybrid = np.einsum("iac,jbd->ijabcd", a_batch, b_batch).reshape(-1, *shape)
+    adt = np.einsum("ic,jd->ijcd", a_const, b_const).reshape(-1, x2_size, x3_size)
+    joint = simplex_grid_array(x2_size * x3_size, grid_res).reshape(-1, x2_size, x3_size)
+    families = {
+        "hybrid": hybrid,
+        "adt": np.broadcast_to(adt[:, None, None], (adt.shape[0], *shape)),
+        "cutset": np.broadcast_to(joint[:, None, None], (joint.shape[0], *shape)),
+    }
+    best = {fam: (-np.inf, 0, None) for fam in families}
+    px1_grid = simplex_grid_array(y2_map.size, grid_res)
+    for pi, px1 in enumerate(px1_grid):
+        for fam, cond in families.items():
+            vals, binds = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+            k = int(np.argmax(vals))
+            if vals[k] > best[fam][0]:
+                best[fam] = (float(vals[k]), int(binds[k]), (pi, k))
+    names = bounds._DIAMOND_TERM_NAMES
+    return bounds.DetDiamondBounds(
+        hybrid=best["hybrid"][0], adt=best["adt"][0], cutset=best["cutset"][0],
+        hybrid_binding=names[best["hybrid"][1]],
+        argmax={fam: {"px1": px1_grid[key[0]].tolist(), "candidate_index": key[1],
+                      "binding": names[bind]}
+                for fam, (_, bind, key) in best.items()})
+
+
+def random_diamond(rng):
+    """|X1| <= 4, |X2|, |X3| <= 3, stage maps into at most 3 symbols."""
+    x1, x2, x3 = (int(v) for v in rng.integers(1, [5, 4, 4]))
+    return (rng.integers(0, 3, x1).tolist(), rng.integers(0, 3, x1).tolist(),
+            rng.integers(0, 3, (x2, x3)).tolist(), x2, x3)
+
+
+def random_diamond_cases(seed, count, max_entries=100_000):
+    """Random diamonds with a grid in 1..4, kept where the reference loop's
+    hybrid tensor over the px1 grid stays under max_entries candidates."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        case = random_diamond(rng)
+        grid = int(rng.integers(1, 5))
+        y2_map, y3_map, _, x2, x3 = case
+        na = math.comb(grid + x2 - 1, x2 - 1) ** (max(y2_map) + 1)
+        nb = math.comb(grid + x3 - 1, x3 - 1) ** (max(y3_map) + 1)
+        if na * nb * math.comb(grid + len(y2_map) - 1, grid) <= max_entries:
+            cases.append((case, grid))
+    return cases
+
+
+DIAMOND_ORACLE_CASES = (
+    [((DIAMOND_Y2, DIAMOND_Y3, DIAMOND_Y4, 2, 2), g) for g in range(1, 7)]
+    + [(([0, 1], [0, 1], [[0, 1], [2, 3]], 2, 2), 6)]
+    + [c for seed in range(5) for c in random_diamond_cases(seed, 20)]
+)
+
+
+def perturb_factored_values(monkeypatch, scale=4e-13):
+    """Move every factored value by up to scale, less than half the tie band."""
+    rng = np.random.default_rng(0)
+    exact = bounds._product_family_values
+
+    def noisy(*args):
+        vals = exact(*args)
+        return vals + rng.uniform(-scale, scale, size=vals.shape)
+
+    monkeypatch.setattr(bounds, "_product_family_values", noisy)
+
+
+class TestDiamondFactored:
+    @pytest.mark.parametrize("start", range(0, len(DIAMOND_ORACLE_CASES), 25))
+    def test_matches_full_batch_loop(self, start):
+        for case, grid in DIAMOND_ORACLE_CASES[start:start + 25]:
+            assert (repr(det_diamond_bounds(*case, grid_res=grid))
+                    == repr(reference_det_diamond(*case, grid_res=grid))), (case, grid)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_values_match_reference_terms(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(10):
+            y2_map, y3_map, y4_map, x2, x3 = random_diamond(rng)
+            y2_size, y3_size = max(y2_map) + 1, max(y3_map) + 1
+            y4_onehot = np.eye(max(map(max, y4_map)) + 1)[np.asarray(y4_map)]
+            a = rng.dirichlet(np.full(x2, 0.5), size=(7, y2_size))
+            b = rng.dirichlet(np.full(x3, 0.5), size=(5, y3_size))
+            a[0, 0] = np.eye(x2)[0]            # a zero entry in a conditional
+            px1 = rng.dirichlet(np.ones(len(y2_map)))
+            if px1.size > 1:
+                px1[0] = 0.0                   # and a zero source symbol
+                px1 /= px1.sum()
+            p23 = bounds._stage_joint(px1, y2_map, y3_map, (y2_size, y3_size))
+            family = bounds._product_family(a, b, y4_onehot)
+            vals = bounds._product_family_values(p23, family)
+            cond = np.einsum("iac,jbd->ijabcd", a, b).reshape(
+                -1, y2_size, y3_size, x2, x3)
+            ref, _ = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+            assert np.max(np.abs(vals - ref)) < 1e-12
+
+    @pytest.mark.parametrize("case", [(DIAMOND_Y2, DIAMOND_Y3, DIAMOND_Y4, 2, 2),
+                                      ([0, 1], [0, 1], [[0, 1], [2, 3]], 2, 2),
+                                      ([0, 0], [0, 0], [[0, 1], [1, 0]], 2, 2)],
+                             ids=["example1", "identity", "constant-stage"])
+    def test_reference_terms_decide_near_ties(self, case, monkeypatch):
+        # Many candidates bind at the same H(Y2,Y3) or tie at 0; the factored
+        # values only filter, so perturbed ones must leave the winner as it is.
+        expected = repr(reference_det_diamond(*case, grid_res=4))
+        perturb_factored_values(monkeypatch)
+        assert repr(det_diamond_bounds(*case, grid_res=4)) == expected

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from importlib import resources
 
 import pytest
@@ -54,6 +55,47 @@ class TestExitCodes:
         assert run(["region-mac", scen("mac_noiseless_pair.json"), "--spec", str(spec),
                     "--out", str(out)]) == 2
         assert list(tmp_path.iterdir()) == [spec]
+
+    def test_mac_sources_must_match_aux_kernels(self, tmp_path):
+        # aux1 takes three source symbols; the scenario's sources have two.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "q_pmf": [1.0], "aux1": [[[1, 0], [0, 1], [0.5, 0.5]]], "aux2": [[[1, 0], [0, 1]]],
+            "enc1": [[[0, 0, 0], [1, 1, 1]]], "enc2": [[[0, 0], [1, 1]]],
+            "dec1": [[[[0] * 4] * 2] * 3], "dec2": [[[[0] * 4] * 2] * 2]}))
+        assert run(["region-mac", scen("mac_noiseless_pair.json"), "--spec", str(spec),
+                    "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("fields, args", [
+        ({"P": -1}, ["--r", "0.5"]),
+        ({"P": float("nan")}, ["--r", "0.5"]),
+        ({"path_loss_exp": "x"}, ["--r", "0.5"]),
+        ({"path_loss_exp": float("inf")}, ["--r", "0.5"]),
+        ({"r_grid": [0.5, 1.5]}, ["--sweep"]),
+        ({"r_grid": [0.0, 0.5]}, ["--sweep"]),
+    ], ids=["P-negative", "P-nan", "ple-not-number", "ple-inf", "r-grid-above-1",
+            "r-grid-0"])
+    def test_twrc_scenario_numbers(self, tmp_path, capsys, fields, args):
+        scenario = tmp_path / "twrc.json"
+        scenario.write_text(json.dumps({"kind": "twrc_gaussian", **fields}))
+        assert run(["bounds-twrc", str(scenario), *args,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    def test_diamond_over_cap_exits_3(self, tmp_path, capsys):
+        # Ternary relays at grid 6 hold 21952 x 21952 hybrid candidates per
+        # source pmf, over the 2^22 cap.
+        scenario = tmp_path / "diamond.json"
+        cyclic = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        scenario.write_text(json.dumps({"kind": "diamond", "y2_map": [0, 1, 2],
+                                        "y3_map": [0, 1, 2], "y4_map": cyclic,
+                                        "x2_size": 3, "x3_size": 3}))
+        start = time.perf_counter()
+        assert run(["bounds-diamond", str(scenario), "--grid-res", "6",
+                    "--out", str(tmp_path / "o")]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("resource cap: ")
 
     def test_optimize_needs_target(self, tmp_path):
         assert run(["check-thm1", scen("bsc_uncoded.json"), "--optimize",
