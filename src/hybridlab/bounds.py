@@ -20,12 +20,14 @@ import numpy as np
 
 from .infotheory import (
     MEMORY_CAP_SYMBOLS,
+    RENORM_TOL,
     ConditionalPmf,
     DistortionMeasure,
-    InvalidDistributionError,
     JointPmf,
     MemoryCapError,
     Pmf,
+    ScenarioError,
+    as_table,
     compose_joint,
     conditional_mutual_information,
     entropy,
@@ -71,7 +73,8 @@ class HybridCodeSpec:
 
     aux_kernel rows are indexed by the source symbol; enc_map[u, s] is the
     channel input and dec_map[u, y] the reconstruction symbol.  rate is the
-    codebook rate in bits per symbol.
+    codebook rate in bits per symbol.  _p2p_joint checks that the spec fits
+    a scenario.
     """
 
     aux_size: int
@@ -81,12 +84,10 @@ class HybridCodeSpec:
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "enc_map", np.asarray(self.enc_map, dtype=int))
-        object.__setattr__(self, "dec_map", np.asarray(self.dec_map, dtype=int))
-        if self.aux_kernel.output_size != self.aux_size:
-            raise ValueError("aux kernel output does not match aux_size")
-        if self.enc_map.shape[0] != self.aux_size or self.dec_map.shape[0] != self.aux_size:
-            raise ValueError("map tables must be indexed [u][.]")
+        for name in ("enc_map", "dec_map"):
+            object.__setattr__(self, name, as_table(getattr(self, name), name, whole=True))
+        if not 0.0 <= self.rate < math.inf:     # also rejects NaN
+            raise ScenarioError(f"rate must be a finite nonnegative number, got {self.rate}")
 
     @staticmethod
     def uncoded(enc: np.ndarray, dec: np.ndarray, num_sources: int) -> "HybridCodeSpec":
@@ -107,7 +108,8 @@ class MacHybridSpec:
     """Two-sender hybrid code with optional coded time sharing.
 
     aux kernels are arrays p(u_j | s_j, q) of shape (Q, Sj, Uj); enc maps
-    have shape (Q, Uj, Sj) and dec maps (Q, U1, U2, Y).
+    have shape (Q, Uj, Sj) and dec maps (Q, U1, U2, Y).  _mac_joint checks
+    that the spec fits a scenario.
     """
 
     q_pmf: Pmf
@@ -121,29 +123,48 @@ class MacHybridSpec:
     R2: float = 0.0
 
     def __post_init__(self):
+        q_size = self.q_pmf.alphabet_size
         for name in ("aux1", "aux2"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.ndim != 3 or np.any(a < 0) or np.any(np.abs(a.sum(-1) - 1.0) > 1e-9):
-                raise ValueError(f"{name} must be (Q, S, U) with pmf rows")
+            a = as_table(getattr(self, name), name)
+            if (a.ndim != 3 or a.shape[0] != q_size or np.any(a < 0)
+                    or not np.all(np.abs(a.sum(-1) - 1.0) <= RENORM_TOL)):
+                raise ScenarioError(f"{name} must be ({q_size}, S, U) with pmf rows")
             object.__setattr__(self, name, a)
         for name in ("enc1", "enc2", "dec1", "dec2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=int))
-        if self.aux1.shape[0] != self.q_pmf.alphabet_size:
-            raise ValueError("aux kernels must cover the time-sharing alphabet")
+            object.__setattr__(self, name, as_table(getattr(self, name), name, whole=True))
+        if not (0.0 <= self.R1 < math.inf and 0.0 <= self.R2 < math.inf):
+            raise ScenarioError("R1 and R2 must be finite nonnegative numbers")
 
 
 # ---------------------------------------------------------------------------
 # Point-to-point condition
 # ---------------------------------------------------------------------------
 
-def _p2p_joint(source: Pmf, channel: ConditionalPmf, spec: HybridCodeSpec) -> JointPmf:
-    """Joint p(s, u, x, y) induced by a hybrid code spec.  Axes: s=0, u=1, x=2, y=3."""
-    if spec.aux_kernel.input_size != source.alphabet_size:
-        raise ValueError("aux kernel rows must be indexed by the source alphabet")
-    if spec.enc_map.shape[1] != source.alphabet_size:
-        raise ValueError("enc map must be [u][s]")
-    if np.any(spec.enc_map >= channel.input_size):
-        raise ValueError("enc map emits symbols outside the channel input alphabet")
+def _check_map(table: np.ndarray, name: str, shape: tuple, size: int) -> None:
+    """A symbol table must have the given shape and symbols in 0..size-1."""
+    if table.shape != shape:
+        raise ScenarioError(f"{name} must have shape {shape}, got {table.shape}")
+    if np.any(table >= size):
+        raise ScenarioError(f"{name} symbols must lie in 0..{size - 1}")
+
+
+def _check_distortion(d: DistortionMeasure, s_size: int, name: str = "distortion") -> None:
+    if d.table.shape[0] != s_size:
+        raise ScenarioError(f"{name} table needs {s_size} rows, one per source symbol")
+
+
+def _p2p_joint(source: Pmf, channel: ConditionalPmf, d: DistortionMeasure,
+               spec: HybridCodeSpec) -> JointPmf:
+    """Joint p(s, u, x, y) induced by a hybrid code spec, after checking that
+    the spec and the distortion table fit the scenario.  Axes: s=0, u=1,
+    x=2, y=3."""
+    s_size, u_size = source.alphabet_size, spec.aux_size
+    if spec.aux_kernel.rows.shape != (s_size, u_size):
+        raise ScenarioError(f"aux_kernel must have shape {(s_size, u_size)} (s, u), "
+                            f"got {spec.aux_kernel.rows.shape}")
+    _check_map(spec.enc_map, "enc_map", (u_size, s_size), channel.input_size)
+    _check_distortion(d, s_size)
+    _check_map(spec.dec_map, "dec_map", (u_size, channel.output_size), d.table.shape[1])
     enc = ConditionalPmf.deterministic(spec.enc_map, channel.input_size)
     return compose_joint(
         JointPmf.from_pmf(source),
@@ -164,9 +185,7 @@ def check_p2p(
     spec is reported as uncoded transmission and is satisfied by convention
     (nonstrict): both informations are zero and only the distortion matters.
     """
-    joint = _p2p_joint(source, channel, spec)
-    if spec.dec_map.shape[1] != channel.output_size:
-        raise ValueError("dec map must be [u][y]")
+    joint = _p2p_joint(source, channel, d, spec)
     ed = float(np.sum(joint.marginal([0, 1, 3]).probs * d.table[:, spec.dec_map]))
     if spec.aux_size == 1:
         c = Constraint("I(S;U) < I(U;Y)", 0.0, 0.0)
@@ -190,20 +209,28 @@ def check_p2p(
 # MAC region
 # ---------------------------------------------------------------------------
 
-def _mac_joint(sources: JointPmf, mac: ConditionalPmf, spec: MacHybridSpec) -> JointPmf:
-    """Joint over (q, s1, s2, u1, u2, x1, x2, y)."""
+def _mac_joint(sources: JointPmf, mac: ConditionalPmf, d1: DistortionMeasure,
+               d2: DistortionMeasure, spec: MacHybridSpec) -> JointPmf:
+    """Joint over (q, s1, s2, u1, u2, x1, x2, y), after checking that the spec
+    and the distortion tables fit the scenario."""
     q_size, s1_size, u1_size = spec.aux1.shape
     _, s2_size, u2_size = spec.aux2.shape
     if sources.dims != (s1_size, s2_size):
-        raise InvalidDistributionError(
+        raise ScenarioError(
             f"sources have shape {sources.dims}, but the aux kernels take "
             f"({s1_size}, {s2_size}) source symbols")
+    _check_map(spec.enc1, "enc1", (q_size, u1_size, s1_size), mac.input_size)
+    _check_map(spec.enc2, "enc2", (q_size, u2_size, s2_size), mac.input_size)
     x1_size = int(spec.enc1.max()) + 1
     x2_size = int(spec.enc2.max()) + 1
     if x1_size * x2_size != mac.input_size:
-        raise InvalidDistributionError(
+        raise ScenarioError(
             f"MAC has {mac.input_size} rows, but the encoders emit |X1| = {x1_size} "
             f"and |X2| = {x2_size} symbols; rows must be indexed by (x1, x2) in C order")
+    for j, d, s_size in ((1, d1, s1_size), (2, d2, s2_size)):
+        _check_distortion(d, s_size, f"d{j}")
+        _check_map(getattr(spec, f"dec{j}"), f"dec{j}",
+                   (q_size, u1_size, u2_size, mac.output_size), d.table.shape[1])
     base = JointPmf.product(spec.q_pmf, sources)
     k_aux1 = ConditionalPmf(spec.aux1.reshape(q_size * s1_size, u1_size))
     k_aux2 = ConditionalPmf(spec.aux2.reshape(q_size * s2_size, u2_size))
@@ -226,7 +253,7 @@ def mac_region_check(
     spec: MacHybridSpec,
 ) -> BoundReport:
     """Evaluate the three-inequality MAC hybrid-coding region for a spec."""
-    j = _mac_joint(sources, mac, spec)
+    j = _mac_joint(sources, mac, d1, d2, spec)
     Q, S1, S2, U1, U2 = 0, 1, 2, 3, 4
     Y = 7
     c1 = Constraint(
@@ -316,16 +343,15 @@ def _rd_point(p_s: np.ndarray, dtab: np.ndarray, beta: float,
 def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
     """Rate-distortion function R(D) in bits via Blahut-Arimoto.
 
-    Raises ValueError when D is below the minimum achievable distortion.
+    Raises ScenarioError when D is below the minimum achievable distortion.
     """
     p_s = source.probs
     dtab = d.table
-    if dtab.shape[0] != p_s.size:
-        raise ValueError("distortion table does not match the source alphabet")
+    _check_distortion(d, p_s.size)
     d_min = float(p_s @ dtab.min(axis=1))
     d_max = float((p_s @ dtab).min())
-    if D < d_min - 1e-12:
-        raise ValueError(f"distortion {D} below minimum achievable {d_min}")
+    if not D >= d_min - 1e-12:      # also rejects NaN
+        raise ScenarioError(f"distortion {D} below minimum achievable {d_min}")
     if D >= d_max:
         return 0.0
     if D <= d_min + 1e-12:
@@ -378,10 +404,12 @@ def _enc_map_array(u: int, s: int, x: int) -> np.ndarray:
     return _digits(np.arange(x ** (u * s)), x, u * s).reshape(-1, u, s)
 
 
+def _xlog2x(p: np.ndarray) -> np.ndarray:
+    return p * np.log2(p, out=np.zeros_like(p), where=p > 0)
+
+
 def _entropy_rows(p: np.ndarray, axis) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -t.sum(axis=axis)
+    return -_xlog2x(p).sum(axis=axis)
 
 
 def _score_candidates(p_su, wm, d_table, h_s):
@@ -431,7 +459,10 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res, chunk=1024):
     of each target's running best are rescored by _score_candidates.
     """
     if aux_cap < 1 or grid_res < 1:
-        raise ValueError("aux_cap and grid_res must be >= 1")
+        raise ScenarioError("aux_cap and grid_res must be >= 1")
+    if not np.all(np.isfinite(targets)):
+        raise ScenarioError(f"target distortions must be finite, got {targets}")
+    _check_distortion(d, source.alphabet_size)
     p_s = source.probs
     s_size = p_s.size
     x_size = channel.input_size
@@ -509,7 +540,7 @@ def _spec_from_key(source, channel, d, key, grid_res) -> HybridCodeSpec:
     kernel = ConditionalPmf(np.clip(row_grid[rows], 0, 1))
     enc = _enc_map_array(u, s_size, x_size)[enc_idx]
     spec_tmp = HybridCodeSpec(u, kernel, enc, np.zeros((u, channel.output_size), dtype=int), 0.0)
-    joint = _p2p_joint(source, channel, spec_tmp)
+    joint = _p2p_joint(source, channel, d, spec_tmp)
     p_suy = joint.marginal([0, 1, 3]).probs
     # Minimal-expected-distortion reconstruction per (u, y).
     cost = np.einsum("suy,sr->uyr", p_suy, d.table)
@@ -588,7 +619,7 @@ class TwrcSpec:
     relay_map: np.ndarray          # x3[u3, y3]
 
     def __post_init__(self):
-        object.__setattr__(self, "relay_map", np.asarray(self.relay_map, dtype=int))
+        object.__setattr__(self, "relay_map", as_table(self.relay_map, "relay_map", whole=True))
 
 
 def twrc_region_check(
@@ -604,11 +635,15 @@ def twrc_region_check(
     The second R2 expression subtracts I(Y3;U3|X1) exactly as printed; the
     r2_penalty_on_x2 switch conditions on X2 instead, for exploration only.
     """
+    if uplink.input_size != spec.px1.alphabet_size * spec.px2.alphabet_size:
+        raise ScenarioError("uplink rows must be indexed by (x1, x2)")
     if y1_size * y2_size != downlink.output_size:
-        raise ValueError("downlink output does not factor as (y1, y2)")
+        raise ScenarioError("downlink output does not factor as (y1, y2)")
+    y3_size = uplink.output_size
+    if spec.relay_kernel.input_size != y3_size:
+        raise ScenarioError(f"relay_kernel needs {y3_size} rows, one per relay output y3")
     x3_size = downlink.input_size
-    if np.any(spec.relay_map >= x3_size):
-        raise ValueError("relay map emits symbols outside the relay input alphabet")
+    _check_map(spec.relay_map, "relay_map", (spec.relay_kernel.output_size, y3_size), x3_size)
     base = JointPmf.product(spec.px1, spec.px2)
     relay_enc = ConditionalPmf.deterministic(spec.relay_map, x3_size)
     j = compose_joint(base, [
@@ -660,8 +695,8 @@ class DiamondSpec:
     map3: np.ndarray               # x3[u3, y3]
 
     def __post_init__(self):
-        object.__setattr__(self, "map2", np.asarray(self.map2, dtype=int))
-        object.__setattr__(self, "map3", np.asarray(self.map3, dtype=int))
+        for name in ("map2", "map3"):
+            object.__setattr__(self, name, as_table(getattr(self, name), name, whole=True))
 
 
 def diamond_bound(
@@ -675,9 +710,9 @@ def diamond_bound(
 ) -> BoundReport:
     """Minimum of the four diamond-network rate expressions for a spec."""
     if y2_size * y3_size != broadcast.output_size:
-        raise ValueError("broadcast output does not factor as (y2, y3)")
+        raise ScenarioError("broadcast output does not factor as (y2, y3)")
     if x2_size * x3_size != mac.input_size:
-        raise ValueError("MAC rows must be indexed by (x2, x3)")
+        raise ScenarioError("MAC rows must be indexed by (x2, x3)")
     j0 = compose_joint(JointPmf.from_pmf(spec.px1), [(broadcast, [0])])
     j0 = j0.split_axis(1, (y2_size, y3_size))       # (x1, y2, y3)
     enc2 = ConditionalPmf.deterministic(spec.map2, x2_size)
@@ -767,13 +802,9 @@ def _row_product_batch(row_grid: np.ndarray, num_rows: int) -> np.ndarray:
 
 
 DIAMOND_TIE_TOL = 1e-12
-# Candidates per _det_diamond_terms call when near-ties are rescored; bounds
-# the rebuilt conditionals when a whole row ties.
+# Candidates per _det_diamond_terms call, in the cutset family and when
+# near-ties are rescored; bounds the conditionals built at once.
 _DIAMOND_RESCORE_CHUNK = 4096
-
-
-def _xlog2x(p: np.ndarray) -> np.ndarray:
-    return p * np.log2(p, out=np.zeros_like(p), where=p > 0)
 
 
 def _product_family(a: np.ndarray, b: np.ndarray, y4_onehot: np.ndarray) -> tuple:
@@ -853,15 +884,21 @@ def det_diamond_bounds(
     _det_diamond_terms, which decides.  The joint (cutset) family is scored
     by _det_diamond_terms directly.
 
+    The cutset family is scored _DIAMOND_RESCORE_CHUNK joints at a time.
     Raises MemoryCapError before allocating when one px1 row of the hybrid
     family, Na * Nb values with Na = G2^|Y2| and Nb = G3^|Y3| candidate
-    kernels, or its factor tables exceed MEMORY_CAP_SYMBOLS entries.
+    kernels, its factor tables, or the grid of joint pmfs of (X2, X3)
+    exceed MEMORY_CAP_SYMBOLS entries.
     """
-    y2_map = np.asarray(y2_map, dtype=int)
-    y3_map = np.asarray(y3_map, dtype=int)
-    y4_map = np.asarray(y4_map, dtype=int)
+    y2_map, y3_map, y4_map = (as_table(m, name, whole=True) for m, name in (
+        (y2_map, "y2_map"), (y3_map, "y3_map"), (y4_map, "y4_map")))
+    if y2_map.ndim != 1 or y2_map.size == 0 or y3_map.shape != y2_map.shape:
+        raise ScenarioError("y2_map and y3_map must be nonempty lists of equal length, "
+                            "one symbol per source input")
+    if min(x2_size, x3_size, grid_res) < 1:
+        raise ScenarioError("x2_size, x3_size and grid_res must be >= 1")
     if y4_map.shape != (x2_size, x3_size):
-        raise ValueError("y4_map must have shape (x2_size, x3_size)")
+        raise ScenarioError(f"y4_map must have shape {(x2_size, x3_size)}, got {y4_map.shape}")
     y2_size = int(y2_map.max()) + 1
     y3_size = int(y3_map.max()) + 1
     y4_size = int(y4_map.max()) + 1
@@ -869,10 +906,12 @@ def det_diamond_bounds(
     na = math.comb(grid_res + x2_size - 1, x2_size - 1) ** y2_size
     nb = math.comb(grid_res + x3_size - 1, x3_size - 1) ** y3_size
     factors = (na + nb) * max(y2_size, y3_size) * x2_size * x3_size * y4_size
-    if max(na * nb, factors) > MEMORY_CAP_SYMBOLS:
+    joints = math.comb(grid_res + x2_size * x3_size - 1, x2_size * x3_size - 1)
+    if max(na * nb, factors, joints * x2_size * x3_size) > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(
-            f"the diamond's hybrid family has {na} x {nb} candidates per source "
-            f"pmf, over the cap of {MEMORY_CAP_SYMBOLS} entries")
+            f"the diamond's hybrid family has {na} x {nb} candidates and its cutset "
+            f"family {joints} joint pmfs of (X2, X3) per source pmf, over the cap "
+            f"of {MEMORY_CAP_SYMBOLS} entries")
     y4_onehot = np.zeros((x2_size, x3_size, y4_size))
     y4_onehot[np.arange(x2_size)[:, None], np.arange(x3_size)[None, :], y4_map] = 1.0
 
@@ -907,14 +946,16 @@ def det_diamond_bounds(
                 best[fam] = (float(ref[k]), int(binds[k]), (pi, int(ks[k])))
 
     joint_grid = simplex_grid_array(x2_size * x3_size, grid_res).reshape(-1, x2_size, x3_size)
-    cut_cond = np.broadcast_to(
-        joint_grid[:, None, None, :, :], (joint_grid.shape[0], y2_size, y3_size, x2_size, x3_size))
     best["cutset"] = (-np.inf, 0, None)
     for pi, px1 in enumerate(px1_grid):
-        vals, binds = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cut_cond)
-        k = int(np.argmax(vals))
-        if vals[k] > best["cutset"][0]:
-            best["cutset"] = (float(vals[k]), int(binds[k]), (pi, k))
+        for start in range(0, joints, _DIAMOND_RESCORE_CHUNK):
+            chunk = joint_grid[start:start + _DIAMOND_RESCORE_CHUNK]
+            cond = np.broadcast_to(chunk[:, None, None], (chunk.shape[0], y2_size, y3_size,
+                                                          x2_size, x3_size))
+            vals, binds = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+            k = int(np.argmax(vals))
+            if vals[k] > best["cutset"][0]:
+                best["cutset"] = (float(vals[k]), int(binds[k]), (pi, start + k))
     return DetDiamondBounds(
         hybrid=best["hybrid"][0],
         adt=best["adt"][0],
@@ -950,6 +991,8 @@ def lossless_mac_spec(sources: JointPmf, px1: Pmf, px2: Pmf, y_size: int) -> Mac
     against channel informations); reconstructions read the source component
     of the auxiliary symbol directly.
     """
+    if sources.num_axes != 2:
+        raise ScenarioError(f"sources must be a joint pmf of (s1, s2), got {sources.dims}")
     s1_size, s2_size = sources.dims
     aux1, enc1 = _substitution_maps(px1, ConditionalPmf.identity(s1_size))
     aux2, enc2 = _substitution_maps(px2, ConditionalPmf.identity(s2_size))

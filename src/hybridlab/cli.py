@@ -6,8 +6,13 @@ manifest (resolved options, root seed, output digests); re-dispatching a
 manifest reproduces the outputs byte-identically.  A run that fails writes
 nothing.
 
-Exit codes: 0 success, 2 input/schema error, 3 resource-cap rejection,
-4 internal invariant violation.
+The CLI reads files and checks what only it sees: JSON structure, missing
+fields, flag combinations and number parsing.  Whether a value fits the
+scenario is checked once, by the library function that uses it.  Both
+raise ScenarioError, the one input-error type.
+
+Exit codes: 0 success, 2 input/schema error (ScenarioError), 3 resource-cap
+rejection, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -26,15 +31,11 @@ from . import bounds, gaussian_twrc, sim
 from .infotheory import (
     ConditionalPmf,
     DistortionMeasure,
-    InvalidDistributionError,
     JointPmf,
     MemoryCapError,
     Pmf,
+    ScenarioError,
 )
-
-class ScenarioError(ValueError):
-    """Raised for malformed scenario/spec files or option combinations."""
-
 
 # ---------------------------------------------------------------------------
 # Scenario ingestion
@@ -71,69 +72,68 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
-def _pmf(doc, name) -> Pmf:
+def _number(value, name: str) -> float:
+    """float(value); the library checks the range of the numbers it takes."""
     try:
-        return Pmf(_field(doc, name))
-    except InvalidDistributionError as exc:
-        raise ScenarioError(f"field {name!r}: {exc}") from exc
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be a number, got {value!r}") from exc
 
 
-def _kernel(doc, name) -> ConditionalPmf:
+def _finite(value, name: str) -> float:
+    number = _number(value, name)
+    if not np.isfinite(number):
+        raise ScenarioError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _count(doc: dict, name: str) -> int:
+    return int(_finite(_field(doc, name), name))
+
+
+def _build(cls, doc: dict, name: str):
+    """cls(doc[name]) for a distribution or distortion field; errors name the field."""
+    value = _field(doc, name)
     try:
-        return ConditionalPmf(_field(doc, name))
-    except InvalidDistributionError as exc:
+        return cls(value)
+    except ScenarioError as exc:
         raise ScenarioError(f"field {name!r}: {exc}") from exc
 
 
 def build_p2p_scenario(doc: dict) -> sim.P2pScenario:
     return sim.P2pScenario(
-        source=_pmf(doc, "source"),
-        channel=_kernel(doc, "channel"),
-        distortion=DistortionMeasure(_field(doc, "distortion")),
+        source=_build(Pmf, doc, "source"),
+        channel=_build(ConditionalPmf, doc, "channel"),
+        distortion=_build(DistortionMeasure, doc, "distortion"),
     )
 
 
 def build_mac_scenario(doc: dict) -> sim.MacScenario:
-    try:
-        sources = JointPmf(_field(doc, "sources"))
-    except InvalidDistributionError as exc:
-        raise ScenarioError(f"field 'sources': {exc}") from exc
     return sim.MacScenario(
-        sources=sources,
-        mac=_kernel(doc, "mac"),
-        d1=DistortionMeasure(_field(doc, "d1")),
-        d2=DistortionMeasure(_field(doc, "d2")),
+        sources=_build(JointPmf, doc, "sources"),
+        mac=_build(ConditionalPmf, doc, "mac"),
+        d1=_build(DistortionMeasure, doc, "d1"),
+        d2=_build(DistortionMeasure, doc, "d2"),
     )
 
 
 def build_p2p_spec(doc: dict) -> bounds.HybridCodeSpec:
-    try:
-        return bounds.HybridCodeSpec(
-            aux_size=int(_field(doc, "aux_size")),
-            aux_kernel=_kernel(doc, "aux_kernel"),
-            enc_map=np.asarray(_field(doc, "enc_map"), dtype=int),
-            dec_map=np.asarray(_field(doc, "dec_map"), dtype=int),
-            rate=float(_field(doc, "rate")),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return bounds.HybridCodeSpec(
+        aux_size=_count(doc, "aux_size"),
+        aux_kernel=_build(ConditionalPmf, doc, "aux_kernel"),
+        enc_map=_field(doc, "enc_map"),
+        dec_map=_field(doc, "dec_map"),
+        rate=_number(_field(doc, "rate"), "rate"),
+    )
 
 
 def build_mac_spec(doc: dict) -> bounds.MacHybridSpec:
-    try:
-        return bounds.MacHybridSpec(
-            q_pmf=_pmf(doc, "q_pmf"),
-            aux1=np.asarray(_field(doc, "aux1"), dtype=float),
-            aux2=np.asarray(_field(doc, "aux2"), dtype=float),
-            enc1=np.asarray(_field(doc, "enc1"), dtype=int),
-            enc2=np.asarray(_field(doc, "enc2"), dtype=int),
-            dec1=np.asarray(_field(doc, "dec1"), dtype=int),
-            dec2=np.asarray(_field(doc, "dec2"), dtype=int),
-            R1=float(doc.get("R1", 0.0)),
-            R2=float(doc.get("R2", 0.0)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return bounds.MacHybridSpec(
+        q_pmf=_build(Pmf, doc, "q_pmf"),
+        **{name: _field(doc, name) for name in ("aux1", "aux2", "enc1", "enc2", "dec1", "dec2")},
+        R1=_number(doc.get("R1", 0.0), "R1"),
+        R2=_number(doc.get("R2", 0.0), "R2"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,91 +211,40 @@ def _twrc_schemes(ch: gaussian_twrc.GaussianTwrcParams, with_params: bool) -> di
     return rows
 
 
-def _finite(value, name: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} must be a number, got {value!r}") from exc
-    if not np.isfinite(number):
-        raise ScenarioError(f"{name} must be finite, got {value!r}")
-    return number
-
-
-def _relay_distance(r: float) -> float:
-    if not 0.0 < r < 1.0:
-        raise ScenarioError(f"distance r={r} must lie strictly in (0, 1)")
-    return r
-
-
 def cmd_bounds_twrc(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "twrc_gaussian")
     power = _finite(doc.get("P", 10.0), "P")
-    if power < 0:
-        raise ScenarioError(f"P must be >= 0, got {power}")
     ple = _finite(doc.get("path_loss_exp", 3.0), "path_loss_exp")
-    r = opts.get("r")
-    if r is not None:
-        _relay_distance(r)
     r_grid = doc.get("r_grid")
     if r_grid is not None:
         if not isinstance(r_grid, list):
             raise ScenarioError("r_grid must be a list of distances")
-        r_grid = [_relay_distance(_finite(x, "r_grid entry")) for x in r_grid]
+        r_grid = [_number(x, "r_grid entry") for x in r_grid]
+    snrs = ("S13", "S23", "S31", "S32")
+    ch = None
+    if opts.get("r") is not None:     # before the sweep, so a bad --r costs no work
+        ch = gaussian_twrc.params_from_distance(opts["r"], power, ple)
+    elif not opts.get("sweep"):
+        if not all(k in doc for k in snrs):
+            raise ScenarioError("need --sweep, --r, or explicit SNRs S13..S32")
+        ch = gaussian_twrc.GaussianTwrcParams(**{k: _number(doc[k], k) for k in snrs})
     artifacts = {}
     result: dict = {"schemes": {}}
     if opts.get("sweep"):
         rows = gaussian_twrc.fig8_sweep(power, r_grid=r_grid, path_loss_exp=ple)
         artifacts[".csv"] = gaussian_twrc.sweep_to_csv(rows)
         result["sweep_rows"] = len(rows)
-    if r is not None:
-        ch = gaussian_twrc.params_from_distance(r, power, ple)
-        result["schemes"] = _twrc_schemes(ch, with_params=True)
-    elif not opts.get("sweep"):
-        if not all(k in doc for k in ("S13", "S23", "S31", "S32")):
-            raise ScenarioError("need --sweep, --r, or explicit SNRs S13..S32")
-        try:
-            ch = gaussian_twrc.GaussianTwrcParams(
-                S13=doc["S13"], S23=doc["S23"], S31=doc["S31"], S32=doc["S32"])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(str(exc)) from exc
-        result["schemes"] = _twrc_schemes(ch, with_params=False)
+    if ch is not None:
+        result["schemes"] = _twrc_schemes(ch, with_params=opts.get("r") is not None)
     artifacts[".json"] = result
     return artifacts
 
 
-def _stage_map(doc: dict, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """A deterministic diamond stage map with nonnegative integer symbols, of
-    the given shape, or one-dimensional and nonempty when shape is None."""
-    if name not in doc:
-        raise ScenarioError(
-            f"diamond grid bounds need deterministic stage maps; missing {name!r}")
-    try:
-        table = np.asarray(doc[name], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} must be a numeric array: {exc}") from exc
-    if shape is None and (table.ndim != 1 or table.size == 0):
-        raise ScenarioError(f"{name} must be a nonempty list, one symbol per source input")
-    if shape is not None and table.shape != shape:
-        raise ScenarioError(f"{name} must have shape {shape}, got {table.shape}")
-    if np.any(table < 0) or np.any(table != np.floor(table)):
-        raise ScenarioError(f"{name} symbols must be nonnegative integers")
-    return table.astype(int)
-
-
 def cmd_bounds_diamond(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "diamond")
-    y2_map = _stage_map(doc, "y2_map")
-    y3_map = _stage_map(doc, "y3_map", y2_map.shape)    # both over the source input
-    x2_size, x3_size = int(_field(doc, "x2_size")), int(_field(doc, "x3_size"))
-    if x2_size < 1 or x3_size < 1:
-        raise ScenarioError("x2_size and x3_size must be >= 1")
-    y4_map = _stage_map(doc, "y4_map", (x2_size, x3_size))
-    grid_res = int(opts.get("grid_res", 6))
-    if grid_res < 1:
-        raise ScenarioError("--grid-res must be >= 1")
     res = bounds.det_diamond_bounds(
-        y2_map, y3_map, y4_map, x2_size, x3_size,
-        grid_res=grid_res)
+        _field(doc, "y2_map"), _field(doc, "y3_map"), _field(doc, "y4_map"),
+        _count(doc, "x2_size"), _count(doc, "x3_size"), grid_res=int(opts.get("grid_res", 6)))
     return {".json": {
         "hybrid": res.hybrid,
         "adt": res.adt,
@@ -310,24 +259,25 @@ def cmd_region_mac(opts: dict) -> dict:
     scenario = build_mac_scenario(doc)
     spec_doc = load_json(opts["spec"])
     substitution = opts.get("substitution")
-    result: dict = {}
+    if substitution:
+        px1, px2 = _build(Pmf, spec_doc, "px1"), _build(Pmf, spec_doc, "px2")
     if substitution == "lossless":
-        px1, px2 = _pmf(spec_doc, "px1"), _pmf(spec_doc, "px2")
         mspec = bounds.lossless_mac_spec(
             scenario.sources, px1, px2, scenario.mac.output_size)
-        reduced = bounds.lossless_reduced_values(scenario.sources, scenario.mac, px1, px2)
-        result["reduced_constraints"] = [list(pair) for pair in reduced]
     elif substitution == "distributed":
-        px1, px2 = _pmf(spec_doc, "px1"), _pmf(spec_doc, "px2")
-        k1, k2 = _kernel(spec_doc, "k1"), _kernel(spec_doc, "k2")
+        k1, k2 = _build(ConditionalPmf, spec_doc, "k1"), _build(ConditionalPmf, spec_doc, "k2")
         mspec = bounds.distributed_mac_spec(k1, k2, px1, px2)
-        reduced = bounds.distributed_reduced_values(scenario.sources, k1, k2, px1, px2)
-        result["reduced_constraints"] = [list(pair) for pair in reduced]
     else:
         mspec = build_mac_spec(spec_doc)
+    # The region check is where the spec meets the scenario, so it runs first.
     report = bounds.mac_region_check(
         scenario.sources, scenario.mac, scenario.d1, scenario.d2, mspec)
-    result["report"] = _report_to_dict(report)
+    result: dict = {"report": _report_to_dict(report)}
+    if substitution:
+        reduced = (bounds.lossless_reduced_values(scenario.sources, scenario.mac, px1, px2)
+                   if substitution == "lossless"
+                   else bounds.distributed_reduced_values(scenario.sources, k1, k2, px1, px2))
+        result["reduced_constraints"] = [list(pair) for pair in reduced]
     return {".json": result}
 
 
@@ -336,13 +286,10 @@ def cmd_check_thm1(opts: dict) -> dict:
     scenario = build_p2p_scenario(doc)
     result: dict = {}
     if opts.get("optimize"):
-        aux_cap = int(opts.get("aux_cap", 4))
-        grid_res = int(opts.get("grid_res", 12))
-        if aux_cap < 1 or grid_res < 1:
-            raise ScenarioError("--aux-cap and --grid-res must be >= 1")
         report, spec = bounds.p2p_optimize(
             scenario.source, scenario.channel, scenario.distortion,
-            target_D=float(opts["target_d"]), aux_cap=aux_cap, grid_res=grid_res)
+            target_D=float(opts["target_d"]), aux_cap=int(opts.get("aux_cap", 4)),
+            grid_res=int(opts.get("grid_res", 12)))
         result["report"] = _report_to_dict(report)
         if spec is not None:
             result["spec"] = {
@@ -362,38 +309,18 @@ def cmd_check_thm1(opts: dict) -> dict:
     return {".json": result}
 
 
-def _check_twrc_shapes(uplink, downlink, y1_size, y2_size, spec) -> None:
-    """Alphabet agreement between a discrete two-way-relay scenario and spec."""
-    if uplink.input_size != spec.px1.alphabet_size * spec.px2.alphabet_size:
-        raise ScenarioError("uplink rows must be indexed by (x1, x2)")
-    if y1_size * y2_size != downlink.output_size:
-        raise ScenarioError("downlink output does not factor as (y1, y2)")
-    y3_size = uplink.output_size
-    if spec.relay_kernel.input_size != y3_size:
-        raise ScenarioError(f"relay_kernel needs {y3_size} rows, one per relay output y3")
-    shape = (spec.relay_kernel.output_size, y3_size)
-    if spec.relay_map.shape != shape:
-        raise ScenarioError(f"relay_map must have shape {shape} (u3, y3)")
-    x3_size = downlink.input_size
-    if np.any(spec.relay_map < 0) or np.any(spec.relay_map >= x3_size):
-        raise ScenarioError(
-            f"relay_map symbols must lie in the relay input alphabet 0..{x3_size - 1}")
-
-
 def cmd_check_thm3(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "twrc_discrete")
-    uplink = _kernel(doc, "uplink")
-    downlink = _kernel(doc, "downlink")
-    y1_size = int(_field(doc, "y1_size"))
-    y2_size = int(_field(doc, "y2_size"))
+    uplink = _build(ConditionalPmf, doc, "uplink")
+    downlink = _build(ConditionalPmf, doc, "downlink")
+    y1_size, y2_size = _count(doc, "y1_size"), _count(doc, "y2_size")
     spec_doc = load_json(opts["spec"])
     spec = bounds.TwrcSpec(
-        px1=_pmf(spec_doc, "px1"),
-        px2=_pmf(spec_doc, "px2"),
-        relay_kernel=_kernel(spec_doc, "relay_kernel"),
-        relay_map=np.asarray(_field(spec_doc, "relay_map"), dtype=int),
+        px1=_build(Pmf, spec_doc, "px1"),
+        px2=_build(Pmf, spec_doc, "px2"),
+        relay_kernel=_build(ConditionalPmf, spec_doc, "relay_kernel"),
+        relay_map=_field(spec_doc, "relay_map"),
     )
-    _check_twrc_shapes(uplink, downlink, y1_size, y2_size, spec)
     report = bounds.twrc_region_check(
         uplink, downlink, y1_size, y2_size, spec,
         r2_penalty_on_x2=bool(opts.get("alt_penalty", False)))
@@ -408,37 +335,25 @@ def cmd_simulate(opts: dict) -> dict:
     else:
         doc = load_scenario(opts["scenario"], ("p2p", "mac"))
     if opts.get("eps_prime") is None:   # a value given on the command line wins
-        opts["eps_prime"] = float(doc.get("eps_prime", 0.2)) if lemma1 else 0.2
+        opts["eps_prime"] = _number(doc.get("eps_prime", 0.2), "eps_prime") if lemma1 else 0.2
     eps_prime = float(opts["eps_prime"])
     if lemma1:
-        joint_us = JointPmf(_field(doc, "joint_us"))
-        n, trials, rate = int(opts["n"]), int(opts["trials"]), float(_field(doc, "rate"))
-        if n < 1 or trials < 1:
-            raise ScenarioError("--n and --trials must be >= 1")
-        if sim.codebook_size(n, rate) < 2:
-            raise ScenarioError(f"rate {rate} at --n {n} gives fewer than two codewords")
         check = sim.lemma1_check(
-            n=n, rate=rate, joint_us=joint_us, eps_prime=eps_prime,
-            outer_trials=trials, seed=seed,
+            n=int(opts["n"]), rate=_finite(_field(doc, "rate"), "rate"),
+            joint_us=_build(JointPmf, doc, "joint_us"), eps_prime=eps_prime,
+            outer_trials=int(opts["trials"]), seed=seed,
             min_count=int(opts.get("min_count", 50)))
         check["cells"] = {repr(k): v for k, v in check["cells"].items()}
         return {".json": {"independence_check": check}}
     spec_doc = load_json(opts["spec"])
-    n_values = opts.get("n_sweep") or [int(opts["n"])]
-    try:
-        configs = [sim.TrialConfig(
-            n=int(n), trials=int(opts["trials"]), epsilon=float(opts["eps"]),
-            epsilon_prime=eps_prime, seed=seed) for n in n_values]
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    rows = []
-    for config in configs:
-        if doc["kind"] == "p2p":
-            report = sim.run_p2p(build_p2p_scenario(doc), build_p2p_spec(spec_doc), config)
-        else:
-            report = sim.run_mac(build_mac_scenario(doc), build_mac_spec(spec_doc), config)
-        rows.append(report)
-    return {".json": {"aggregates": rows}}
+    configs = [sim.TrialConfig(
+        n=int(n), trials=int(opts["trials"]), epsilon=float(opts["eps"]),
+        epsilon_prime=eps_prime, seed=seed) for n in opts.get("n_sweep") or [int(opts["n"])]]
+    if doc["kind"] == "p2p":
+        scenario, spec, run = build_p2p_scenario(doc), build_p2p_spec(spec_doc), sim.run_p2p
+    else:
+        scenario, spec, run = build_mac_scenario(doc), build_mac_spec(spec_doc), sim.run_mac
+    return {".json": {"aggregates": [run(scenario, spec, config) for config in configs]}}
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = _resolve_options(args)
         return dispatch(args.subcommand, opts)
-    except (ScenarioError, InvalidDistributionError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryCapError as exc:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .infotheory import ScenarioError
 from .search import coordinate_descent_triangle, golden_refine
 
 SIGMA2_GRID_LO = 1e-3
@@ -43,7 +44,7 @@ class GaussianTwrcParams:
     def __post_init__(self):
         for name in ("S13", "S23", "S31", "S32"):
             if not 0.0 <= getattr(self, name) < math.inf:     # also rejects NaN
-                raise ValueError(f"{name} must be a finite nonnegative number")
+                raise ScenarioError(f"{name} must be a finite nonnegative number")
 
 
 @dataclass(frozen=True)
@@ -281,7 +282,7 @@ def params_from_distance(r: float, P: float = 10.0, path_loss_exp: float = 3.0) 
     """Relay at distance r from node 1 on the unit segment; amplitude gains
     r_jk^(-path_loss_exp / 2)."""
     if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly between 0 and 1")
+        raise ScenarioError(f"distance r={r} must lie strictly in (0, 1)")
     e = path_loss_exp / 2.0
     g13 = g31 = r ** (-e)
     g23 = g32 = (1.0 - r) ** (-e)
@@ -291,12 +292,15 @@ def params_from_distance(r: float, P: float = 10.0, path_loss_exp: float = 3.0) 
 
 def fig8_sweep(P: float = 10.0, r_grid=None, path_loss_exp: float = 3.0) -> list[dict]:
     """Sum-rate comparison of cutset / af / nnc / digital-hybrid versus
-    relay position r.  Returns rows with keys r, R_CS, R_AF, R_NNC, R_HC."""
+    relay position r.  Returns rows with keys r, R_CS, R_AF, R_NNC, R_HC.
+    Every distance is checked before the first row is computed."""
     if r_grid is None:
         r_grid = [round(0.05 * i, 10) for i in range(1, 20)]
+    if not r_grid:
+        raise ScenarioError("r_grid must hold at least one distance")
+    channels = [params_from_distance(r, P, path_loss_exp) for r in r_grid]
     rows = []
-    for r in r_grid:
-        ch = params_from_distance(r, P, path_loss_exp)
+    for r, ch in zip(r_grid, channels):
         rows.append({
             "r": float(r),
             "R_CS": cutset_rates(ch).sum_rate,

@@ -26,7 +26,15 @@ NEG_MI_TOL = 1e-9
 MEMORY_CAP_SYMBOLS = 2 ** 22
 
 
-class InvalidDistributionError(ValueError):
+class ScenarioError(ValueError):
+    """Raised for input that does not fit: a malformed scenario, spec, option
+    or distribution.  The library function that uses an input checks it and
+    raises this; the CLI raises it only for what it alone reads (files, JSON
+    structure, flag combinations) and exits 2 on it.  Internal invariants
+    raise a plain ValueError."""
+
+
+class InvalidDistributionError(ScenarioError):
     """Raised when a probability vector or kernel fails validation."""
 
 
@@ -34,14 +42,26 @@ class MemoryCapError(RuntimeError):
     """Raised when a configuration would exceed the memory cap."""
 
 
+def as_table(values, name: str, whole: bool = False) -> np.ndarray:
+    """values as a float array, or as an int array of nonnegative whole
+    numbers (symbol tables); non-numeric or ragged input is a ScenarioError."""
+    try:
+        t = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be a numeric array: {exc}") from exc
+    if whole and not np.all((t >= 0) & (np.mod(t, 1) == 0)):
+        raise ScenarioError(f"{name} symbols must be nonnegative integers")
+    return t.astype(int) if whole else t
+
+
 def _as_prob_vector(probs: Iterable[float]) -> np.ndarray:
-    v = np.asarray(probs, dtype=float)
+    v = as_table(probs, "probability vector")
     if v.ndim != 1 or v.size == 0:
         raise InvalidDistributionError("probability vector must be 1-D and nonempty")
     if np.any(v < 0):
         raise InvalidDistributionError("probabilities must be nonnegative")
     total = v.sum()
-    if abs(total - 1.0) > RENORM_TOL:
+    if not abs(total - 1.0) <= RENORM_TOL:     # also rejects NaN
         raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
     v = v / total
     v.flags.writeable = False
@@ -83,13 +103,13 @@ class ConditionalPmf:
     rows: np.ndarray
 
     def __init__(self, rows):
-        m = np.asarray(rows, dtype=float)
+        m = as_table(rows, "kernel")
         if m.ndim != 2 or m.size == 0:
             raise InvalidDistributionError("kernel must be a 2-D matrix")
         if np.any(m < 0):
             raise InvalidDistributionError("kernel entries must be nonnegative")
         sums = m.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > RENORM_TOL):
+        if not np.all(np.abs(sums - 1.0) <= RENORM_TOL):
             raise InvalidDistributionError("kernel rows must sum to 1")
         m = m / sums[:, None]
         m.flags.writeable = False
@@ -133,13 +153,13 @@ class JointPmf:
     probs: np.ndarray
 
     def __init__(self, probs):
-        a = np.asarray(probs, dtype=float)
+        a = as_table(probs, "joint pmf")
         if a.size == 0:
             raise InvalidDistributionError("joint pmf must be nonempty")
         if np.any(a < 0):
             raise InvalidDistributionError("probabilities must be nonnegative")
         total = a.sum()
-        if abs(total - 1.0) > RENORM_TOL:
+        if not abs(total - 1.0) <= RENORM_TOL:
             raise InvalidDistributionError(f"joint sums to {total}, not 1")
         a = a / total
         a.flags.writeable = False
@@ -196,9 +216,10 @@ class DistortionMeasure:
     table: np.ndarray
 
     def __init__(self, table):
-        t = np.asarray(table, dtype=float)
-        if t.ndim != 2 or np.any(t < 0):
-            raise InvalidDistributionError("distortion table must be 2-D and nonnegative")
+        t = as_table(table, "distortion table")
+        if t.ndim != 2 or t.size == 0 or not np.all((t >= 0) & (t < math.inf)):
+            raise InvalidDistributionError(
+                "distortion table must be 2-D and nonempty with finite nonnegative entries")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import HybridCodeSpec, MacHybridSpec, _mac_joint, _p2p_joint
 from .infotheory import (MEMORY_CAP_SYMBOLS, ConditionalPmf, DistortionMeasure,
-                         JointPmf, MemoryCapError, Pmf, typical_mask)
+                         JointPmf, MemoryCapError, Pmf, ScenarioError, typical_mask)
 
 # Codeword symbols per chunk of batched trials.  A chunk holds several int64
 # and float64 arrays per symbol, about 600 kB in all at 2^13; 2^15 raised
@@ -82,13 +82,12 @@ class TrialConfig:
     epsilon: float = 0.3
     epsilon_prime: float = 0.2
     seed: int = 0
-    memory_cap: int = MEMORY_CAP_SYMBOLS
 
     def __post_init__(self):
         if not (self.epsilon > self.epsilon_prime > 0):
-            raise ValueError("require epsilon > epsilon_prime > 0")
+            raise ScenarioError("require epsilon > epsilon_prime > 0")
         if self.n < 1 or self.trials < 1:
-            raise ValueError("n and trials must be positive")
+            raise ScenarioError("n and trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,12 @@ def codebook_size(n: int, rate: float) -> int:
     return int(math.floor(2.0 ** (n * rate)))
 
 
-def generate_codebook(n: int, rate: float, pmf: Pmf, seed: int,
-                      memory_cap: int = MEMORY_CAP_SYMBOLS) -> Codebook:
+def generate_codebook(n: int, rate: float, pmf: Pmf, seed: int) -> Codebook:
     """Draw the random codebook; bit-identical given (seed, n, rate, pmf)."""
     m = codebook_size(n, rate)
-    if m * n > memory_cap:
+    if m * n > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(
-            f"codebook needs {m * n} symbols, cap is {memory_cap}")
+            f"codebook needs {m * n} symbols, cap is {MEMORY_CAP_SYMBOLS}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     entries = _symbols(rng.random((m, n)), pmf.probs)
     entries.flags.writeable = False
@@ -235,12 +233,12 @@ def run_p2p(scenario: P2pScenario, spec: HybridCodeSpec,
     docstring); each trial's streams are drawn exactly as a one-trial-at-a-
     time loop would draw them.
     """
-    joint = _p2p_joint(scenario.source, scenario.channel, spec)
+    joint = _p2p_joint(scenario.source, scenario.channel, scenario.distortion, spec)
     joint_us = joint.marginal([1, 0])   # (u, s)
     joint_uy = joint.marginal([1, 3])   # (u, y)
     n, trials, seed = config.n, config.trials, config.seed
     m_count = codebook_size(n, spec.rate)
-    if m_count * n > config.memory_cap:
+    if m_count * n > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError("codebook exceeds memory cap")
     p_u = joint_us.marginal_pmf(0).probs
     e1, e2, e3 = (np.empty(trials, dtype=bool) for _ in range(3))
@@ -322,7 +320,7 @@ def _typical_index_pairs(cells1: np.ndarray, cb2: np.ndarray,
     a = (np.arange(c_size)[:, None, None] == cells1).reshape(c_size * m1, n)
     b = (np.arange(d_size)[:, None, None] == cb2).reshape(d_size * m2, n)
     # float32 sums of 0/1 products are exact integers up to 2^24; counts are
-    # at most n, and run_mac's memory cap (2^22 by default) bounds n.
+    # at most n, and run_mac's cap, MEMORY_CAP_SYMBOLS = 2^22, bounds n.
     counts = (a.astype(np.float32) @ b.T.astype(np.float32)).astype(np.min_scalar_type(n))
     counts = counts.reshape(c_size, m1, d_size, m2)
     typ = np.ones((m1, m2), dtype=bool)
@@ -348,8 +346,8 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     one-hot factors.
     """
     if spec.q_pmf.alphabet_size != 1:
-        raise ValueError("simulation supports a trivial time-sharing alphabet only")
-    j = _mac_joint(scenario.sources, scenario.mac, spec)
+        raise ScenarioError("simulation supports a trivial time-sharing alphabet only")
+    j = _mac_joint(scenario.sources, scenario.mac, scenario.d1, scenario.d2, spec)
     # Reference joints with the trivial q axis dropped.
     j_us1 = j.marginal([3, 1])           # (u1, s1)
     j_us2 = j.marginal([4, 2])           # (u2, s2)
@@ -360,10 +358,10 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     u1_size, u2_size, y_size = j_uuy.dims
     # Float entries of the pair search: both one-hot factors and the counts.
     pair_entries = (u1_size * y_size * m1 + u2_size * m2) * n + m1 * m2 * j_uuy.probs.size
-    if (m1 + m2) * n > config.memory_cap or pair_entries > config.memory_cap:
+    if max((m1 + m2) * n, pair_entries) > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(
             f"codebooks need {(m1 + m2) * n} symbols and the pair search "
-            f"{pair_entries} entries, cap is {config.memory_cap}")
+            f"{pair_entries} entries, cap is {MEMORY_CAP_SYMBOLS}")
     s2_size = scenario.sources.dims[1]
     x2_size = j.dims[6]
     ok = _count_lookup(j_uuy.probs, n, config.epsilon)
@@ -436,9 +434,13 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
     one-trial-at-a-time loop (see the module docstring).  The |U|^n pattern
     table is capped at MEMORY_CAP_SYMBOLS entries.
     """
+    if n < 1 or outer_trials < 1 or not eps_prime > 0:
+        raise ScenarioError("lemma1_check needs n, trials >= 1 and eps_prime > 0")
+    if joint_us.num_axes != 2:
+        raise ScenarioError(f"joint_us must have two axes (u, s), got {joint_us.num_axes}")
     m_count = codebook_size(n, rate)
     if m_count < 2:
-        raise ValueError("rate too small: need at least two codewords")
+        raise ScenarioError(f"rate {rate} at n = {n} gives fewer than two codewords")
     u_size, s_size = joint_us.dims
     if u_size ** n > MEMORY_CAP_SYMBOLS or m_count * n > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(

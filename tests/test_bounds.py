@@ -32,10 +32,10 @@ from hybridlab.bounds import (
 from hybridlab.infotheory import (
     ConditionalPmf,
     DistortionMeasure,
-    InvalidDistributionError,
     JointPmf,
     MemoryCapError,
     Pmf,
+    ScenarioError,
 )
 from hybridlab.search import simplex_grid_array
 
@@ -390,7 +390,7 @@ class TestMacRegion:
         spec = MacHybridSpec(q_pmf=Pmf([1.0]), aux1=ident, aux2=ident,
                              enc1=[[[0, 1], [0, 1]]], enc2=[[[0, 0], [0, 0]]],
                              dec1=dec, dec2=dec)
-        with pytest.raises(InvalidDistributionError, match="MAC has 4 rows"):
+        with pytest.raises(ScenarioError, match="MAC has 4 rows"):
             mac_region_check(correlated_sources(), noiseless_pair_mac(2, 2),
                              HAMMING2, HAMMING2, spec)
 
@@ -401,7 +401,7 @@ class TestMacRegion:
                              enc1=[[[0, 0, 0], [1, 1, 1]]], enc2=[[[0, 0], [1, 1]]],
                              dec1=np.zeros((1, 2, 3, 4), dtype=int),
                              dec2=np.zeros((1, 2, 2, 4), dtype=int))
-        with pytest.raises(InvalidDistributionError, match="sources have shape"):
+        with pytest.raises(ScenarioError, match="sources have shape"):
             mac_region_check(correlated_sources(), noiseless_pair_mac(2, 2),
                              HAMMING2, HAMMING2, spec)
 
@@ -474,6 +474,8 @@ class TestTwrc:
 DIAMOND_Y2 = [0, 0, 1]
 DIAMOND_Y3 = [0, 1, 1]
 DIAMOND_Y4 = [[0, 1], [1, 2]]
+# Both relays see nothing of the source and y4 = (x2 + x3) mod 5.
+CONSTANT_STAGE_CYCLIC = ([0, 0], [0, 0], [[(a + b) % 5 for b in range(5)] for a in range(5)], 5, 5)
 
 
 class TestDiamond:
@@ -520,6 +522,15 @@ class TestDiamond:
         start = time.perf_counter()
         with pytest.raises(MemoryCapError, match="21952 x 21952"):
             det_diamond_bounds([0, 1, 2], [0, 1, 2], cyclic, 3, 3, grid_res=6)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cutset_grid_over_cap_raises_before_allocating(self):
+        # Five-symbol relays behind constant stage maps: the hybrid family is
+        # only 210 x 210 at grid 6, but the 593775 joint pmfs of (X2, X3)
+        # hold 25 entries each, 3.5 times the cap.
+        start = time.perf_counter()
+        with pytest.raises(MemoryCapError, match="593775 joint pmfs"):
+            det_diamond_bounds(*CONSTANT_STAGE_CYCLIC, grid_res=6)
         assert time.perf_counter() - start < 1.0
 
 
@@ -585,7 +596,7 @@ def random_diamond_cases(seed, count, max_entries=100_000):
 
 DIAMOND_ORACLE_CASES = (
     [((DIAMOND_Y2, DIAMOND_Y3, DIAMOND_Y4, 2, 2), g) for g in range(1, 7)]
-    + [(([0, 1], [0, 1], [[0, 1], [2, 3]], 2, 2), 6)]
+    + [(([0, 1], [0, 1], [[0, 1], [2, 3]], 2, 2), 6), (CONSTANT_STAGE_CYCLIC, 3)]
     + [c for seed in range(5) for c in random_diamond_cases(seed, 20)]
 )
 
@@ -608,6 +619,18 @@ class TestDiamondFactored:
         for case, grid in DIAMOND_ORACLE_CASES[start:start + 25]:
             assert (repr(det_diamond_bounds(*case, grid_res=grid))
                     == repr(reference_det_diamond(*case, grid_res=grid))), (case, grid)
+
+    @pytest.mark.parametrize("case, grid", [
+        ((DIAMOND_Y2, DIAMOND_Y3, DIAMOND_Y4, 2, 2), 6),
+        (CONSTANT_STAGE_CYCLIC, 3),
+    ], ids=["example1", "constant-stage"])
+    def test_cutset_chunks_keep_first_maximum(self, monkeypatch, case, grid):
+        # Joint pmfs scored 7 at a time: example1's cutset maximum is joint
+        # 51, in the eighth chunk, and on the constant-stage network every
+        # joint ties at 0, so the first maximum must survive every chunk.
+        expected = repr(reference_det_diamond(*case, grid_res=grid))
+        monkeypatch.setattr(bounds, "_DIAMOND_RESCORE_CHUNK", 7)
+        assert repr(det_diamond_bounds(*case, grid_res=grid)) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_values_match_reference_terms(self, seed):

@@ -23,7 +23,59 @@ def read_json(path):
         return json.load(fh)
 
 
+# mac_noiseless_pair.json with u_j = s_j, x_j = s_j and shat_j read off y.
+MAC_IDENTITY_SPEC = {
+    "q_pmf": [1.0], "aux1": [[[1.0, 0.0], [0.0, 1.0]]], "aux2": [[[1.0, 0.0], [0.0, 1.0]]],
+    "enc1": [[[0, 1], [0, 1]]], "enc2": [[[0, 1], [0, 1]]],
+    "dec1": [[[[0, 0, 1, 1]] * 2] * 2], "dec2": [[[[0, 1, 0, 1]] * 2] * 2],
+    "R1": 1.0, "R2": 1.0}
+TWO_SLOT_MAC_SPEC = {
+    **{k: v * 2 for k, v in MAC_IDENTITY_SPEC.items() if k.startswith(("aux", "enc", "dec"))},
+    "q_pmf": [0.5, 0.5]}
+
+# Spec edits that make a spec stop fitting its scenario, run under each
+# subcommand that takes the spec; each run used to exit 0 or 4.
+SUBCOMMANDS = {"p2p": (["check-thm1"], ["simulate", "--n", "4", "--trials", "3"]),
+               "mac": (["region-mac"], ["simulate", "--n", "2", "--trials", "3"])}
+BAD_SPECS = {
+    "p2p-enc-symbol": ("p2p", {"enc_map": [[0, 5], [1, 1]]}),
+    "p2p-dec-columns": ("p2p", {"dec_map": [[0, 1], [0, 1]]}),
+    "p2p-aux-rows": ("p2p", {"aux_kernel": [[0.7, 0.3], [0.3, 0.7], [0.5, 0.5]]}),
+    "p2p-dec-symbol": ("p2p", {"dec_map": [[0, 7, 0], [0, 1, 1]]}),
+    "mac-dec1-symbol": ("mac", {"dec1": [[[[0, 0, 1, 9]] * 2] * 2]}),
+    "mac-dec1-last-axis": ("mac", {"dec1": [[[[0, 0, 1]] * 2] * 2]}),
+    "mac-enc1-shape": ("mac", {"enc1": [[[0, 1, 1], [0, 1, 1]]]}),
+    "mac-time-sharing": ("mac", TWO_SLOT_MAC_SPEC),
+}
+BAD_SPEC_RUNS = [(name, sub) for name, (kind, _) in BAD_SPECS.items() for sub in SUBCOMMANDS[kind]
+                 if name != "mac-time-sharing" or sub[0] == "simulate"]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("name, sub", BAD_SPEC_RUNS,
+                             ids=[f"{name}-{sub[0]}" for name, sub in BAD_SPEC_RUNS])
+    def test_spec_that_does_not_fit_exits_2(self, tmp_path, capsys, name, sub):
+        kind, edits = BAD_SPECS[name]
+        if kind == "p2p":
+            scenario, base = "p2p_hybrid.json", read_json(scen("p2p_hybrid_spec.json"))
+        else:
+            scenario, base = "mac_noiseless_pair.json", MAC_IDENTITY_SPEC
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**base, **edits}))
+        assert run([sub[0], scen(scenario), "--spec", str(spec), *sub[1:],
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [spec]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--eps-prime", "0"],
+        ["check-thm1", scen("p2p_hybrid.json"), "--optimize", "--target-d", "NaN"],
+    ], ids=["lemma1-eps-prime-0", "target-d-nan"])
+    def test_bad_option_value_exits_2(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_scenario_file(self, tmp_path):
         assert run(["check-thm1", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o")]) == 2
@@ -73,8 +125,9 @@ class TestExitCodes:
         ({"path_loss_exp": float("inf")}, ["--r", "0.5"]),
         ({"r_grid": [0.5, 1.5]}, ["--sweep"]),
         ({"r_grid": [0.0, 0.5]}, ["--sweep"]),
+        ({"r_grid": []}, ["--sweep"]),
     ], ids=["P-negative", "P-nan", "ple-not-number", "ple-inf", "r-grid-above-1",
-            "r-grid-0"])
+            "r-grid-0", "r-grid-empty"])
     def test_twrc_scenario_numbers(self, tmp_path, capsys, fields, args):
         scenario = tmp_path / "twrc.json"
         scenario.write_text(json.dumps({"kind": "twrc_gaussian", **fields}))
@@ -96,6 +149,26 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")]) == 3
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("resource cap: ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("source", [float("nan"), 1.0]),
+        ("distortion", [[0, float("nan")], [1, 0]]),
+    ], ids=["source-nan", "distortion-nan"])
+    def test_non_finite_scenario_entry(self, tmp_path, capsys, field, value):
+        # json reads NaN, which used to pass every check and reach the output.
+        scenario = tmp_path / "p2p.json"
+        scenario.write_text(json.dumps({**read_json(scen("p2p_hybrid.json")), field: value}))
+        assert run(["check-thm1", str(scenario), "--spec", scen("p2p_hybrid_spec.json"),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: field {field!r}")
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    def test_two_slot_time_sharing_region(self, tmp_path):
+        # Only the simulator needs a trivial time-sharing alphabet.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(TWO_SLOT_MAC_SPEC))
+        assert run(["region-mac", scen("mac_noiseless_pair.json"), "--spec", str(spec),
+                    "--out", str(tmp_path / "o")]) == 0
 
     def test_optimize_needs_target(self, tmp_path):
         assert run(["check-thm1", scen("bsc_uncoded.json"), "--optimize",

@@ -11,6 +11,7 @@ from hybridlab.infotheory import (
     InvalidDistributionError,
     JointPmf,
     Pmf,
+    ScenarioError,
     compose_joint,
     conditional_mutual_information,
     empirical_distortion,
@@ -50,6 +51,20 @@ class TestConstruction:
     def test_joint_validated(self):
         with pytest.raises(InvalidDistributionError):
             JointPmf([[0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Pmf([float("nan"), 1.0]),
+        lambda: ConditionalPmf([[float("nan"), 1.0], [0.5, 0.5]]),
+        lambda: JointPmf([[0.5, float("nan")], [0.25, 0.25]]),
+        lambda: DistortionMeasure([[0, float("nan")], [1, 0]]),
+        lambda: DistortionMeasure([[0, float("inf")], [1, 0]]),
+        lambda: Pmf(["a", "b"]),
+        lambda: ConditionalPmf([[1.0], [0.5, 0.5]]),
+    ], ids=["pmf-nan", "kernel-nan", "joint-nan", "distortion-nan", "distortion-inf",
+            "pmf-strings", "kernel-ragged"])
+    def test_non_finite_or_malformed_rejected(self, build):
+        with pytest.raises(ScenarioError):
+            build()
 
     def test_immutable(self):
         p = Pmf([0.5, 0.5])

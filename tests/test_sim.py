@@ -73,9 +73,10 @@ class TestCodebook:
         b = generate_codebook(10, 0.8, UNIF2, seed=2)
         assert not np.array_equal(a.entries, b.entries)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 1000)
         with pytest.raises(MemoryCapError):
-            generate_codebook(40, 0.9, UNIF2, seed=0, memory_cap=1000)
+            generate_codebook(40, 0.9, UNIF2, seed=0)
 
     def test_entries_readonly(self):
         cb = generate_codebook(8, 0.5, UNIF2, seed=0)
@@ -126,10 +127,10 @@ class TestRunP2p:
         rep = run_p2p(scenario, spec, cfg)
         assert rep["mean_distortion"] == pytest.approx(0.1, abs=0.02)
 
-    def test_memory_cap_enforced(self):
+    def test_memory_cap_enforced(self, monkeypatch):
         scenario, spec = erasure_scenario()
-        cfg = TrialConfig(n=64, trials=1, epsilon=0.75, epsilon_prime=0.5,
-                          memory_cap=500)
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 500)
+        cfg = TrialConfig(n=64, trials=1, epsilon=0.75, epsilon_prime=0.5)
         with pytest.raises(MemoryCapError):
             run_p2p(scenario, spec, cfg)
 
@@ -216,13 +217,13 @@ class TestRunMac:
         assert abs(rep["p_e5"] - rep["p_e6"]) <= (
             rep["halfwidth_e5"] + rep["halfwidth_e6"] + 0.05)
 
-    def test_memory_cap_enforced(self):
+    def test_memory_cap_enforced(self, monkeypatch):
         import dataclasses
 
         scenario, spec = self.scenario_and_spec()
         spec = dataclasses.replace(spec, R1=1.0, R2=1.0)
-        cfg = TrialConfig(n=16, trials=1, epsilon=0.75, epsilon_prime=0.5,
-                          memory_cap=200)
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 200)
+        cfg = TrialConfig(n=16, trials=1, epsilon=0.75, epsilon_prime=0.5)
         with pytest.raises(MemoryCapError):
             run_mac(scenario, spec, cfg)
 
@@ -231,20 +232,18 @@ class TestRunMac:
         # The search holds (8*16 + 2*16) * 4 one-hot entries and 16*16*16
         # counts, 4736 in all, where m1 * m2 * n is only 1024.
         scenario, spec = identity_mac()
-
-        def config(cap):
-            return TrialConfig(n=4, trials=1, epsilon=0.75, epsilon_prime=0.5,
-                               memory_cap=cap)
-
-        run_mac(scenario, spec, config(4736))
+        config = TrialConfig(n=4, trials=1, epsilon=0.75, epsilon_prime=0.5)
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 4736)
+        run_mac(scenario, spec, config)
 
         def no_draws(*args):
             raise AssertionError("drew a stream before the cap check")
 
         monkeypatch.setattr(sim, "_uniforms", no_draws)
         monkeypatch.setattr(sim, "_codebook_uniforms", no_draws)
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 4735)
         with pytest.raises(MemoryCapError):
-            run_mac(scenario, spec, config(4735))
+            run_mac(scenario, spec, config)
 
 
 def einsum_typical_pairs(cb1, cb2, y, p_uuy, epsilon):
