@@ -457,6 +457,8 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res, chunk=1024):
     each.  The scan evaluates those pieces once per kernel chunk and only
     H(Y) on the summed p(y).  Candidates that come within the SCAN_* bands
     of each target's running best are rescored by _score_candidates.
+    Raises MemoryCapError before allocating when the encoder-map tables of
+    the largest aux size exceed MEMORY_CAP_SYMBOLS entries.
     """
     if aux_cap < 1 or grid_res < 1:
         raise ScenarioError("aux_cap and grid_res must be >= 1")
@@ -467,6 +469,16 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res, chunk=1024):
     s_size = p_s.size
     x_size = channel.input_size
     W = channel.rows
+    # The largest aux size holds the most encoder maps: their (u, s) tables,
+    # the (u * C)-column selection matrix and a kernel chunk's p(y) per map.
+    maps = x_size ** (aux_cap * s_size)
+    kernels = math.comb(grid_res + aux_cap - 1, aux_cap - 1) ** s_size
+    entries = maps * max(aux_cap * s_size, aux_cap * x_size ** s_size,
+                         min(chunk, kernels) * channel.output_size)
+    if entries > MEMORY_CAP_SYMBOLS:
+        raise MemoryCapError(
+            f"{maps} encoder maps at aux size {aux_cap} need {entries} entries, "
+            f"cap is {MEMORY_CAP_SYMBOLS}")
     h_s = float(_entropy_rows(p_s, 0))
     col_maps = _enc_map_array(1, s_size, x_size)[:, 0]   # (C, s)
     C = col_maps.shape[0]

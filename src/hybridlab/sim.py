@@ -8,7 +8,15 @@ small-blocklength enumeration.
 
 Random-number discipline: one root seed; each (purpose, trial) pair gets its
 own counter-derived stream, so changing the trial count never reshuffles
-earlier trials and encoder, decoder and channel randomness never mix.
+earlier trials and encoder, decoder and channel randomness never mix.  The
+stream of (purpose, trial) is numpy's
+default_rng(SeedSequence(root, spawn_key=(purpose, trial))), and a codebook's
+is default_rng(SeedSequence(derived_seed(...))).  Building those generators
+per trial cost more than the trials themselves, so _Streams derives them
+instead: SeedSequence's hash and PCG64's seeding step, integer arithmetic
+with fixed constants, run over a block of trial keys as uint32 array
+operations, and one PCG64 per run is set to each trial's starting state in
+turn.  The draws are bit-identical to the per-trial generators.
 
 Trials run in chunks of at most _CHUNK_SYMBOLS codeword symbols.  The only
 per-trial work is drawing each trial's uniforms from its own streams; the
@@ -43,17 +51,152 @@ _CHUNK_SYMBOLS = 2 ** 13
 # Stream purposes for counter-based seed derivation.
 _SOURCE, _CODEBOOK, _CHANNEL, _TIEBREAK = 0, 1, 2, 3
 
+# Keys whose stream states are derived in one batch.  A block is 32 kB of
+# state words per purpose, whatever the trial count.
+_STREAM_BLOCK = 1024
 
-def _seed_sequence(root_seed: int, purpose: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=root_seed, spawn_key=(purpose, trial))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG (O'Neill, "PCG", 2014).
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _root_words(seed) -> list[int]:
+    """The little-endian uint32 words SeedSequence makes of a root seed."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    return words
+
+
+def _hash_constants(const: int, mult: int):
+    """SeedSequence's per-call hash constants, (xor, multiplier) pairs in
+    call order.  They do not depend on the data."""
+    while True:
+        following = const * mult & _M32
+        yield const, following
+        const = following
+
+
+def _hashmix(value: np.ndarray, constants, count: int) -> np.ndarray:
+    """count successive hashmix calls: row i hashes value (or value[i])
+    with the i-th next constant."""
+    xor, mult = np.array([next(constants) for _ in range(count)], dtype=np.uint32).T[..., None]
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> 16
+
+
+def _seed_sequence_state(words: list, tail=None) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, np.uint64), batched.
+
+    words[i] is entropy word i: an int shared by the whole batch, or a
+    uint32 array with one entry per sequence.  The four pool words are the
+    rows of one uint32 array, and each step of the hash acts on all rows it
+    updates at once.  tail = (word, live) is one more entropy word, absorbed
+    only where live is true, so that one batch holds entropies of two
+    lengths.  Returns the words with a trailing axis of 4.
+    """
+    words = [np.asarray(w, dtype=np.uint32) for w in words + [0] * (4 - len(words))]
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = _hashmix(np.stack(np.broadcast_arrays(*words[:4])).reshape(4, -1), constants, 4)
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        pool[others] = _mix(pool[others], _hashmix(pool[src], constants, 3))
+    for word in words[4:]:
+        pool = _mix(pool, _hashmix(word, constants, 4))
+    if tail is not None:
+        word, live = tail
+        pool = np.where(live, _mix(pool, _hashmix(word, constants, 4)), pool)
+    halves = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B), 8)
+    return np.ascontiguousarray(halves.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _word_halves(values: np.ndarray) -> list[np.ndarray]:
+    """The low and high uint32 words of uint64 values."""
+    return [(values & _M32).astype(np.uint32), (values >> 32).astype(np.uint32)]
+
+
+def _spawned_state(root_seed: int, purpose: int, keys: np.ndarray) -> np.ndarray:
+    """generate_state(4, np.uint64) of SeedSequence(root_seed,
+    spawn_key=(purpose, key)) for every uint64 key: (keys.size, 4).  A key
+    of 2^32 or more is two entropy words."""
+    root = _root_words(root_seed)
+    root += [0] * (4 - len(root))       # SeedSequence pads when spawned
+    low, high = _word_halves(keys)
+    return _seed_sequence_state(root + [purpose, low], tail=(high, high > 0))
 
 
 def derived_seed(root_seed: int, purpose: int, trial: int) -> int:
-    return int(_seed_sequence(root_seed, purpose, trial).generate_state(1, dtype=np.uint64)[0])
+    """The 64-bit seed of a trial's codebook: the first generate_state
+    word of SeedSequence(root_seed, spawn_key=(purpose, trial))."""
+    return int(_spawned_state(root_seed, purpose, np.array([trial], dtype=np.uint64))[0, 0])
 
 
-def _rng(root_seed: int, purpose: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(_seed_sequence(root_seed, purpose, trial))
+def _pcg64_state(words: list[int]) -> dict:
+    """The state PCG64 seeds from generate_state(4, np.uint64) words: the
+    srandom step with seed (words[0], words[1]) and stream (words[2], words[3])."""
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _M128
+    state = (((words[0] << 64 | words[1]) + inc) * _PCG64_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+class _Streams:
+    """Every per-trial stream of one run, read through one moved generator.
+
+    Stream (purpose, key) draws what
+    default_rng(SeedSequence(root_seed, spawn_key=(purpose, key))) draws; a
+    codebook stream what default_rng(derived_seed(root_seed, _CODEBOOK, key))
+    draws.  Starting states are derived _STREAM_BLOCK keys at a time, and
+    one block per purpose is kept, since runs ask for ascending keys.  (The
+    two senders' codebook keys 2t and 2t + 1 come in two passes per chunk,
+    so a chunk that straddles two blocks derives them twice.)
+    """
+
+    def __init__(self, root_seed: int):
+        self.root_seed = root_seed
+        _root_words(root_seed)          # a bad seed fails before any trial
+        self._bits = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bits)
+        self._blocks: dict[int, tuple[int, np.ndarray]] = {}
+
+    def at(self, purpose: int, key: int) -> np.random.Generator:
+        """The run's generator, moved to the start of stream (purpose, key)."""
+        block, offset = divmod(key, _STREAM_BLOCK)
+        cached = self._blocks.get(purpose)
+        if cached is None or cached[0] != block:
+            keys = np.arange(block * _STREAM_BLOCK, (block + 1) * _STREAM_BLOCK, dtype=np.uint64)
+            words = _spawned_state(self.root_seed, purpose, keys)
+            if purpose == _CODEBOOK:
+                # SeedSequence(seed) of a 64-bit seed: one or two entropy
+                # words, zero-padded to the pool either way.
+                words = _seed_sequence_state(_word_halves(words[:, 0]))
+            cached = self._blocks[purpose] = (block, words)
+        self._bits.state = _pcg64_state(cached[1][offset].tolist())
+        return self._generator
+
+    def uniforms(self, purpose: int, keys: np.ndarray, shape: tuple) -> np.ndarray:
+        """Row i holds the first uniforms, of the given shape, of stream
+        (purpose, keys[i])."""
+        out = np.empty((keys.size, *shape))
+        for row, key in enumerate(keys.tolist()):
+            self.at(purpose, key).random(out=out[row])
+        return out
+
+    def tie_breaks(self, trials: np.ndarray):
+        """_select's tie_rng for a chunk: row -> tie-break stream of trials[row]."""
+        return lambda row: self.at(_TIEBREAK, int(trials[row]))
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +231,7 @@ class TrialConfig:
             raise ScenarioError("require epsilon > epsilon_prime > 0")
         if self.n < 1 or self.trials < 1:
             raise ScenarioError("n and trials must be >= 1")
+        _root_words(self.seed)          # raises on a seed SeedSequence rejects
 
 
 @dataclass(frozen=True)
@@ -106,6 +250,9 @@ class Codebook:
 
 
 def codebook_size(n: int, rate: float) -> int:
+    if n * rate > math.log2(MEMORY_CAP_SYMBOLS):
+        raise MemoryCapError(
+            f"2^({n} * {rate}) codewords exceed the cap of {MEMORY_CAP_SYMBOLS}")
     return int(math.floor(2.0 ** (n * rate)))
 
 
@@ -141,24 +288,6 @@ def _symbols(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return cdf.searchsorted(uniforms, side="right")
 
 
-def _uniforms(root_seed: int, purpose: int, trials: np.ndarray, n: int) -> np.ndarray:
-    """Row i holds n uniforms from the stream of trial trials[i]."""
-    out = np.empty((trials.size, n))
-    for row, t in enumerate(trials.tolist()):
-        _rng(root_seed, purpose, t).random(out=out[row])
-    return out
-
-
-def _codebook_uniforms(root_seed: int, keys: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Row i holds the (m, n) uniforms generate_codebook draws for the
-    codebook seeded by derived_seed(root_seed, _CODEBOOK, keys[i])."""
-    out = np.empty((keys.size, m, n))
-    for row, k in enumerate(keys.tolist()):
-        seed = derived_seed(root_seed, _CODEBOOK, k)
-        np.random.default_rng(np.random.SeedSequence(seed)).random(out=out[row])
-    return out
-
-
 def _channel_outputs(kernel: ConditionalPmf, inputs: np.ndarray,
                      uniforms: np.ndarray) -> np.ndarray:
     """One output per position, position i using kernel row inputs[..., i]."""
@@ -183,8 +312,8 @@ def _select(hits: list[np.ndarray], tie_rng) -> tuple[list[np.ndarray], list[np.
 
     A row with exactly one hit takes it and draws nothing.  Otherwise the
     index is drawn uniformly among the hits, or among all m indices when
-    there is no hit, from tie_rng(row): one tie-break generator per row,
-    built only for rows that draw and shared by the senders in order.
+    there is no hit, from tie_rng(row): one tie-break stream per row,
+    reached only for rows that draw and shared by the senders in order.
     Returns each sender's indices and covering-failure (no hit) flags.
     """
     counts = [h.sum(axis=1) for h in hits]
@@ -236,21 +365,22 @@ def run_p2p(scenario: P2pScenario, spec: HybridCodeSpec,
     joint = _p2p_joint(scenario.source, scenario.channel, scenario.distortion, spec)
     joint_us = joint.marginal([1, 0])   # (u, s)
     joint_uy = joint.marginal([1, 3])   # (u, y)
-    n, trials, seed = config.n, config.trials, config.seed
+    n, trials = config.n, config.trials
     m_count = codebook_size(n, spec.rate)
     if m_count * n > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError("codebook exceeds memory cap")
     p_u = joint_us.marginal_pmf(0).probs
     e1, e2, e3 = (np.empty(trials, dtype=bool) for _ in range(3))
     dists = np.empty(trials)
+    streams = _Streams(config.seed)
     for ts in _chunks(trials, m_count * n):
         rows = np.arange(ts.size)
-        s = _symbols(_uniforms(seed, _SOURCE, ts, n), scenario.source.probs)
-        cb = _symbols(_codebook_uniforms(seed, ts, m_count, n), p_u)
+        s = _symbols(streams.uniforms(_SOURCE, ts, (n,)), scenario.source.probs)
+        cb = _symbols(streams.uniforms(_CODEBOOK, ts, (m_count, n)), p_u)
         [m], [e1[ts]] = _select([_pair_typical(cb, s, joint_us, config.epsilon_prime)],
-                                lambda row: _rng(seed, _TIEBREAK, int(ts[row])))
+                                streams.tie_breaks(ts))
         x = spec.enc_map[cb[rows, m], s]
-        y = _channel_outputs(scenario.channel, x, _uniforms(seed, _CHANNEL, ts, n))
+        y = _channel_outputs(scenario.channel, x, streams.uniforms(_CHANNEL, ts, (n,)))
         typ = _pair_typical(cb, y, joint_uy, config.epsilon)
         chosen_typical = typ[rows, m]
         hits = typ.sum(axis=1)
@@ -352,7 +482,7 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     j_us1 = j.marginal([3, 1])           # (u1, s1)
     j_us2 = j.marginal([4, 2])           # (u2, s2)
     j_uuy = j.marginal([3, 4, 7])        # (u1, u2, y)
-    n, trials, seed = config.n, config.trials, config.seed
+    n, trials = config.n, config.trials
     m1 = codebook_size(n, spec.R1)
     m2 = codebook_size(n, spec.R2)
     u1_size, u2_size, y_size = j_uuy.dims
@@ -370,20 +500,22 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     d2s = np.empty(trials)
     enc1, enc2 = spec.enc1[0], spec.enc2[0]
     dec1, dec2 = spec.dec1[0], spec.dec2[0]
+    streams = _Streams(config.seed)
     for ts in _chunks(trials, (m1 + m2) * n):
         rows = np.arange(ts.size)
-        flat_s = _symbols(_uniforms(seed, _SOURCE, ts, n), scenario.sources.probs.ravel())
+        flat_s = _symbols(streams.uniforms(_SOURCE, ts, (n,)), scenario.sources.probs.ravel())
         s1, s2 = np.divmod(flat_s, s2_size)
-        cb1 = _symbols(_codebook_uniforms(seed, 2 * ts, m1, n), j_us1.marginal_pmf(0).probs)
-        cb2 = _symbols(_codebook_uniforms(seed, 2 * ts + 1, m2, n), j_us2.marginal_pmf(0).probs)
+        cb1 = _symbols(streams.uniforms(_CODEBOOK, 2 * ts, (m1, n)), j_us1.marginal_pmf(0).probs)
+        cb2 = _symbols(streams.uniforms(_CODEBOOK, 2 * ts + 1, (m2, n)),
+                       j_us2.marginal_pmf(0).probs)
         (idx1, idx2), (events["e1"][ts], events["e2"][ts]) = _select(
             [_pair_typical(cb1, s1, j_us1, config.epsilon_prime),
              _pair_typical(cb2, s2, j_us2, config.epsilon_prime)],
-            lambda row: _rng(seed, _TIEBREAK, int(ts[row])))
+            streams.tie_breaks(ts))
         x1 = enc1[cb1[rows, idx1], s1]
         x2 = enc2[cb2[rows, idx2], s2]
         y = _channel_outputs(scenario.mac, x1 * x2_size + x2,
-                             _uniforms(seed, _CHANNEL, ts, n))
+                             streams.uniforms(_CHANNEL, ts, (n,)))
         h1 = np.zeros(ts.size, dtype=int)
         h2 = np.zeros(ts.size, dtype=int)
         for row, t in enumerate(ts):
@@ -438,6 +570,7 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
         raise ScenarioError("lemma1_check needs n, trials >= 1 and eps_prime > 0")
     if joint_us.num_axes != 2:
         raise ScenarioError(f"joint_us must have two axes (u, s), got {joint_us.num_axes}")
+    streams = _Streams(seed)
     m_count = codebook_size(n, rate)
     if m_count < 2:
         raise ScenarioError(f"rate {rate} at n = {n} gives fewer than two codewords")
@@ -453,10 +586,9 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
     cells: dict[tuple, np.ndarray] = {}
     kept = 0
     for ts in _chunks(outer_trials, m_count * n):
-        s = _symbols(_uniforms(seed, _SOURCE, ts, n), p_s)
-        cb = _symbols(_codebook_uniforms(seed, ts, m_count, n), p_u)
-        [m], _ = _select([_pair_typical(cb, s, joint_us, eps_prime)],
-                         lambda row: _rng(seed, _TIEBREAK, int(ts[row])))
+        s = _symbols(streams.uniforms(_SOURCE, ts, (n,)), p_s)
+        cb = _symbols(streams.uniforms(_CODEBOOK, ts, (m_count, n)), p_u)
+        [m], _ = _select([_pair_typical(cb, s, joint_us, eps_prime)], streams.tie_breaks(ts))
         sel = m == 0
         if not sel.any():
             continue

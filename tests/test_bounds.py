@@ -201,6 +201,32 @@ class TestP2pOptimize:
             p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
                          target_D=0.1, aux_cap=0)
 
+    def test_over_cap_raises_before_allocating(self, monkeypatch):
+        # BSC at aux size 2, grid 4: 16 encoder maps, and 25 kernels' p(y)
+        # of 2 entries per map, 800 entries, the largest of the scan's tables.
+        def no_tables(*args):
+            raise AssertionError("built the encoder maps before the cap check")
+
+        monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 800)
+        p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=0.1,
+                     aux_cap=2, grid_res=4)
+        monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 799)
+        monkeypatch.setattr(bounds, "_enc_map_array", no_tables)
+        with pytest.raises(MemoryCapError, match="16 encoder maps at aux size 2 need 800"):
+            p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=0.1,
+                         aux_cap=2, grid_res=4)
+
+    def test_quaternary_scan_over_cap(self, monkeypatch):
+        # |S| = |X| = 4 at aux size 4 has 4^16 encoder maps of 16 entries
+        # each.  The table builder fails the test if the check lets it run.
+        def no_tables(*args):
+            raise AssertionError("built the encoder maps before the cap check")
+
+        monkeypatch.setattr(bounds, "_enc_map_array", no_tables)
+        with pytest.raises(MemoryCapError, match="4294967296 encoder maps"):
+            p2p_feasibility_sweep(Pmf.uniform(4), ConditionalPmf(np.eye(4)),
+                                  DistortionMeasure.hamming(4), [0.1], aux_cap=4, grid_res=1)
+
     @pytest.mark.parametrize("aux_cap, grid_res", [(0, 4), (2, 0)])
     def test_sweep_bad_arguments(self, aux_cap, grid_res):
         # aux_cap=0 used to scan nothing and report even uncoded targets

@@ -76,6 +76,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", scen("p2p_hybrid.json"), "--spec", scen("p2p_hybrid_spec.json"),
+         "--n", "4", "--trials", "3"],
+        ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--trials", "3"],
+    ], ids=["p2p", "lemma1"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        # SeedSequence used to reject it inside the run, which exited 4.
+        assert run(argv + ["--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_codebook_over_cap_exits_3(self, tmp_path, capsys):
+        # 2^(16 * 100) codewords: the float 2^(nR) used to overflow first.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**read_json(scen("p2p_hybrid_spec.json")), "rate": 100}))
+        assert run(["simulate", scen("p2p_hybrid.json"), "--spec", str(spec), "--n", "16",
+                    "--trials", "1", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("resource cap: ")
+        assert list(tmp_path.iterdir()) == [spec]
+
     def test_missing_scenario_file(self, tmp_path):
         assert run(["check-thm1", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o")]) == 2

@@ -8,7 +8,8 @@ import pytest
 from hybridlab import cli, sim
 from hybridlab.bounds import (HybridCodeSpec, MacHybridSpec, lossless_mac_spec,
                               noiseless_pair_mac)
-from hybridlab.infotheory import ConditionalPmf, DistortionMeasure, JointPmf, Pmf
+from hybridlab.infotheory import (ConditionalPmf, DistortionMeasure, JointPmf, Pmf,
+                                  ScenarioError)
 from hybridlab.sim import (
     Codebook,
     MacScenario,
@@ -55,6 +56,72 @@ class TestSeeds:
 
     def test_root_seed_matters(self):
         assert derived_seed(0, 0, 0) != derived_seed(1, 0, 0)
+
+
+# Root seeds of one to five entropy words: 2^130 has five, more than the
+# pool, so SeedSequence does not pad it before the spawn key.
+ORACLE_ROOTS = [0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 130]
+# Keys of one word, and of two (2^32 and up), which SeedSequence hashes as
+# one more entropy word.
+ORACLE_KEYS = [0, 1, 123_456_789, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5, 2 ** 64 - 1]
+
+
+def numpy_stream(root, purpose, key):
+    """The generator each trial stream is defined as, built by numpy."""
+    seq = np.random.SeedSequence(root, spawn_key=(purpose, key))
+    if purpose == sim._CODEBOOK:
+        seq = np.random.SeedSequence(int(seq.generate_state(1, dtype=np.uint64)[0]))
+    return np.random.default_rng(seq)
+
+
+class TestBatchedStreams:
+    """The batched seed derivation against numpy's SeedSequence and PCG64."""
+
+    @pytest.mark.parametrize("root", ORACLE_ROOTS)
+    @pytest.mark.parametrize("purpose", range(4))
+    def test_state_words_match_seed_sequence(self, root, purpose):
+        words = sim._spawned_state(root, purpose, np.array(ORACLE_KEYS, dtype=np.uint64))
+        for key, row in zip(ORACLE_KEYS, words.tolist()):
+            seq = np.random.SeedSequence(root, spawn_key=(purpose, key))
+            assert row == seq.generate_state(4, dtype=np.uint64).tolist(), key
+            assert derived_seed(root, purpose, key) == row[0]
+
+    @pytest.mark.parametrize("root", ORACLE_ROOTS)
+    def test_codebook_words_match_second_seed_sequence(self, root):
+        seeds = sim._spawned_state(root, sim._CODEBOOK, np.array(ORACLE_KEYS, dtype=np.uint64))[:, 0]
+        words = sim._seed_sequence_state(sim._word_halves(seeds))
+        for seed, row in zip(seeds.tolist(), words.tolist()):
+            assert row == np.random.SeedSequence(seed).generate_state(4, dtype=np.uint64).tolist()
+
+    @pytest.mark.parametrize("root", ORACLE_ROOTS)
+    def test_draws_match_numpy_generators(self, root):
+        # Keys out of order and across stream blocks, as the two-sender
+        # codebooks (keys 2t and 2t + 1) ask for them; one bounded draw per
+        # stream leaves half a 64-bit word buffered for the next stream to
+        # discard.
+        streams = sim._Streams(root)
+        keys = [5, 2000, 3, 1024, 1023, 123_456_789, 2 ** 32 + 7, 0]
+        for purpose in range(4):
+            for key in keys:
+                got = streams.at(purpose, key)
+                want = numpy_stream(root, purpose, key)
+                assert got.integers(8) == want.integers(8), (purpose, key)
+                assert got.random(8).tolist() == want.random(8).tolist(), (purpose, key)
+                assert got.integers(10 ** 12) == want.integers(10 ** 12), (purpose, key)
+
+    def test_uniform_rows_are_stream_prefixes(self):
+        streams = sim._Streams(11)
+        keys = np.array([0, 7, 1500])
+        block = streams.uniforms(sim._CODEBOOK, keys, (3, 4))
+        for key, rows in zip(keys.tolist(), block):
+            assert np.array_equal(rows, numpy_stream(11, sim._CODEBOOK, key).random((3, 4)))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_bad_root_seed_rejected(self, seed):
+        with pytest.raises(ScenarioError, match="seed must be a non-negative integer"):
+            TrialConfig(n=4, trials=1, seed=seed)
+        with pytest.raises(ScenarioError, match="seed must be a non-negative integer"):
+            lemma1_check(2, 0.5, IDENTITY_COUPLING, 0.25, outer_trials=1, seed=seed)
 
 
 class TestCodebook:
@@ -239,8 +306,7 @@ class TestRunMac:
         def no_draws(*args):
             raise AssertionError("drew a stream before the cap check")
 
-        monkeypatch.setattr(sim, "_uniforms", no_draws)
-        monkeypatch.setattr(sim, "_codebook_uniforms", no_draws)
+        monkeypatch.setattr(sim._Streams, "uniforms", no_draws)
         monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 4735)
         with pytest.raises(MemoryCapError):
             run_mac(scenario, spec, config)
@@ -479,20 +545,23 @@ class TestPinnedReports:
 
     def test_lemma1_draws_tie_breaks_only_without_a_single_hit(self, monkeypatch):
         hit_counts, tie_trials = [], []
-        select, rng = sim._select, sim._rng
+        select, tie_breaks = sim._select, sim._Streams.tie_breaks
 
         def recording_select(hits, tie_rng):
             [sender_hits] = hits
             hit_counts.extend(sender_hits.sum(axis=1).tolist())
             return select(hits, tie_rng)
 
-        def recording_rng(root_seed, purpose, trial):
-            if purpose == sim._TIEBREAK:
-                tie_trials.append(trial)
-            return rng(root_seed, purpose, trial)
+        def recording_tie_breaks(streams, trials):
+            tie_rng = tie_breaks(streams, trials)
+
+            def recording_rng(row):
+                tie_trials.append(int(trials[row]))
+                return tie_rng(row)
+            return recording_rng
 
         monkeypatch.setattr(sim, "_select", recording_select)
-        monkeypatch.setattr(sim, "_rng", recording_rng)
+        monkeypatch.setattr(sim._Streams, "tie_breaks", recording_tie_breaks)
         assert repr(PINNED_CASES["lemma1_n2_seed0"]()) == PINNED["lemma1_n2_seed0"]
         assert len(hit_counts) == 600
         assert 0 in hit_counts and max(hit_counts) > 1
