@@ -1,10 +1,13 @@
 """Finite-alphabet probability primitives.
 
 Probability vectors, row-stochastic kernels, dense joints, entropies and
-mutual informations (base-2 throughout), plus the relative-slack typical-set
-membership test used by the simulators.  All containers are immutable after
-construction and all operations are pure, so everything here is safe to share
-across workers.
+mutual informations (base-2 throughout), plus relative-slack typicality
+(Orlitsky-Roche; El Gamal & Kim, ch. 2).  is_typical is the one-sequence
+definition.  The simulators run every typicality test through one batched
+kernel: typical_table tabulates the test of each cell at every count, and
+typical_pairs reads it for every pair of sequences, with the cell counts
+from one matmul.  All containers are immutable after construction and all
+operations are pure, so everything here is safe to share across workers.
 """
 
 from __future__ import annotations
@@ -313,46 +316,65 @@ def is_typical(
     `seq` is a single index sequence when `ref` is a Pmf, or a tuple of
     equal-length sequences (one per axis) when `ref` is a JointPmf.  Symbols
     of reference probability zero force the corresponding count to be zero.
+    This is the one-sequence definition, counted directly; the simulators
+    use the batched typical_table/typical_pairs kernel.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if isinstance(ref, Pmf):
-        seqs = [np.asarray(seq, dtype=int)]
-        dims = (ref.alphabet_size,)
-        p = ref.probs
-    else:
-        seqs = [np.asarray(s, dtype=int) for s in seq]
-        if len(seqs) != ref.num_axes:
-            raise ValueError("tuple arity does not match joint axes")
-        dims = ref.dims
-        p = ref.probs
+        seq = (seq,)
+    seqs = [np.asarray(s, dtype=int) for s in seq]
+    if len(seqs) != ref.probs.ndim:
+        raise ValueError("tuple arity does not match joint axes")
     n = seqs[0].size
     if any(s.size != n for s in seqs):
         raise ValueError("sequence length mismatch")
-    flat = np.ravel_multi_index(tuple(seqs), dims)
-    return bool(typical_mask(flat, p.ravel(), epsilon))
+    p = ref.probs.ravel()
+    counts = np.bincount(np.ravel_multi_index(tuple(seqs), ref.probs.shape), minlength=p.size)
+    return bool(np.all(np.abs(counts / n - p) <= epsilon * p))
 
 
-def typical_mask(cells: np.ndarray, p: np.ndarray, epsilon: float) -> np.ndarray:
-    """Relative-slack typicality of many sequences at once.
+def typical_table(p: np.ndarray, n: int, epsilon: float) -> np.ndarray:
+    """ok[..., k] = |k/n - p| <= epsilon * p for every cell of p and every
+    count k in 0..n: the relative-slack test of one cell, tabulated."""
+    k = np.arange(n + 1, dtype=float)
+    p = np.asarray(p)[..., None]
+    return np.abs(k / n - p) <= epsilon * p
 
-    `cells` has shape (..., n): one length-n sequence of flat cell indices
-    into the flat pmf `p` per leading index.  Returns the boolean (...) mask
-    of |count(c)/n - p(c)| <= epsilon * p(c) over every cell c.  All counts
-    come from one bincount over row-offset cell indices, so the largest
-    intermediates are the (rows, cells) count and slack tables.  Indices
-    must lie in 0..p.size-1; they are not checked, and one out of range
-    would be counted in the next row.
+
+def typical_pairs(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Joint typicality of every pair of sequences from a and b.
+
+    a (..., ma, n) holds symbols in 0..A-1 and b (..., mb, n) symbols in
+    0..B-1, with the same leading axes; ok is the (A, B, n + 1)
+    typical_table of a two-axis pmf.  Pair (i, j) is typical when every cell
+    (c, d) passes ok[c, d, k], k being the number of positions where
+    a[i] = c and b[j] = d.  One matmul of float32 one-hot layouts,
+    (..., A*ma, n) times (..., n, B*mb), gives every pair's cell counts;
+    float32 sums of 0/1 products are exact integers below 2^24.  Returns
+    the (..., ma, mb) mask.
     """
-    *lead, n = cells.shape
-    rows = math.prod(lead)
-    offsets = np.arange(rows)[:, None] * p.size
-    counts = np.bincount((cells.reshape(rows, n) + offsets).ravel(),
-                         minlength=rows * p.size).reshape(*lead, p.size)
-    slack = counts / n
-    slack -= p
-    np.abs(slack, out=slack)
-    return np.all(slack <= epsilon * p, axis=-1)
+    a_size, b_size, _ = ok.shape
+    n = a.shape[-1]
+    if n >= 2 ** 24:
+        raise ValueError(f"blocklength {n} is past the exact float32 counts")
+    one_hot_a = _one_hot(a, a_size)
+    one_hot_b = _one_hot(b, b_size)
+    counts = (one_hot_a @ one_hot_b.swapaxes(-1, -2)).astype(np.min_scalar_type(n))
+    counts = counts.reshape(*a.shape[:-2], a_size, a.shape[-2], b_size, b.shape[-2])
+    typ = np.ones(counts.shape[:-4] + counts.shape[-3::2], dtype=bool)
+    for c in range(a_size):
+        for d in range(b_size):
+            typ &= ok[c, d].take(counts[..., c, :, d, :])
+    return typ
+
+
+def _one_hot(symbols: np.ndarray, size: int) -> np.ndarray:
+    """(..., size*m, n) float32 layout of (..., m, n) symbols: row c*m + i
+    marks the positions where symbols[..., i, :] equals c."""
+    *lead, m, n = symbols.shape
+    hot = symbols[..., None, :, :] == np.arange(size)[:, None, None]
+    return hot.astype(np.float32).reshape(*lead, size * m, n)
 
 
 def empirical_distortion(s, shat, d: DistortionMeasure) -> float:

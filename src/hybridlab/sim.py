@@ -23,8 +23,11 @@ per-trial work is drawing each trial's uniforms from its own streams; the
 symbols, typicality tests, index selection, channel outputs, error events
 and distortions are computed for the whole chunk at once.  The exception is
 the MAC decoder's search over every index pair, which holds an (m1, m2)
-table per trial: one GEMM gives every pair's cell counts and a lookup
-table of every count decides typicality (_typical_index_pairs).  Every
+table per trial and so runs one trial at a time.  Every typicality test,
+at the encoders and the decoders, goes through infotheory's one kernel: a
+matmul of one-hot layouts gives each pair's cell counts, and a table of the
+test at every count 0..n decides each cell.  Every symbol, whether source,
+codeword or channel output, comes from one inverse cdf (_symbols).  Every
 stream draws the same values in the same order as a trial-by-trial loop
 would, so the reports do not depend on the chunk size.
 """
@@ -40,7 +43,8 @@ import numpy as np
 
 from .bounds import HybridCodeSpec, MacHybridSpec, _mac_joint, _p2p_joint
 from .infotheory import (MEMORY_CAP_SYMBOLS, ConditionalPmf, DistortionMeasure,
-                         JointPmf, MemoryCapError, Pmf, ScenarioError, typical_mask)
+                         JointPmf, MemoryCapError, Pmf, ScenarioError, is_typical,
+                         typical_pairs, typical_table)
 
 # Codeword symbols per chunk of batched trials.  A chunk holds several int64
 # and float64 arrays per symbol, about 600 kB in all at 2^13; 2^15 raised
@@ -227,8 +231,8 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.epsilon > self.epsilon_prime > 0):
-            raise ScenarioError("require epsilon > epsilon_prime > 0")
+        if not (math.inf > self.epsilon > self.epsilon_prime > 0):
+            raise ScenarioError("require finite epsilon > epsilon_prime > 0")
         if self.n < 1 or self.trials < 1:
             raise ScenarioError("n and trials must be >= 1")
         _root_words(self.seed)          # raises on a seed SeedSequence rejects
@@ -280,19 +284,22 @@ def _chunks(trials: int, symbols_per_trial: int):
 
 
 def _symbols(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Inverse-cdf symbols: the algorithm of Generator.choice(p=probs), so
+    """Inverse-cdf symbols: for each uniform u in [0, 1), the number of
+    entries before the last of the cdf of probs (last axis, normalized to
+    end at 1) that are <= u.  probs broadcasts against uniforms[..., None].
+    For one pmf this is the algorithm of Generator.choice(p=probs), so
     mapping rng.random(shape) here equals rng.choice(probs.size, shape, p=probs)
-    and leaves the stream in the same state."""
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(uniforms, side="right")
+    and leaves the stream in the same state.  No symbol past the alphabet
+    or of probability 0 is returned."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return (uniforms[..., None] >= cdf[..., :-1]).sum(axis=-1)
 
 
 def _channel_outputs(kernel: ConditionalPmf, inputs: np.ndarray,
                      uniforms: np.ndarray) -> np.ndarray:
     """One output per position, position i using kernel row inputs[..., i]."""
-    cum = np.cumsum(kernel.rows, axis=1)
-    return (uniforms[..., None] > cum[inputs]).sum(axis=-1)
+    return _symbols(uniforms, kernel.rows[inputs])
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +310,8 @@ def _pair_typical(codewords: np.ndarray, seq: np.ndarray, joint: JointPmf,
                   epsilon: float) -> np.ndarray:
     """Typicality of (codeword, seq) against a two-axis joint (codeword axis
     first), for codewords (..., m, n) and sequences (..., n): mask (..., m)."""
-    return typical_mask(codewords * joint.dims[1] + seq[..., None, :],
-                        joint.probs.ravel(), epsilon)
+    ok = typical_table(joint.probs, codewords.shape[-1], epsilon)
+    return typical_pairs(codewords, seq[..., None, :], ok)[..., 0]
 
 
 def _select(hits: list[np.ndarray], tie_rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -425,41 +432,6 @@ def _p2p_report(n, e1, e2, e3, dists) -> dict:
 _MAC_EVENTS = ("e1", "e2", "e3", "e4", "e5", "e6")
 
 
-def _count_lookup(p_uuy: np.ndarray, n: int, epsilon: float) -> np.ndarray:
-    """ok[c, d, k]: whether k of n positions in cell (c, d) pass the
-    typicality test against p(u1, u2, y), where c = u1*|Y| + y and d = u2.
-    The test is typical_mask's float expression at every possible count."""
-    u1_size, u2_size, y_size = p_uuy.shape
-    p = p_uuy.transpose(0, 2, 1).reshape(u1_size * y_size, u2_size, 1)
-    k = np.arange(n + 1, dtype=float)
-    return np.abs(k / n - p) <= epsilon * p
-
-
-def _typical_index_pairs(cells1: np.ndarray, cb2: np.ndarray,
-                         ok: np.ndarray) -> np.ndarray:
-    """(m1, m2) joint typicality of every codeword pair with y^n.
-
-    cells1 (m1, n) holds u1*|Y| + y for every sender-1 codeword, cb2 (m2, n)
-    the sender-2 codewords and ok the _count_lookup table.  One GEMM of
-    one-hot layouts, (C*m1, n) times (n, D*m2), gives every pair's cell
-    counts.  Cast to the smallest unsigned type that holds n, they index the
-    table, which decides each cell.
-    """
-    c_size, d_size, _ = ok.shape
-    (m1, n), m2 = cells1.shape, cb2.shape[0]
-    a = (np.arange(c_size)[:, None, None] == cells1).reshape(c_size * m1, n)
-    b = (np.arange(d_size)[:, None, None] == cb2).reshape(d_size * m2, n)
-    # float32 sums of 0/1 products are exact integers up to 2^24; counts are
-    # at most n, and run_mac's cap, MEMORY_CAP_SYMBOLS = 2^22, bounds n.
-    counts = (a.astype(np.float32) @ b.T.astype(np.float32)).astype(np.min_scalar_type(n))
-    counts = counts.reshape(c_size, m1, d_size, m2)
-    typ = np.ones((m1, m2), dtype=bool)
-    for c in range(c_size):
-        for d in range(d_size):
-            typ &= ok[c, d].take(counts[c, :, d])
-    return typ
-
-
 def run_mac(scenario: MacScenario, spec: MacHybridSpec,
             config: TrialConfig) -> dict:
     """Monte Carlo trials of the two-sender scheme with a joint decoder.
@@ -470,10 +442,9 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     index wrong.  The decoder searches every index pair exhaustively and
     falls back to pair (0, 0) unless exactly one pair is typical.  Streams,
     encoding and channel are drawn per chunk of trials as in run_p2p.  The
-    pair search takes one GEMM per trial for the (m1, m2, cells) count
-    table and decides typicality from a lookup table of every count 0..n
-    (_typical_index_pairs); the memory cap bounds that table and its
-    one-hot factors.
+    pair search is typical_pairs on each trial's cells (u1, y) against its
+    sender-2 codewords, one matmul for every pair's cell counts; the memory
+    cap bounds those counts and their one-hot factors.
     """
     if spec.q_pmf.alphabet_size != 1:
         raise ScenarioError("simulation supports a trivial time-sharing alphabet only")
@@ -494,7 +465,9 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
             f"{pair_entries} entries, cap is {MEMORY_CAP_SYMBOLS}")
     s2_size = scenario.sources.dims[1]
     x2_size = j.dims[6]
-    ok = _count_lookup(j_uuy.probs, n, config.epsilon)
+    # The test of cell (u1*|Y| + y, u2) at every count 0..n.
+    ok = typical_table(j_uuy.probs.transpose(0, 2, 1).reshape(u1_size * y_size, u2_size),
+                       n, config.epsilon)
     events = {key: np.empty(trials, dtype=bool) for key in _MAC_EVENTS}
     d1s = np.empty(trials)
     d2s = np.empty(trials)
@@ -519,7 +492,7 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
         h1 = np.zeros(ts.size, dtype=int)
         h2 = np.zeros(ts.size, dtype=int)
         for row, t in enumerate(ts):
-            typ = _typical_index_pairs(cb1[row] * y_size + y[row], cb2[row], ok)
+            typ = typical_pairs(cb1[row] * y_size + y[row], cb2[row], ok)
             i1, i2 = idx1[row], idx2[row]
             other1 = np.ones(m1, dtype=bool)
             other1[i1] = False
@@ -566,8 +539,9 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
     one-trial-at-a-time loop (see the module docstring).  The |U|^n pattern
     table is capped at MEMORY_CAP_SYMBOLS entries.
     """
-    if n < 1 or outer_trials < 1 or not eps_prime > 0:
-        raise ScenarioError("lemma1_check needs n, trials >= 1 and eps_prime > 0")
+    if n < 1 or outer_trials < 1 or min_count < 1 or not math.inf > eps_prime > 0:
+        raise ScenarioError(
+            "lemma1_check needs n, trials, min_count >= 1 and a finite eps_prime > 0")
     if joint_us.num_axes != 2:
         raise ScenarioError(f"joint_us must have two axes (u, s), got {joint_us.num_axes}")
     streams = _Streams(seed)
@@ -650,17 +624,9 @@ def lemma1_exact_n2(rate: float, joint_us: JointPmf, eps_prime: float) -> dict:
     u_size, s_size = joint_us.dims
     p_u = joint_us.marginal_pmf(0).probs
     p_s = joint_us.marginal_pmf(1).probs
-    p_us = joint_us.probs
     patterns = list(iproduct(range(u_size), repeat=n))
     s_blocks = list(iproduct(range(s_size), repeat=n))
     pat_prob = {pat: float(np.prod(p_u[list(pat)])) for pat in patterns}
-
-    def typical(u_pat, s_pat):
-        counts = np.zeros((u_size, s_size))
-        for ui, si in zip(u_pat, s_pat):
-            counts[ui, si] += 1
-        return bool(np.all(np.abs(counts / n - p_us) <= eps_prime * p_us))
-
     cell_mass: dict[tuple, dict[tuple, float]] = {}
     for s_pat in s_blocks:
         ps = float(np.prod(p_s[list(s_pat)]))
@@ -671,7 +637,7 @@ def lemma1_exact_n2(rate: float, joint_us: JointPmf, eps_prime: float) -> dict:
                 w = ps * pat_prob[c0] * pat_prob[c1]
                 if w == 0:
                     continue
-                hits = [typical(c0, s_pat), typical(c1, s_pat)]
+                hits = [is_typical((c, s_pat), joint_us, eps_prime) for c in (c0, c1)]
                 if hits[0]:
                     p_sel = 0.5 if hits[1] else 1.0
                 elif hits[1]:

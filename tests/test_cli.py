@@ -70,7 +70,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--eps-prime", "0"],
         ["check-thm1", scen("p2p_hybrid.json"), "--optimize", "--target-d", "NaN"],
-    ], ids=["lemma1-eps-prime-0", "target-d-nan"])
+        # inf * 0 is NaN in the slack of a zero-probability cell, which
+        # used to fail every sequence and exit 0 with p_error 1.
+        ["simulate", scen("p2p_hybrid.json"), "--spec", scen("p2p_hybrid_spec.json"),
+         "--n", "8", "--trials", "50", "--eps", "inf", "--eps-prime", "0.5"],
+        ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--eps-prime", "inf"],
+        ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--min-count", "-3"],
+        ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--min-count", "0"],
+    ], ids=["lemma1-eps-prime-0", "target-d-nan", "p2p-eps-inf", "lemma1-eps-prime-inf",
+            "lemma1-min-count-negative", "lemma1-min-count-0"])
     def test_bad_option_value_exits_2(self, tmp_path, capsys, argv):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -18,7 +18,8 @@ from hybridlab.infotheory import (
     entropy,
     is_typical,
     mutual_information,
-    typical_mask,
+    typical_pairs,
+    typical_table,
 )
 
 
@@ -191,6 +192,12 @@ class TestTypicality:
         with pytest.raises(ValueError):
             is_typical(([0, 1], [0]), j, 0.1)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        # inf * 0 is NaN, which would fail every sequence on a zero cell.
+        with pytest.raises(ValueError):
+            is_typical([0, 1], Pmf([0.5, 0.5, 0.0]), eps)
+
     @given(st.lists(st.integers(0, 1), min_size=4, max_size=12),
            st.floats(0.05, 1.0), st.floats(0.01, 1.0))
     @settings(max_examples=60)
@@ -201,17 +208,38 @@ class TestTypicality:
             assert is_typical(seq, ref, eps)
 
     def test_batched_mask_matches_single_sequences(self):
-        # Rows of one batch must not leak counts into each other.
+        # typical_pairs with leading batch axes and one sequence per row
+        # (mb = 1) against the one-sequence definition, which counts on its
+        # own: rows must not leak counts into each other, and a cell of
+        # probability 0 fails any sequence that visits it.
         rng = np.random.default_rng(0)
         ref = JointPmf([[0.3, 0.1, 0.0], [0.2, 0.1, 0.3]])
-        cells = rng.choice(6, size=(5, 7, 10), p=ref.probs.ravel())
-        mask = typical_mask(cells, ref.probs.ravel(), 1.0)
-        assert mask.shape == (5, 7)
-        assert mask.any() and not mask.all()
-        u, s = np.divmod(cells, 3)
-        for i in range(5):
-            for j in range(7):
-                assert mask[i, j] == is_typical((u[i, j], s[i, j]), ref, 1.0)
+        s = rng.choice(3, size=(5, 10), p=ref.marginal([1]).probs)
+        # Half the codewords follow p(u | s); the other half are uniform and
+        # often put u = 0 against s = 2, the zero cell.
+        p_u0_given_s = ref.probs[0] / ref.probs.sum(axis=0)
+        u = (rng.random((5, 7, 10)) >= p_u0_given_s[s][:, None, :]).astype(int)
+        u[:, 4:] = rng.integers(2, size=(5, 3, 10))
+        ok = typical_table(ref.probs, 10, 1.0)
+        mask = typical_pairs(u, s[:, None, :], ok)
+        assert mask.shape == (5, 7, 1) and mask.dtype == bool
+        stacked = typical_pairs(u[:, :, None], np.broadcast_to(s[:, None, None], (5, 7, 1, 10)), ok)
+        assert stacked.shape == (5, 7, 1, 1)
+        assert np.array_equal(stacked[..., 0], mask)
+        want = np.array([[is_typical((u[i, j], s[i]), ref, 1.0) for j in range(7)]
+                         for i in range(5)])
+        assert np.array_equal(mask[..., 0], want)
+        assert want.any() and not want.all()
+        zero_visits = ((u == 0) & (s[:, None] == 2)).any(axis=2)
+        assert not want[zero_visits].any()
+        # Some of them fail on the zero cell alone.
+        only_zero = 0
+        for i, j in zip(*np.nonzero(zero_visits)):
+            counts = np.zeros((2, 3))
+            np.add.at(counts, (u[i, j], s[i]), 1)
+            slack = np.abs(counts / 10 - ref.probs) <= ref.probs
+            only_zero += bool(slack[ref.probs > 0].all())
+        assert only_zero > 0
 
 
 class TestDistortion:

@@ -9,7 +9,7 @@ from hybridlab import cli, sim
 from hybridlab.bounds import (HybridCodeSpec, MacHybridSpec, lossless_mac_spec,
                               noiseless_pair_mac)
 from hybridlab.infotheory import (ConditionalPmf, DistortionMeasure, JointPmf, Pmf,
-                                  ScenarioError)
+                                  ScenarioError, typical_pairs, typical_table)
 from hybridlab.sim import (
     Codebook,
     MacScenario,
@@ -313,9 +313,9 @@ class TestRunMac:
 
 
 def einsum_typical_pairs(cb1, cb2, y, p_uuy, epsilon):
-    """The pair search run_mac used before _typical_index_pairs, kept as the
-    reference: one-hot tensors, an einsum to (m1, m2, cells) float counts
-    and the typicality test on every cell."""
+    """An earlier pair search of run_mac, kept as the reference: one-hot
+    tensors, an einsum to (m1, m2, cells) float counts and the typicality
+    test on every cell."""
     u1_size, u2_size, y_size = p_uuy.shape
     (m1, n), m2 = cb1.shape, cb2.shape[0]
     a = np.zeros((m1, n, u1_size * y_size))
@@ -330,7 +330,8 @@ def einsum_typical_pairs(cb1, cb2, y, p_uuy, epsilon):
 
 
 class TestPairSearchOracle:
-    """sim._typical_index_pairs against the einsum pair search, required ==."""
+    """typical_table with typical_pairs, laid out as run_mac's pair search,
+    against the einsum pair search, required ==."""
 
     @staticmethod
     def problem(rng, u1_size, u2_size, y_size, n):
@@ -353,9 +354,10 @@ class TestPairSearchOracle:
 
     @staticmethod
     def gemm_mask(cb1, cb2, y, p, epsilon):
-        n = cb1.shape[1]
-        ok = sim._count_lookup(p, n, epsilon)
-        return sim._typical_index_pairs(cb1 * p.shape[2] + y, cb2, ok)
+        u1_size, u2_size, y_size = p.shape
+        ok = typical_table(p.transpose(0, 2, 1).reshape(u1_size * y_size, u2_size),
+                           cb1.shape[1], epsilon)
+        return typical_pairs(cb1 * y_size + y, cb2, ok)
 
     def test_matches_einsum_on_random_problems(self):
         rng = np.random.default_rng(20261018)
@@ -393,10 +395,53 @@ class TestPairSearchOracle:
         p[0, 1] = 0.0
         p /= p.sum()
         n, eps = 11, 0.4
-        ok = sim._count_lookup(p, n, eps)
-        assert ok.shape == (2 * 4, 3, n + 1)
+        ok = typical_table(p, n, eps)
+        assert ok.shape == (2, 3, 4, n + 1)
         for u1, u2, yy, k in np.ndindex(2, 3, 4, n + 1):
-            assert ok[u1 * 4 + yy, u2, k] == (abs(k / n - p[u1, u2, yy]) <= eps * p[u1, u2, yy])
+            assert ok[u1, u2, yy, k] == (abs(k / n - p[u1, u2, yy]) <= eps * p[u1, u2, yy])
+
+
+class TestInverseCdf:
+    def test_channel_output_stays_in_the_alphabet(self):
+        # The row's cumsum ends at 0.9999999999999998, below the largest
+        # uniform random() returns; an unnormalized cdf gave output 4.
+        kernel = ConditionalPmf([[0.2, 0.4, 0.3, 0.1]])
+        assert np.cumsum(kernel.rows[0])[-1] < 1 - 2.0 ** -53
+        out = sim._channel_outputs(kernel, np.array([0, 0]), np.array([1 - 2.0 ** -53, 0.95]))
+        assert out.tolist() == [3, 3]
+
+    def test_channel_output_never_has_probability_zero(self):
+        kernel = ConditionalPmf([[0.0, 1.0], [0.5, 0.5]])
+        out = sim._channel_outputs(kernel, np.array([0, 1, 1]), np.array([0.0, 0.0, 0.5]))
+        assert out.tolist() == [1, 0, 1]
+
+    def test_symbols_equal_generator_choice(self):
+        # Zero-probability symbols, first, inner and last, are never drawn.
+        probs = np.array([0.0, 0.25, 0.0, 0.5, 0.25, 0.0])
+        got = sim._symbols(np.random.default_rng(5).random((40, 50)), probs)
+        assert np.array_equal(got, np.random.default_rng(5).choice(6, (40, 50), p=probs))
+        assert set(np.unique(got).tolist()) == {1, 3, 4}
+
+    def test_symbols_at_cdf_boundaries(self):
+        # Generator.choice searches a cdf normalized to end at 1.  This
+        # pmf's cumsum ends at 0.9999999999999999, so an unnormalized cdf
+        # would pick other symbols at and next to the boundaries.
+        probs = np.full(10, 0.1)
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0), np.nextafter(cdf[:-1], 1)])
+        assert np.array_equal(sim._symbols(u, probs), cdf.searchsorted(u, side="right"))
+
+    def test_channel_rows_equal_per_row_symbols(self):
+        rng = np.random.default_rng(8)
+        rows = rng.random((3, 5)) * (rng.random((3, 5)) < 0.7) + np.eye(3, 5)
+        kernel = ConditionalPmf(rows / rows.sum(axis=1, keepdims=True))
+        inputs = rng.integers(3, size=(4, 30))
+        u = rng.random((4, 30))
+        want = np.empty_like(inputs)
+        for x in range(3):
+            want[inputs == x] = sim._symbols(u[inputs == x], kernel.rows[x])
+        assert np.array_equal(sim._channel_outputs(kernel, inputs, u), want)
 
 
 IDENTITY_COUPLING = JointPmf(np.eye(2) / 2)
