@@ -14,7 +14,6 @@ from .infotheory import (  # noqa: F401
     Pmf,
     compose_joint,
     conditional_mutual_information,
-    empirical_distortion,
     entropy,
     is_typical,
     mutual_information,

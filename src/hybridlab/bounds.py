@@ -1,9 +1,10 @@
 """Exact evaluators for the discrete-alphabet achievability bounds.
 
 Covers the point-to-point hybrid-coding condition and its exhaustive
-optimizer, the two-sender MAC region, the discrete two-way-relay region, the
-diamond-network bound with its deterministic specialization, and the
-Blahut-Arimoto routines for the separation baseline R(D) vs C.
+optimizer, the two-sender MAC region with its lossless and distributed
+substitutions, the discrete two-way-relay region, the grid maximizer of the
+deterministic diamond network, and the Blahut-Arimoto routines for the
+separation baseline R(D) vs C.
 
 Strict inequalities are tested with the fixed margin MARGIN = 1e-9:
 boundary equality reports not-satisfied.  The degenerate single-letter
@@ -38,6 +39,10 @@ from .search import simplex_grid_array
 MARGIN = 1e-9
 BA_TOL = 1e-9
 BA_MAX_ITER = 10_000
+# Stop of one rate-distortion point: successive distortions this close.
+RD_TOL = 1e-13
+# Kernel-grid candidates per chunk of the p2p scan.
+_SCAN_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +64,6 @@ class BoundReport:
     distortions: tuple[float, ...] = ()
     value: float | None = None
     info: dict = field(default_factory=dict)
-
-    def constraint(self, name: str) -> Constraint:
-        for c in self.constraints:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -295,21 +294,20 @@ def mac_region_check(
 # Blahut-Arimoto
 # ---------------------------------------------------------------------------
 
-def capacity(channel: ConditionalPmf, tol: float = BA_TOL,
-             max_iter: int = BA_MAX_ITER) -> float:
+def capacity(channel: ConditionalPmf) -> float:
     """Channel capacity in bits via Blahut-Arimoto with a duality-gap stop."""
     W = channel.rows
     nx = W.shape[0]
     p = np.full(nx, 1.0 / nx)
     logW = np.where(W > 0, np.log2(np.where(W > 0, W, 1.0)), 0.0)
-    for _ in range(max_iter):
+    for _ in range(BA_MAX_ITER):
         q = p @ W
         with np.errstate(divide="ignore"):
             logq = np.where(q > 0, np.log2(np.where(q > 0, q, 1.0)), 0.0)
         div = np.sum(W * (logW - logq[None, :]), axis=1)
         lower = float(p @ div)
         upper = float(div.max())
-        if upper - lower <= tol:
+        if upper - lower <= BA_TOL:
             return lower
         p = p * np.exp2(div - upper)
         p /= p.sum()
@@ -317,21 +315,20 @@ def capacity(channel: ConditionalPmf, tol: float = BA_TOL,
     return lower
 
 
-def _rd_point(p_s: np.ndarray, dtab: np.ndarray, beta: float,
-              tol: float = 1e-13, max_iter: int = BA_MAX_ITER) -> tuple[float, float]:
+def _rd_point(p_s: np.ndarray, dtab: np.ndarray, beta: float) -> tuple[float, float]:
     """One Blahut-Arimoto rate-distortion point at Lagrange slope beta."""
     n_hat = dtab.shape[1]
     q = np.full(n_hat, 1.0 / n_hat)
     expd = np.exp2(-beta * dtab)
     prev_d = np.inf
     rate, dist = 0.0, 0.0
-    for _ in range(max_iter):
+    for _ in range(BA_MAX_ITER):
         a = q[None, :] * expd
         denom = a.sum(axis=1, keepdims=True)
         cond = a / denom
         q = p_s @ cond
         dist = float(np.sum(p_s[:, None] * cond * dtab))
-        if abs(dist - prev_d) <= tol:
+        if abs(dist - prev_d) <= RD_TOL:
             break
         prev_d = dist
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -441,7 +438,7 @@ def _entropy_last(p: np.ndarray) -> np.ndarray:
     return -np.einsum("...i,...i->...", p, log_p)
 
 
-def _scan_p2p(source, channel, d, targets, aux_cap, grid_res, chunk=1024):
+def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
     """Stream all (aux kernel grid, enc map) candidates once.
 
     For each target distortion returns the best (max) slack achievable with
@@ -474,7 +471,7 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res, chunk=1024):
     maps = x_size ** (aux_cap * s_size)
     kernels = math.comb(grid_res + aux_cap - 1, aux_cap - 1) ** s_size
     entries = maps * max(aux_cap * s_size, aux_cap * x_size ** s_size,
-                         min(chunk, kernels) * channel.output_size)
+                         min(_SCAN_CHUNK, kernels) * channel.output_size)
     if entries > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(
             f"{maps} encoder maps at aux size {aux_cap} need {entries} entries, "
@@ -505,8 +502,8 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res, chunk=1024):
         # column map c: the enc index has C-order base-C digits (c_0, ...).
         sel = np.zeros((NE, u * C))
         np.put_along_axis(sel, np.arange(u) * C + _digits(np.arange(NE), C, u), 1.0, 1)
-        for start in range(0, kernel_count, chunk):
-            idx = np.arange(start, min(start + chunk, kernel_count))
+        for start in range(0, kernel_count, _SCAN_CHUNK):
+            idx = np.arange(start, min(start + _SCAN_CHUNK, kernel_count))
             K = row_grid[_digits(idx, G, s_size)]       # (B, s, u)
             p_su = p_s[None, :, None] * K               # (B, s, u)
             h_u = _entropy_rows(p_su.sum(axis=1), 1)    # (B,)
@@ -640,12 +637,15 @@ def twrc_region_check(
     y1_size: int,
     y2_size: int,
     spec: TwrcSpec,
-    r2_penalty_on_x2: bool = False,
 ) -> BoundReport:
     """Rate corner of the discrete two-way-relay achievability region.
 
-    The second R2 expression subtracts I(Y3;U3|X1) exactly as printed; the
-    r2_penalty_on_x2 switch conditions on X2 instead, for exploration only.
+    R1 is min(I(X1;Y2,U3|X2), I(X1,U3;X2,Y2) - I(Y3;U3|X1)), and R2 its
+    1<->2 mirror: min(I(X2;Y1,U3|X1), I(X2,U3;X1,Y1) - I(Y3;U3|X2)).  The
+    printed R2 penalty conditions on X1; the mirror conditions on X2, as the
+    mirrored R2 of the Gaussian region does, so swapping the two users
+    swaps R1 and R2.  The constraint named "R2: ... - penalty" is the
+    mirror's second expression.
     """
     if uplink.input_size != spec.px1.alphabet_size * spec.px2.alphabet_size:
         raise ScenarioError("uplink rows must be indexed by (x1, x2)")
@@ -665,12 +665,12 @@ def twrc_region_check(
         (downlink, [4]),             # (y1, y2) -> axis 5
     ]).split_axis(5, (y1_size, y2_size))
     X1, X2, Y3, U3, Y1, Y2 = 0, 1, 2, 3, 5, 6
-    pen = conditional_mutual_information(j, [Y3], [U3], [X1])
-    pen2 = conditional_mutual_information(j, [Y3], [U3], [X2]) if r2_penalty_on_x2 else pen
     a1 = conditional_mutual_information(j, [X1], [Y2, U3], [X2])
-    b1 = mutual_information(j, [X1, U3], [X2, Y2]) - pen
+    b1 = mutual_information(j, [X1, U3], [X2, Y2]) \
+        - conditional_mutual_information(j, [Y3], [U3], [X1])
     a2 = conditional_mutual_information(j, [X2], [Y1, U3], [X1])
-    b2 = mutual_information(j, [X2, U3], [X1, Y1]) - pen2
+    b2 = mutual_information(j, [X2, U3], [X1, Y1]) \
+        - conditional_mutual_information(j, [Y3], [U3], [X2])
     r1 = min(a1, b1)
     r2 = min(a2, b2)
     clamped = r1 < 0 or r2 < 0
@@ -691,72 +691,6 @@ def twrc_region_check(
             "clamped": bool(clamped),
             "binding_R2": constraints[2 if a2 <= b2 else 3].name,
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Diamond network bound
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiamondSpec:
-    px1: Pmf
-    k2: ConditionalPmf             # p(u2 | y2)
-    k3: ConditionalPmf             # p(u3 | y3)
-    map2: np.ndarray               # x2[u2, y2]
-    map3: np.ndarray               # x3[u3, y3]
-
-    def __post_init__(self):
-        for name in ("map2", "map3"):
-            object.__setattr__(self, name, as_table(getattr(self, name), name, whole=True))
-
-
-def diamond_bound(
-    broadcast: ConditionalPmf,     # p(y2, y3 | x1), outputs (y2, y3) C order
-    mac: ConditionalPmf,           # p(y4 | x2, x3), rows (x2, x3) C order
-    y2_size: int,
-    y3_size: int,
-    x2_size: int,
-    x3_size: int,
-    spec: DiamondSpec,
-) -> BoundReport:
-    """Minimum of the four diamond-network rate expressions for a spec."""
-    if y2_size * y3_size != broadcast.output_size:
-        raise ScenarioError("broadcast output does not factor as (y2, y3)")
-    if x2_size * x3_size != mac.input_size:
-        raise ScenarioError("MAC rows must be indexed by (x2, x3)")
-    j0 = compose_joint(JointPmf.from_pmf(spec.px1), [(broadcast, [0])])
-    j0 = j0.split_axis(1, (y2_size, y3_size))       # (x1, y2, y3)
-    enc2 = ConditionalPmf.deterministic(spec.map2, x2_size)
-    enc3 = ConditionalPmf.deterministic(spec.map3, x3_size)
-    j = compose_joint(j0, [
-        (spec.k2, [1]),        # u2 -> 3
-        (spec.k3, [2]),        # u3 -> 4
-        (enc2, [3, 1]),        # x2 -> 5
-        (enc3, [4, 2]),        # x3 -> 6
-        (mac, [5, 6]),         # y4 -> 7
-    ])
-    X1, Y2, Y3, U2, U3, Y4 = 0, 1, 2, 3, 4, 7
-    v1 = mutual_information(j, [X1], [U2, U3, Y4])
-    v2 = mutual_information(j, [X1, U2], [U3, Y4]) \
-        - conditional_mutual_information(j, [U2], [Y2], [X1])
-    v3 = mutual_information(j, [X1, U3], [U2, Y4]) \
-        - conditional_mutual_information(j, [U3], [Y3], [X1])
-    v4 = mutual_information(j, [X1, U2, U3], [Y4]) \
-        - conditional_mutual_information(j, [U2, U3], [Y2, Y3], [X1])
-    names = (
-        "I(X1;U2,U3,Y4)",
-        "I(X1,U2;U3,Y4) - I(U2;Y2|X1)",
-        "I(X1,U3;U2,Y4) - I(U3;Y3|X1)",
-        "I(X1,U2,U3;Y4) - I(U2,U3;Y2,Y3|X1)",
-    )
-    vals = (v1, v2, v3, v4)
-    k = int(np.argmin(vals))
-    return BoundReport(
-        constraints=tuple(Constraint(n, None, v) for n, v in zip(names, vals)),
-        satisfied=True,
-        binding_constraint=names[k],
-        value=float(vals[k]),
     )
 
 
@@ -789,7 +723,9 @@ def _stage_joint(px1, y2_map, y3_map, shape) -> np.ndarray:
 
 
 def _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond_batch):
-    """Four rate terms for a batch of conditionals c[n, y2, y3, x2, x3]."""
+    """The four rate terms, in _DIAMOND_TERM_NAMES order, for a batch of
+    conditionals c[n, y2, y3, x2, x3]: shape (4, n).  The rate expression
+    is their minimum."""
     p23 = _stage_joint(px1, y2_map, y3_map, cond_batch.shape[1:3])
     T = p23[None, :, :, None, None] * cond_batch     # (n, y2, y3, x2, x3)
     h23 = float(_entropy_rows(p23, (0, 1)))
@@ -803,8 +739,7 @@ def _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond_batch):
     t3 = h3 + _entropy_rows(p_y3x3y4, (1, 2, 3)) - _entropy_rows(p_y3x3, (1, 2))
     p_y4 = np.einsum("nabcd,cde->ne", T, y4_onehot)
     t4 = _entropy_rows(p_y4, 1)
-    stacked = np.stack([np.full_like(t2, h23), t2, t3, t4])   # (4, n)
-    return stacked.min(axis=0), stacked.argmin(axis=0)
+    return np.stack([np.full_like(t2, h23), t2, t3, t4])
 
 
 def _row_product_batch(row_grid: np.ndarray, num_rows: int) -> np.ndarray:
@@ -863,9 +798,9 @@ def _rescore_products(px1, y2_map, y3_map, y4_onehot, family, ks):
     for start in range(0, ks.size, _DIAMOND_RESCORE_CHUNK):
         i, j = np.divmod(ks[start:start + _DIAMOND_RESCORE_CHUNK], b.shape[0])
         cond = a[i][:, :, None, :, None] * b[j][:, None, :, None, :]
-        v, bind = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
-        vals.append(v)
-        binds.append(bind)
+        terms = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+        vals.append(terms.min(axis=0))
+        binds.append(terms.argmin(axis=0))
     return np.concatenate(vals), np.concatenate(binds)
 
 
@@ -886,7 +821,7 @@ def det_diamond_bounds(
     relay grids include all deterministic maps as corners).
 
     Each family reports the strict-> first maximum in (px1 index, candidate
-    index) order of the values _det_diamond_terms gives.  The hybrid family
+    index) order of the minimum of the _det_diamond_terms.  The hybrid family
     a(x2|y2) b(x3|y3) and the independent family (row-constant a and b) are
     products, evaluated in factored form by _product_family_values, and
     those values only filter: a first pass over px1 keeps the rows whose
@@ -964,10 +899,11 @@ def det_diamond_bounds(
             chunk = joint_grid[start:start + _DIAMOND_RESCORE_CHUNK]
             cond = np.broadcast_to(chunk[:, None, None], (chunk.shape[0], y2_size, y3_size,
                                                           x2_size, x3_size))
-            vals, binds = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+            terms = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+            vals = terms.min(axis=0)
             k = int(np.argmax(vals))
             if vals[k] > best["cutset"][0]:
-                best["cutset"] = (float(vals[k]), int(binds[k]), (pi, start + k))
+                best["cutset"] = (float(vals[k]), int(terms[:, k].argmin()), (pi, start + k))
     return DetDiamondBounds(
         hybrid=best["hybrid"][0],
         adt=best["adt"][0],
@@ -1034,11 +970,6 @@ def lossless_reduced_values(sources: JointPmf, mac: ConditionalPmf,
         (h_s2_given_s1, conditional_mutual_information(j, [3], [4], [2, 0])),
         (h_s12, mutual_information(j, [2, 3], [4])),
     )
-
-
-def noiseless_pair_mac(x1_size: int, x2_size: int) -> ConditionalPmf:
-    """Channel whose output is the input pair itself, y = (x1, x2) C order."""
-    return ConditionalPmf.identity(x1_size * x2_size)
 
 
 def distributed_mac_spec(k1: ConditionalPmf, k2: ConditionalPmf,

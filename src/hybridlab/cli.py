@@ -321,9 +321,7 @@ def cmd_check_thm3(opts: dict) -> dict:
         relay_kernel=_build(ConditionalPmf, spec_doc, "relay_kernel"),
         relay_map=_field(spec_doc, "relay_map"),
     )
-    report = bounds.twrc_region_check(
-        uplink, downlink, y1_size, y2_size, spec,
-        r2_penalty_on_x2=bool(opts.get("alt_penalty", False)))
+    report = bounds.twrc_region_check(uplink, downlink, y1_size, y2_size, spec)
     return {".json": {"report": _report_to_dict(report)}}
 
 
@@ -486,8 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-thm3", help="discrete two-way-relay region corner")
     p.add_argument("scenario")
     p.add_argument("--spec", required=True)
-    p.add_argument("--alt-penalty", action="store_true",
-                   help="exploration: condition the second R2 penalty on X2")
     common(p, "twrc_check")
 
     p = sub.add_parser("simulate", help="Monte Carlo hybrid-coding trials")

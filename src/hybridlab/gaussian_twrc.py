@@ -83,8 +83,9 @@ def gauss_c(x: float) -> float:
 
 
 def _clamp_pair(r1_terms, r2_terms, scheme: str) -> RatePoint:
-    b1 = int(np.argmin(r1_terms))
-    b2 = int(np.argmin(r2_terms))
+    """Each rate is the first minimum of its two terms, clamped at 0."""
+    b1 = int(r1_terms[1] < r1_terms[0])
+    b2 = int(r2_terms[1] < r2_terms[0])
     r1, r2 = r1_terms[b1], r2_terms[b2]
     clamped = r1 < 0 or r2 < 0
     return RatePoint(max(r1, 0.0), max(r2, 0.0), scheme, (b1, b2), clamped)

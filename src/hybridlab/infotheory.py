@@ -375,12 +375,3 @@ def _one_hot(symbols: np.ndarray, size: int) -> np.ndarray:
     *lead, m, n = symbols.shape
     hot = symbols[..., None, :, :] == np.arange(size)[:, None, None]
     return hot.astype(np.float32).reshape(*lead, size * m, n)
-
-
-def empirical_distortion(s, shat, d: DistortionMeasure) -> float:
-    """(1/n) sum of per-symbol distortions."""
-    s = np.asarray(s, dtype=int)
-    shat = np.asarray(shat, dtype=int)
-    if s.size != shat.size:
-        raise ValueError("sequence length mismatch")
-    return float(d.table[s, shat].mean())

@@ -238,38 +238,26 @@ class TrialConfig:
         _root_words(self.seed)          # raises on a seed SeedSequence rejects
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """floor(2^(nR)) i.i.d. length-n codewords over the auxiliary alphabet."""
-
-    entries: np.ndarray
-    n: int
-    rate: float
-    pmf: Pmf
-    seed: int
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
 def codebook_size(n: int, rate: float) -> int:
+    """floor(2^(nR)) codewords of length n; MemoryCapError when they would
+    hold more than MEMORY_CAP_SYMBOLS symbols."""
     if n * rate > math.log2(MEMORY_CAP_SYMBOLS):
         raise MemoryCapError(
             f"2^({n} * {rate}) codewords exceed the cap of {MEMORY_CAP_SYMBOLS}")
-    return int(math.floor(2.0 ** (n * rate)))
-
-
-def generate_codebook(n: int, rate: float, pmf: Pmf, seed: int) -> Codebook:
-    """Draw the random codebook; bit-identical given (seed, n, rate, pmf)."""
-    m = codebook_size(n, rate)
+    m = int(math.floor(2.0 ** (n * rate)))
     if m * n > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(
-            f"codebook needs {m * n} symbols, cap is {MEMORY_CAP_SYMBOLS}")
+            f"a {m}-word codebook needs {m * n} symbols, cap is {MEMORY_CAP_SYMBOLS}")
+    return m
+
+
+def generate_codebook(n: int, rate: float, pmf: Pmf, seed: int) -> np.ndarray:
+    """The read-only (m, n) array of floor(2^(nR)) i.i.d. codewords drawn
+    from pmf; bit-identical given (seed, n, rate, pmf)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    entries = _symbols(rng.random((m, n)), pmf.probs)
+    entries = _symbols(rng.random((codebook_size(n, rate), n)), pmf.probs)
     entries.flags.writeable = False
-    return Codebook(entries=entries, n=n, rate=rate, pmf=pmf, seed=seed)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +323,20 @@ def _select(hits: list[np.ndarray], tie_rng) -> tuple[list[np.ndarray], list[np.
     return chosen, [c == 0 for c in counts]
 
 
-def encode_p2p(s: np.ndarray, cb: Codebook, eps_prime: float,
+def encode_p2p(s: np.ndarray, cb: np.ndarray, eps_prime: float,
                enc_map: np.ndarray, joint_us: JointPmf,
                rng: np.random.Generator) -> tuple[int, np.ndarray, bool]:
     """Joint-typicality encoding with uniform tie-break.
 
-    Scans all codewords for joint typicality of (u^n(m), s^n) against
-    joint_us (axes u, s); picks uniformly among hits, or uniformly among all
-    indices when there is no hit.  Returns (index, channel input, covering
-    failure flag).
+    Scans the (m, n) codebook cb for joint typicality of (u^n(m), s^n)
+    against joint_us (axes u, s); picks uniformly among hits, or uniformly
+    among all indices when there is no hit.  Returns (index, channel input,
+    covering failure flag).
     """
     s = np.asarray(s, dtype=int)
-    hits = _pair_typical(cb.entries, s, joint_us, eps_prime)
+    hits = _pair_typical(cb, s, joint_us, eps_prime)
     [(m,)], [(covering_failed,)] = _select([hits[None]], lambda row: rng)
-    x = np.asarray(enc_map, dtype=int)[cb.entries[m], s]
+    x = np.asarray(enc_map, dtype=int)[cb[m], s]
     return int(m), x, bool(covering_failed)
 
 
@@ -374,8 +362,6 @@ def run_p2p(scenario: P2pScenario, spec: HybridCodeSpec,
     joint_uy = joint.marginal([1, 3])   # (u, y)
     n, trials = config.n, config.trials
     m_count = codebook_size(n, spec.rate)
-    if m_count * n > MEMORY_CAP_SYMBOLS:
-        raise MemoryCapError("codebook exceeds memory cap")
     p_u = joint_us.marginal_pmf(0).probs
     e1, e2, e3 = (np.empty(trials, dtype=bool) for _ in range(3))
     dists = np.empty(trials)
@@ -549,10 +535,9 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
     if m_count < 2:
         raise ScenarioError(f"rate {rate} at n = {n} gives fewer than two codewords")
     u_size, s_size = joint_us.dims
-    if u_size ** n > MEMORY_CAP_SYMBOLS or m_count * n > MEMORY_CAP_SYMBOLS:
+    if u_size ** n > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(
-            f"{u_size}^{n} codeword patterns or a {m_count}-word codebook "
-            f"exceed the cap of {MEMORY_CAP_SYMBOLS}")
+            f"{u_size}^{n} codeword patterns exceed the cap of {MEMORY_CAP_SYMBOLS}")
     p_u = joint_us.marginal_pmf(0).probs
     p_s = joint_us.marginal_pmf(1).probs
     # Probability of every codeword pattern, in C order over (u_1, ..., u_n).

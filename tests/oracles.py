@@ -1,0 +1,108 @@
+"""Theorem-level references that the library's fast paths are tested against.
+
+diamond_bound evaluates the diamond-network rate expression for any relay
+kernels on a joint built by compose_joint, with one mutual information per
+term.  The deterministic-diamond grid maximizer of `bounds` scores its
+candidates with closed-form entropies instead; with U2 = (Y2, X2) and
+U3 = (Y3, X3) the two must agree term by term.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hybridlab.bounds import BoundReport, Constraint
+from hybridlab.infotheory import (
+    ConditionalPmf,
+    JointPmf,
+    Pmf,
+    ScenarioError,
+    as_table,
+    compose_joint,
+    conditional_mutual_information,
+    mutual_information,
+)
+
+
+@dataclass(frozen=True)
+class DiamondSpec:
+    px1: Pmf
+    k2: ConditionalPmf             # p(u2 | y2)
+    k3: ConditionalPmf             # p(u3 | y3)
+    map2: np.ndarray               # x2[u2, y2]
+    map3: np.ndarray               # x3[u3, y3]
+
+    def __post_init__(self):
+        for name in ("map2", "map3"):
+            object.__setattr__(self, name, as_table(getattr(self, name), name, whole=True))
+
+
+DIAMOND_BOUND_NAMES = (
+    "I(X1;U2,U3,Y4)",
+    "I(X1,U2;U3,Y4) - I(U2;Y2|X1)",
+    "I(X1,U3;U2,Y4) - I(U3;Y3|X1)",
+    "I(X1,U2,U3;Y4) - I(U2,U3;Y2,Y3|X1)",
+)
+
+
+def diamond_bound(
+    broadcast: ConditionalPmf,     # p(y2, y3 | x1), outputs (y2, y3) C order
+    mac: ConditionalPmf,           # p(y4 | x2, x3), rows (x2, x3) C order
+    y2_size: int,
+    y3_size: int,
+    x2_size: int,
+    x3_size: int,
+    spec: DiamondSpec,
+) -> BoundReport:
+    """Minimum of the four diamond-network rate expressions for a spec."""
+    if y2_size * y3_size != broadcast.output_size:
+        raise ScenarioError("broadcast output does not factor as (y2, y3)")
+    if x2_size * x3_size != mac.input_size:
+        raise ScenarioError("MAC rows must be indexed by (x2, x3)")
+    j0 = compose_joint(JointPmf.from_pmf(spec.px1), [(broadcast, [0])])
+    j0 = j0.split_axis(1, (y2_size, y3_size))       # (x1, y2, y3)
+    enc2 = ConditionalPmf.deterministic(spec.map2, x2_size)
+    enc3 = ConditionalPmf.deterministic(spec.map3, x3_size)
+    j = compose_joint(j0, [
+        (spec.k2, [1]),        # u2 -> 3
+        (spec.k3, [2]),        # u3 -> 4
+        (enc2, [3, 1]),        # x2 -> 5
+        (enc3, [4, 2]),        # x3 -> 6
+        (mac, [5, 6]),         # y4 -> 7
+    ])
+    X1, Y2, Y3, U2, U3, Y4 = 0, 1, 2, 3, 4, 7
+    vals = (
+        mutual_information(j, [X1], [U2, U3, Y4]),
+        mutual_information(j, [X1, U2], [U3, Y4])
+        - conditional_mutual_information(j, [U2], [Y2], [X1]),
+        mutual_information(j, [X1, U3], [U2, Y4])
+        - conditional_mutual_information(j, [U3], [Y3], [X1]),
+        mutual_information(j, [X1, U2, U3], [Y4])
+        - conditional_mutual_information(j, [U2, U3], [Y2, Y3], [X1]),
+    )
+    k = int(np.argmin(vals))
+    return BoundReport(
+        constraints=tuple(Constraint(n, None, v) for n, v in zip(DIAMOND_BOUND_NAMES, vals)),
+        satisfied=True,
+        binding_constraint=DIAMOND_BOUND_NAMES[k],
+        value=float(vals[k]),
+    )
+
+
+def relay_forwarding_spec(px1: Pmf, a: np.ndarray, b: np.ndarray) -> DiamondSpec:
+    """Relays that forward what they see with the channel input they send:
+    U2 = (Y2, X2) with X2 ~ a[y2] and U3 = (Y3, X3) with X3 ~ b[y3].  The
+    aux symbol of (y, x) is y * |X| + x, and the relay sends x."""
+    def relay(kernel):
+        y_size, x_size = kernel.shape
+        rows = np.zeros((y_size, y_size * x_size))
+        for y in range(y_size):
+            rows[y, y * x_size:(y + 1) * x_size] = kernel[y]
+        send = np.tile(np.arange(y_size * x_size)[:, None] % x_size, (1, y_size))
+        return ConditionalPmf(rows), send
+
+    k2, map2 = relay(a)
+    k3, map3 = relay(b)
+    return DiamondSpec(px1=px1, k2=k2, k3=k3, map2=map2, map3=map3)

@@ -128,7 +128,7 @@ def test_criterion_5_mac_substitution_identities():
         sources = JointPmf(doc["sources"])
         k1, k2 = ConditionalPmf.bsc(0.2), ConditionalPmf.bsc(0.3)
         spec = bounds.distributed_mac_spec(k1, k2, UNIF2, UNIF2)
-        rep = bounds.mac_region_check(sources, bounds.noiseless_pair_mac(2, 2),
+        rep = bounds.mac_region_check(sources, ConditionalPmf.identity(4),
                                       HAMMING2, HAMMING2, spec)
         reduced = bounds.distributed_reduced_values(sources, k1, k2, UNIF2, UNIF2)
         for c, (lhs, rhs) in zip(rep.constraints, reduced):

@@ -10,20 +10,17 @@ from hypothesis import strategies as st
 
 from hybridlab import bounds
 from hybridlab.bounds import (
-    DiamondSpec,
     HybridCodeSpec,
     MacHybridSpec,
     TwrcSpec,
     capacity,
     check_p2p,
     det_diamond_bounds,
-    diamond_bound,
     distributed_mac_spec,
     distributed_reduced_values,
     lossless_mac_spec,
     lossless_reduced_values,
     mac_region_check,
-    noiseless_pair_mac,
     p2p_feasibility_sweep,
     p2p_optimize,
     rd_function,
@@ -38,6 +35,7 @@ from hybridlab.infotheory import (
     ScenarioError,
 )
 from hybridlab.search import simplex_grid_array
+from oracles import DiamondSpec, diamond_bound, relay_forwarding_spec
 
 
 def h2(p):
@@ -372,7 +370,7 @@ class TestMacRegion:
     def test_lossless_substitution_zero_distortion(self):
         sources = correlated_sources()
         spec = lossless_mac_spec(sources, UNIF2, UNIF2, 4)
-        rep = mac_region_check(sources, noiseless_pair_mac(2, 2),
+        rep = mac_region_check(sources, ConditionalPmf.identity(4),
                                HAMMING2, HAMMING2, spec)
         assert rep.distortions[0] == pytest.approx(0.0, abs=1e-12)
         assert rep.distortions[1] == pytest.approx(0.0, abs=1e-12)
@@ -383,7 +381,7 @@ class TestMacRegion:
         k1 = ConditionalPmf.bsc(0.2)
         k2 = ConditionalPmf.bsc(0.3)
         spec = distributed_mac_spec(k1, k2, UNIF2, UNIF2)
-        rep = mac_region_check(sources, noiseless_pair_mac(2, 2),
+        rep = mac_region_check(sources, ConditionalPmf.identity(4),
                                HAMMING2, HAMMING2, spec)
         reduced = distributed_reduced_values(sources, k1, k2, UNIF2, UNIF2)
         for c, (lhs, rhs) in zip(rep.constraints, reduced):
@@ -417,7 +415,7 @@ class TestMacRegion:
                              enc1=[[[0, 1], [0, 1]]], enc2=[[[0, 0], [0, 0]]],
                              dec1=dec, dec2=dec)
         with pytest.raises(ScenarioError, match="MAC has 4 rows"):
-            mac_region_check(correlated_sources(), noiseless_pair_mac(2, 2),
+            mac_region_check(correlated_sources(), ConditionalPmf.identity(4),
                              HAMMING2, HAMMING2, spec)
 
     def test_sources_must_match_aux_kernels(self):
@@ -428,7 +426,7 @@ class TestMacRegion:
                              dec1=np.zeros((1, 2, 3, 4), dtype=int),
                              dec2=np.zeros((1, 2, 2, 4), dtype=int))
         with pytest.raises(ScenarioError, match="sources have shape"):
-            mac_region_check(correlated_sources(), noiseless_pair_mac(2, 2),
+            mac_region_check(correlated_sources(), ConditionalPmf.identity(4),
                              HAMMING2, HAMMING2, spec)
 
     def test_binding_constraint_has_min_slack(self):
@@ -483,13 +481,27 @@ class TestTwrc:
         assert rep.info["R1"] == pytest.approx(0.0, abs=1e-12)
         assert rep.info["R2"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_alt_penalty_flag_changes_only_r2(self):
-        uplink = ConditionalPmf.bsc(0.1).rows
-        uplink = ConditionalPmf(np.vstack([uplink, uplink[::-1]]))
-        _, downlink, spec = self.xor_network()
-        a = twrc_region_check(uplink, downlink, 2, 2, spec)
-        b = twrc_region_check(uplink, downlink, 2, 2, spec, r2_penalty_on_x2=True)
-        assert a.info["R1"] == pytest.approx(b.info["R1"], abs=1e-15)
+    def test_swapping_users_swaps_rates(self):
+        # Relabel user 1 as user 2: px1 <-> px2, uplink rows (x1, x2) ->
+        # (x2, x1) and downlink outputs (y1, y2) -> (y2, y1).  R1 and R2
+        # must trade places, which holds only with each R's penalty
+        # conditioned on its own user's input.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            px1, px2 = (Pmf(rng.dirichlet(np.ones(2))) for _ in range(2))
+            uplink = rng.dirichlet(np.ones(3), size=(2, 2))          # (x1, x2, y3)
+            downlink = rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2)  # (x3, y1, y2)
+            spec = dict(relay_kernel=ConditionalPmf(rng.dirichlet(np.ones(2), size=3)),
+                        relay_map=rng.integers(0, 2, (2, 3)))
+            rep = twrc_region_check(ConditionalPmf(uplink.reshape(4, 3)),
+                                    ConditionalPmf(downlink.reshape(2, 4)), 2, 2,
+                                    TwrcSpec(px1=px1, px2=px2, **spec))
+            swapped = twrc_region_check(
+                ConditionalPmf(uplink.transpose(1, 0, 2).reshape(4, 3)),
+                ConditionalPmf(downlink.transpose(0, 2, 1).reshape(2, 4)), 2, 2,
+                TwrcSpec(px1=px2, px2=px1, **spec))
+            assert swapped.info["R1"] == pytest.approx(rep.info["R2"], abs=1e-12)
+            assert swapped.info["R2"] == pytest.approx(rep.info["R1"], abs=1e-12)
 
     def test_bad_factorization(self):
         uplink, downlink, spec = self.xor_network()
@@ -584,7 +596,8 @@ def reference_det_diamond(y2_map, y3_map, y4_map, x2_size, x3_size, grid_res=6):
     px1_grid = simplex_grid_array(y2_map.size, grid_res)
     for pi, px1 in enumerate(px1_grid):
         for fam, cond in families.items():
-            vals, binds = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+            terms = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+            vals, binds = terms.min(axis=0), terms.argmin(axis=0)
             k = int(np.argmax(vals))
             if vals[k] > best[fam][0]:
                 best[fam] = (float(vals[k]), int(binds[k]), (pi, k))
@@ -640,6 +653,43 @@ def perturb_factored_values(monkeypatch, scale=4e-13):
 
 
 class TestDiamondFactored:
+    def test_terms_match_theorem_oracle(self):
+        # oracles.diamond_bound on a compose_joint joint, with relays that
+        # forward U2 = (Y2, X2) and U3 = (Y3, X3), against the closed-form
+        # terms of every random product candidate a(x2|y2) b(x3|y3).  Its
+        # second and third expressions are the other relay's terms.
+        rng = np.random.default_rng(12)
+        candidates = zero_entries = zero_symbols = 0
+        while candidates < 300:
+            y2_map, y3_map, y4_map, x2, x3 = random_diamond(rng)
+            y2_size, y3_size = max(y2_map) + 1, max(y3_map) + 1
+            y4_size = max(map(max, y4_map)) + 1
+            y4_onehot = np.eye(y4_size)[np.asarray(y4_map)]
+            broadcast = ConditionalPmf.deterministic(
+                np.asarray(y2_map) * y3_size + np.asarray(y3_map), y2_size * y3_size)
+            mac = ConditionalPmf.deterministic(np.ravel(y4_map), y4_size)
+            for _ in range(10):
+                a = rng.dirichlet(np.full(x2, 0.5), size=y2_size)
+                b = rng.dirichlet(np.full(x3, 0.5), size=y3_size)
+                px1 = rng.dirichlet(np.ones(len(y2_map)))
+                if rng.random() < 0.5:
+                    a[0] = np.eye(x2)[x2 - 1]
+                    b[-1] = np.eye(x3)[0]
+                if px1.size > 1 and rng.random() < 0.5:
+                    px1[int(rng.integers(px1.size))] = 0.0
+                    px1 /= px1.sum()
+                zero_entries += bool((a == 0).any() or (b == 0).any())
+                zero_symbols += bool((px1 == 0).any())
+                cond = np.einsum("ac,bd->abcd", a, b)[None]
+                terms = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)[:, 0]
+                rep = diamond_bound(broadcast, mac, y2_size, y3_size, x2, x3,
+                                    relay_forwarding_spec(Pmf(px1), a, b))
+                oracle = [rep.constraints[i].rhs for i in (0, 2, 1, 3)]
+                assert np.max(np.abs(terms - oracle)) <= 1e-13, (y2_map, y3_map, y4_map, a, b, px1)
+                assert terms.min() == pytest.approx(rep.value, abs=1e-13)
+                candidates += 1
+        assert zero_entries >= 50 and zero_symbols >= 50
+
     @pytest.mark.parametrize("start", range(0, len(DIAMOND_ORACLE_CASES), 25))
     def test_matches_full_batch_loop(self, start):
         for case, grid in DIAMOND_ORACLE_CASES[start:start + 25]:
@@ -677,7 +727,7 @@ class TestDiamondFactored:
             vals = bounds._product_family_values(p23, family)
             cond = np.einsum("iac,jbd->ijabcd", a, b).reshape(
                 -1, y2_size, y3_size, x2, x3)
-            ref, _ = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+            ref = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond).min(axis=0)
             assert np.max(np.abs(vals - ref)) < 1e-12
 
     @pytest.mark.parametrize("case", [(DIAMOND_Y2, DIAMOND_Y3, DIAMOND_Y4, 2, 2),

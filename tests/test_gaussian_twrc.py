@@ -94,6 +94,12 @@ class TestSchemeRates:
             pt = fn(p, sigma2=1.7)
             assert pt.R1 == pytest.approx(pt.R2, abs=1e-12)
 
+    def test_binding_term_is_the_first_minimum(self):
+        pt = gaussian_twrc._clamp_pair((0.5, 0.5), (0.7, -0.2), "x")
+        assert pt.binding == (0, 1)
+        assert (pt.R1, pt.R2, pt.clamped) == (0.5, 0.0, True)
+        assert gaussian_twrc._clamp_pair((0.3, 0.2), (0.1, 0.4), "x").binding == (1, 0)
+
 
 class TestOptimization:
     def test_scheme_ordering_midpoint(self):

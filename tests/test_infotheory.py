@@ -14,7 +14,6 @@ from hybridlab.infotheory import (
     ScenarioError,
     compose_joint,
     conditional_mutual_information,
-    empirical_distortion,
     entropy,
     is_typical,
     mutual_information,
@@ -240,21 +239,3 @@ class TestTypicality:
             slack = np.abs(counts / 10 - ref.probs) <= ref.probs
             only_zero += bool(slack[ref.probs > 0].all())
         assert only_zero > 0
-
-
-class TestDistortion:
-    def test_identical_zero(self):
-        d = DistortionMeasure.hamming(2)
-        assert empirical_distortion([0, 1, 0], [0, 1, 0], d) == 0.0
-
-    def test_complementary_one(self):
-        d = DistortionMeasure.hamming(2)
-        assert empirical_distortion([0, 1], [1, 0], d) == 1.0
-
-    def test_quarter(self):
-        d = DistortionMeasure.hamming(2)
-        assert empirical_distortion([0, 1, 0, 1], [0, 1, 1, 1], d) == 0.25
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            empirical_distortion([0, 1], [0], DistortionMeasure.hamming(2))

@@ -5,13 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridlab import cli, sim
-from hybridlab.bounds import (HybridCodeSpec, MacHybridSpec, lossless_mac_spec,
-                              noiseless_pair_mac)
+from hybridlab import bounds, cli, sim
+from hybridlab.bounds import HybridCodeSpec, MacHybridSpec, lossless_mac_spec
 from hybridlab.infotheory import (ConditionalPmf, DistortionMeasure, JointPmf, Pmf,
-                                  ScenarioError, typical_pairs, typical_table)
+                                  ScenarioError, is_typical, typical_pairs, typical_table)
 from hybridlab.sim import (
-    Codebook,
     MacScenario,
     MemoryCapError,
     P2pScenario,
@@ -130,15 +128,25 @@ class TestCodebook:
         assert codebook_size(10, 0.55) == 45
         assert codebook_size(4, 0.0) == 1
 
+    def test_size_caps_symbols(self, monkeypatch):
+        # 2^5 = 32 codewords of length 100: n * R = 5 is under log2(1000),
+        # but the 3200 symbols are not.
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 3200)
+        assert codebook_size(100, 0.05) == 32
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 3199)
+        with pytest.raises(MemoryCapError, match="32-word codebook needs 3200 symbols"):
+            codebook_size(100, 0.05)
+
     def test_bit_identical_regeneration(self):
         a = generate_codebook(8, 0.5, UNIF2, seed=123)
         b = generate_codebook(8, 0.5, UNIF2, seed=123)
-        assert np.array_equal(a.entries, b.entries)
+        assert a.shape == (16, 8)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         a = generate_codebook(10, 0.8, UNIF2, seed=1)
         b = generate_codebook(10, 0.8, UNIF2, seed=2)
-        assert not np.array_equal(a.entries, b.entries)
+        assert not np.array_equal(a, b)
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 1000)
@@ -148,7 +156,7 @@ class TestCodebook:
     def test_entries_readonly(self):
         cb = generate_codebook(8, 0.5, UNIF2, seed=0)
         with pytest.raises(ValueError):
-            cb.entries[0, 0] = 1
+            cb[0, 0] = 1
 
 
 class TestTrialConfig:
@@ -194,6 +202,35 @@ class TestRunP2p:
         rep = run_p2p(scenario, spec, cfg)
         assert rep["mean_distortion"] == pytest.approx(0.1, abs=0.02)
 
+    @pytest.mark.parametrize("root, n, trials", [(3, 8, 60), (11, 12, 40)])
+    def test_matches_one_trial_reference(self, root, n, trials):
+        # Each trial on its own, with numpy's generators of its streams, the
+        # codebook of generate_codebook, encode_p2p and is_typical.
+        scenario, spec = _pinned_p2p()
+        config = TrialConfig(n=n, trials=trials, epsilon=0.75, epsilon_prime=0.5, seed=root)
+        source, channel, d = scenario.source, scenario.channel, scenario.distortion
+        joint = bounds._p2p_joint(source, channel, d, spec)
+        joint_us, joint_uy = joint.marginal([1, 0]), joint.marginal([1, 3])
+        flags = np.zeros((3, trials), dtype=bool)
+        dists = np.empty(trials)
+
+        def stream(purpose, t):
+            return np.random.default_rng(np.random.SeedSequence(root, spawn_key=(purpose, t)))
+
+        for t in range(trials):
+            s = stream(0, t).choice(source.alphabet_size, n, p=source.probs)
+            cb = generate_codebook(n, spec.rate, joint_us.marginal_pmf(0), derived_seed(root, 1, t))
+            m, x, flags[0, t] = encode_p2p(s, cb, config.epsilon_prime, spec.enc_map,
+                                           joint_us, stream(3, t))
+            noise = stream(2, t)
+            y = np.array([noise.choice(channel.output_size, p=channel.rows[xi]) for xi in x])
+            typ = np.array([is_typical((c, y), joint_uy, config.epsilon) for c in cb])
+            flags[1, t] = not flags[0, t] and not typ[m]
+            flags[2, t] = typ.sum() - typ[m] > 0
+            m_hat = int(typ.argmax()) if typ.sum() == 1 else 0
+            dists[t] = d.table[s, spec.dec_map[cb[m_hat], y]].mean()
+        assert run_p2p(scenario, spec, config) == sim._p2p_report(n, *flags, dists)
+
     def test_memory_cap_enforced(self, monkeypatch):
         scenario, spec = erasure_scenario()
         monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 500)
@@ -205,7 +242,7 @@ class TestRunP2p:
 def identity_mac():
     """Noiseless pair MAC with u_j = s_j, x_j = s_j and shat_j read off y."""
     sources = JointPmf([[0.35, 0.15], [0.15, 0.35]])
-    scenario = MacScenario(sources=sources, mac=noiseless_pair_mac(2, 2),
+    scenario = MacScenario(sources=sources, mac=ConditionalPmf.identity(4),
                            d1=HAMMING2, d2=HAMMING2)
     aux = np.zeros((1, 2, 2))
     aux[0] = np.eye(2)                       # u_j = s_j
@@ -243,7 +280,7 @@ class TestRunMac:
     @staticmethod
     def scenario_and_spec():
         sources = JointPmf([[0.35, 0.15], [0.15, 0.35]])
-        scenario = MacScenario(sources=sources, mac=noiseless_pair_mac(2, 2),
+        scenario = MacScenario(sources=sources, mac=ConditionalPmf.identity(4),
                                d1=HAMMING2, d2=HAMMING2)
         spec = lossless_mac_spec(sources, UNIF2, UNIF2, 4)
         return scenario, spec
@@ -489,8 +526,8 @@ class TestEncodeSelection:
     S = np.array([0, 1])
 
     def encode(self, entries, rng):
-        cb = Codebook(entries=np.array(entries), n=2, rate=0.5, pmf=UNIF2, seed=0)
-        return encode_p2p(self.S, cb, 0.25, [[0, 0], [1, 1]], IDENTITY_COUPLING, rng)
+        return encode_p2p(self.S, np.array(entries), 0.25, [[0, 0], [1, 1]],
+                          IDENTITY_COUPLING, rng)
 
     def test_single_hit_draws_nothing(self):
         rng = np.random.default_rng(5)
@@ -538,9 +575,13 @@ PINNED = json.loads((Path(__file__).parent / "data" / "sim_pins.json").read_text
 SCENARIOS = Path(sim.__file__).parent / "scenarios"
 
 
+def _pinned_p2p():
+    return (cli.build_p2p_scenario(cli.load_scenario(str(SCENARIOS / "p2p_hybrid.json"), "p2p")),
+            cli.build_p2p_spec(cli.load_json(str(SCENARIOS / "p2p_hybrid_spec.json"))))
+
+
 def _pinned_cases():
-    p2p = cli.build_p2p_scenario(cli.load_scenario(str(SCENARIOS / "p2p_hybrid.json"), "p2p"))
-    spec = cli.build_p2p_spec(cli.load_json(str(SCENARIOS / "p2p_hybrid_spec.json")))
+    p2p, spec = _pinned_p2p()
     cases = {
         f"p2p_n{n}_seed{seed}": lambda n=n, seed=seed: run_p2p(p2p, spec, TrialConfig(
             n=n, trials=40, epsilon=0.75, epsilon_prime=0.5, seed=seed))
