@@ -14,6 +14,7 @@ achievability of the expected distortion directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -379,9 +380,10 @@ def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
 # ---------------------------------------------------------------------------
 
 # The factorized scan sums in another order than the reference arithmetic of
-# _score_candidates, so the two differ by a few ulps.  Candidates within these
-# bands of the running best are rescored by the reference arithmetic, which
-# alone decides feasibility, the reported values and the winner.
+# _score_candidates, so the two differ by a few ulps.  Canonical candidates
+# within these bands of each target's best have their orbits rescored by the
+# reference arithmetic, which alone decides feasibility, the reported values
+# and the winner.
 SCAN_SLACK_TOL = 1e-12
 SCAN_ED_TOL = 1e-13    # times the largest distortion value
 
@@ -428,6 +430,15 @@ def _score_candidates(p_su, wm, d_table, h_s):
     return i_uy - i_su, ed
 
 
+def _score_keys(p_s, W, d_table, h_s, counts, enc, grid_res):
+    """_score_candidates of keys given as kernel grid counts (N, s, u) and
+    encoder indices (N,)."""
+    n, s_size, u = counts.shape
+    enc_maps = _digits(enc, W.shape[0], u * s_size).reshape(n, u, s_size)
+    wm = W[enc_maps].transpose(0, 2, 1, 3)
+    return _score_candidates(p_s[None, :, None] * (counts / grid_res), wm, d_table, h_s)
+
+
 def _entropy_last(p: np.ndarray) -> np.ndarray:
     """Entropy over the last axis, for the scan's filter only.
 
@@ -438,24 +449,125 @@ def _entropy_last(p: np.ndarray) -> np.ndarray:
     return -np.einsum("...i,...i->...", p, log_p)
 
 
+def _simplex_rank(counts: np.ndarray, m: int) -> np.ndarray:
+    """Row index in simplex_grid_array(k, m) of each count vector (..., k).
+
+    The grid is lexicographic, so a row's index counts the rows that agree
+    with it up to some position i and hold less there.  With r_i the total
+    left at position i, those number C(r_i + a, a) - C(r_i - c_i + a, a) for
+    a = k - 1 - i (a hockey-stick sum of compositions).
+    """
+    k = counts.shape[-1]
+    comb = np.ones((m + 1, k), dtype=np.int64)   # comb[r, a] = C(r + a, a)
+    for a in range(1, k):
+        comb[:, a] = np.cumsum(comb[:, a - 1])
+    left = m - np.cumsum(counts, axis=-1) + counts
+    a = np.arange(k - 1, 0, -1)
+    head, c = left[..., :-1], counts[..., :-1]
+    return (comb[head, a] - comb[head - c, a]).sum(axis=-1)
+
+
+def _canonical_kernels(row_grid: np.ndarray, s_size: int):
+    """Canonical kernels of one aux size: (kernel indices, kernels) chunks.
+
+    A kernel is canonical when its columns are in non-increasing
+    lexicographic order and none is all zero.  Every kernel is a relabelling
+    of one canonical kernel, padded with zero columns.  The first row of a
+    canonical kernel is non-increasing, so only kernels with such a row are
+    tried, _SCAN_CHUNK indices at a time, in increasing index order.
+    """
+    G = row_grid.shape[0]
+    lead = np.flatnonzero((row_grid[:, :-1] >= row_grid[:, 1:]).all(axis=1))
+    rest = G ** (s_size - 1)
+    for start in range(0, lead.size * rest, _SCAN_CHUNK):
+        pos = np.arange(start, min(start + _SCAN_CHUNK, lead.size * rest))
+        idx = lead[pos // rest] * rest + pos % rest
+        K = row_grid[_digits(idx, G, s_size)]           # (B, s, u)
+        a, b = K[..., :-1], K[..., 1:]
+        differ = a != b
+        first = differ.argmax(axis=1)[:, None]
+        ordered = ~differ.any(axis=1) | np.take_along_axis(a > b, first, 1)[:, 0]
+        keep = ordered.all(axis=1) & K[:, :, -1].any(axis=1)
+        if keep.any():
+            yield idx[keep], K[keep]
+
+
+def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, grid_res: int):
+    """Relabellings of canonical candidates into `size` aux symbols.
+
+    counts (N, s, u) holds the grid counts of canonical kernels and enc (N,)
+    their encoder indices.  The u columns, each with its encoder column map
+    s -> x, go to every ordered choice of u of the `size` slots; the other
+    slots get zero columns and every encoder column map.  Yields (kernel
+    counts (M, s, size), kernel indices, encoder indices) of at most
+    max(_SCAN_CHUNK, C^(size - u)) keys at a time, C = |X|^|S|.
+
+    Each key comes once: a candidate whose equal columns carry increasing
+    column maps is skipped, since swapping those maps gives the same orbit,
+    and equal (column, column map) pairs keep their order among the slots.
+    """
+    n, s_size, u = counts.shape
+    C = x_size ** s_size
+    rows = math.comb(grid_res + size - 1, size - 1)
+    row_weight = rows ** np.arange(s_size - 1, -1, -1)
+    col_weight = C ** np.arange(size - 1, -1, -1)
+    free = _digits(np.arange(C ** (size - u)), C, size - u)    # (F, size - u)
+    cols = counts.transpose(0, 2, 1)                            # (N, u, s)
+    maps = _digits(enc, C, u)                                   # (N, u)
+    equal = (cols[:, 1:] == cols[:, :-1]).all(axis=2)           # (N, u - 1)
+    ordered = ~(equal & (maps[:, :-1] < maps[:, 1:])).any(axis=1)
+    cols, maps = cols[ordered], maps[ordered]
+    repeat = equal[ordered] & (maps[:, :-1] == maps[:, 1:])
+    perms = itertools.permutations(range(size), u)
+    step = max(1, _SCAN_CHUNK // free.shape[0])
+    while (taken := np.array(list(itertools.islice(perms, step)), dtype=int)).size:
+        P = taken.shape[0]
+        unused = np.ones((P, size), dtype=bool)
+        unused[np.arange(P)[:, None], taken] = False
+        left = np.nonzero(unused)[1].reshape(P, size - u)
+        extra = (free @ col_weight[left].T).T                   # (P, F)
+        swapped = taken[:, :-1] > taken[:, 1:]                  # (P, u - 1)
+        batch = max(1, step // P)
+        for lo in range(0, cols.shape[0], batch):
+            hi = min(lo + batch, cols.shape[0])
+            placed = np.zeros((hi - lo, P, size, s_size), dtype=int)
+            placed[:, np.arange(P)[:, None], taken] = cols[lo:hi, None]
+            placed = placed.transpose(0, 1, 3, 2)               # (M, P, s, size)
+            once = ~(repeat[lo:hi, None] & swapped[None]).any(axis=-1)
+            placed = placed[once]                               # (V, s, size)
+            kern = (_simplex_rank(placed, grid_res) * row_weight).sum(axis=-1)
+            base = (maps[lo:hi, None, :] * col_weight[taken]).sum(axis=-1)
+            keys = base[:, :, None] + extra[None]               # (M, P, F)
+            yield (np.repeat(placed, free.shape[0], axis=0),
+                   np.repeat(kern, free.shape[0]), keys[once].ravel())
+
+
 def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
-    """Stream all (aux kernel grid, enc map) candidates once.
+    """Best candidate for each target distortion, scored over canonical kernels.
 
     For each target distortion returns the best (max) slack achievable with
     minimal-distortion decoding, its key (aux_size, kernel_index, enc_index)
-    and E[d], and the least uncoded (aux_size 1) E[d].  Candidate order is
-    aux_size asc, kernel asc, enc asc.  The winner is the first candidate in
-    this order whose slack, as computed by _score_candidates, is the largest
-    among those whose E[d] so computed meets the target; candidates tied in
-    exact arithmetic are thus separated by float rounding.
+    and E[d], and the least uncoded (aux_size 1) E[d].  The winner is the
+    first key in (aux_size, kernel_index, enc_index) order whose slack, as
+    computed by _score_candidates, is the largest among the keys whose E[d]
+    so computed meets the target; keys tied in exact arithmetic are thus
+    separated by float rounding.
 
-    The encoder map acts on each aux symbol on its own, so p(u, y), H(U, Y)
-    and E[d] are sums over u of pieces that depend on one column map s -> x
-    each.  The scan evaluates those pieces once per kernel chunk and only
-    H(Y) on the summed p(y).  Candidates that come within the SCAN_* bands
-    of each target's running best are rescored by _score_candidates.
+    Relabelling the aux symbols, with the kernel columns and the encoder-map
+    rows, and adding aux symbols of probability 0 leave slack and E[d]
+    unchanged.  So the scan scores only canonical kernels (see
+    _canonical_kernels), each with every encoder map.  The encoder map acts
+    on each aux symbol on its own, so p(u, y), H(U, Y) and E[d] are sums over
+    u of pieces that depend on one column map s -> x each; the scan
+    evaluates those pieces once per kernel chunk and only H(Y) on the summed
+    p(y).  The canonical candidates within the SCAN_* bands of each target's
+    best are expanded to their orbits, every key of any aux size up to
+    aux_cap that relabels them (_orbit_keys), and only those keys are scored
+    by _score_candidates, _SCAN_CHUNK at a time.  The winner is among them.
+
     Raises MemoryCapError before allocating when the encoder-map tables of
-    the largest aux size exceed MEMORY_CAP_SYMBOLS entries.
+    the largest aux size, or its simplex row grid, exceed MEMORY_CAP_SYMBOLS
+    entries.
     """
     if aux_cap < 1 or grid_res < 1:
         raise ScenarioError("aux_cap and grid_res must be >= 1")
@@ -469,42 +581,38 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
     # The largest aux size holds the most encoder maps: their (u, s) tables,
     # the (u * C)-column selection matrix and a kernel chunk's p(y) per map.
     maps = x_size ** (aux_cap * s_size)
-    kernels = math.comb(grid_res + aux_cap - 1, aux_cap - 1) ** s_size
+    rows = math.comb(grid_res + aux_cap - 1, aux_cap - 1)
     entries = maps * max(aux_cap * s_size, aux_cap * x_size ** s_size,
-                         min(_SCAN_CHUNK, kernels) * channel.output_size)
+                         min(_SCAN_CHUNK, rows ** s_size) * channel.output_size)
     if entries > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(
             f"{maps} encoder maps at aux size {aux_cap} need {entries} entries, "
             f"cap is {MEMORY_CAP_SYMBOLS}")
+    if rows * aux_cap > MEMORY_CAP_SYMBOLS:
+        raise MemoryCapError(
+            f"the simplex grid at aux size {aux_cap} and resolution {grid_res} has "
+            f"{rows} rows, {rows * aux_cap} entries, cap is {MEMORY_CAP_SYMBOLS}")
     h_s = float(_entropy_rows(p_s, 0))
     col_maps = _enc_map_array(1, s_size, x_size)[:, 0]   # (C, s)
     C = col_maps.shape[0]
     w_col = W[col_maps]                                  # (C, s, y)
     wd_col = w_col[..., None] * d.table[None, :, None, :]  # (C, s, y, r)
-    # best[j] is the running best factorized slack among candidates that
-    # surely meet the j-th smallest target; a candidate meets that target and
-    # every larger one once its E[d] is at most limit[j].
+    # best[j] is the best factorized slack among candidates that surely meet
+    # the j-th smallest target; a candidate meets that target and every
+    # larger one once its E[d] is at most limit[j].
     limit = np.sort(np.asarray(targets, dtype=float)) + 1e-12
     ed_tol = SCAN_ED_TOL * max(1.0, float(d.table.max()))
     best = np.full(limit.size + 1, -np.inf)
     best[-1] = np.inf                  # meets no target: never rescored
-    results = [
-        {"best_slack": -np.inf, "best_key": None, "best_ed": None, "uncoded_ed": np.inf}
-        for _ in targets
-    ]
+    found = {}                         # u -> [(counts, enc, slack, first target)]
     for u in range(1, aux_cap + 1):
         row_grid = simplex_grid_array(u, grid_res)      # (G, u)
-        G = row_grid.shape[0]
-        kernel_count = G ** s_size
-        enc_maps = _enc_map_array(u, s_size, x_size)    # (NE, u, s)
-        NE = enc_maps.shape[0]
+        NE = C ** u
         # sel[e, i * C + c] = 1 where enc map e sends aux symbol i through
         # column map c: the enc index has C-order base-C digits (c_0, ...).
         sel = np.zeros((NE, u * C))
         np.put_along_axis(sel, np.arange(u) * C + _digits(np.arange(NE), C, u), 1.0, 1)
-        for start in range(0, kernel_count, _SCAN_CHUNK):
-            idx = np.arange(start, min(start + _SCAN_CHUNK, kernel_count))
-            K = row_grid[_digits(idx, G, s_size)]       # (B, s, u)
+        for idx, K in _canonical_kernels(row_grid, s_size):
             p_su = p_s[None, :, None] * K               # (B, s, u)
             h_u = _entropy_rows(p_su.sum(axis=1), 1)    # (B,)
             i_su = h_s + h_u - _entropy_rows(p_su, (1, 2))
@@ -519,25 +627,51 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
             np.maximum.at(top, np.searchsorted(limit - ed_tol, ed), slack)
             best[:-1] = np.maximum(best[:-1], np.maximum.accumulate(top[:-1]))
             first = np.searchsorted(limit + ed_tol, ed)
-            near = slack >= best[first] - SCAN_SLACK_TOL
-            b, e = np.divmod(np.flatnonzero(near | (u == 1)), NE)
-            # Rescore, in candidate order, by the reference arithmetic.
-            wm = W[enc_maps[e]].transpose(0, 2, 1, 3)   # (N, s, u, y)
-            ref_slack, ref_ed = _score_candidates(p_su[b], wm, d.table, h_s)
-            if u == 1:                 # one chunk, rescored in full
-                uncoded_ed = float(ref_ed.min())
-                for res in results:
-                    res["uncoded_ed"] = uncoded_ed
-            for target, res in zip(targets, results):
-                feas = ref_ed <= target + 1e-12
-                if not feas.any():
-                    continue
-                i = int(np.argmax(np.where(feas, ref_slack, -np.inf)))
-                if ref_slack[i] > res["best_slack"]:
-                    res["best_slack"] = float(ref_slack[i])
-                    res["best_key"] = (u, start + int(b[i]), int(e[i]))
-                    res["best_ed"] = float(ref_ed[i])
+            keep = np.flatnonzero(slack >= best[first] - SCAN_SLACK_TOL)
+            b, e = np.divmod(keep, NE)
+            found.setdefault(u, []).append(
+                (np.rint(K[b] * grid_res).astype(int), e, slack[keep], first[keep]))
+    uncoded = np.full((C, s_size, 1), grid_res)
+    uncoded_ed = float(_score_keys(p_s, W, d.table, h_s, uncoded, np.arange(C), grid_res)[1].min())
+    results = [
+        {"best_slack": -np.inf, "best_key": None, "best_ed": None, "uncoded_ed": uncoded_ed}
+        for _ in targets
+    ]
+    # The canonical candidates within the bands of the final bests.
+    near = {}
+    for u, parts in found.items():
+        counts, enc, slack, first = (np.concatenate(a) for a in zip(*parts))
+        keep = slack >= best[first] - SCAN_SLACK_TOL
+        if keep.any():
+            near[u] = counts[keep], enc[keep]
+    for size in range(1, aux_cap + 1):
+        for u, (counts, enc) in near.items():
+            if u > size:
+                continue
+            for placed, kern, keys in _orbit_keys(counts, enc, size, x_size, grid_res):
+                for lo in range(0, keys.size, _SCAN_CHUNK):
+                    part = slice(lo, lo + _SCAN_CHUNK)
+                    ref_slack, ref_ed = _score_keys(p_s, W, d.table, h_s, placed[part],
+                                                    keys[part], grid_res)
+                    _keep_first_maximum(results, targets, size, kern[part], keys[part],
+                                        ref_slack, ref_ed)
     return results
+
+
+def _keep_first_maximum(results, targets, size, kern, enc, slack, ed):
+    """Fold scored keys of one aux size into each target's winner: the
+    largest slack among keys that meet the target, then the least key."""
+    masked = np.where(ed <= np.asarray(targets, dtype=float)[:, None] + 1e-12, slack, -np.inf)
+    for res, row, top in zip(results, masked, masked.max(axis=1, initial=-np.inf)):
+        if top == -np.inf or top < res["best_slack"]:
+            continue
+        tied = np.flatnonzero(row == top)
+        i = tied[np.lexsort((enc[tied], kern[tied]))[0]]
+        key = (size, int(kern[i]), int(enc[i]))
+        if top > res["best_slack"] or key < res["best_key"]:
+            res["best_slack"] = float(top)
+            res["best_key"] = key
+            res["best_ed"] = float(ed[i])
 
 
 def _spec_from_key(source, channel, d, key, grid_res) -> HybridCodeSpec:
@@ -578,6 +712,12 @@ def p2p_optimize(
     candidate in key order (aux_size, kernel_index, enc_index) whose slack,
     as computed by the reference per-candidate formula, is the largest;
     candidates tied in exact arithmetic are separated by float rounding.
+
+    The search is quotiented by aux relabelling: only kernels with sorted,
+    nonzero columns are scored, and the candidates near each target's best
+    are expanded to every relabelled and zero-padded key, which the
+    reference formula rescores.  The winner is the one the full enumeration
+    picks (see _scan_p2p).
     """
     res = _scan_p2p(source, channel, d, [target_D], aux_cap, grid_res)[0]
     uncoded_ok = res["uncoded_ed"] <= target_D + 1e-12

@@ -225,6 +225,30 @@ class TestP2pOptimize:
             p2p_feasibility_sweep(Pmf.uniform(4), ConditionalPmf(np.eye(4)),
                                   DistortionMeasure.hamming(4), [0.1], aux_cap=4, grid_res=1)
 
+    def test_row_grid_over_cap_raises_before_allocating(self, monkeypatch):
+        # Grid 400 at aux size 4 has C(403, 3) = 10827401 simplex rows of 4
+        # entries, ten times the 2^22 cap, while the 256 encoder maps need
+        # 524288 entries.  Building that grid used to take about a minute.
+        def no_grid(*args):
+            raise AssertionError("built the simplex grid before the cap check")
+
+        monkeypatch.setattr(bounds, "simplex_grid_array", no_grid)
+        with pytest.raises(MemoryCapError, match="10827401 rows, 43309604 entries"):
+            p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=0.15,
+                         aux_cap=4, grid_res=400)
+
+    def test_row_grid_cap_is_exact(self, monkeypatch):
+        # A one-symbol source over a one-input channel has a single encoder
+        # map, so at aux size 3 and grid 4 the simplex grid, 15 rows of 3,
+        # is the largest table: 45 entries.
+        args = (Pmf([1.0]), ConditionalPmf([[0.5, 0.5]]), DistortionMeasure([[0.0, 1.0]]),
+                [0.5], 3, 4)
+        monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 45)
+        assert bounds._scan_p2p(*args)[0]["best_key"] is not None
+        monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 44)
+        with pytest.raises(MemoryCapError, match="15 rows, 45 entries, cap is 44"):
+            bounds._scan_p2p(*args)
+
     @pytest.mark.parametrize("aux_cap, grid_res", [(0, 4), (2, 0)])
     def test_sweep_bad_arguments(self, aux_cap, grid_res):
         # aux_cap=0 used to scan nothing and report even uncoded targets
@@ -260,6 +284,39 @@ def brute_force_scores(channel, aux_cap, grid_res):
     return scores
 
 
+def assert_first_reference_maximum(source, channel, d, aux_cap, grid_res, targets):
+    """Every candidate scored by the reference formula at once: the scan must
+    return exactly the first maximum in key order among those that meet each
+    target."""
+    W, p_s = channel.rows, source.probs
+    s_size = source.alphabet_size
+    h_s = float(bounds._entropy_rows(p_s, 0))
+    keys, slacks, eds = [], [], []
+    for u in range(1, aux_cap + 1):
+        grid = simplex_grid_array(u, grid_res)
+        kernels = grid[bounds._digits(np.arange(grid.shape[0] ** s_size), grid.shape[0], s_size)]
+        enc_maps = bounds._enc_map_array(u, s_size, channel.input_size)
+        kern, enc = np.divmod(np.arange(kernels.shape[0] * enc_maps.shape[0]),
+                              enc_maps.shape[0])
+        wm = W[enc_maps[enc]].transpose(0, 2, 1, 3)
+        slack, ed = bounds._score_candidates(p_s[None, :, None] * kernels[kern], wm,
+                                             d.table, h_s)
+        keys += [(u, int(k), int(e)) for k, e in zip(kern, enc)]
+        slacks.append(slack)
+        eds.append(ed)
+    slack, ed = np.concatenate(slacks), np.concatenate(eds)
+    results = bounds._scan_p2p(source, channel, d, targets, aux_cap, grid_res)
+    for target, res in zip(targets, results):
+        feas = ed <= target + 1e-12
+        assert res["uncoded_ed"] == float(ed[:channel.input_size ** s_size].min())
+        if not feas.any():
+            assert res["best_key"] is None
+            continue
+        i = int(np.argmax(np.where(feas, slack, -np.inf)))
+        assert (res["best_key"], res["best_slack"], res["best_ed"]) == (
+            keys[i], float(slack[i]), float(ed[i]))
+
+
 class TestScanOracle:
     """The factorized candidate scan against exhaustive enumeration."""
 
@@ -289,37 +346,58 @@ class TestScanOracle:
     @pytest.mark.parametrize("aux_cap, grid_res", [(3, 6), (4, 3)])
     @pytest.mark.parametrize("source", [UNIF2, Pmf([0.3, 0.7])], ids=["uniform", "skewed"])
     def test_scan_picks_first_reference_maximum(self, channel_name, aux_cap, grid_res, source):
-        # Every candidate scored by the reference formula at once: the scan
-        # must return exactly the first maximum in key order among those
-        # that meet each target.
-        channel = ORACLE_CHANNELS[channel_name]
-        W, p_s = channel.rows, source.probs
+        assert_first_reference_maximum(source, ORACLE_CHANNELS[channel_name], HAMMING2,
+                                       aux_cap, grid_res, [round(0.02 * i, 10) for i in range(26)])
+
+    @pytest.mark.parametrize("source, channel, aux_cap, grid_res", [
+        (Pmf([0.2, 0.3, 0.5]), ConditionalPmf.bsc(0.1), 2, 4),
+        (Pmf([0.2, 0.3, 0.5]), ORACLE_CHANNELS["erasure"], 3, 2),
+        (UNIF2, ConditionalPmf([[0.9, 0.1], [0.5, 0.5], [0.0, 1.0]]), 3, 3),
+        (Pmf([0.3, 0.7]), ConditionalPmf([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]]),
+         2, 5),
+    ], ids=["source3-bsc", "source3-erasure", "input3-binary-out", "input3-ternary-out"])
+    def test_scan_picks_first_reference_maximum_ternary(self, source, channel, aux_cap,
+                                                         grid_res):
+        d = DistortionMeasure.hamming(source.alphabet_size)
+        assert_first_reference_maximum(source, channel, d, aux_cap, grid_res,
+                                       [round(0.03 * i, 10) for i in range(24)])
+
+    @pytest.mark.parametrize("s_size, x_size, aux_cap, grid_res", [
+        (2, 2, 3, 3), (2, 2, 4, 2), (2, 3, 2, 3), (3, 2, 2, 3), (3, 2, 3, 1)])
+    def test_orbits_cover_every_candidate_once(self, s_size, x_size, aux_cap, grid_res):
+        # Expanding every canonical candidate gives every key of the full
+        # scan exactly once, each with its representative's reference slack
+        # and E[d], and placed kernel counts that match its kernel index.
+        rng = np.random.default_rng(13)
+        p_s = rng.dirichlet(np.ones(s_size))
+        W = rng.dirichlet(np.ones(3), size=x_size)
+        d_table = rng.random((s_size, 2))
         h_s = float(bounds._entropy_rows(p_s, 0))
-        keys, slacks, eds = [], [], []
+        C = x_size ** s_size
+        grids = {u: simplex_grid_array(u, grid_res) for u in range(1, aux_cap + 1)}
+        keys = []
         for u in range(1, aux_cap + 1):
-            grid = simplex_grid_array(u, grid_res)
-            kernels = grid[bounds._digits(np.arange(grid.shape[0] ** 2), grid.shape[0], 2)]
-            enc_maps = bounds._enc_map_array(u, 2, channel.input_size)
-            kern, enc = np.divmod(np.arange(kernels.shape[0] * enc_maps.shape[0]),
-                                  enc_maps.shape[0])
-            wm = W[enc_maps[enc]].transpose(0, 2, 1, 3)
-            slack, ed = bounds._score_candidates(p_s[None, :, None] * kernels[kern], wm,
-                                                 HAMMING2.table, h_s)
-            keys += [(u, int(k), int(e)) for k, e in zip(kern, enc)]
-            slacks.append(slack)
-            eds.append(ed)
-        slack, ed = np.concatenate(slacks), np.concatenate(eds)
-        targets = [round(0.02 * i, 10) for i in range(26)]
-        results = bounds._scan_p2p(source, channel, HAMMING2, targets, aux_cap, grid_res)
-        for target, res in zip(targets, results):
-            feas = ed <= target + 1e-12
-            assert res["uncoded_ed"] == float(ed[:channel.input_size ** 2].min())
-            if not feas.any():
-                assert res["best_key"] is None
-                continue
-            i = int(np.argmax(np.where(feas, slack, -np.inf)))
-            assert (res["best_key"], res["best_slack"], res["best_ed"]) == (
-                keys[i], float(slack[i]), float(ed[i]))
+            for _, K in bounds._canonical_kernels(grids[u], s_size):
+                for counts in np.rint(K * grid_res).astype(int):
+                    for e in range(C ** u):
+                        rep = bounds._score_keys(p_s, W, d_table, h_s, counts[None],
+                                                 np.array([e]), grid_res)
+                        for size in range(u, aux_cap + 1):
+                            grid = grids[size]
+                            for placed, kern, enc in bounds._orbit_keys(
+                                    counts[None], np.array([e]), size, x_size, grid_res):
+                                rows = bounds._digits(kern, grid.shape[0], s_size)
+                                assert np.array_equal(grid[rows], placed / grid_res)
+                                slack, ed = bounds._score_keys(p_s, W, d_table, h_s, placed,
+                                                               enc, grid_res)
+                                assert np.allclose(slack, rep[0], rtol=0, atol=1e-12)
+                                assert np.allclose(ed, rep[1], rtol=0, atol=1e-12)
+                                keys += [(size, k, m) for k, m in zip(kern.tolist(), enc.tolist())]
+        full = [(u, k, e) for u in range(1, aux_cap + 1)
+                for k in range(grids[u].shape[0] ** s_size)
+                for e in range(C ** u)]
+        assert len(keys) == len(full)
+        assert set(keys) == set(full)
 
     @pytest.mark.parametrize("scenario, expected", [
         ("bsc_uncoded.json", {
@@ -334,13 +412,28 @@ class TestScanOracle:
             "aux_kernel": [[5 / 6, 1 / 6, 0.0], [1 / 6, 5 / 6, 0.0]],
             "dec_map": [[0, 0, 0], [1, 0, 1], [0, 0, 0]],
         }),
+        # The CLI default, grid 12.
+        ("bsc_uncoded.json", {
+            "grid_res": 12,
+            "aux_size": 3,
+            "enc_map": [[0, 0], [1, 1], [0, 1]],
+            "aux_kernel": [[1 / 6, 7 / 12, 1 / 4], [2 / 3, 1 / 12, 1 / 4]],
+            "dec_map": [[1, 1], [0, 0], [0, 1]],
+        }),
+        ("p2p_hybrid.json", {
+            "grid_res": 12,
+            "aux_size": 3,
+            "enc_map": [[0, 0], [1, 1], [1, 0]],
+            "aux_kernel": [[1 / 6, 7 / 12, 1 / 4], [5 / 6, 1 / 12, 1 / 12]],
+            "dec_map": [[1, 0, 1], [0, 0, 0], [1, 0, 0]],
+        }),
     ])
     def test_optimize_pins_recorded_spec(self, scenario, expected):
-        # The spec recorded for check-thm1 --optimize at aux_cap 4, grid 6,
-        # D = 0.15: it depends on which of many exactly tied candidates the
-        # scan picks, so any change to the tie-break shows here.
-        _, spec = p2p_optimize(UNIF2, scenario_channel(scenario), HAMMING2,
-                               target_D=0.15, aux_cap=4, grid_res=6)
+        # The spec recorded for check-thm1 --optimize at aux_cap 4, grid 6
+        # unless stated, D = 0.15: it depends on which of many exactly tied
+        # candidates the scan picks, so any change to the tie-break shows here.
+        _, spec = p2p_optimize(UNIF2, scenario_channel(scenario), HAMMING2, target_D=0.15,
+                               aux_cap=4, grid_res=expected.get("grid_res", 6))
         assert spec.aux_size == expected["aux_size"]
         assert spec.enc_map.tolist() == expected["enc_map"]
         assert spec.dec_map.tolist() == expected["dec_map"]

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from hybridlab import cli
+from hybridlab import bounds, cli
 
 SCENARIOS = resources.files("hybridlab") / "scenarios"
 
@@ -103,6 +103,18 @@ class TestExitCodes:
                     "--trials", "1", "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("resource cap: ")
         assert list(tmp_path.iterdir()) == [spec]
+
+    def test_scan_row_grid_over_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Grid 400 at aux size 4 has 10827401 simplex rows of 4 entries, over
+        # the 2^22 cap; building them used to take about a minute and 346 MB.
+        def no_grid(*args):
+            raise AssertionError("built the simplex grid before the cap check")
+
+        monkeypatch.setattr(bounds, "simplex_grid_array", no_grid)
+        assert run(["check-thm1", scen("bsc_uncoded.json"), "--optimize", "--target-d", "0.15",
+                    "--grid-res", "400", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("resource cap: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_scenario_file(self, tmp_path):
         assert run(["check-thm1", str(tmp_path / "nope.json"),
