@@ -13,10 +13,13 @@ stream of (purpose, trial) is numpy's
 default_rng(SeedSequence(root, spawn_key=(purpose, trial))), and a codebook's
 is default_rng(SeedSequence(derived_seed(...))).  Building those generators
 per trial cost more than the trials themselves, so _Streams derives them
-instead: SeedSequence's hash and PCG64's seeding step, integer arithmetic
-with fixed constants, run over a block of trial keys as uint32 array
-operations, and one PCG64 per run is set to each trial's starting state in
-turn.  The draws are bit-identical to the per-trial generators.
+instead: SeedSequence's hash and PCG64's seeding step run over a block of
+trial keys as array operations.  Streams of at most _ARRAY_DRAWS draws
+(source and channel blocks, small codebooks, tie-breaks, which apply
+Generator.integers' rule) come from an array kernel that jumps PCG64's
+128-bit LCG to each output at once; longer ones from one PCG64 per run,
+set to each trial's seeded state in turn.  The draws are bit-identical to
+the per-trial generators.
 
 Trials run in chunks of at most _CHUNK_SYMBOLS codeword symbols.  The only
 per-trial work is drawing each trial's uniforms from its own streams; the
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product as iproduct
 
 import numpy as np
@@ -56,8 +59,13 @@ _CHUNK_SYMBOLS = 2 ** 13
 _SOURCE, _CODEBOOK, _CHANNEL, _TIEBREAK = 0, 1, 2, 3
 
 # Keys whose stream states are derived in one batch.  A block is 32 kB of
-# state words per purpose, whatever the trial count.
+# state limbs per purpose, whatever the trial count.
 _STREAM_BLOCK = 1024
+
+# Draws per stream up to which the array kernel (_pcg64_words) reads a
+# block's streams.  On 1024 streams it took about 0.08 us per draw, the
+# moved generator 5 us per stream plus numpy's loop: they cross at 64-80.
+_ARRAY_DRAWS = 64
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the
 # multiplier of PCG64's 128-bit LCG (O'Neill, "PCG", 2014).
@@ -147,60 +155,120 @@ def derived_seed(root_seed: int, purpose: int, trial: int) -> int:
     return int(_spawned_state(root_seed, purpose, np.array([trial], dtype=np.uint64))[0, 0])
 
 
-def _pcg64_state(words: list[int]) -> dict:
-    """The state PCG64 seeds from generate_state(4, np.uint64) words: the
-    srandom step with seed (words[0], words[1]) and stream (words[2], words[3])."""
-    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _M128
-    state = (((words[0] << 64 | words[1]) + inc) * _PCG64_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+def _muladd128(*terms):
+    """Sum of a * x mod 2^128 over terms (a, x) of (high, low) uint64 limbs."""
+    high = low = 0
+    for (ahi, alo), (xhi, xlo) in terms:
+        a0, a1, x0, x1 = alo & _M32, alo >> 32, xlo & _M32, xlo >> 32
+        p00, p01, p10 = a0 * x0, a0 * x1, a1 * x0
+        mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+        term = mid << 32 | p00 & _M32
+        low = low + term
+        high = (high + a1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + ahi * xlo + alo * xhi
+                + (low < term))
+    return high, low
+
+
+@lru_cache
+def _jumps(count: int) -> np.ndarray:
+    """PCG64's LCG jumped j = 1..count steps at once: the limbs (4, count)
+    of MULT^j and of sum_{i<j} MULT^i, mod 2^128."""
+    mult, step, limbs = 1, 0, []
+    for _ in range(count):
+        mult, step = mult * _PCG64_MULT & _M128, (step + mult) & _M128
+        limbs.append([*divmod(mult, 1 << 64), *divmod(step, 1 << 64)])
+    return np.array(limbs, dtype=np.uint64).T
+
+
+def _pcg64_words(seeded: np.ndarray, count: int) -> np.ndarray:
+    """The first count outputs (rows, count) of the PCG64s with these seeded
+    limbs: XSL-RR of the state jumped j steps on.  Rows go in slices of 2^14
+    outputs (fastest of 2^10 to 2^20), so the 128-bit temporaries stay small."""
+    jumps = _jumps(count)
+    out = np.empty((seeded.shape[0], count), dtype=np.uint64)
+    rows = max(1, 2 ** 14 // count)
+    for first in range(0, seeded.shape[0], rows):
+        limbs = seeded[first:first + rows].T[..., None]
+        high, low = _muladd128((jumps[:2], limbs[:2]), (jumps[2:], limbs[2:]))
+        xor, rot = high ^ low, high >> 58
+        out[first:first + rows] = xor >> rot | xor << (64 - rot & 63)
+    return out
 
 
 class _Streams:
-    """Every per-trial stream of one run, read through one moved generator.
+    """Every per-trial stream of one run.
 
-    Stream (purpose, key) draws what
-    default_rng(SeedSequence(root_seed, spawn_key=(purpose, key))) draws; a
-    codebook stream what default_rng(derived_seed(root_seed, _CODEBOOK, key))
-    draws.  Starting states are derived _STREAM_BLOCK keys at a time, and
-    one block per purpose is kept, since runs ask for ascending keys.  (The
-    two senders' codebook keys 2t and 2t + 1 come in two passes per chunk,
-    so a chunk that straddles two blocks derives them twice.)
-    """
+    Stream (purpose, key) draws what default_rng(SeedSequence(root_seed,
+    spawn_key=(purpose, key))) draws; a codebook stream what
+    default_rng(derived_seed(root_seed, _CODEBOOK, key)) draws.  Seeded
+    PCG64 limbs are derived _STREAM_BLOCK keys at a time, never past the
+    run's last key, and each (purpose, block) once: a new block drops only
+    those below its request's first key (the senders' codebook keys 2t and
+    2t + 1 come in two passes per chunk).  Streams of at most _ARRAY_DRAWS
+    draws are read from cached kernel outputs, longer ones by one PCG64
+    moved to each seeded state."""
 
-    def __init__(self, root_seed: int):
+    def __init__(self, root_seed: int, trials: int, senders: int = 1):
         self.root_seed = root_seed
         _root_words(root_seed)          # a bad seed fails before any trial
-        self._bits = np.random.PCG64(0)
-        self._generator = np.random.Generator(self._bits)
-        self._blocks: dict[int, tuple[int, np.ndarray]] = {}
+        self._ends = [trials, senders * trials, trials, trials]
+        self._generator = np.random.Generator(np.random.PCG64(0))
+        self._blocks: dict[tuple[int, int], list[np.ndarray]] = {}
 
-    def at(self, purpose: int, key: int) -> np.random.Generator:
-        """The run's generator, moved to the start of stream (purpose, key)."""
-        block, offset = divmod(key, _STREAM_BLOCK)
-        cached = self._blocks.get(purpose)
-        if cached is None or cached[0] != block:
-            keys = np.arange(block * _STREAM_BLOCK, (block + 1) * _STREAM_BLOCK, dtype=np.uint64)
-            words = _spawned_state(self.root_seed, purpose, keys)
+    def _block(self, purpose: int, block: int, count: int) -> list[np.ndarray]:
+        """[seeded limbs, first count or more outputs] of a block's keys."""
+        entry = self._blocks.get((purpose, block))
+        if entry is None:
+            first = block * _STREAM_BLOCK
+            last = min(first + _STREAM_BLOCK, self._ends[purpose])
+            words = _spawned_state(self.root_seed, purpose, np.arange(first, last, dtype=np.uint64))
             if purpose == _CODEBOOK:
                 # SeedSequence(seed) of a 64-bit seed: one or two entropy
                 # words, zero-padded to the pool either way.
                 words = _seed_sequence_state(_word_halves(words[:, 0]))
-            cached = self._blocks[purpose] = (block, words)
-        self._bits.state = _pcg64_state(cached[1][offset].tolist())
-        return self._generator
+            # PCG64's seeding: inc = stream << 1 | 1, state = (seed + inc) * MULT + inc.
+            inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
+            state = _muladd128((divmod(_PCG64_MULT, 1 << 64), words.T[:2]),
+                               (divmod(_PCG64_MULT + 1, 1 << 64), inc))
+            seeded = np.stack([*state, *inc], axis=1)
+            entry = self._blocks[purpose, block] = [seeded, seeded[:, :0]]
+        if entry[1].shape[1] < count:
+            entry[1] = _pcg64_words(entry[0], count)
+        return entry
+
+    def draws(self, purpose: int, keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The seeded limbs (keys.size, 4) of streams (purpose, keys), for
+        strictly ascending keys, and their first count outputs (keys.size, count)."""
+        first, last = int(keys[0]), int(keys[-1])
+        low = first // _STREAM_BLOCK
+        if (purpose, last // _STREAM_BLOCK) not in self._blocks:
+            self._blocks = {pb: entry for pb, entry in self._blocks.items()
+                            if pb[0] != purpose or pb[1] >= low}
+        if last - first < keys.size and last // _STREAM_BLOCK == low:
+            # Consecutive keys in one block, as _chunks gives them: a slice.
+            seeded, words = self._block(purpose, low, count)
+            at = slice(first - low * _STREAM_BLOCK, last + 1 - low * _STREAM_BLOCK)
+            return seeded[at], words[at, :count]
+        parts = []
+        for block in np.unique(keys // _STREAM_BLOCK).tolist():
+            seeded, words = self._block(purpose, block, count)
+            at = keys[keys // _STREAM_BLOCK == block] - block * _STREAM_BLOCK
+            parts.append((seeded[at], words[at, :count]))
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def uniforms(self, purpose: int, keys: np.ndarray, shape: tuple) -> np.ndarray:
         """Row i holds the first uniforms, of the given shape, of stream
-        (purpose, keys[i])."""
+        (purpose, keys[i]): Generator.random's (output >> 11) * 2^-53."""
+        count = math.prod(shape)
+        if count <= _ARRAY_DRAWS:
+            return ((self.draws(purpose, keys, count)[1] >> 11) * 2.0 ** -53).reshape(-1, *shape)
         out = np.empty((keys.size, *shape))
-        for row, key in enumerate(keys.tolist()):
-            self.at(purpose, key).random(out=out[row])
+        for row, (hi, lo, inc_hi, inc_lo) in enumerate(self.draws(purpose, keys, 0)[0].tolist()):
+            self._generator.bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
+            self._generator.random(out=out[row])
         return out
-
-    def tie_breaks(self, trials: np.ndarray):
-        """_select's tie_rng for a chunk: row -> tie-break stream of trials[row]."""
-        return lambda row: self.at(_TIEBREAK, int(trials[row]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,32 +362,55 @@ def _channel_outputs(kernel: ConditionalPmf, inputs: np.ndarray,
 # Joint-typicality encoding
 # ---------------------------------------------------------------------------
 
-def _pair_typical(codewords: np.ndarray, seq: np.ndarray, joint: JointPmf,
-                  epsilon: float) -> np.ndarray:
-    """Typicality of (codeword, seq) against a two-axis joint (codeword axis
-    first), for codewords (..., m, n) and sequences (..., n): mask (..., m)."""
-    ok = typical_table(joint.probs, codewords.shape[-1], epsilon)
+def _pair_typical(codewords: np.ndarray, seq: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Typicality of (codeword, seq) against ok, the typical_table of a
+    two-axis joint (codeword axis first), for codewords (..., m, n) and
+    sequences (..., n): mask (..., m)."""
     return typical_pairs(codewords, seq[..., None, :], ok)[..., 0]
 
 
-def _select(hits: list[np.ndarray], tie_rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _bounded(ties, rows: np.ndarray, bounds: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Generator.integers(k) for each k in bounds, from the tie-break streams
+    ties = _Streams.draws(_TIEBREAK, keys, 1) of rows, past the used[rows]
+    halves each has read (advanced).  numpy's rule for k < 2^32: no draw at
+    k = 1, else next_uint32 * k >> 32 (Lemire), drawn again while its low
+    word is below 2^32 mod k.  A codebook holds fewer than 2^32 words."""
+    seeded, words = ties
+    halves = words.astype("<u8").view("<u4")        # low half, then high
+    bounds = bounds.astype(np.uint64)
+    out = np.zeros(rows.size, dtype=np.uint64)
+    todo = np.arange(rows.size)
+    while todo.size:
+        live, k = rows[todo], bounds[todo]
+        half = used[live]
+        if half.max() >= halves.shape[1]:       # past the cached outputs
+            halves = _pcg64_words(seeded, int(half.max()) // 2 + 1).astype("<u8").view("<u4")
+        used[live] = half + (k > 1)
+        scaled = halves[live, half] * k
+        ok = (scaled & _M32) >= (1 << 32) % k
+        out[todo[ok]] = scaled[ok] >> 32
+        todo = todo[~ok]
+    return out
+
+
+def _select(hits: list[np.ndarray], ties) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Encoder index choice for each sender's (rows, m) hit mask.
 
     A row with exactly one hit takes it and draws nothing.  Otherwise the
     index is drawn uniformly among the hits, or among all m indices when
-    there is no hit, from tie_rng(row): one tie-break stream per row,
-    reached only for rows that draw and shared by the senders in order.
-    Returns each sender's indices and covering-failure (no hit) flags.
+    there is no hit, by _bounded from the row's tie-break stream in ties,
+    shared by the senders in order.  Returns each sender's indices and
+    covering-failure (no hit) flags.
     """
     counts = [h.sum(axis=1) for h in hits]
     chosen = [h.argmax(axis=1) for h in hits]
-    for row in np.flatnonzero(np.any([c != 1 for c in counts], axis=0)).tolist():
-        rng = tie_rng(row)
-        for h, c, idx in zip(hits, counts, chosen):
-            if c[row] > 1:
-                idx[row] = np.flatnonzero(h[row])[rng.integers(int(c[row]))]
-            elif c[row] == 0:
-                idx[row] = rng.integers(h.shape[1])
+    used = np.zeros(chosen[0].size, dtype=np.uint64)
+    for h, c, idx in zip(hits, counts, chosen):
+        rows = np.flatnonzero(c != 1)
+        none = c[rows] == 0
+        pick = _bounded(ties, rows, np.where(none, h.shape[1], c[rows]), used)
+        among = (np.cumsum(h[rows], axis=1) <= pick[:, None]).sum(axis=1)   # pick-th hit
+        idx[rows] = np.where(none, pick, among)
     return chosen, [c == 0 for c in counts]
 
 
@@ -334,10 +425,11 @@ def encode_p2p(s: np.ndarray, cb: np.ndarray, eps_prime: float,
     covering failure flag).
     """
     s = np.asarray(s, dtype=int)
-    hits = _pair_typical(cb, s, joint_us, eps_prime)
-    [(m,)], [(covering_failed,)] = _select([hits[None]], lambda row: rng)
+    hits = _pair_typical(cb, s, typical_table(joint_us.probs, cb.shape[1], eps_prime))
+    candidates = np.flatnonzero(hits) if hits.any() else np.arange(hits.size)
+    m = candidates[rng.integers(candidates.size)]   # integers(1) draws nothing
     x = np.asarray(enc_map, dtype=int)[cb[m], s]
-    return int(m), x, bool(covering_failed)
+    return int(m), x, not hits.any()
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +457,17 @@ def run_p2p(scenario: P2pScenario, spec: HybridCodeSpec,
     p_u = joint_us.marginal_pmf(0).probs
     e1, e2, e3 = (np.empty(trials, dtype=bool) for _ in range(3))
     dists = np.empty(trials)
-    streams = _Streams(config.seed)
+    ok_us = typical_table(joint_us.probs, n, config.epsilon_prime)
+    ok_uy = typical_table(joint_uy.probs, n, config.epsilon)
+    streams = _Streams(config.seed, trials)
     for ts in _chunks(trials, m_count * n):
         rows = np.arange(ts.size)
         s = _symbols(streams.uniforms(_SOURCE, ts, (n,)), scenario.source.probs)
         cb = _symbols(streams.uniforms(_CODEBOOK, ts, (m_count, n)), p_u)
-        [m], [e1[ts]] = _select([_pair_typical(cb, s, joint_us, config.epsilon_prime)],
-                                streams.tie_breaks(ts))
+        [m], [e1[ts]] = _select([_pair_typical(cb, s, ok_us)], streams.draws(_TIEBREAK, ts, 1))
         x = spec.enc_map[cb[rows, m], s]
         y = _channel_outputs(scenario.channel, x, streams.uniforms(_CHANNEL, ts, (n,)))
-        typ = _pair_typical(cb, y, joint_uy, config.epsilon)
+        typ = _pair_typical(cb, y, ok_uy)
         chosen_typical = typ[rows, m]
         hits = typ.sum(axis=1)
         e2[ts] = ~e1[ts] & ~chosen_typical
@@ -459,7 +552,8 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     d2s = np.empty(trials)
     enc1, enc2 = spec.enc1[0], spec.enc2[0]
     dec1, dec2 = spec.dec1[0], spec.dec2[0]
-    streams = _Streams(config.seed)
+    ok1, ok2 = (typical_table(joint.probs, n, config.epsilon_prime) for joint in (j_us1, j_us2))
+    streams = _Streams(config.seed, trials, senders=2)
     for ts in _chunks(trials, (m1 + m2) * n):
         rows = np.arange(ts.size)
         flat_s = _symbols(streams.uniforms(_SOURCE, ts, (n,)), scenario.sources.probs.ravel())
@@ -468,9 +562,8 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
         cb2 = _symbols(streams.uniforms(_CODEBOOK, 2 * ts + 1, (m2, n)),
                        j_us2.marginal_pmf(0).probs)
         (idx1, idx2), (events["e1"][ts], events["e2"][ts]) = _select(
-            [_pair_typical(cb1, s1, j_us1, config.epsilon_prime),
-             _pair_typical(cb2, s2, j_us2, config.epsilon_prime)],
-            streams.tie_breaks(ts))
+            [_pair_typical(cb1, s1, ok1), _pair_typical(cb2, s2, ok2)],
+            streams.draws(_TIEBREAK, ts, 1))
         x1 = enc1[cb1[rows, idx1], s1]
         x2 = enc2[cb2[rows, idx2], s2]
         y = _channel_outputs(scenario.mac, x1 * x2_size + x2,
@@ -480,28 +573,24 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
         for row, t in enumerate(ts):
             typ = typical_pairs(cb1[row] * y_size + y[row], cb2[row], ok)
             i1, i2 = idx1[row], idx2[row]
-            other1 = np.ones(m1, dtype=bool)
-            other1[i1] = False
-            other2 = np.ones(m2, dtype=bool)
-            other2[i2] = False
-            events["e3"][t] = not typ[i1, i2]
-            events["e4"][t] = np.any(typ[np.ix_(other1, other2)])
-            events["e5"][t] = np.any(typ[other1, i2])
-            events["e6"][t] = np.any(typ[i1, other2])
+            # Typical pairs other than the chosen one: in its row, its column, neither.
+            chosen, in_row, in_col = typ[i1, i2], typ[i1].sum(), typ[:, i2].sum()
+            events["e3"][t] = not chosen
+            events["e4"][t] = typ.sum() - in_row - in_col + chosen > 0
+            events["e5"][t] = in_col > chosen
+            events["e6"][t] = in_row > chosen
             hits = np.argwhere(typ)
             if hits.shape[0] == 1:
                 h1[row], h2[row] = hits[0]
         u1_hat, u2_hat = cb1[rows, h1], cb2[rows, h2]
         d1s[ts] = scenario.d1.table[s1, dec1[u1_hat, u2_hat, y]].mean(axis=1)
         d2s[ts] = scenario.d2.table[s2, dec2[u1_hat, u2_hat, y]].mean(axis=1)
-    err = np.logical_or.reduce([events[key] for key in _MAC_EVENTS])
+    events["error"] = np.logical_or.reduce([events[key] for key in _MAC_EVENTS])
     report = {"n": n, "trials": trials}
-    for key in _MAC_EVENTS:
-        count = int(events[key].sum())
+    for key, flags in events.items():
+        count = int(flags.sum())
         report[f"p_{key}"] = count / trials
         report[f"halfwidth_{key}"] = _binom_halfwidth(count, trials)
-    report["p_error"] = int(err.sum()) / trials
-    report["halfwidth_error"] = _binom_halfwidth(int(err.sum()), trials)
     report["mean_distortion_1"] = float(np.mean(d1s))
     report["mean_distortion_2"] = float(np.mean(d2s))
     return report
@@ -530,7 +619,7 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
             "lemma1_check needs n, trials, min_count >= 1 and a finite eps_prime > 0")
     if joint_us.num_axes != 2:
         raise ScenarioError(f"joint_us must have two axes (u, s), got {joint_us.num_axes}")
-    streams = _Streams(seed)
+    streams = _Streams(seed, outer_trials)
     m_count = codebook_size(n, rate)
     if m_count < 2:
         raise ScenarioError(f"rate {rate} at n = {n} gives fewer than two codewords")
@@ -544,10 +633,11 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
     pattern_prob = reduce(np.multiply.outer, [p_u] * n).ravel()
     cells: dict[tuple, np.ndarray] = {}
     kept = 0
+    ok = typical_table(joint_us.probs, n, eps_prime)
     for ts in _chunks(outer_trials, m_count * n):
         s = _symbols(streams.uniforms(_SOURCE, ts, (n,)), p_s)
         cb = _symbols(streams.uniforms(_CODEBOOK, ts, (m_count, n)), p_u)
-        [m], _ = _select([_pair_typical(cb, s, joint_us, eps_prime)], streams.tie_breaks(ts))
+        [m], _ = _select([_pair_typical(cb, s, ok)], streams.draws(_TIEBREAK, ts, 1))
         sel = m == 0
         if not sel.any():
             continue

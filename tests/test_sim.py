@@ -92,27 +92,90 @@ class TestBatchedStreams:
             assert row == np.random.SeedSequence(seed).generate_state(4, dtype=np.uint64).tolist()
 
     @pytest.mark.parametrize("root", ORACLE_ROOTS)
+    @pytest.mark.parametrize("purpose", range(4))
+    def test_kernel_prefixes_match_numpy(self, root, purpose):
+        # ORACLE_KEYS plus two keys that straddle a stream block, read in one
+        # request; shorter prefixes come from the longest one cached.
+        keys = np.array(sorted(ORACLE_KEYS + [1023, 1024]), dtype=np.uint64)
+        streams = sim._Streams(root, 2 ** 64)
+        for count in (sim._ARRAY_DRAWS + 1, sim._ARRAY_DRAWS, 2, 1):
+            words = streams.draws(purpose, keys, count)[1]
+            for key, row in zip(keys.tolist(), words):
+                want = numpy_stream(root, purpose, key).random(count)
+                assert ((row >> 11) * 2.0 ** -53).tolist() == want.tolist(), (key, count)
+
+    @pytest.mark.parametrize("root", ORACLE_ROOTS)
     def test_draws_match_numpy_generators(self, root):
         # Keys out of order and across stream blocks, as the two-sender
-        # codebooks (keys 2t and 2t + 1) ask for them; one bounded draw per
-        # stream leaves half a 64-bit word buffered for the next stream to
-        # discard.
-        streams = sim._Streams(root)
+        # codebooks (keys 2t and 2t + 1) ask for them, each read from the
+        # kernel and from the moved generator.
+        streams = sim._Streams(root, 2 ** 33)
         keys = [5, 2000, 3, 1024, 1023, 123_456_789, 2 ** 32 + 7, 0]
         for purpose in range(4):
             for key in keys:
-                got = streams.at(purpose, key)
-                want = numpy_stream(root, purpose, key)
-                assert got.integers(8) == want.integers(8), (purpose, key)
-                assert got.random(8).tolist() == want.random(8).tolist(), (purpose, key)
-                assert got.integers(10 ** 12) == want.integers(10 ** 12), (purpose, key)
+                for count in (8, sim._ARRAY_DRAWS + 1):
+                    got = streams.uniforms(purpose, np.array([key]), (count,))[0]
+                    want = numpy_stream(root, purpose, key).random(count)
+                    assert got.tolist() == want.tolist(), (purpose, key, count)
 
     def test_uniform_rows_are_stream_prefixes(self):
-        streams = sim._Streams(11)
+        streams = sim._Streams(11, 2000)
         keys = np.array([0, 7, 1500])
-        block = streams.uniforms(sim._CODEBOOK, keys, (3, 4))
-        for key, rows in zip(keys.tolist(), block):
-            assert np.array_equal(rows, numpy_stream(11, sim._CODEBOOK, key).random((3, 4)))
+        for shape in ((3, 4), (5, 13)):     # the kernel, then the moved generator
+            block = streams.uniforms(sim._CODEBOOK, keys, shape)
+            for key, rows in zip(keys.tolist(), block):
+                assert np.array_equal(rows, numpy_stream(11, sim._CODEBOOK, key).random(shape))
+
+    def test_bounded_draws_match_generator_integers(self):
+        # One stream per row, read by a sequence of bounded draws as the
+        # senders of one trial read it.  k = 1 draws nothing; the low word
+        # of 3 * 2^30 and 2^31 + 1 is rejected about 1/4 and 1/2 of the
+        # time, so rows run past the first output into the kernel's later
+        # ones.
+        keys = np.arange(64)
+        ties = sim._Streams(3, keys.size).draws(sim._TIEBREAK, keys, 1)
+        gens = [numpy_stream(3, sim._TIEBREAK, key) for key in keys.tolist()]
+        used = np.zeros(keys.size, dtype=np.uint64)
+        bounds = [1, 2, 3, 2 ** 22, 3 * 2 ** 30, 2 ** 31 + 1]
+        for k in bounds + bounds[::-1]:
+            before = used.copy()
+            got = sim._bounded(ties, keys, np.full(keys.size, k), used)
+            assert got.tolist() == [g.integers(k) for g in gens], k
+            if k == 1:
+                assert np.array_equal(used, before)
+        assert (used > 10).any()
+
+    def test_second_sender_reads_the_buffered_high_half(self):
+        keys = np.arange(8)
+        ties = sim._Streams(4, keys.size).draws(sim._TIEBREAK, keys, 1)
+        used = np.zeros(keys.size, dtype=np.uint64)
+        first = sim._bounded(ties, keys, np.full(keys.size, 5), used)
+        assert used.tolist() == [1] * keys.size
+        second = sim._bounded(ties, keys, np.full(keys.size, 7), used)
+        high = ties[1][:, 0] >> 32
+        assert second.tolist() == (high * 7 >> 32).tolist()
+        for key in keys.tolist():
+            gen = numpy_stream(4, sim._TIEBREAK, key)
+            assert [first[key], second[key]] == [gen.integers(5), gen.integers(7)]
+
+    def test_mac_codebook_blocks_are_derived_once(self, monkeypatch):
+        # 896 symbols hold 7 trials of the n = 4 identity MAC, so the chunk
+        # of trials 511-517 asks for codebook keys 1022-1035 of blocks 0 and
+        # 1, in two passes (2t, then 2t + 1).
+        derived = []
+        spawned = sim._spawned_state
+
+        def counting(root, purpose, keys):
+            derived.append((purpose, int(keys[0]) // sim._STREAM_BLOCK))
+            return spawned(root, purpose, keys)
+
+        monkeypatch.setattr(sim, "_CHUNK_SYMBOLS", 896)
+        monkeypatch.setattr(sim, "_spawned_state", counting)
+        scenario, spec = identity_mac()
+        run_mac(scenario, spec, TrialConfig(n=4, trials=600, epsilon=0.75,
+                                            epsilon_prime=0.5, seed=0))
+        assert sorted(derived) == [(sim._SOURCE, 0), (sim._CODEBOOK, 0), (sim._CODEBOOK, 1),
+                                   (sim._CHANNEL, 0), (sim._TIEBREAK, 0)]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
     def test_bad_root_seed_rejected(self, seed):
@@ -546,23 +609,26 @@ class TestEncodeSelection:
         assert m == np.random.default_rng(5).integers(3)
         assert failed
 
-    def test_senders_share_one_tie_stream_in_order(self):
-        # Row 0: sender 1 has two hits, sender 2 none, so both draw from one
-        # stream, sender 1 first.  Row 1: one hit each, so no stream is built.
+    def test_senders_share_one_tie_stream_in_order(self, monkeypatch):
+        # Row 0: sender 1 has two hits, sender 2 none, so both draw from
+        # row 0's stream, sender 1 first.  Row 1: one hit each, so its
+        # stream is not read.
         hits1 = np.array([[True, False, True], [False, True, False]])
         hits2 = np.array([[False] * 4, [False, False, False, True]])
-        built = []
+        read, bounded = [], sim._bounded
 
-        def tie_rng(row):
-            built.append(row)
-            return np.random.default_rng(9)
+        def recording_bounded(ties, rows, bounds, used):
+            read.append(rows[np.asarray(bounds) > 1].tolist())
+            return bounded(ties, rows, bounds, used)
 
-        (idx1, idx2), (failed1, failed2) = sim._select([hits1, hits2], tie_rng)
-        ref = np.random.default_rng(9)
+        monkeypatch.setattr(sim, "_bounded", recording_bounded)
+        ties = sim._Streams(9, 2).draws(sim._TIEBREAK, np.arange(2), 1)
+        (idx1, idx2), (failed1, failed2) = sim._select([hits1, hits2], ties)
+        ref = numpy_stream(9, sim._TIEBREAK, 0)
         assert idx1.tolist() == [[0, 2][ref.integers(2)], 1]
         assert idx2.tolist() == [ref.integers(4), 3]
         assert failed1.tolist() == [False, False] and failed2.tolist() == [True, False]
-        assert built == [0]
+        assert read == [[0], [0]]
 
 
 # ---------------------------------------------------------------------------
@@ -630,24 +696,21 @@ class TestPinnedReports:
             assert repr(case()) == PINNED[name], name
 
     def test_lemma1_draws_tie_breaks_only_without_a_single_hit(self, monkeypatch):
-        hit_counts, tie_trials = [], []
-        select, tie_breaks = sim._select, sim._Streams.tie_breaks
+        hit_counts, tie_trials, chunk_first = [], [], []
+        select, bounded = sim._select, sim._bounded
 
-        def recording_select(hits, tie_rng):
+        def recording_select(hits, ties):
             [sender_hits] = hits
+            chunk_first.append(len(hit_counts))
             hit_counts.extend(sender_hits.sum(axis=1).tolist())
-            return select(hits, tie_rng)
+            return select(hits, ties)
 
-        def recording_tie_breaks(streams, trials):
-            tie_rng = tie_breaks(streams, trials)
-
-            def recording_rng(row):
-                tie_trials.append(int(trials[row]))
-                return tie_rng(row)
-            return recording_rng
+        def recording_bounded(ties, rows, bounds, used):
+            tie_trials.extend((chunk_first[-1] + rows[np.asarray(bounds) > 1]).tolist())
+            return bounded(ties, rows, bounds, used)
 
         monkeypatch.setattr(sim, "_select", recording_select)
-        monkeypatch.setattr(sim._Streams, "tie_breaks", recording_tie_breaks)
+        monkeypatch.setattr(sim, "_bounded", recording_bounded)
         assert repr(PINNED_CASES["lemma1_n2_seed0"]()) == PINNED["lemma1_n2_seed0"]
         assert len(hit_counts) == 600
         assert 0 in hit_counts and max(hit_counts) > 1
