@@ -92,13 +92,11 @@ class HybridCodeSpec:
     @staticmethod
     def uncoded(enc: np.ndarray, dec: np.ndarray, num_sources: int) -> "HybridCodeSpec":
         """Degenerate single-letter auxiliary: x = x(s), shat = shat(y)."""
-        enc = np.asarray(enc, dtype=int)
-        dec = np.asarray(dec, dtype=int)
         return HybridCodeSpec(
             aux_size=1,
             aux_kernel=ConditionalPmf(np.ones((num_sources, 1))),
-            enc_map=enc[None, :],
-            dec_map=dec[None, :],
+            enc_map=[enc],
+            dec_map=[dec],
             rate=0.0,
         )
 
@@ -187,21 +185,16 @@ def check_p2p(
     """
     joint = _p2p_joint(source, channel, d, spec)
     ed = float(np.sum(joint.marginal([0, 1, 3]).probs * d.table[:, spec.dec_map]))
-    if spec.aux_size == 1:
-        c = Constraint("I(S;U) < I(U;Y)", 0.0, 0.0)
-        return BoundReport(
-            constraints=(c,), satisfied=True, binding_constraint=c.name,
-            distortions=(ed,), info={"uncoded": True},
-        )
-    i_su = mutual_information(joint, [0], [1])
-    i_uy = mutual_information(joint, [1], [3])
+    uncoded = spec.aux_size == 1
+    i_su = 0.0 if uncoded else mutual_information(joint, [0], [1])
+    i_uy = 0.0 if uncoded else mutual_information(joint, [1], [3])
     c = Constraint("I(S;U) < I(U;Y)", i_su, i_uy)
     return BoundReport(
         constraints=(c,),
-        satisfied=bool(i_su + MARGIN < i_uy),
+        satisfied=bool(uncoded or i_su + MARGIN < i_uy),
         binding_constraint=c.name,
         distortions=(ed,),
-        info={"uncoded": False, "slack": i_uy - i_su},
+        info={"uncoded": True} if uncoded else {"uncoded": False, "slack": i_uy - i_su},
     )
 
 
@@ -210,23 +203,22 @@ def check_p2p(
 # ---------------------------------------------------------------------------
 
 def _mac_joint(sources: JointPmf, mac: ConditionalPmf, d1: DistortionMeasure,
-               d2: DistortionMeasure, spec: MacHybridSpec) -> JointPmf:
-    """Joint over (q, s1, s2, u1, u2, x1, x2, y), after checking that the spec
-    and the distortion tables fit the scenario."""
+               d2: DistortionMeasure, spec: MacHybridSpec, x1_size: int,
+               x2_size: int) -> JointPmf:
+    """Joint over (q, s1, s2, u1, u2, x1, x2, y), after checking that the spec,
+    the distortion tables and the declared input alphabets fit the scenario."""
     q_size, s1_size, u1_size = spec.aux1.shape
     _, s2_size, u2_size = spec.aux2.shape
     if sources.dims != (s1_size, s2_size):
         raise ScenarioError(
             f"sources have shape {sources.dims}, but the aux kernels take "
             f"({s1_size}, {s2_size}) source symbols")
-    _check_map(spec.enc1, "enc1", (q_size, u1_size, s1_size), mac.input_size)
-    _check_map(spec.enc2, "enc2", (q_size, u2_size, s2_size), mac.input_size)
-    x1_size = int(spec.enc1.max()) + 1
-    x2_size = int(spec.enc2.max()) + 1
-    if x1_size * x2_size != mac.input_size:
+    if min(x1_size, x2_size) < 1 or x1_size * x2_size != mac.input_size:
         raise ScenarioError(
-            f"MAC has {mac.input_size} rows, but the encoders emit |X1| = {x1_size} "
-            f"and |X2| = {x2_size} symbols; rows must be indexed by (x1, x2) in C order")
+            f"MAC has {mac.input_size} rows, but |X1| = {x1_size} and |X2| = {x2_size}; "
+            "rows must be indexed by (x1, x2) in C order")
+    _check_map(spec.enc1, "enc1", (q_size, u1_size, s1_size), x1_size)
+    _check_map(spec.enc2, "enc2", (q_size, u2_size, s2_size), x2_size)
     for j, d, s_size in ((1, d1, s1_size), (2, d2, s2_size)):
         _check_distortion(d, s_size, f"d{j}")
         _check_map(getattr(spec, f"dec{j}"), f"dec{j}",
@@ -251,9 +243,11 @@ def mac_region_check(
     d1: DistortionMeasure,
     d2: DistortionMeasure,
     spec: MacHybridSpec,
+    x1_size: int, x2_size: int,
 ) -> BoundReport:
-    """Evaluate the three-inequality MAC hybrid-coding region for a spec."""
-    j = _mac_joint(sources, mac, d1, d2, spec)
+    """Evaluate the three-inequality MAC hybrid-coding region for a spec; the
+    MAC rows are indexed by (x1, x2) over the declared input alphabets."""
+    j = _mac_joint(sources, mac, d1, d2, spec, x1_size, x2_size)
     Q, S1, S2, U1, U2 = 0, 1, 2, 3, 4
     Y = 7
     c1 = Constraint(
@@ -396,11 +390,6 @@ def _digits(idx: np.ndarray, base: int, count: int) -> np.ndarray:
         digits[:, pos] = rem % base
         rem //= base
     return digits
-
-
-def _enc_map_array(u: int, s: int, x: int) -> np.ndarray:
-    """All deterministic tables (u, s) -> x, lexicographic in C-order digits."""
-    return _digits(np.arange(x ** (u * s)), x, u * s).reshape(-1, u, s)
 
 
 def _xlog2x(p: np.ndarray) -> np.ndarray:
@@ -593,7 +582,7 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
             f"the simplex grid at aux size {aux_cap} and resolution {grid_res} has "
             f"{rows} rows, {rows * aux_cap} entries, cap is {MEMORY_CAP_SYMBOLS}")
     h_s = float(_entropy_rows(p_s, 0))
-    col_maps = _enc_map_array(1, s_size, x_size)[:, 0]   # (C, s)
+    col_maps = _digits(np.arange(x_size ** s_size), x_size, s_size)   # (C, s)
     C = col_maps.shape[0]
     w_col = W[col_maps]                                  # (C, s, y)
     wd_col = w_col[..., None] * d.table[None, :, None, :]  # (C, s, y, r)
@@ -675,23 +664,17 @@ def _keep_first_maximum(results, targets, size, kern, enc, slack, ed):
 
 
 def _spec_from_key(source, channel, d, key, grid_res) -> HybridCodeSpec:
+    """The spec of a scan key, with its minimal-distortion decoder and rate 0."""
     u, kern_idx, enc_idx = key
     s_size = source.alphabet_size
-    x_size = channel.input_size
     row_grid = simplex_grid_array(u, grid_res)
     rows = _digits(np.array([kern_idx]), row_grid.shape[0], s_size)[0]
     kernel = ConditionalPmf(np.clip(row_grid[rows], 0, 1))
-    enc = _enc_map_array(u, s_size, x_size)[enc_idx]
-    spec_tmp = HybridCodeSpec(u, kernel, enc, np.zeros((u, channel.output_size), dtype=int), 0.0)
-    joint = _p2p_joint(source, channel, d, spec_tmp)
-    p_suy = joint.marginal([0, 1, 3]).probs
+    enc = _digits(np.array([enc_idx]), channel.input_size, u * s_size).reshape(u, s_size)
+    spec = HybridCodeSpec(u, kernel, enc, np.zeros((u, channel.output_size), dtype=int), 0.0)
+    p_suy = _p2p_joint(source, channel, d, spec).marginal([0, 1, 3]).probs
     # Minimal-expected-distortion reconstruction per (u, y).
-    cost = np.einsum("suy,sr->uyr", p_suy, d.table)
-    dec = cost.argmin(axis=-1)
-    i_su = mutual_information(joint, [0], [1])
-    i_uy = mutual_information(joint, [1], [3])
-    rate = 0.5 * (i_su + i_uy)
-    return HybridCodeSpec(u, kernel, enc, dec, rate)
+    return replace(spec, dec_map=np.einsum("suy,sr->uyr", p_suy, d.table).argmin(axis=-1))
 
 
 def p2p_optimize(
@@ -718,6 +701,8 @@ def p2p_optimize(
     are expanded to every relabelled and zero-padded key, which the
     reference formula rescores.  The winner is the one the full enumeration
     picks (see _scan_p2p).
+    The winner is evaluated once, by check_p2p; its rate is the midpoint
+    0.5 (I(S;U) + I(U;Y)) of that report's constraint.
     """
     res = _scan_p2p(source, channel, d, [target_D], aux_cap, grid_res)[0]
     uncoded_ok = res["uncoded_ed"] <= target_D + 1e-12
@@ -729,6 +714,8 @@ def p2p_optimize(
         return report, None
     spec = _spec_from_key(source, channel, d, res["best_key"], grid_res)
     report = check_p2p(source, channel, d, spec)
+    c = report.constraints[0]
+    spec = replace(spec, rate=0.5 * (c.lhs + c.rhs))
     return replace(report, info={
         **report.info,
         "achievable": bool(uncoded_ok or res["best_slack"] > MARGIN),
@@ -882,12 +869,6 @@ def _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond_batch):
     return np.stack([np.full_like(t2, h23), t2, t3, t4])
 
 
-def _row_product_batch(row_grid: np.ndarray, num_rows: int) -> np.ndarray:
-    """All kernels whose every row comes from row_grid: (G^rows, rows, k)."""
-    count = row_grid.shape[0]
-    return row_grid[_digits(np.arange(count ** num_rows), count, num_rows)]
-
-
 DIAMOND_TIE_TOL = 1e-12
 # Candidates per _det_diamond_terms call, in the cutset family and when
 # near-ties are rescored; bounds the conditionals built at once.
@@ -1005,8 +986,9 @@ def det_diamond_bounds(
     a_const = simplex_grid_array(x2_size, grid_res)
     b_const = simplex_grid_array(x3_size, grid_res)
     families = {
-        "hybrid": _product_family(_row_product_batch(a_const, y2_size),
-                                  _row_product_batch(b_const, y3_size), y4_onehot),
+        "hybrid": _product_family(a_const[_digits(np.arange(na), a_const.shape[0], y2_size)],
+                                  b_const[_digits(np.arange(nb), b_const.shape[0], y3_size)],
+                                  y4_onehot),
         "adt": _product_family(np.repeat(a_const[:, None], y2_size, axis=1),
                                np.repeat(b_const[:, None], y3_size, axis=1), y4_onehot),
     }
@@ -1100,6 +1082,8 @@ def lossless_reduced_values(sources: JointPmf, mac: ConditionalPmf,
     Returns ((H(S1|S2), I(X1;Y|X2,S2)), (H(S2|S1), I(X2;Y|X1,S1)),
     (H(S1,S2), I(X1,X2;Y))), computed on an independently composed joint.
     """
+    if px1.alphabet_size * px2.alphabet_size != mac.input_size:
+        raise ScenarioError(f"px1 and px2 must span the MAC's {mac.input_size} input pairs")
     j = JointPmf.product(sources, px1, px2)              # (s1, s2, x1, x2)
     j = compose_joint(j, [(mac, [2, 3])])                # y -> axis 4
     h_s12 = entropy(j.marginal([0, 1]))

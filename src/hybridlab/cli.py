@@ -41,9 +41,6 @@ from .infotheory import (
 # Scenario ingestion
 # ---------------------------------------------------------------------------
 
-_KINDS = ("p2p", "mac", "twrc_discrete", "twrc_gaussian", "diamond")
-
-
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -58,8 +55,6 @@ def load_json(path: str) -> dict:
 def load_scenario(path: str, expect_kind: str | tuple[str, ...]) -> dict:
     doc = load_json(path)
     kind = doc.get("kind")
-    if kind not in _KINDS:
-        raise ScenarioError(f"{path}: unknown kind {kind!r}")
     kinds = (expect_kind,) if isinstance(expect_kind, str) else expect_kind
     if kind not in kinds:
         raise ScenarioError(f"{path}: kind {kind!r}, expected one of {kinds}")
@@ -112,6 +107,8 @@ def build_mac_scenario(doc: dict) -> sim.MacScenario:
     return sim.MacScenario(
         sources=_build(JointPmf, doc, "sources"),
         mac=_build(ConditionalPmf, doc, "mac"),
+        x1_size=_count(doc, "x1_size"),
+        x2_size=_count(doc, "x2_size"),
         d1=_build(DistortionMeasure, doc, "d1"),
         d2=_build(DistortionMeasure, doc, "d2"),
     )
@@ -149,18 +146,8 @@ def _report_to_dict(r: bounds.BoundReport) -> dict:
         "binding_constraint": r.binding_constraint,
         "distortions": list(r.distortions),
         "value": r.value,
-        "info": {k: _jsonable(v) for k, v in r.info.items()},
+        "info": r.info,
     }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def write_json(path: str, obj) -> None:
@@ -270,8 +257,8 @@ def cmd_region_mac(opts: dict) -> dict:
     else:
         mspec = build_mac_spec(spec_doc)
     # The region check is where the spec meets the scenario, so it runs first.
-    report = bounds.mac_region_check(
-        scenario.sources, scenario.mac, scenario.d1, scenario.d2, mspec)
+    report = bounds.mac_region_check(scenario.sources, scenario.mac, scenario.d1, scenario.d2,
+                                     mspec, scenario.x1_size, scenario.x2_size)
     result: dict = {"report": _report_to_dict(report)}
     if substitution:
         reduced = (bounds.lossless_reduced_values(scenario.sources, scenario.mac, px1, px2)
@@ -415,17 +402,20 @@ def cmd_plot(opts: dict) -> dict:
             reader = list(csv.reader(fh))
     except OSError as exc:
         raise ScenarioError(f"cannot read {opts['csv']}: {exc}") from exc
-    if len(reader) < 2:
+    cells = [row for row in reader[1:] if row]
+    if not cells:
         raise ScenarioError("CSV needs a header and at least one data row")
     header = reader[0]
     if len(header) < 2:
         raise ScenarioError("CSV needs an x column and at least one series")
     try:
-        rows = [[float(v) for v in row] for row in reader[1:] if row]
+        rows = [[float(v) for v in row] for row in cells]
     except ValueError as exc:
         raise ScenarioError(f"non-numeric CSV cell: {exc}") from exc
     if any(len(r) != len(header) for r in rows):
         raise ScenarioError("ragged CSV rows")
+    if not np.isfinite(rows).all():
+        raise ScenarioError("CSV cells must be finite")
     return {".svg": render_svg(header, rows)}
 
 

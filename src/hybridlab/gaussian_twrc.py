@@ -23,7 +23,6 @@ from .search import coordinate_descent_triangle, golden_refine
 SIGMA2_GRID_LO = 1e-3
 SIGMA2_GRID_HI = 1e6
 SIGMA2_GRID_POINTS = 120
-AF_SIGMA2_LIMIT = 1e8
 ALPHA_BETA_STEP = 0.02
 # Numpy grid values within this of the best are rescored by the scalar formula.
 GRID_TIE_TOL = 1e-12
@@ -160,10 +159,10 @@ def cutset_rates(ch: GaussianTwrcParams) -> RatePoint:
     Not taken from the source material (which only plots it); labeled as a
     derived reference in all outputs.
     """
-    r1 = min(gauss_c(ch.S31), gauss_c(ch.S23))
-    r2 = min(gauss_c(ch.S32), gauss_c(ch.S13))
-    b1 = 0 if gauss_c(ch.S31) <= gauss_c(ch.S23) else 1
-    b2 = 0 if gauss_c(ch.S32) <= gauss_c(ch.S13) else 1
+    c31, c23, c32, c13 = (gauss_c(snr) for snr in (ch.S31, ch.S23, ch.S32, ch.S13))
+    r1, r2 = min(c31, c23), min(c32, c13)
+    b1 = 0 if c31 <= c23 else 1
+    b2 = 0 if c32 <= c13 else 1
     return RatePoint(r1, r2, "cutset (derived reference, not from source)", (b1, b2))
 
 

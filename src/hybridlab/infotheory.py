@@ -37,10 +37,6 @@ class ScenarioError(ValueError):
     raise a plain ValueError."""
 
 
-class InvalidDistributionError(ScenarioError):
-    """Raised when a probability vector or kernel fails validation."""
-
-
 class MemoryCapError(RuntimeError):
     """Raised when a configuration would exceed the memory cap."""
 
@@ -57,18 +53,22 @@ def as_table(values, name: str, whole: bool = False) -> np.ndarray:
     return t.astype(int) if whole else t
 
 
-def _as_prob_vector(probs: Iterable[float]) -> np.ndarray:
-    v = as_table(probs, "probability vector")
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidDistributionError("probability vector must be 1-D and nonempty")
-    if np.any(v < 0):
-        raise InvalidDistributionError("probabilities must be nonnegative")
-    total = v.sum()
-    if not abs(total - 1.0) <= RENORM_TOL:     # also rejects NaN
-        raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
-    v = v / total
-    v.flags.writeable = False
-    return v
+def _normalized(values, name: str, ndim: int | None, axis: int | None) -> np.ndarray:
+    """The one check of every pmf, kernel and joint: values, with ndim axes
+    (any when None), nonempty, nonnegative and summing to 1 over axis (over
+    all entries when None) within RENORM_TOL, renormalized and frozen."""
+    a = as_table(values, name)
+    if a.size == 0 or ndim not in (None, a.ndim):
+        raise ScenarioError(f"{name} must be nonempty" + (f" with {ndim} axes" if ndim else ""))
+    if (a < 0).any():
+        raise ScenarioError(f"{name} entries must be nonnegative")
+    sums = a.sum(axis=axis, keepdims=True)
+    if not abs(sums - 1.0).max() <= RENORM_TOL:     # also rejects NaN
+        off = sums[~(abs(sums - 1.0) <= RENORM_TOL)]
+        raise ScenarioError(f"{name} sums to {off[0]}, not 1")
+    a = a / sums
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class Pmf:
     probs: np.ndarray
 
     def __init__(self, probs: Iterable[float]):
-        object.__setattr__(self, "probs", _as_prob_vector(probs))
+        object.__setattr__(self, "probs", _normalized(probs, "probability vector", 1, None))
 
     @property
     def alphabet_size(self) -> int:
@@ -106,17 +106,7 @@ class ConditionalPmf:
     rows: np.ndarray
 
     def __init__(self, rows):
-        m = as_table(rows, "kernel")
-        if m.ndim != 2 or m.size == 0:
-            raise InvalidDistributionError("kernel must be a 2-D matrix")
-        if np.any(m < 0):
-            raise InvalidDistributionError("kernel entries must be nonnegative")
-        sums = m.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= RENORM_TOL):
-            raise InvalidDistributionError("kernel rows must sum to 1")
-        m = m / sums[:, None]
-        m.flags.writeable = False
-        object.__setattr__(self, "rows", m)
+        object.__setattr__(self, "rows", _normalized(rows, "kernel", 2, 1))
 
     @property
     def input_size(self) -> int:
@@ -143,7 +133,7 @@ class ConditionalPmf:
         """
         t = np.asarray(table, dtype=int).ravel()
         if np.any(t < 0) or np.any(t >= output_size):
-            raise InvalidDistributionError("map values outside output alphabet")
+            raise ScenarioError("map values outside output alphabet")
         m = np.zeros((t.size, output_size))
         m[np.arange(t.size), t] = 1.0
         return ConditionalPmf(m)
@@ -156,17 +146,7 @@ class JointPmf:
     probs: np.ndarray
 
     def __init__(self, probs):
-        a = as_table(probs, "joint pmf")
-        if a.size == 0:
-            raise InvalidDistributionError("joint pmf must be nonempty")
-        if np.any(a < 0):
-            raise InvalidDistributionError("probabilities must be nonnegative")
-        total = a.sum()
-        if not abs(total - 1.0) <= RENORM_TOL:
-            raise InvalidDistributionError(f"joint sums to {total}, not 1")
-        a = a / total
-        a.flags.writeable = False
-        object.__setattr__(self, "probs", a)
+        object.__setattr__(self, "probs", _normalized(probs, "joint pmf", None, None))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -221,7 +201,7 @@ class DistortionMeasure:
     def __init__(self, table):
         t = as_table(table, "distortion table")
         if t.ndim != 2 or t.size == 0 or not np.all((t >= 0) & (t < math.inf)):
-            raise InvalidDistributionError(
+            raise ScenarioError(
                 "distortion table must be 2-D and nonempty with finite nonnegative entries")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)

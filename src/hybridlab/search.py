@@ -15,6 +15,8 @@ GOLDEN = (sqrt(5.0) - 1.0) / 2.0
 # Refinement accepts only improvements beyond this to avoid cycling on
 # piecewise-smooth objectives.
 IMPROVE_TOL = 1e-12
+# Coordinate-descent sweeps per step size.
+COORD_MAX_ROUNDS = 60
 
 
 def enumerate_simplex(k: int, m: int) -> Iterator[np.ndarray]:
@@ -83,7 +85,6 @@ def coordinate_descent_triangle(
     f: Callable[[float, float], float],
     start: tuple[float, float],
     steps: tuple[float, ...] = (0.02, 0.005, 0.001),
-    max_rounds: int = 60,
 ) -> tuple[tuple[float, float], float]:
     """Coordinate ascent of f(alpha, beta) on {a, b >= 0, a + b <= 1}.
 
@@ -94,7 +95,7 @@ def coordinate_descent_triangle(
         raise ValueError("infeasible start")
     best = f(a, b)
     for step in steps:
-        for _ in range(max_rounds):
+        for _ in range(COORD_MAX_ROUNDS):
             improved = False
             for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
                 na, nb = a + da, b + db

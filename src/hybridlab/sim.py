@@ -286,6 +286,8 @@ class P2pScenario:
 class MacScenario:
     sources: JointPmf          # joint p(s1, s2)
     mac: ConditionalPmf        # rows indexed by (x1, x2), C order
+    x1_size: int               # declared input alphabets: |X1| * |X2| mac rows
+    x2_size: int
     d1: DistortionMeasure
     d2: DistortionMeasure
 
@@ -350,12 +352,6 @@ def _symbols(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(probs, axis=-1)
     cdf /= cdf[..., -1:]
     return (uniforms[..., None] >= cdf[..., :-1]).sum(axis=-1)
-
-
-def _channel_outputs(kernel: ConditionalPmf, inputs: np.ndarray,
-                     uniforms: np.ndarray) -> np.ndarray:
-    """One output per position, position i using kernel row inputs[..., i]."""
-    return _symbols(uniforms, kernel.rows[inputs])
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +462,7 @@ def run_p2p(scenario: P2pScenario, spec: HybridCodeSpec,
         cb = _symbols(streams.uniforms(_CODEBOOK, ts, (m_count, n)), p_u)
         [m], [e1[ts]] = _select([_pair_typical(cb, s, ok_us)], streams.draws(_TIEBREAK, ts, 1))
         x = spec.enc_map[cb[rows, m], s]
-        y = _channel_outputs(scenario.channel, x, streams.uniforms(_CHANNEL, ts, (n,)))
+        y = _symbols(streams.uniforms(_CHANNEL, ts, (n,)), scenario.channel.rows[x])
         typ = _pair_typical(cb, y, ok_uy)
         chosen_typical = typ[rows, m]
         hits = typ.sum(axis=1)
@@ -527,7 +523,8 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     """
     if spec.q_pmf.alphabet_size != 1:
         raise ScenarioError("simulation supports a trivial time-sharing alphabet only")
-    j = _mac_joint(scenario.sources, scenario.mac, scenario.d1, scenario.d2, spec)
+    j = _mac_joint(scenario.sources, scenario.mac, scenario.d1, scenario.d2, spec,
+                   scenario.x1_size, scenario.x2_size)
     # Reference joints with the trivial q axis dropped.
     j_us1 = j.marginal([3, 1])           # (u1, s1)
     j_us2 = j.marginal([4, 2])           # (u2, s2)
@@ -543,7 +540,6 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
             f"codebooks need {(m1 + m2) * n} symbols and the pair search "
             f"{pair_entries} entries, cap is {MEMORY_CAP_SYMBOLS}")
     s2_size = scenario.sources.dims[1]
-    x2_size = j.dims[6]
     # The test of cell (u1*|Y| + y, u2) at every count 0..n.
     ok = typical_table(j_uuy.probs.transpose(0, 2, 1).reshape(u1_size * y_size, u2_size),
                        n, config.epsilon)
@@ -566,8 +562,8 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
             streams.draws(_TIEBREAK, ts, 1))
         x1 = enc1[cb1[rows, idx1], s1]
         x2 = enc2[cb2[rows, idx2], s2]
-        y = _channel_outputs(scenario.mac, x1 * x2_size + x2,
-                             streams.uniforms(_CHANNEL, ts, (n,)))
+        y = _symbols(streams.uniforms(_CHANNEL, ts, (n,)),
+                     scenario.mac.rows[x1 * scenario.x2_size + x2])
         h1 = np.zeros(ts.size, dtype=int)
         h2 = np.zeros(ts.size, dtype=int)
         for row, t in enumerate(ts):
@@ -650,7 +646,7 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
         groups = np.split(pats[np.argsort(inverse.ravel(), kind="stable")],
                           np.cumsum(sizes)[:-1])
         for row, group in zip(cell_rows, groups):
-            key = (tuple(row[:n]), tuple(row[n:]))
+            key = (tuple(row[:n].tolist()), tuple(row[n:].tolist()))
             if key not in cells:
                 cells[key] = np.zeros(pattern_prob.size)
             np.add.at(cells[key], group, 1.0)

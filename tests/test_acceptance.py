@@ -118,7 +118,7 @@ def test_criterion_5_mac_substitution_identities():
             sources = JointPmf(doc["sources"])
             mac = ConditionalPmf(doc["mac"])
             spec = bounds.lossless_mac_spec(sources, UNIF2, UNIF2, mac.output_size)
-            rep = bounds.mac_region_check(sources, mac, HAMMING2, HAMMING2, spec)
+            rep = bounds.mac_region_check(sources, mac, HAMMING2, HAMMING2, spec, 2, 2)
             reduced = bounds.lossless_reduced_values(sources, mac, UNIF2, UNIF2)
             for c, (lhs, rhs) in zip(rep.constraints, reduced):
                 assert abs(c.lhs - lhs) <= 1e-12
@@ -129,7 +129,7 @@ def test_criterion_5_mac_substitution_identities():
         k1, k2 = ConditionalPmf.bsc(0.2), ConditionalPmf.bsc(0.3)
         spec = bounds.distributed_mac_spec(k1, k2, UNIF2, UNIF2)
         rep = bounds.mac_region_check(sources, ConditionalPmf.identity(4),
-                                      HAMMING2, HAMMING2, spec)
+                                      HAMMING2, HAMMING2, spec, 2, 2)
         reduced = bounds.distributed_reduced_values(sources, k1, k2, UNIF2, UNIF2)
         for c, (lhs, rhs) in zip(rep.constraints, reduced):
             assert abs(c.lhs - lhs) <= 1e-12

@@ -209,7 +209,7 @@ class TestP2pOptimize:
         p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=0.1,
                      aux_cap=2, grid_res=4)
         monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 799)
-        monkeypatch.setattr(bounds, "_enc_map_array", no_tables)
+        monkeypatch.setattr(bounds, "_digits", no_tables)
         with pytest.raises(MemoryCapError, match="16 encoder maps at aux size 2 need 800"):
             p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=0.1,
                          aux_cap=2, grid_res=4)
@@ -220,7 +220,7 @@ class TestP2pOptimize:
         def no_tables(*args):
             raise AssertionError("built the encoder maps before the cap check")
 
-        monkeypatch.setattr(bounds, "_enc_map_array", no_tables)
+        monkeypatch.setattr(bounds, "_digits", no_tables)
         with pytest.raises(MemoryCapError, match="4294967296 encoder maps"):
             p2p_feasibility_sweep(Pmf.uniform(4), ConditionalPmf(np.eye(4)),
                                   DistortionMeasure.hamming(4), [0.1], aux_cap=4, grid_res=1)
@@ -295,7 +295,9 @@ def assert_first_reference_maximum(source, channel, d, aux_cap, grid_res, target
     for u in range(1, aux_cap + 1):
         grid = simplex_grid_array(u, grid_res)
         kernels = grid[bounds._digits(np.arange(grid.shape[0] ** s_size), grid.shape[0], s_size)]
-        enc_maps = bounds._enc_map_array(u, s_size, channel.input_size)
+        x_size = channel.input_size
+        enc_maps = bounds._digits(np.arange(x_size ** (u * s_size)), x_size,
+                                  u * s_size).reshape(-1, u, s_size)
         kern, enc = np.divmod(np.arange(kernels.shape[0] * enc_maps.shape[0]),
                               enc_maps.shape[0])
         wm = W[enc_maps[enc]].transpose(0, 2, 1, 3)
@@ -454,7 +456,7 @@ class TestMacRegion:
         sources = correlated_sources()
         mac = xor_bsc_mac(0.1)
         spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2)
-        rep = mac_region_check(sources, mac, HAMMING2, HAMMING2, spec)
+        rep = mac_region_check(sources, mac, HAMMING2, HAMMING2, spec, 2, 2)
         reduced = lossless_reduced_values(sources, mac, UNIF2, UNIF2)
         for c, (lhs, rhs) in zip(rep.constraints, reduced):
             assert c.lhs == pytest.approx(lhs, abs=1e-12)
@@ -464,7 +466,7 @@ class TestMacRegion:
         sources = correlated_sources()
         spec = lossless_mac_spec(sources, UNIF2, UNIF2, 4)
         rep = mac_region_check(sources, ConditionalPmf.identity(4),
-                               HAMMING2, HAMMING2, spec)
+                               HAMMING2, HAMMING2, spec, 2, 2)
         assert rep.distortions[0] == pytest.approx(0.0, abs=1e-12)
         assert rep.distortions[1] == pytest.approx(0.0, abs=1e-12)
         assert rep.satisfied
@@ -475,7 +477,7 @@ class TestMacRegion:
         k2 = ConditionalPmf.bsc(0.3)
         spec = distributed_mac_spec(k1, k2, UNIF2, UNIF2)
         rep = mac_region_check(sources, ConditionalPmf.identity(4),
-                               HAMMING2, HAMMING2, spec)
+                               HAMMING2, HAMMING2, spec, 2, 2)
         reduced = distributed_reduced_values(sources, k1, k2, UNIF2, UNIF2)
         for c, (lhs, rhs) in zip(rep.constraints, reduced):
             assert c.lhs == pytest.approx(lhs, abs=1e-12)
@@ -500,8 +502,8 @@ class TestMacRegion:
             assert np.array_equal(getattr(lossless, name), getattr(ident, name))
 
     def test_mac_rows_must_match_encoder_alphabets(self):
-        # Sender 2 never sends its symbol 1: the encoders span 2 x 1 inputs,
-        # not the 4 rows of the pair channel, which must not be re-indexed.
+        # Declared alphabets of 2 x 1 inputs do not index the 4 rows of the
+        # pair channel, which must not be re-indexed, though the encoders fit.
         ident = [[[1.0, 0.0], [0.0, 1.0]]]
         dec = np.zeros((1, 2, 2, 4), dtype=int)
         spec = MacHybridSpec(q_pmf=Pmf([1.0]), aux1=ident, aux2=ident,
@@ -509,7 +511,7 @@ class TestMacRegion:
                              dec1=dec, dec2=dec)
         with pytest.raises(ScenarioError, match="MAC has 4 rows"):
             mac_region_check(correlated_sources(), ConditionalPmf.identity(4),
-                             HAMMING2, HAMMING2, spec)
+                             HAMMING2, HAMMING2, spec, 2, 1)
 
     def test_sources_must_match_aux_kernels(self):
         # aux1 takes three source symbols; the sources have two.
@@ -520,12 +522,12 @@ class TestMacRegion:
                              dec2=np.zeros((1, 2, 2, 4), dtype=int))
         with pytest.raises(ScenarioError, match="sources have shape"):
             mac_region_check(correlated_sources(), ConditionalPmf.identity(4),
-                             HAMMING2, HAMMING2, spec)
+                             HAMMING2, HAMMING2, spec, 2, 2)
 
     def test_binding_constraint_has_min_slack(self):
         sources = correlated_sources()
         spec = lossless_mac_spec(sources, UNIF2, UNIF2, 2)
-        rep = mac_region_check(sources, xor_bsc_mac(0.1), HAMMING2, HAMMING2, spec)
+        rep = mac_region_check(sources, xor_bsc_mac(0.1), HAMMING2, HAMMING2, spec, 2, 2)
         slacks = {c.name: c.rhs - c.lhs for c in rep.constraints}
         assert slacks[rep.binding_constraint] == pytest.approx(min(slacks.values()), abs=1e-15)
 
@@ -543,7 +545,7 @@ class TestMacRegion:
                             (1 - pa if y1 == x1 else pa) * (1 - pb if y2 == x2 else pb))
         mac = ConditionalPmf(rows)
         spec = lossless_mac_spec(sources, UNIF2, UNIF2, 4)
-        rep = mac_region_check(sources, mac, HAMMING2, HAMMING2, spec)
+        rep = mac_region_check(sources, mac, HAMMING2, HAMMING2, spec, 2, 2)
         c1, c2, c3 = rep.constraints
         assert c3.lhs == pytest.approx(c1.lhs + c2.lhs, abs=1e-12)
         assert c3.rhs == pytest.approx(c1.rhs + c2.rhs, abs=1e-12)
@@ -675,8 +677,10 @@ def reference_det_diamond(y2_map, y3_map, y4_map, x2_size, x3_size, grid_res=6):
     shape = (y2_size, y3_size, x2_size, x3_size)
     a_const = simplex_grid_array(x2_size, grid_res)
     b_const = simplex_grid_array(x3_size, grid_res)
-    a_batch = bounds._row_product_batch(a_const, y2_size)
-    b_batch = bounds._row_product_batch(b_const, y3_size)
+    a_batch = a_const[bounds._digits(np.arange(a_const.shape[0] ** y2_size),
+                                     a_const.shape[0], y2_size)]
+    b_batch = b_const[bounds._digits(np.arange(b_const.shape[0] ** y3_size),
+                                     b_const.shape[0], y3_size)]
     hybrid = np.einsum("iac,jbd->ijabcd", a_batch, b_batch).reshape(-1, *shape)
     adt = np.einsum("ic,jd->ijcd", a_const, b_const).reshape(-1, x2_size, x3_size)
     joint = simplex_grid_array(x2_size * x3_size, grid_res).reshape(-1, x2_size, x3_size)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import time
@@ -32,6 +33,13 @@ MAC_IDENTITY_SPEC = {
 TWO_SLOT_MAC_SPEC = {
     **{k: v * 2 for k, v in MAC_IDENTITY_SPEC.items() if k.startswith(("aux", "enc", "dec"))},
     "q_pmf": [0.5, 0.5]}
+# mac_correlated.json with u_j = s_j, a silent sender 1 (x1 = 0 always),
+# x2 = s2, shat1 = u1 and shat2 = y.
+SILENT_SENDER_SPEC = {
+    "q_pmf": [1.0], "aux1": [[[1.0, 0.0], [0.0, 1.0]]], "aux2": [[[1.0, 0.0], [0.0, 1.0]]],
+    "enc1": [[[0, 0], [0, 0]]], "enc2": [[[0, 1], [0, 1]]],
+    "dec1": [[[[0, 0]] * 2, [[1, 1]] * 2]], "dec2": [[[[0, 1]] * 2] * 2],
+    "R1": 0.5, "R2": 0.5}
 
 # Spec edits that make a spec stop fitting its scenario, run under each
 # subcommand that takes the spec; each run used to exit 0 or 4.
@@ -136,17 +144,52 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_mac_rows_must_match_encoder_alphabets(self, tmp_path):
-        # Sender 2 never sends its symbol 1, so the encoders span 2 x 1
-        # inputs of a MAC with 4 rows.
+        # The scenario declares 2 x 1 inputs for a MAC with 4 rows.  Sender 2
+        # never sends its symbol 1, so the encoders fit the declared sizes.
+        scenario = tmp_path / "mac.json"
+        scenario.write_text(json.dumps({**read_json(scen("mac_noiseless_pair.json")),
+                                        "x2_size": 1}))
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "q_pmf": [1.0], "aux1": [[[1, 0], [0, 1]]], "aux2": [[[1, 0], [0, 1]]],
             "enc1": [[[0, 1], [0, 1]]], "enc2": [[[0, 0], [0, 0]]],
             "dec1": [[[[0] * 4] * 2] * 2], "dec2": [[[[0] * 4] * 2] * 2]}))
         out = tmp_path / "o"
-        assert run(["region-mac", scen("mac_noiseless_pair.json"), "--spec", str(spec),
+        assert run(["region-mac", str(scenario), "--spec", str(spec),
                     "--out", str(out)]) == 2
-        assert list(tmp_path.iterdir()) == [spec]
+        assert sorted(tmp_path.iterdir()) == [scenario, spec]
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS["mac"], ids=lambda sub: sub[0])
+    def test_silent_sender_fits_declared_alphabets(self, tmp_path, sub):
+        # Sender 1 always sends x1 = 0: its declared symbol 1 is never used.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SILENT_SENDER_SPEC))
+        assert run([sub[0], scen("mac_correlated.json"), "--spec", str(spec), *sub[1:],
+                    "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS["mac"], ids=lambda sub: sub[0])
+    @pytest.mark.parametrize("sizes", [{"x1_size": 1, "x2_size": 4}, {"x1_size": 4, "x2_size": 2},
+                                       {"x1_size": 2, "x2_size": None}],
+                             ids=["below-emitted-symbol", "product-not-rows", "missing"])
+    def test_declared_mac_alphabets_must_fit(self, tmp_path, capsys, sub, sizes):
+        doc = {**read_json(scen("mac_noiseless_pair.json")), **sizes}
+        scenario = tmp_path / "mac.json"
+        scenario.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(MAC_IDENTITY_SPEC))
+        assert run([sub[0], str(scenario), "--spec", str(spec), *sub[1:],
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == [scenario, spec]
+
+    def test_lossless_inputs_must_span_mac_rows(self, tmp_path, capsys):
+        # px1 has one symbol: the lossless encoders fit the declared 2 x 2
+        # inputs, but the reduced form composes px1 x px2 with the 4 rows.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"px1": [1.0], "px2": [0.5, 0.5]}))
+        assert run(["region-mac", scen("mac_correlated.json"), "--spec", str(spec),
+                    "--substitution", "lossless", "--out", str(tmp_path / "o")]) == 2
+        assert "must span the MAC's 4 input pairs" in capsys.readouterr().err
 
     def test_mac_sources_must_match_aux_kernels(self, tmp_path):
         # aux1 takes three source symbols; the scenario's sources have two.
@@ -451,6 +494,19 @@ class TestSimulate:
         check = doc["independence_check"]
         assert check["kept"] <= check["trials"] == 500
 
+    def test_lemma1_cell_keys_are_plain_integers(self, tmp_path):
+        # Keys are repr((codeword 0, source block)) of Python ints, which
+        # numpy 1.x and 2.x print alike.
+        out = str(tmp_path / "lem")
+        assert run(["simulate", scen("lemma1.json"), "--lemma1", "--n", "2",
+                    "--trials", "500", "--min-count", "10", "--out", out]) == 0
+        keys = read_json(out + ".json")["independence_check"]["cells"]
+        assert keys
+        for key in keys:
+            cell = ast.literal_eval(key)
+            assert repr(cell) == key
+            assert all(type(v) is int for block in cell for v in block)
+
 
 class TestPlot:
     def test_svg_from_csv(self, tmp_path):
@@ -474,6 +530,18 @@ class TestPlot:
         csv_path = tmp_path / "data.csv"
         csv_path.write_text("x,a\n")
         assert run(["plot", str(csv_path), "--out", str(tmp_path / "f")]) == 2
+
+    def test_blank_data_rows_exit_2(self, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("x,a\n\n\n")
+        assert run(["plot", str(csv_path), "--out", str(tmp_path / "f")]) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_2(self, tmp_path, cell):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(f"x,a\n0,1\n1,{cell}\n")
+        assert run(["plot", str(csv_path), "--out", str(tmp_path / "f")]) == 2
+        assert list(tmp_path.iterdir()) == [csv_path]
 
 
 class TestReplay:

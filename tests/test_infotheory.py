@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hybridlab.infotheory import (
     ConditionalPmf,
     DistortionMeasure,
-    InvalidDistributionError,
     JointPmf,
     Pmf,
     ScenarioError,
@@ -33,11 +32,11 @@ def random_pmf(rng, k):
 
 class TestConstruction:
     def test_negative_probability_rejected(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ScenarioError):
             Pmf([1.2, -0.2])
 
     def test_bad_sum_rejected(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ScenarioError):
             Pmf([0.5, 0.4])
 
     def test_renormalizes_tiny_drift(self):
@@ -45,11 +44,11 @@ class TestConstruction:
         assert abs(p.probs.sum() - 1.0) <= 1e-12
 
     def test_kernel_rows_validated(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ScenarioError):
             ConditionalPmf([[0.5, 0.5], [0.9, 0.2]])
 
     def test_joint_validated(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ScenarioError):
             JointPmf([[0.5, 0.5], [0.5, 0.5]])
 
     @pytest.mark.parametrize("build", [

@@ -305,7 +305,7 @@ class TestRunP2p:
 def identity_mac():
     """Noiseless pair MAC with u_j = s_j, x_j = s_j and shat_j read off y."""
     sources = JointPmf([[0.35, 0.15], [0.15, 0.35]])
-    scenario = MacScenario(sources=sources, mac=ConditionalPmf.identity(4),
+    scenario = MacScenario(sources=sources, mac=ConditionalPmf.identity(4), x1_size=2, x2_size=2,
                            d1=HAMMING2, d2=HAMMING2)
     aux = np.zeros((1, 2, 2))
     aux[0] = np.eye(2)                       # u_j = s_j
@@ -327,7 +327,8 @@ def noisy_mac():
     unique hits away from (0, 0)."""
     sources = JointPmf([[0.35, 0.15], [0.15, 0.35]])
     mac = ConditionalPmf(0.9 * np.eye(4) + 0.1 / 4)
-    scenario = MacScenario(sources=sources, mac=mac, d1=HAMMING2, d2=HAMMING2)
+    scenario = MacScenario(sources=sources, mac=mac, x1_size=2, x2_size=2,
+                           d1=HAMMING2, d2=HAMMING2)
     aux = np.array([[[0.8, 0.2], [0.2, 0.8]]])
     enc = np.array([[[0, 0], [1, 1]]])
     u = np.arange(2)
@@ -339,12 +340,28 @@ def noisy_mac():
     return scenario, spec
 
 
+def silent_sender_mac():
+    """mac_correlated.json with u_j = s_j, a silent sender 1 (x1 = 0),
+    x2 = s2 and shat_j = u_j, so the encoders never use input symbol 1 of
+    sender 1."""
+    scenario = cli.build_mac_scenario(
+        cli.load_scenario(str(SCENARIOS / "mac_correlated.json"), "mac"))
+    aux = [np.eye(2)]
+    u = np.arange(2)
+    dec1 = np.broadcast_to(u[:, None, None], (1, 2, 2, 2)).copy()   # shat1 = u1
+    dec2 = np.broadcast_to(u[None, :, None], (1, 2, 2, 2)).copy()   # shat2 = u2
+    spec = MacHybridSpec(q_pmf=Pmf([1.0]), aux1=aux, aux2=aux,
+                         enc1=[[[0, 0], [0, 0]]], enc2=[[[0, 1], [0, 1]]],
+                         dec1=dec1, dec2=dec2, R1=0.5, R2=0.75)
+    return scenario, spec
+
+
 class TestRunMac:
     @staticmethod
     def scenario_and_spec():
         sources = JointPmf([[0.35, 0.15], [0.15, 0.35]])
         scenario = MacScenario(sources=sources, mac=ConditionalPmf.identity(4),
-                               d1=HAMMING2, d2=HAMMING2)
+                               x1_size=2, x2_size=2, d1=HAMMING2, d2=HAMMING2)
         spec = lossless_mac_spec(sources, UNIF2, UNIF2, 4)
         return scenario, spec
 
@@ -383,6 +400,67 @@ class TestRunMac:
         assert rep["mean_distortion_2"] == 0.0
         assert abs(rep["p_e5"] - rep["p_e6"]) <= (
             rep["halfwidth_e5"] + rep["halfwidth_e6"] + 0.05)
+
+    @pytest.mark.parametrize("make, root, n, trials", [
+        (identity_mac, 3, 4, 40), (silent_sender_mac, 2, 4, 40)],
+        ids=["identity", "silent-sender"])
+    def test_matches_one_trial_reference(self, make, root, n, trials):
+        # Each trial on its own, with numpy's generators of its streams,
+        # generate_codebook and is_typical over every index pair.
+        scenario, spec = make()
+        config = TrialConfig(n=n, trials=trials, epsilon=1.5, epsilon_prime=0.75, seed=root)
+        j = bounds._mac_joint(scenario.sources, scenario.mac, scenario.d1, scenario.d2, spec,
+                              scenario.x1_size, scenario.x2_size)
+        j_us = (j.marginal([3, 1]), j.marginal([4, 2]))
+        j_uuy = j.marginal([3, 4, 7])
+        rates = (spec.R1, spec.R2)
+        s_probs = scenario.sources.probs.ravel()
+        events = {key: np.zeros(trials, dtype=bool) for key in sim._MAC_EVENTS}
+        d1s, d2s = np.empty(trials), np.empty(trials)
+        for t in range(trials):
+            s = divmod(numpy_stream(root, sim._SOURCE, t).choice(s_probs.size, n, p=s_probs),
+                       scenario.sources.dims[1])
+            cbs = [generate_codebook(n, rates[j], j_us[j].marginal_pmf(0),
+                                     derived_seed(root, sim._CODEBOOK, 2 * t + j))
+                   for j in range(2)]
+            ties = numpy_stream(root, sim._TIEBREAK, t)
+            idx = []
+            for j, key in enumerate(("e1", "e2")):
+                hits = np.flatnonzero([is_typical((c, s[j]), j_us[j], config.epsilon_prime)
+                                       for c in cbs[j]])
+                events[key][t] = hits.size == 0
+                if hits.size == 1:
+                    idx.append(hits[0])
+                else:
+                    idx.append(ties.integers(cbs[j].shape[0]) if hits.size == 0
+                               else hits[ties.integers(hits.size)])
+            x1 = spec.enc1[0][cbs[0][idx[0]], s[0]]
+            x2 = spec.enc2[0][cbs[1][idx[1]], s[1]]
+            noise = numpy_stream(root, sim._CHANNEL, t)
+            rows = scenario.mac.rows[x1 * scenario.x2_size + x2]
+            y = np.array([noise.choice(scenario.mac.output_size, p=row) for row in rows])
+            typ = np.array([[is_typical((c1, c2, y), j_uuy, config.epsilon) for c2 in cbs[1]]
+                            for c1 in cbs[0]])
+            others = typ.copy()
+            others[idx[0], idx[1]] = False
+            events["e3"][t] = not typ[idx[0], idx[1]]
+            events["e4"][t] = np.delete(np.delete(others, idx[0], 0), idx[1], 1).any()
+            events["e5"][t] = others[:, idx[1]].any()
+            events["e6"][t] = others[idx[0]].any()
+            h1, h2 = np.argwhere(typ)[0] if typ.sum() == 1 else (0, 0)
+            u1_hat, u2_hat = cbs[0][h1], cbs[1][h2]
+            d1s[t] = scenario.d1.table[s[0], spec.dec1[0][u1_hat, u2_hat, y]].mean()
+            d2s[t] = scenario.d2.table[s[1], spec.dec2[0][u1_hat, u2_hat, y]].mean()
+        events["error"] = np.logical_or.reduce(list(events.values()))
+        want = {"n": n, "trials": trials}
+        for key, flags in events.items():
+            want[f"p_{key}"] = int(flags.sum()) / trials
+            want[f"halfwidth_{key}"] = sim._binom_halfwidth(int(flags.sum()), trials)
+        want["mean_distortion_1"] = float(np.mean(d1s))
+        want["mean_distortion_2"] = float(np.mean(d2s))
+        assert run_mac(scenario, spec, config) == want
+        # Every event occurs in these trials, so each branch is compared.
+        assert all(flags.any() for flags in events.values())
 
     def test_memory_cap_enforced(self, monkeypatch):
         import dataclasses
@@ -507,12 +585,12 @@ class TestInverseCdf:
         # uniform random() returns; an unnormalized cdf gave output 4.
         kernel = ConditionalPmf([[0.2, 0.4, 0.3, 0.1]])
         assert np.cumsum(kernel.rows[0])[-1] < 1 - 2.0 ** -53
-        out = sim._channel_outputs(kernel, np.array([0, 0]), np.array([1 - 2.0 ** -53, 0.95]))
+        out = sim._symbols(np.array([1 - 2.0 ** -53, 0.95]), kernel.rows[[0, 0]])
         assert out.tolist() == [3, 3]
 
     def test_channel_output_never_has_probability_zero(self):
         kernel = ConditionalPmf([[0.0, 1.0], [0.5, 0.5]])
-        out = sim._channel_outputs(kernel, np.array([0, 1, 1]), np.array([0.0, 0.0, 0.5]))
+        out = sim._symbols(np.array([0.0, 0.0, 0.5]), kernel.rows[[0, 1, 1]])
         assert out.tolist() == [1, 0, 1]
 
     def test_symbols_equal_generator_choice(self):
@@ -541,7 +619,7 @@ class TestInverseCdf:
         want = np.empty_like(inputs)
         for x in range(3):
             want[inputs == x] = sim._symbols(u[inputs == x], kernel.rows[x])
-        assert np.array_equal(sim._channel_outputs(kernel, inputs, u), want)
+        assert np.array_equal(sim._symbols(u, kernel.rows[inputs]), want)
 
 
 IDENTITY_COUPLING = JointPmf(np.eye(2) / 2)
@@ -636,7 +714,7 @@ class TestEncodeSelection:
 # ---------------------------------------------------------------------------
 
 # repr of every report below, recorded from the simulator before trials were
-# batched (numpy 2.x, where cell keys print as np.int64(...)).
+# batched; lemma1 cell keys are tuples of Python ints.
 PINNED = json.loads((Path(__file__).parent / "data" / "sim_pins.json").read_text())
 SCENARIOS = Path(sim.__file__).parent / "scenarios"
 
