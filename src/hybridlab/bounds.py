@@ -22,7 +22,6 @@ import numpy as np
 
 from .infotheory import (
     MEMORY_CAP_SYMBOLS,
-    RENORM_TOL,
     ConditionalPmf,
     DistortionMeasure,
     JointPmf,
@@ -107,7 +106,7 @@ class MacHybridSpec:
 
     aux kernels are arrays p(u_j | s_j, q) of shape (Q, Sj, Uj); enc maps
     have shape (Q, Uj, Sj) and dec maps (Q, U1, U2, Y).  _mac_joint checks
-    that the spec fits a scenario.
+    that the spec fits a scenario and that the aux rows are pmfs.
     """
 
     q_pmf: Pmf
@@ -124,9 +123,8 @@ class MacHybridSpec:
         q_size = self.q_pmf.alphabet_size
         for name in ("aux1", "aux2"):
             a = as_table(getattr(self, name), name)
-            if (a.ndim != 3 or a.shape[0] != q_size or np.any(a < 0)
-                    or not np.all(np.abs(a.sum(-1) - 1.0) <= RENORM_TOL)):
-                raise ScenarioError(f"{name} must be ({q_size}, S, U) with pmf rows")
+            if a.ndim != 3 or a.shape[0] != q_size:
+                raise ScenarioError(f"{name} must have shape ({q_size}, S, U)")
             object.__setattr__(self, name, a)
         for name in ("enc1", "enc2", "dec1", "dec2"):
             object.__setattr__(self, name, as_table(getattr(self, name), name, whole=True))
@@ -224,8 +222,13 @@ def _mac_joint(sources: JointPmf, mac: ConditionalPmf, d1: DistortionMeasure,
         _check_map(getattr(spec, f"dec{j}"), f"dec{j}",
                    (q_size, u1_size, u2_size, mac.output_size), d.table.shape[1])
     base = JointPmf.product(spec.q_pmf, sources)
-    k_aux1 = ConditionalPmf(spec.aux1.reshape(q_size * s1_size, u1_size))
-    k_aux2 = ConditionalPmf(spec.aux2.reshape(q_size * s2_size, u2_size))
+    k_aux = []
+    for name, (_, s_size, u_size) in (("aux1", spec.aux1.shape), ("aux2", spec.aux2.shape)):
+        try:
+            k_aux.append(ConditionalPmf(getattr(spec, name).reshape(q_size * s_size, u_size)))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{name}: {exc}") from exc
+    k_aux1, k_aux2 = k_aux
     k_enc1 = ConditionalPmf.deterministic(spec.enc1, x1_size)
     k_enc2 = ConditionalPmf.deterministic(spec.enc2, x2_size)
     return compose_joint(base, [
@@ -374,10 +377,11 @@ def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
 # ---------------------------------------------------------------------------
 
 # The factorized scan sums in another order than the reference arithmetic of
-# _score_candidates, so the two differ by a few ulps.  Canonical candidates
-# within these bands of each target's best have their orbits rescored by the
-# reference arithmetic, which alone decides feasibility, the reported values
-# and the winner.
+# _score_candidates, so the two differ by a few ulps.  p2p_optimize rescores
+# the orbits of the canonical candidates within these bands of its target's
+# best by the reference arithmetic, which alone decides its winner, reported
+# values and feasibility.  p2p_feasibility_sweep answers from the factorized
+# values; the bands say where that answer could differ from the reference one.
 SCAN_SLACK_TOL = 1e-12
 SCAN_ED_TOL = 1e-13    # times the largest distortion value
 
@@ -532,15 +536,14 @@ def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, gri
 
 
 def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
-    """Best candidate for each target distortion, scored over canonical kernels.
+    """Factorized scan of the canonical candidates for each target distortion.
 
-    For each target distortion returns the best (max) slack achievable with
-    minimal-distortion decoding, its key (aux_size, kernel_index, enc_index)
-    and E[d], and the least uncoded (aux_size 1) E[d].  The winner is the
-    first key in (aux_size, kernel_index, enc_index) order whose slack, as
-    computed by _score_candidates, is the largest among the keys whose E[d]
-    so computed meets the target; keys tied in exact arithmetic are thus
-    separated by float rounding.
+    Returns (best, uncoded_ed, near).  best[j] is the largest factorized
+    slack among candidates whose factorized E[d] is below targets[j] + 1e-12
+    by more than the SCAN_ED_TOL band, or -inf.  uncoded_ed is the least
+    uncoded (aux_size 1) E[d] by _score_candidates.  near maps aux size u to
+    the grid counts (N, s, u) and encoder indices (N,) of the canonical
+    candidates within the SCAN_* bands of some target's best.
 
     Relabelling the aux symbols, with the kernel columns and the encoder-map
     rows, and adding aux symbols of probability 0 leave slack and E[d]
@@ -549,10 +552,7 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
     on each aux symbol on its own, so p(u, y), H(U, Y) and E[d] are sums over
     u of pieces that depend on one column map s -> x each; the scan
     evaluates those pieces once per kernel chunk and only H(Y) on the summed
-    p(y).  The canonical candidates within the SCAN_* bands of each target's
-    best are expanded to their orbits, every key of any aux size up to
-    aux_cap that relabels them (_orbit_keys), and only those keys are scored
-    by _score_candidates, _SCAN_CHUNK at a time.  The winner is among them.
+    p(y).
 
     Raises MemoryCapError before allocating when the encoder-map tables of
     the largest aux size, or its simplex row grid, exceed MEMORY_CAP_SYMBOLS
@@ -592,7 +592,7 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
     limit = np.sort(np.asarray(targets, dtype=float)) + 1e-12
     ed_tol = SCAN_ED_TOL * max(1.0, float(d.table.max()))
     best = np.full(limit.size + 1, -np.inf)
-    best[-1] = np.inf                  # meets no target: never rescored
+    best[-1] = np.inf                  # meets no target: never near
     found = {}                         # u -> [(counts, enc, slack, first target)]
     for u in range(1, aux_cap + 1):
         row_grid = simplex_grid_array(u, grid_res)      # (G, u)
@@ -622,10 +622,6 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
                 (np.rint(K[b] * grid_res).astype(int), e, slack[keep], first[keep]))
     uncoded = np.full((C, s_size, 1), grid_res)
     uncoded_ed = float(_score_keys(p_s, W, d.table, h_s, uncoded, np.arange(C), grid_res)[1].min())
-    results = [
-        {"best_slack": -np.inf, "best_key": None, "best_ed": None, "uncoded_ed": uncoded_ed}
-        for _ in targets
-    ]
     # The canonical candidates within the bands of the final bests.
     near = {}
     for u, parts in found.items():
@@ -633,34 +629,37 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
         keep = slack >= best[first] - SCAN_SLACK_TOL
         if keep.any():
             near[u] = counts[keep], enc[keep]
+    return best[np.searchsorted(limit, np.asarray(targets, dtype=float) + 1e-12)], uncoded_ed, near
+
+
+def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
+    """The winner (slack, key, E[d]) for one target distortion, and the least
+    uncoded E[d].
+
+    The winner is the first key (aux_size, kernel_index, enc_index) whose
+    slack, as computed by _score_candidates, is the largest among the keys
+    whose E[d] so computed is at most target + 1e-12, or (-inf, None, None)
+    when there is none; keys tied in exact arithmetic are thus separated by
+    float rounding.  Only the keys that relabel the near canonical candidates
+    of _scan_p2p (_orbit_keys) are rescored, and the winner is among them.
+    """
+    _, uncoded_ed, near = _scan_p2p(source, channel, d, [target], aux_cap, grid_res)
+    h_s = float(_entropy_rows(source.probs, 0))
+    win = (-np.inf, None, None)
     for size in range(1, aux_cap + 1):
-        for u, (counts, enc) in near.items():
-            if u > size:
-                continue
-            for placed, kern, keys in _orbit_keys(counts, enc, size, x_size, grid_res):
+        for counts, enc in (near[u] for u in near if u <= size):
+            for placed, kern, keys in _orbit_keys(counts, enc, size, channel.input_size,
+                                                  grid_res):
                 for lo in range(0, keys.size, _SCAN_CHUNK):
                     part = slice(lo, lo + _SCAN_CHUNK)
-                    ref_slack, ref_ed = _score_keys(p_s, W, d.table, h_s, placed[part],
-                                                    keys[part], grid_res)
-                    _keep_first_maximum(results, targets, size, kern[part], keys[part],
-                                        ref_slack, ref_ed)
-    return results
-
-
-def _keep_first_maximum(results, targets, size, kern, enc, slack, ed):
-    """Fold scored keys of one aux size into each target's winner: the
-    largest slack among keys that meet the target, then the least key."""
-    masked = np.where(ed <= np.asarray(targets, dtype=float)[:, None] + 1e-12, slack, -np.inf)
-    for res, row, top in zip(results, masked, masked.max(axis=1, initial=-np.inf)):
-        if top == -np.inf or top < res["best_slack"]:
-            continue
-        tied = np.flatnonzero(row == top)
-        i = tied[np.lexsort((enc[tied], kern[tied]))[0]]
-        key = (size, int(kern[i]), int(enc[i]))
-        if top > res["best_slack"] or key < res["best_key"]:
-            res["best_slack"] = float(top)
-            res["best_key"] = key
-            res["best_ed"] = float(ed[i])
+                    slack, ed = _score_keys(source.probs, channel.rows, d.table, h_s,
+                                            placed[part], keys[part], grid_res)
+                    slack = np.where(ed <= target + 1e-12, slack, -np.inf)
+                    i = np.lexsort((keys[part], kern[part], -slack))[0]
+                    key = (size, int(kern[part][i]), int(keys[part][i]))
+                    if slack[i] > win[0] or (slack[i] == win[0] > -np.inf and key < win[1]):
+                        win = (float(slack[i]), key, float(ed[i]))
+    return win, uncoded_ed
 
 
 def _spec_from_key(source, channel, d, key, grid_res) -> HybridCodeSpec:
@@ -691,37 +690,30 @@ def p2p_optimize(
     Kernels range over per-symbol simplex grids of resolution 1/grid_res with
     aux alphabet up to aux_cap; enc maps are enumerated exhaustively and the
     reconstruction map is the per-(u, y) distortion minimizer.  Infeasibility
-    at this resolution is reported, not raised.  The winner is the first
-    candidate in key order (aux_size, kernel_index, enc_index) whose slack,
-    as computed by the reference per-candidate formula, is the largest;
-    candidates tied in exact arithmetic are separated by float rounding.
-
-    The search is quotiented by aux relabelling: only kernels with sorted,
-    nonzero columns are scored, and the candidates near each target's best
-    are expanded to every relabelled and zero-padded key, which the
-    reference formula rescores.  The winner is the one the full enumeration
-    picks (see _scan_p2p).
-    The winner is evaluated once, by check_p2p; its rate is the midpoint
-    0.5 (I(S;U) + I(U;Y)) of that report's constraint.
+    at this resolution is reported, not raised.  The winner is the one that
+    scoring every candidate by the reference formula picks (_p2p_winner);
+    its slack and the uncoded E[d] decide "achievable".  It is evaluated
+    once, by check_p2p; its rate is the midpoint 0.5 (I(S;U) + I(U;Y)) of
+    that constraint.
     """
-    res = _scan_p2p(source, channel, d, [target_D], aux_cap, grid_res)[0]
-    uncoded_ok = res["uncoded_ed"] <= target_D + 1e-12
-    if res["best_key"] is None:
+    (best_slack, key, best_ed), uncoded_ed = _p2p_winner(source, channel, d, target_D,
+                                                         aux_cap, grid_res)
+    if key is None:
         report = BoundReport(
             constraints=(), satisfied=False, binding_constraint="feasibility",
             info={"achievable": False, "reason": "no candidate met the distortion target"},
         )
         return report, None
-    spec = _spec_from_key(source, channel, d, res["best_key"], grid_res)
+    spec = _spec_from_key(source, channel, d, key, grid_res)
     report = check_p2p(source, channel, d, spec)
     c = report.constraints[0]
     spec = replace(spec, rate=0.5 * (c.lhs + c.rhs))
     return replace(report, info={
         **report.info,
-        "achievable": bool(uncoded_ok or res["best_slack"] > MARGIN),
-        "best_slack": res["best_slack"],
-        "best_distortion": res["best_ed"],
-        "uncoded_distortion": res["uncoded_ed"],
+        "achievable": bool(uncoded_ed <= target_D + 1e-12 or best_slack > MARGIN),
+        "best_slack": best_slack,
+        "best_distortion": best_ed,
+        "uncoded_distortion": uncoded_ed,
     }), spec
 
 
@@ -733,14 +725,19 @@ def p2p_feasibility_sweep(
     aux_cap: int = 4,
     grid_res: int = 12,
 ) -> list[bool]:
-    """Achievability of each target distortion, sharing one candidate scan."""
-    results = _scan_p2p(source, channel, d, list(targets), aux_cap, grid_res)
-    out = []
-    for target, res in zip(targets, results):
-        uncoded_ok = res["uncoded_ed"] <= target + 1e-12
-        coded_ok = res["best_key"] is not None and res["best_slack"] > MARGIN
-        out.append(bool(uncoded_ok or coded_ok))
-    return out
+    """Achievability of each target distortion D, from one factorized scan.
+
+    D is achievable when the uncoded E[d] is at most D + 1e-12 or the best
+    factorized slack among candidates that surely meet D exceeds MARGIN (see
+    _scan_p2p); no winner is picked and nothing is rescored.  The answer is
+    the one p2p_optimize gives for D alone whenever no candidate's E[d] lies
+    within the SCAN_ED_TOL band of D + 1e-12 and the best slack does not lie
+    within SCAN_SLACK_TOL of MARGIN: then both arithmetics see the same
+    candidates meet D and put the best on the same side of MARGIN.
+    """
+    best, uncoded_ed, _ = _scan_p2p(source, channel, d, list(targets), aux_cap, grid_res)
+    return [bool(uncoded_ed <= target + 1e-12 or slack > MARGIN)
+            for target, slack in zip(targets, best)]
 
 
 # ---------------------------------------------------------------------------

@@ -242,12 +242,13 @@ class TestP2pOptimize:
         # map, so at aux size 3 and grid 4 the simplex grid, 15 rows of 3,
         # is the largest table: 45 entries.
         args = (Pmf([1.0]), ConditionalPmf([[0.5, 0.5]]), DistortionMeasure([[0.0, 1.0]]),
-                [0.5], 3, 4)
+                0.5, 3, 4)
         monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 45)
-        assert bounds._scan_p2p(*args)[0]["best_key"] is not None
+        (_, key, _), _ = bounds._p2p_winner(*args)
+        assert key is not None
         monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 44)
         with pytest.raises(MemoryCapError, match="15 rows, 45 entries, cap is 44"):
-            bounds._scan_p2p(*args)
+            bounds._p2p_winner(*args)
 
     @pytest.mark.parametrize("aux_cap, grid_res", [(0, 4), (2, 0)])
     def test_sweep_bad_arguments(self, aux_cap, grid_res):
@@ -285,9 +286,9 @@ def brute_force_scores(channel, aux_cap, grid_res):
 
 
 def assert_first_reference_maximum(source, channel, d, aux_cap, grid_res, targets):
-    """Every candidate scored by the reference formula at once: the scan must
-    return exactly the first maximum in key order among those that meet each
-    target."""
+    """Every candidate scored by the reference formula at once: the winner
+    path, run for each target on its own, must return exactly the first
+    maximum in key order among those that meet the target."""
     W, p_s = channel.rows, source.probs
     s_size = source.alphabet_size
     h_s = float(bounds._entropy_rows(p_s, 0))
@@ -307,16 +308,37 @@ def assert_first_reference_maximum(source, channel, d, aux_cap, grid_res, target
         slacks.append(slack)
         eds.append(ed)
     slack, ed = np.concatenate(slacks), np.concatenate(eds)
-    results = bounds._scan_p2p(source, channel, d, targets, aux_cap, grid_res)
-    for target, res in zip(targets, results):
+    for target in targets:
+        (best_slack, best_key, best_ed), uncoded_ed = bounds._p2p_winner(
+            source, channel, d, target, aux_cap, grid_res)
         feas = ed <= target + 1e-12
-        assert res["uncoded_ed"] == float(ed[:channel.input_size ** s_size].min())
+        assert uncoded_ed == float(ed[:channel.input_size ** s_size].min())
         if not feas.any():
-            assert res["best_key"] is None
+            assert best_key is None
             continue
         i = int(np.argmax(np.where(feas, slack, -np.inf)))
-        assert (res["best_key"], res["best_slack"], res["best_ed"]) == (
-            keys[i], float(slack[i]), float(ed[i]))
+        assert (best_key, best_slack, best_ed) == (keys[i], float(slack[i]), float(ed[i]))
+
+
+def random_p2p_problem(rng):
+    """A small p2p problem with |S|, |X|, |Y| <= 3, a zero-probability source
+    symbol now and then, zero channel entries and an integer or a fractional
+    distortion table, with an aux cap and grid that keep the scan small."""
+    s_size, x_size, y_size = (int(v) for v in rng.integers(1, 4, size=3))
+    p_s = rng.dirichlet(np.ones(s_size))
+    if s_size > 1 and rng.random() < 0.3:
+        p_s[rng.integers(s_size)] = 0.0
+    W = rng.dirichlet(np.ones(y_size), size=x_size).round(2)
+    W[rng.random(W.shape) < 0.2] = 0.0
+    W[W.sum(axis=1) == 0, 0] = 1.0
+    r_size = int(rng.integers(1, 4))
+    table = (rng.integers(0, 3, size=(s_size, r_size)).astype(float) if rng.random() < 0.5
+             else rng.random((s_size, r_size)).round(2))
+    aux_cap = int(rng.integers(1, 4))
+    while x_size ** (aux_cap * s_size) > 81:
+        aux_cap -= 1
+    return (Pmf(p_s / p_s.sum()), ConditionalPmf(W / W.sum(axis=1, keepdims=True)),
+            DistortionMeasure(table), aux_cap, int(rng.integers(1, 5)))
 
 
 class TestScanOracle:
@@ -329,20 +351,43 @@ class TestScanOracle:
         channel = ORACLE_CHANNELS[channel_name]
         scores = brute_force_scores(channel, 3, 3)
         by_key = {key: (slack, ed) for key, slack, ed in scores}
-        results = bounds._scan_p2p(UNIF2, channel, HAMMING2, self.TARGETS,
-                                   aux_cap=3, grid_res=3)
         uncoded = min(ed for key, _, ed in scores if key[0] == 1)
-        for target, res in zip(self.TARGETS, results):
-            assert res["uncoded_ed"] == pytest.approx(uncoded, abs=1e-12)
+        for target in self.TARGETS:
+            (best_slack, best_key, best_ed), uncoded_ed = bounds._p2p_winner(
+                UNIF2, channel, HAMMING2, target, aux_cap=3, grid_res=3)
+            assert uncoded_ed == pytest.approx(uncoded, abs=1e-12)
             feasible = [slack for _, slack, ed in scores if ed <= target + 1e-12]
             if not feasible:
-                assert res["best_key"] is None
+                assert best_key is None
                 continue
-            assert res["best_slack"] == pytest.approx(max(feasible), abs=1e-12)
-            slack, ed = by_key[res["best_key"]]
-            assert res["best_ed"] == pytest.approx(ed, abs=1e-12)
-            assert res["best_slack"] == pytest.approx(slack, abs=1e-12)
-            assert res["best_ed"] <= target + 1e-12
+            assert best_slack == pytest.approx(max(feasible), abs=1e-12)
+            slack, ed = by_key[best_key]
+            assert best_ed == pytest.approx(ed, abs=1e-12)
+            assert best_slack == pytest.approx(slack, abs=1e-12)
+            assert best_ed <= target + 1e-12
+
+    def test_sweep_matches_optimizer_on_random_problems(self):
+        # The sweep answers from the factorized scan alone; p2p_optimize from
+        # its winner by the reference arithmetic.  Most targets are E[d]
+        # values that some candidate reaches exactly, the rest random.
+        rng = np.random.default_rng(16)
+        answers = []
+        for case in range(300):
+            source, channel, d, aux_cap, grid_res = random_p2p_problem(rng)
+            targets = [float(rng.random() * d.table.max())]
+            for _ in range(3):
+                u = int(rng.integers(1, aux_cap + 1))
+                kernels = simplex_grid_array(u, grid_res).shape[0] ** source.alphabet_size
+                key = (u, int(rng.integers(kernels)),
+                       int(rng.integers(channel.input_size ** (u * source.alphabet_size))))
+                spec = bounds._spec_from_key(source, channel, d, key, grid_res)
+                targets.append(check_p2p(source, channel, d, spec).distortions[0])
+            sweep = p2p_feasibility_sweep(source, channel, d, targets, aux_cap, grid_res)
+            singles = [p2p_optimize(source, channel, d, t, aux_cap, grid_res)[0].info["achievable"]
+                       for t in targets]
+            assert sweep == singles, f"case {case}: targets {targets}"
+            answers += sweep
+        assert set(answers) == {True, False}
 
     @pytest.mark.parametrize("channel_name", sorted(ORACLE_CHANNELS))
     @pytest.mark.parametrize("aux_cap, grid_res", [(3, 6), (4, 3)])
@@ -512,6 +557,22 @@ class TestMacRegion:
         with pytest.raises(ScenarioError, match="MAC has 4 rows"):
             mac_region_check(correlated_sources(), ConditionalPmf.identity(4),
                              HAMMING2, HAMMING2, spec, 2, 1)
+
+    @pytest.mark.parametrize("name", ["aux1", "aux2"])
+    @pytest.mark.parametrize("rows", [[[[0.9, 0.0], [0.0, 1.0]]], [[[1.2, -0.2], [0.0, 1.0]]],
+                                      [[[math.nan, 1.0], [0.0, 1.0]]]],
+                             ids=["sum-0.9", "negative", "nan"])
+    def test_aux_rows_must_be_pmfs(self, name, rows):
+        # The spec checks only the shape of its aux arrays; the kernels that
+        # _mac_joint builds check the rows, and the error names the array.
+        ident = [[[1.0, 0.0], [0.0, 1.0]]]
+        dec = np.zeros((1, 2, 2, 4), dtype=int)
+        spec = MacHybridSpec(q_pmf=Pmf([1.0]), **{"aux1": ident, "aux2": ident, name: rows},
+                             enc1=[[[0, 1], [0, 1]]], enc2=[[[0, 1], [0, 1]]],
+                             dec1=dec, dec2=dec)
+        with pytest.raises(ScenarioError, match=f"^{name}: kernel"):
+            mac_region_check(correlated_sources(), ConditionalPmf.identity(4),
+                             HAMMING2, HAMMING2, spec, 2, 2)
 
     def test_sources_must_match_aux_kernels(self):
         # aux1 takes three source symbols; the sources have two.

@@ -54,6 +54,9 @@ BAD_SPECS = {
     "mac-dec1-last-axis": ("mac", {"dec1": [[[[0, 0, 1]] * 2] * 2]}),
     "mac-enc1-shape": ("mac", {"enc1": [[[0, 1, 1], [0, 1, 1]]]}),
     "mac-time-sharing": ("mac", TWO_SLOT_MAC_SPEC),
+    "mac-aux1-row-sum": ("mac", {"aux1": [[[0.9, 0.0], [0.0, 1.0]]]}),
+    "mac-aux2-negative": ("mac", {"aux2": [[[1.2, -0.2], [0.0, 1.0]]]}),
+    "mac-aux1-nan": ("mac", {"aux1": [[[math.nan, 1.0], [0.0, 1.0]]]}),
 }
 BAD_SPEC_RUNS = [(name, sub) for name, (kind, _) in BAD_SPECS.items() for sub in SUBCOMMANDS[kind]
                  if name != "mac-time-sharing" or sub[0] == "simulate"]

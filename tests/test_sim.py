@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,16 @@ class TestRunMac:
         cfg = TrialConfig(n=4, trials=2, epsilon=0.75, epsilon_prime=0.5)
         with pytest.raises(ValueError):
             run_mac(scenario, bad, cfg)
+
+    @pytest.mark.parametrize("name", ["aux1", "aux2"])
+    @pytest.mark.parametrize("rows", [[[[0.9, 0.0], [0.0, 1.0]]], [[[1.2, -0.2], [0.0, 1.0]]],
+                                      [[[math.nan, 1.0], [0.0, 1.0]]]],
+                             ids=["sum-0.9", "negative", "nan"])
+    def test_aux_rows_must_be_pmfs(self, name, rows):
+        scenario, spec = identity_mac()
+        spec = replace(spec, **{name: rows})
+        with pytest.raises(ScenarioError, match=f"^{name}: kernel"):
+            run_mac(scenario, spec, TrialConfig(n=2, trials=1))
 
     def test_noiseless_identity_maps_zero_distortion(self):
         # Symbol maps that carry the source through the noiseless pair
