@@ -377,11 +377,11 @@ def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
 # ---------------------------------------------------------------------------
 
 # The factorized scan sums in another order than the reference arithmetic of
-# _score_candidates, so the two differ by a few ulps.  p2p_optimize rescores
-# the orbits of the canonical candidates within these bands of its target's
-# best by the reference arithmetic, which alone decides its winner, reported
-# values and feasibility.  p2p_feasibility_sweep answers from the factorized
-# values; the bands say where that answer could differ from the reference one.
+# _score_candidates, so the two differ by a few ulps.  _p2p_winner's fold
+# keeps the canonical candidates within these bands of its target's best and
+# rescores their orbits by the reference arithmetic, which alone decides
+# p2p_optimize's winner, reported values and feasibility.  The sweep's fold
+# answers from the factorized values; the bands say where that could differ.
 SCAN_SLACK_TOL = 1e-12
 SCAN_ED_TOL = 1e-13    # times the largest distortion value
 
@@ -535,24 +535,20 @@ def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, gri
                    np.repeat(kern, free.shape[0]), keys[once].ravel())
 
 
-def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
-    """Factorized scan of the canonical candidates for each target distortion.
+def _scan_p2p(source, channel, d, aux_cap, grid_res):
+    """Factorized scan of the canonical candidates, one kernel chunk at a time.
 
-    Returns (best, uncoded_ed, near).  best[j] is the largest factorized
-    slack among candidates whose factorized E[d] is below targets[j] + 1e-12
-    by more than the SCAN_ED_TOL band, or -inf.  uncoded_ed is the least
-    uncoded (aux_size 1) E[d] by _score_candidates.  near maps aux size u to
-    the grid counts (N, s, u) and encoder indices (N,) of the canonical
-    candidates within the SCAN_* bands of some target's best.
+    Yields (K, slack, ed) per chunk of canonical kernels K (B, s, u): slack
+    and ed (B, C^u) hold the factorized slack and E[d] of each kernel with
+    each encoder map.  It keeps no bests; each caller folds for its own job.
 
     Relabelling the aux symbols, with the kernel columns and the encoder-map
     rows, and adding aux symbols of probability 0 leave slack and E[d]
-    unchanged.  So the scan scores only canonical kernels (see
-    _canonical_kernels), each with every encoder map.  The encoder map acts
-    on each aux symbol on its own, so p(u, y), H(U, Y) and E[d] are sums over
-    u of pieces that depend on one column map s -> x each; the scan
-    evaluates those pieces once per kernel chunk and only H(Y) on the summed
-    p(y).
+    unchanged, so only canonical kernels (_canonical_kernels) are scored,
+    each with every encoder map.  The encoder map acts on each aux symbol on
+    its own, so p(u, y), H(U, Y) and E[d] are sums over u of pieces that
+    depend on one column map s -> x each, evaluated once per kernel chunk;
+    only H(Y) is taken of the summed p(y).
 
     Raises MemoryCapError before allocating when the encoder-map tables of
     the largest aux size, or its simplex row grid, exceed MEMORY_CAP_SYMBOLS
@@ -560,8 +556,6 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
     """
     if aux_cap < 1 or grid_res < 1:
         raise ScenarioError("aux_cap and grid_res must be >= 1")
-    if not np.all(np.isfinite(targets)):
-        raise ScenarioError(f"target distortions must be finite, got {targets}")
     _check_distortion(d, source.alphabet_size)
     p_s = source.probs
     s_size = p_s.size
@@ -586,14 +580,6 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
     C = col_maps.shape[0]
     w_col = W[col_maps]                                  # (C, s, y)
     wd_col = w_col[..., None] * d.table[None, :, None, :]  # (C, s, y, r)
-    # best[j] is the best factorized slack among candidates that surely meet
-    # the j-th smallest target; a candidate meets that target and every
-    # larger one once its E[d] is at most limit[j].
-    limit = np.sort(np.asarray(targets, dtype=float)) + 1e-12
-    ed_tol = SCAN_ED_TOL * max(1.0, float(d.table.max()))
-    best = np.full(limit.size + 1, -np.inf)
-    best[-1] = np.inf                  # meets no target: never near
-    found = {}                         # u -> [(counts, enc, slack, first target)]
     for u in range(1, aux_cap + 1):
         row_grid = simplex_grid_array(u, grid_res)      # (G, u)
         NE = C ** u
@@ -608,42 +594,47 @@ def _scan_p2p(source, channel, d, targets, aux_cap, grid_res):
             # p(u, y) and E[d] pieces of each (aux symbol, column map).
             q = np.einsum("bsu,csy->bucy", p_su, w_col).reshape(idx.size, u * C, -1)
             cost = np.einsum("bsu,csyr->bucyr", p_su, wd_col)
-            ed = (cost.min(axis=-1).sum(axis=-1).reshape(idx.size, -1) @ sel.T).ravel()
+            ed = cost.min(axis=-1).sum(axis=-1).reshape(idx.size, -1) @ sel.T
             h_uy = _entropy_last(q) @ sel.T             # (B, NE)
             h_y = _entropy_last(sel @ q)
-            slack = (h_u[:, None] + h_y - h_uy - i_su[:, None]).ravel()
-            top = np.full(best.size, -np.inf)
-            np.maximum.at(top, np.searchsorted(limit - ed_tol, ed), slack)
-            best[:-1] = np.maximum(best[:-1], np.maximum.accumulate(top[:-1]))
-            first = np.searchsorted(limit + ed_tol, ed)
-            keep = np.flatnonzero(slack >= best[first] - SCAN_SLACK_TOL)
-            b, e = np.divmod(keep, NE)
-            found.setdefault(u, []).append(
-                (np.rint(K[b] * grid_res).astype(int), e, slack[keep], first[keep]))
-    uncoded = np.full((C, s_size, 1), grid_res)
-    uncoded_ed = float(_score_keys(p_s, W, d.table, h_s, uncoded, np.arange(C), grid_res)[1].min())
-    # The canonical candidates within the bands of the final bests.
-    near = {}
-    for u, parts in found.items():
-        counts, enc, slack, first = (np.concatenate(a) for a in zip(*parts))
-        keep = slack >= best[first] - SCAN_SLACK_TOL
-        if keep.any():
-            near[u] = counts[keep], enc[keep]
-    return best[np.searchsorted(limit, np.asarray(targets, dtype=float) + 1e-12)], uncoded_ed, near
+            yield K, h_u[:, None] + h_y - h_uy - i_su[:, None], ed
+
+
+def _uncoded_ed(source, channel, d) -> float:
+    """The least uncoded (aux size 1) E[d], by _score_candidates."""
+    C = channel.input_size ** source.alphabet_size
+    ones = np.ones((C, source.alphabet_size, 1), dtype=int)
+    _, ed = _score_keys(source.probs, channel.rows, d.table, 0.0, ones, np.arange(C), 1)
+    return float(ed.min())
 
 
 def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
-    """The winner (slack, key, E[d]) for one target distortion, and the least
-    uncoded E[d].
+    """The winner (slack, key, E[d]) for one target, and the uncoded E[d].
 
     The winner is the first key (aux_size, kernel_index, enc_index) whose
     slack, as computed by _score_candidates, is the largest among the keys
     whose E[d] so computed is at most target + 1e-12, or (-inf, None, None)
     when there is none; keys tied in exact arithmetic are thus separated by
-    float rounding.  Only the keys that relabel the near canonical candidates
-    of _scan_p2p (_orbit_keys) are rescored, and the winner is among them.
+    float rounding.  The fold of _scan_p2p keeps the running best factorized
+    slack of candidates that surely meet the target (p2p_feasibility_sweep)
+    and the candidates in the SCAN_* bands of it.  Only the relabellings
+    (_orbit_keys) of those in the bands of the final best are rescored.
     """
-    _, uncoded_ed, near = _scan_p2p(source, channel, d, [target], aux_cap, grid_res)
+    if not math.isfinite(target):
+        raise ScenarioError(f"target distortion must be finite, got {target}")
+    limit = float(target) + 1e-12
+    ed_tol = SCAN_ED_TOL * max(1.0, float(d.table.max()))
+    best, found = -np.inf, {}          # u -> [(counts, enc, slack)]
+    for K, slack, ed in _scan_p2p(source, channel, d, aux_cap, grid_res):
+        best = max(best, slack[ed <= limit - ed_tol].max(initial=-np.inf))
+        b, e = np.nonzero((ed <= limit + ed_tol) & (slack >= best - SCAN_SLACK_TOL))
+        found.setdefault(K.shape[2], []).append(
+            (np.rint(K[b] * grid_res).astype(int), e, slack[b, e]))
+    near = {}
+    for u, parts in found.items():
+        counts, enc, slack = (np.concatenate(a) for a in zip(*parts))
+        if (keep := slack >= best - SCAN_SLACK_TOL).any():
+            near[u] = counts[keep], enc[keep]
     h_s = float(_entropy_rows(source.probs, 0))
     win = (-np.inf, None, None)
     for size in range(1, aux_cap + 1):
@@ -654,12 +645,12 @@ def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
                     part = slice(lo, lo + _SCAN_CHUNK)
                     slack, ed = _score_keys(source.probs, channel.rows, d.table, h_s,
                                             placed[part], keys[part], grid_res)
-                    slack = np.where(ed <= target + 1e-12, slack, -np.inf)
+                    slack = np.where(ed <= limit, slack, -np.inf)
                     i = np.lexsort((keys[part], kern[part], -slack))[0]
                     key = (size, int(kern[part][i]), int(keys[part][i]))
                     if slack[i] > win[0] or (slack[i] == win[0] > -np.inf and key < win[1]):
                         win = (float(slack[i]), key, float(ed[i]))
-    return win, uncoded_ed
+    return win, _uncoded_ed(source, channel, d)
 
 
 def _spec_from_key(source, channel, d, key, grid_res) -> HybridCodeSpec:
@@ -690,11 +681,10 @@ def p2p_optimize(
     Kernels range over per-symbol simplex grids of resolution 1/grid_res with
     aux alphabet up to aux_cap; enc maps are enumerated exhaustively and the
     reconstruction map is the per-(u, y) distortion minimizer.  Infeasibility
-    at this resolution is reported, not raised.  The winner is the one that
-    scoring every candidate by the reference formula picks (_p2p_winner);
-    its slack and the uncoded E[d] decide "achievable".  It is evaluated
-    once, by check_p2p; its rate is the midpoint 0.5 (I(S;U) + I(U;Y)) of
-    that constraint.
+    at this resolution is reported, not raised.  The winner is the one the
+    reference formula picks among all candidates (_p2p_winner); its slack
+    and the uncoded E[d] decide "achievable".  check_p2p evaluates it once,
+    and its rate is the midpoint 0.5 (I(S;U) + I(U;Y)) of that constraint.
     """
     (best_slack, key, best_ed), uncoded_ed = _p2p_winner(source, channel, d, target_D,
                                                          aux_cap, grid_res)
@@ -728,14 +718,24 @@ def p2p_feasibility_sweep(
     """Achievability of each target distortion D, from one factorized scan.
 
     D is achievable when the uncoded E[d] is at most D + 1e-12 or the best
-    factorized slack among candidates that surely meet D exceeds MARGIN (see
-    _scan_p2p); no winner is picked and nothing is rescored.  The answer is
-    the one p2p_optimize gives for D alone whenever no candidate's E[d] lies
-    within the SCAN_ED_TOL band of D + 1e-12 and the best slack does not lie
-    within SCAN_SLACK_TOL of MARGIN: then both arithmetics see the same
-    candidates meet D and put the best on the same side of MARGIN.
+    factorized slack among candidates that surely meet D (E[d] below
+    D + 1e-12 by more than the SCAN_ED_TOL band) exceeds MARGIN.  The fold of
+    _scan_p2p buckets each slack at the least sorted target it surely meets;
+    a prefix max gives each target's best, and nothing is rescored.  That is
+    p2p_optimize's answer for D alone unless some E[d] lies within the
+    SCAN_ED_TOL band of D + 1e-12 or the best slack within SCAN_SLACK_TOL of
+    MARGIN, where the two arithmetics may disagree.
     """
-    best, uncoded_ed, _ = _scan_p2p(source, channel, d, list(targets), aux_cap, grid_res)
+    targets = np.asarray(targets, dtype=float)
+    if not np.all(np.isfinite(targets)):
+        raise ScenarioError(f"target distortions must be finite, got {targets.tolist()}")
+    limit = np.sort(targets) + 1e-12
+    ed_tol = SCAN_ED_TOL * max(1.0, float(d.table.max()))
+    best = np.full(limit.size + 1, -np.inf)        # the last bucket meets no target
+    for _, slack, ed in _scan_p2p(source, channel, d, aux_cap, grid_res):
+        np.maximum.at(best, np.searchsorted(limit - ed_tol, ed.ravel()), slack.ravel())
+    best = np.maximum.accumulate(best[:-1])[np.searchsorted(limit, targets + 1e-12)]
+    uncoded_ed = _uncoded_ed(source, channel, d)
     return [bool(uncoded_ed <= target + 1e-12 or slack > MARGIN)
             for target, slack in zip(targets, best)]
 

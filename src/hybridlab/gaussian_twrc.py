@@ -7,7 +7,10 @@ optimization and the node-distance sweep used for comparison plots.
 
 All rates are in bits per transmission.  The general-region formulas are
 implemented verbatim as printed in the source material, including the
-(1 - alpha) factor in the second numerator.
+(1 - alpha) factor in the second numerator, and they overstate the rates: at
+r = 0.3 the fig8 scenario gets R2 = 3.491 and a sum rate of 5.766 bits, above
+the per-user cutset 2.457 and the sum cutset 4.914.  The fix moves recorded
+benchmark values, so it waits for a benchmark change (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ def _hc_direction(Sa, Sb, S31, S32, alpha, beta, sigma2,
 
 
 def hc_general_rates(ch: GaussianTwrcParams, sp: SchemeParams) -> RatePoint:
-    """General hybrid-coding rate corner for given (alpha, beta, sigma2)."""
+    """General hybrid-coding rate corner for given (alpha, beta, sigma2);
+    it overstates the rates, a known defect (see the module docstring)."""
     r1 = _hc_direction(ch.S23, ch.S31, ch.S31, ch.S32, sp.alpha, sp.beta, sp.sigma2)
     r2 = _hc_direction(ch.S13, ch.S32, ch.S31, ch.S32, sp.alpha, sp.beta, sp.sigma2)
     return _clamp_pair(r1, r2, "hc_general")

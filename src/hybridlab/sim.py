@@ -38,6 +38,7 @@ would, so the reports do not depend on the chunk size.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product as iproduct
@@ -627,7 +628,7 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
     p_s = joint_us.marginal_pmf(1).probs
     # Probability of every codeword pattern, in C order over (u_1, ..., u_n).
     pattern_prob = reduce(np.multiply.outer, [p_u] * n).ravel()
-    cells: dict[tuple, np.ndarray] = {}
+    cells: dict[tuple, np.ndarray] = defaultdict(lambda: np.zeros(pattern_prob.size))
     kept = 0
     ok = typical_table(joint_us.probs, n, eps_prime)
     for ts in _chunks(outer_trials, m_count * n):
@@ -638,18 +639,12 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
         if not sel.any():
             continue
         kept += int(sel.sum())
-        # Cell rows (codeword 0, source block); group codeword-1 patterns by cell.
-        cell_rows, inverse, sizes = np.unique(
-            np.concatenate([cb[sel, 0], s[sel]], axis=1), axis=0,
-            return_inverse=True, return_counts=True)
+        # Count each (codeword 0, source block, codeword-1 pattern) row into its cell.
         pats = np.ravel_multi_index(tuple(cb[sel, 1].T), (u_size,) * n)
-        groups = np.split(pats[np.argsort(inverse.ravel(), kind="stable")],
-                          np.cumsum(sizes)[:-1])
-        for row, group in zip(cell_rows, groups):
-            key = (tuple(row[:n].tolist()), tuple(row[n:].tolist()))
-            if key not in cells:
-                cells[key] = np.zeros(pattern_prob.size)
-            np.add.at(cells[key], group, 1.0)
+        rows, counts = np.unique(np.column_stack([cb[sel, 0], s[sel], pats]), axis=0,
+                                 return_counts=True)
+        for row, count in zip(rows.tolist(), counts.tolist()):
+            cells[tuple(row[:n]), tuple(row[n:2 * n])][row[-1]] += count
     max_ratio = 0.0
     well_sampled = 0
     cell_stats = {}

@@ -250,6 +250,20 @@ class TestP2pOptimize:
         with pytest.raises(MemoryCapError, match="15 rows, 45 entries, cap is 44"):
             bounds._p2p_winner(*args)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_target_raises_before_scanning(self, monkeypatch, bad):
+        # The callers check their targets; the scan takes none.
+        def no_chunks(*args):
+            raise AssertionError("built a kernel chunk before the target check")
+
+        monkeypatch.setattr(bounds, "_canonical_kernels", no_chunks)
+        with pytest.raises(ScenarioError, match="must be finite"):
+            p2p_feasibility_sweep(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, [0.1, bad],
+                                  aux_cap=2, grid_res=4)
+        with pytest.raises(ScenarioError, match="must be finite"):
+            p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=bad,
+                         aux_cap=2, grid_res=4)
+
     @pytest.mark.parametrize("aux_cap, grid_res", [(0, 4), (2, 0)])
     def test_sweep_bad_arguments(self, aux_cap, grid_res):
         # aux_cap=0 used to scan nothing and report even uncoded targets
@@ -387,6 +401,13 @@ class TestScanOracle:
                        for t in targets]
             assert sweep == singles, f"case {case}: targets {targets}"
             answers += sweep
+            # Descending and repeated targets keep each target's answer.
+            down = sorted(range(len(targets)), key=lambda i: -targets[i])
+            assert (p2p_feasibility_sweep(source, channel, d, [targets[i] for i in down]
+                                          + targets[:2], aux_cap, grid_res)
+                    == [singles[i] for i in down] + singles[:2]), f"case {case}"
+            if case % 50 == 0:
+                assert p2p_feasibility_sweep(source, channel, d, [], aux_cap, grid_res) == []
         assert set(answers) == {True, False}
 
     @pytest.mark.parametrize("channel_name", sorted(ORACLE_CHANNELS))
