@@ -867,9 +867,6 @@ def _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond_batch):
 
 
 DIAMOND_TIE_TOL = 1e-12
-# Candidates per _det_diamond_terms call, in the cutset family and when
-# near-ties are rescored; bounds the conditionals built at once.
-_DIAMOND_RESCORE_CHUNK = 4096
 
 
 def _product_family(a: np.ndarray, b: np.ndarray, y4_onehot: np.ndarray) -> tuple:
@@ -878,6 +875,13 @@ def _product_family(a: np.ndarray, b: np.ndarray, y4_onehot: np.ndarray) -> tupl
     and by[j, y3, x2, y4] likewise."""
     return (a, b, np.einsum("iac,cde->iade", a, y4_onehot),
             np.einsum("jbd,cde->jbce", b, y4_onehot))
+
+
+def _product_candidate(family: tuple, k: int) -> np.ndarray:
+    """Conditional c[y2, y3, x2, x3] = a_i[y2, x2] b_j[y3, x3] of flat index k."""
+    a, b = family[:2]
+    i, j = divmod(k, b.shape[0])
+    return a[i][:, None, :, None] * b[j][None, :, None, :]
 
 
 def _product_family_values(p23: np.ndarray, family: tuple) -> np.ndarray:
@@ -889,7 +893,7 @@ def _product_family_values(p23: np.ndarray, family: tuple) -> np.ndarray:
     w_j = p2 log p2 - sum_y4 q_j log q_j: one GEMM for all pairs.  The
     other relay is the same with roles swapped, and p(y4) = sum a_i q_j is
     one GEMM per output symbol.  Agrees with _det_diamond_terms to a few
-    ulps; used only to choose which candidates to rescore.
+    ulps.
     """
     a, b, ay, by = family
     na, nb = a.shape[0], b.shape[0]
@@ -908,18 +912,29 @@ def _product_family_values(p23: np.ndarray, family: tuple) -> np.ndarray:
     return np.minimum(np.minimum(t2, t3), np.minimum(t4, h23)).ravel()
 
 
-def _rescore_products(px1, y2_map, y3_map, y4_onehot, family, ks):
-    """Reference terms of the product candidates ks, in _DIAMOND_RESCORE_CHUNK
-    batches."""
-    a, b = family[:2]
-    vals, binds = [], []
-    for start in range(0, ks.size, _DIAMOND_RESCORE_CHUNK):
-        i, j = np.divmod(ks[start:start + _DIAMOND_RESCORE_CHUNK], b.shape[0])
-        cond = a[i][:, :, None, :, None] * b[j][:, None, :, None, :]
-        terms = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
-        vals.append(terms.min(axis=0))
-        binds.append(terms.argmin(axis=0))
-    return np.concatenate(vals), np.concatenate(binds)
+def _cutset_family(joints: np.ndarray, y4_map: np.ndarray) -> tuple:
+    """Joint pmfs g (J, x2, x3) of (X2, X3) and their (J,) entropies
+    H(Y4|X2), H(Y4|X3) and H(Y4), which no source pmf changes.  The pmf of
+    (X2, Y4), (X3, Y4), Y4, X2 or X3 sums the cells of g that share it."""
+    flat = joints.reshape(joints.shape[0], -1)
+    x2, x3 = np.indices(y4_map.shape) * (int(y4_map.max()) + 1)
+
+    def entropy(key):
+        group = np.unique(key, return_inverse=True)[1].ravel()
+        return _entropy_rows(flat @ np.eye(group.max() + 1)[group], 1)
+
+    return (joints, entropy(x2 + y4_map) - entropy(x2), entropy(x3 + y4_map) - entropy(x3),
+            entropy(y4_map))
+
+
+def _cutset_values(p23: np.ndarray, family: tuple) -> np.ndarray:
+    """min of the four _det_diamond_terms for every joint pmf of the
+    family.  A joint p(x2, x3) ignores (Y2, Y3), so the terms are H(Y2,Y3),
+    H(Y2) + H(Y4|X2), H(Y3) + H(Y4|X3) and H(Y4).  Agrees with
+    _det_diamond_terms to a few ulps."""
+    _, c2, c3, h4 = family
+    h2, h3 = _entropy_rows(p23.sum(axis=1), 0), _entropy_rows(p23.sum(axis=0), 0)
+    return np.minimum(np.minimum(h2 + c2, h3 + c3), np.minimum(h4, _entropy_rows(p23, (0, 1))))
 
 
 def det_diamond_bounds(
@@ -938,18 +953,18 @@ def det_diamond_bounds(
     conditionals range over simplex grids of resolution 1/grid_res (the
     relay grids include all deterministic maps as corners).
 
-    Each family reports the strict-> first maximum in (px1 index, candidate
-    index) order of the minimum of the _det_diamond_terms.  The hybrid family
-    a(x2|y2) b(x3|y3) and the independent family (row-constant a and b) are
-    products, evaluated in factored form by _product_family_values, and
-    those values only filter: a first pass over px1 keeps the rows whose
-    largest factored value is within DIAMOND_TIE_TOL of the overall largest,
-    and in each kept row the candidates within DIAMOND_TIE_TOL of the row's
-    largest (and any non-finite one) are rebuilt and rescored by
-    _det_diamond_terms, which decides.  The joint (cutset) family is scored
-    by _det_diamond_terms directly.
+    Each family has one filter: _product_family_values for the hybrid
+    family a(x2|y2) b(x3|y3) and the independent family (row-constant a and
+    b), _cutset_values for the joint (cutset) family.  Its winner is the
+    first (px1 index, candidate index) whose filter value is at least the
+    family's largest minus DIAMOND_TIE_TOL: one pass over px1 records each
+    row's largest value, and the first row that reaches that band is
+    evaluated again to find its first candidate in it.  _det_diamond_terms
+    of that one candidate gives the reported value (0.0, never -0.0, for a
+    zero rate) and binding term.  The filters agree with _det_diamond_terms
+    to a few ulps, so the winner does not depend on their summation order
+    as long as no value lies closer to the band's edge than that.
 
-    The cutset family is scored _DIAMOND_RESCORE_CHUNK joints at a time.
     Raises MemoryCapError before allocating when one px1 row of the hybrid
     family, Na * Nb values with Na = G2^|Y2| and Nb = G3^|Y3| candidate
     kernels, its factor tables, or the grid of joint pmfs of (X2, X3)
@@ -964,10 +979,7 @@ def det_diamond_bounds(
         raise ScenarioError("x2_size, x3_size and grid_res must be >= 1")
     if y4_map.shape != (x2_size, x3_size):
         raise ScenarioError(f"y4_map must have shape {(x2_size, x3_size)}, got {y4_map.shape}")
-    y2_size = int(y2_map.max()) + 1
-    y3_size = int(y3_map.max()) + 1
-    y4_size = int(y4_map.max()) + 1
-    x1_size = y2_map.size
+    y2_size, y3_size, y4_size = (int(m.max()) + 1 for m in (y2_map, y3_map, y4_map))
     na = math.comb(grid_res + x2_size - 1, x2_size - 1) ** y2_size
     nb = math.comb(grid_res + x3_size - 1, x3_size - 1) ** y3_size
     factors = (na + nb) * max(y2_size, y3_size) * x2_size * x3_size * y4_size
@@ -982,58 +994,35 @@ def det_diamond_bounds(
 
     a_const = simplex_grid_array(x2_size, grid_res)
     b_const = simplex_grid_array(x3_size, grid_res)
-    families = {
-        "hybrid": _product_family(a_const[_digits(np.arange(na), a_const.shape[0], y2_size)],
-                                  b_const[_digits(np.arange(nb), b_const.shape[0], y3_size)],
-                                  y4_onehot),
-        "adt": _product_family(np.repeat(a_const[:, None], y2_size, axis=1),
-                               np.repeat(b_const[:, None], y3_size, axis=1), y4_onehot),
-    }
-    px1_grid = simplex_grid_array(x1_size, grid_res)
-    p23_grid = [_stage_joint(px1, y2_map, y3_map, (y2_size, y3_size)) for px1 in px1_grid]
-    best = {}
-    for fam, family in families.items():
-        tops, odd = [], []
-        for p23 in p23_grid:
-            vals = _product_family_values(p23, family)
-            finite = np.isfinite(vals)
-            tops.append(vals.max(initial=-np.inf, where=finite))
-            odd.append(not finite.all())
-        floor = max(tops) - DIAMOND_TIE_TOL
-        best[fam] = (-np.inf, 0, None)
-        for pi in range(len(px1_grid)):
-            if not odd[pi] and tops[pi] < floor:
-                continue
-            vals = _product_family_values(p23_grid[pi], family)
-            ks = np.flatnonzero(~np.isfinite(vals) | (vals >= tops[pi] - DIAMOND_TIE_TOL))
-            ref, binds = _rescore_products(px1_grid[pi], y2_map, y3_map, y4_onehot, family, ks)
-            k = int(np.argmax(ref))
-            if ref[k] > best[fam][0]:
-                best[fam] = (float(ref[k]), int(binds[k]), (pi, int(ks[k])))
-
     joint_grid = simplex_grid_array(x2_size * x3_size, grid_res).reshape(-1, x2_size, x3_size)
-    best["cutset"] = (-np.inf, 0, None)
-    for pi, px1 in enumerate(px1_grid):
-        for start in range(0, joints, _DIAMOND_RESCORE_CHUNK):
-            chunk = joint_grid[start:start + _DIAMOND_RESCORE_CHUNK]
-            cond = np.broadcast_to(chunk[:, None, None], (chunk.shape[0], y2_size, y3_size,
-                                                          x2_size, x3_size))
-            terms = _det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
-            vals = terms.min(axis=0)
-            k = int(np.argmax(vals))
-            if vals[k] > best["cutset"][0]:
-                best["cutset"] = (float(vals[k]), int(terms[:, k].argmin()), (pi, start + k))
+    families = {
+        "hybrid": (_product_family_values, _product_candidate, _product_family(
+            a_const[_digits(np.arange(na), a_const.shape[0], y2_size)],
+            b_const[_digits(np.arange(nb), b_const.shape[0], y3_size)], y4_onehot)),
+        "adt": (_product_family_values, _product_candidate, _product_family(
+            np.repeat(a_const[:, None], y2_size, axis=1),
+            np.repeat(b_const[:, None], y3_size, axis=1), y4_onehot)),
+        "cutset": (_cutset_values, lambda family, k: family[0][k],
+                   _cutset_family(joint_grid, y4_map)),
+    }
+    px1_grid = simplex_grid_array(y2_map.size, grid_res)
+    p23_grid = [_stage_joint(px1, y2_map, y3_map, (y2_size, y3_size)) for px1 in px1_grid]
+    shape = (1, y2_size, y3_size, x2_size, x3_size)
+    best = {}
+    for fam, (values, candidate, family) in families.items():
+        tops = [values(p23, family).max() for p23 in p23_grid]
+        floor = max(tops) - DIAMOND_TIE_TOL
+        pi = next(i for i, top in enumerate(tops) if top >= floor)
+        k = int(np.argmax(values(p23_grid[pi], family) >= floor))
+        cond = np.broadcast_to(candidate(family, k), shape)
+        terms = _det_diamond_terms(px1_grid[pi], y2_map, y3_map, y4_onehot, cond)[:, 0]
+        best[fam] = (float(terms.min()) + 0.0, int(terms.argmin()), (pi, k))
+    names = _DIAMOND_TERM_NAMES
     return DetDiamondBounds(
-        hybrid=best["hybrid"][0],
-        adt=best["adt"][0],
-        cutset=best["cutset"][0],
-        hybrid_binding=_DIAMOND_TERM_NAMES[best["hybrid"][1]],
-        argmax={
-            fam: {"px1": px1_grid[key[0]].tolist(), "candidate_index": key[1],
-                  "binding": _DIAMOND_TERM_NAMES[bind]}
-            for fam, (_, bind, key) in best.items()
-        },
-    )
+        hybrid=best["hybrid"][0], adt=best["adt"][0], cutset=best["cutset"][0],
+        hybrid_binding=names[best["hybrid"][1]],
+        argmax={fam: {"px1": px1_grid[key[0]].tolist(), "candidate_index": key[1],
+                      "binding": names[bind]} for fam, (_, bind, key) in best.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,11 @@ def _finite(value, name: str) -> float:
 
 
 def _count(doc: dict, name: str) -> int:
-    return int(_finite(_field(doc, name), name))
+    value = _field(doc, name)
+    number = _finite(value, name)
+    if number != int(number):
+        raise ScenarioError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 def _build(cls, doc: dict, name: str):

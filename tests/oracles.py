@@ -4,7 +4,9 @@ diamond_bound evaluates the diamond-network rate expression for any relay
 kernels on a joint built by compose_joint, with one mutual information per
 term.  The deterministic-diamond grid maximizer of `bounds` scores its
 candidates with closed-form entropies instead; with U2 = (Y2, X2) and
-U3 = (Y3, X3) the two must agree term by term.
+U3 = (Y3, X3) the two must agree term by term.  reference_det_diamond is
+that maximizer's winner rule applied to every candidate's closed-form terms
+at once, with no factored filter.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hybridlab import bounds
 from hybridlab.bounds import BoundReport, Constraint
 from hybridlab.infotheory import (
     ConditionalPmf,
@@ -24,6 +27,7 @@ from hybridlab.infotheory import (
     conditional_mutual_information,
     mutual_information,
 )
+from hybridlab.search import simplex_grid_array
 
 
 @dataclass(frozen=True)
@@ -106,3 +110,44 @@ def relay_forwarding_spec(px1: Pmf, a: np.ndarray, b: np.ndarray) -> DiamondSpec
     k2, map2 = relay(a)
     k3, map3 = relay(b)
     return DiamondSpec(px1=px1, k2=k2, k3=k3, map2=map2, map3=map3)
+
+
+def reference_det_diamond(y2_map, y3_map, y4_map, x2_size, x3_size, grid_res=6):
+    """The full-batch loop: every family's conditionals scored at once by
+    _det_diamond_terms.  Each family's winner is the first (px1, candidate)
+    whose minimum term is within DIAMOND_TIE_TOL of the family's largest."""
+    y2_map, y3_map, y4_map = (np.asarray(m, dtype=int) for m in (y2_map, y3_map, y4_map))
+    y2_size, y3_size, y4_size = (int(m.max()) + 1 for m in (y2_map, y3_map, y4_map))
+    y4_onehot = np.zeros((x2_size, x3_size, y4_size))
+    y4_onehot[np.arange(x2_size)[:, None], np.arange(x3_size)[None, :], y4_map] = 1.0
+    shape = (y2_size, y3_size, x2_size, x3_size)
+    a_const = simplex_grid_array(x2_size, grid_res)
+    b_const = simplex_grid_array(x3_size, grid_res)
+    a_batch = a_const[bounds._digits(np.arange(a_const.shape[0] ** y2_size),
+                                     a_const.shape[0], y2_size)]
+    b_batch = b_const[bounds._digits(np.arange(b_const.shape[0] ** y3_size),
+                                     b_const.shape[0], y3_size)]
+    hybrid = np.einsum("iac,jbd->ijabcd", a_batch, b_batch).reshape(-1, *shape)
+    adt = np.einsum("ic,jd->ijcd", a_const, b_const).reshape(-1, x2_size, x3_size)
+    joint = simplex_grid_array(x2_size * x3_size, grid_res).reshape(-1, x2_size, x3_size)
+    families = {
+        "hybrid": hybrid,
+        "adt": np.broadcast_to(adt[:, None, None], (adt.shape[0], *shape)),
+        "cutset": np.broadcast_to(joint[:, None, None], (joint.shape[0], *shape)),
+    }
+    px1_grid = simplex_grid_array(y2_map.size, grid_res)
+    best = {}
+    for fam, cond in families.items():
+        terms = np.stack([bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
+                          for px1 in px1_grid], axis=1)          # (4, px1, candidate)
+        vals = terms.min(axis=0)
+        pi, k = divmod(int(np.argmax(vals >= vals.max() - bounds.DIAMOND_TIE_TOL)),
+                       vals.shape[1])
+        best[fam] = (float(vals[pi, k]) + 0.0, int(terms[:, pi, k].argmin()), (pi, k))
+    names = bounds._DIAMOND_TERM_NAMES
+    return bounds.DetDiamondBounds(
+        hybrid=best["hybrid"][0], adt=best["adt"][0], cutset=best["cutset"][0],
+        hybrid_binding=names[best["hybrid"][1]],
+        argmax={fam: {"px1": px1_grid[key[0]].tolist(), "candidate_index": key[1],
+                      "binding": names[bind]}
+                for fam, (_, bind, key) in best.items()})

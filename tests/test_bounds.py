@@ -35,7 +35,7 @@ from hybridlab.infotheory import (
     ScenarioError,
 )
 from hybridlab.search import simplex_grid_array
-from oracles import DiamondSpec, diamond_bound, relay_forwarding_spec
+from oracles import DiamondSpec, diamond_bound, reference_det_diamond, relay_forwarding_spec
 
 
 def h2(p):
@@ -749,46 +749,6 @@ class TestDiamond:
         assert time.perf_counter() - start < 1.0
 
 
-def reference_det_diamond(y2_map, y3_map, y4_map, x2_size, x3_size, grid_res=6):
-    """The full-batch loop: every family's conditionals scored at once by
-    _det_diamond_terms, first maximum in (px1, candidate) order."""
-    y2_map, y3_map, y4_map = (np.asarray(m, dtype=int) for m in (y2_map, y3_map, y4_map))
-    y2_size, y3_size, y4_size = (int(m.max()) + 1 for m in (y2_map, y3_map, y4_map))
-    y4_onehot = np.zeros((x2_size, x3_size, y4_size))
-    y4_onehot[np.arange(x2_size)[:, None], np.arange(x3_size)[None, :], y4_map] = 1.0
-    shape = (y2_size, y3_size, x2_size, x3_size)
-    a_const = simplex_grid_array(x2_size, grid_res)
-    b_const = simplex_grid_array(x3_size, grid_res)
-    a_batch = a_const[bounds._digits(np.arange(a_const.shape[0] ** y2_size),
-                                     a_const.shape[0], y2_size)]
-    b_batch = b_const[bounds._digits(np.arange(b_const.shape[0] ** y3_size),
-                                     b_const.shape[0], y3_size)]
-    hybrid = np.einsum("iac,jbd->ijabcd", a_batch, b_batch).reshape(-1, *shape)
-    adt = np.einsum("ic,jd->ijcd", a_const, b_const).reshape(-1, x2_size, x3_size)
-    joint = simplex_grid_array(x2_size * x3_size, grid_res).reshape(-1, x2_size, x3_size)
-    families = {
-        "hybrid": hybrid,
-        "adt": np.broadcast_to(adt[:, None, None], (adt.shape[0], *shape)),
-        "cutset": np.broadcast_to(joint[:, None, None], (joint.shape[0], *shape)),
-    }
-    best = {fam: (-np.inf, 0, None) for fam in families}
-    px1_grid = simplex_grid_array(y2_map.size, grid_res)
-    for pi, px1 in enumerate(px1_grid):
-        for fam, cond in families.items():
-            terms = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond)
-            vals, binds = terms.min(axis=0), terms.argmin(axis=0)
-            k = int(np.argmax(vals))
-            if vals[k] > best[fam][0]:
-                best[fam] = (float(vals[k]), int(binds[k]), (pi, k))
-    names = bounds._DIAMOND_TERM_NAMES
-    return bounds.DetDiamondBounds(
-        hybrid=best["hybrid"][0], adt=best["adt"][0], cutset=best["cutset"][0],
-        hybrid_binding=names[best["hybrid"][1]],
-        argmax={fam: {"px1": px1_grid[key[0]].tolist(), "candidate_index": key[1],
-                      "binding": names[bind]}
-                for fam, (_, bind, key) in best.items()})
-
-
 def random_diamond(rng):
     """|X1| <= 4, |X2|, |X3| <= 3, stage maps into at most 3 symbols."""
     x1, x2, x3 = (int(v) for v in rng.integers(1, [5, 4, 4]))
@@ -819,16 +779,17 @@ DIAMOND_ORACLE_CASES = (
 )
 
 
-def perturb_factored_values(monkeypatch, scale=4e-13):
-    """Move every factored value by up to scale, less than half the tie band."""
+def perturb_factored_values(monkeypatch, name, scale=4e-13):
+    """Move every value of the filter bounds.<name> by up to scale, less than
+    half the tie band."""
     rng = np.random.default_rng(0)
-    exact = bounds._product_family_values
+    exact = getattr(bounds, name)
 
     def noisy(*args):
         vals = exact(*args)
         return vals + rng.uniform(-scale, scale, size=vals.shape)
 
-    monkeypatch.setattr(bounds, "_product_family_values", noisy)
+    monkeypatch.setattr(bounds, name, noisy)
 
 
 class TestDiamondFactored:
@@ -875,18 +836,6 @@ class TestDiamondFactored:
             assert (repr(det_diamond_bounds(*case, grid_res=grid))
                     == repr(reference_det_diamond(*case, grid_res=grid))), (case, grid)
 
-    @pytest.mark.parametrize("case, grid", [
-        ((DIAMOND_Y2, DIAMOND_Y3, DIAMOND_Y4, 2, 2), 6),
-        (CONSTANT_STAGE_CYCLIC, 3),
-    ], ids=["example1", "constant-stage"])
-    def test_cutset_chunks_keep_first_maximum(self, monkeypatch, case, grid):
-        # Joint pmfs scored 7 at a time: example1's cutset maximum is joint
-        # 51, in the eighth chunk, and on the constant-stage network every
-        # joint ties at 0, so the first maximum must survive every chunk.
-        expected = repr(reference_det_diamond(*case, grid_res=grid))
-        monkeypatch.setattr(bounds, "_DIAMOND_RESCORE_CHUNK", 7)
-        assert repr(det_diamond_bounds(*case, grid_res=grid)) == expected
-
     @pytest.mark.parametrize("seed", range(4))
     def test_values_match_reference_terms(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -909,13 +858,40 @@ class TestDiamondFactored:
             ref = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond).min(axis=0)
             assert np.max(np.abs(vals - ref)) < 1e-12
 
-    @pytest.mark.parametrize("case", [(DIAMOND_Y2, DIAMOND_Y3, DIAMOND_Y4, 2, 2),
-                                      ([0, 1], [0, 1], [[0, 1], [2, 3]], 2, 2),
-                                      ([0, 0], [0, 0], [[0, 1], [1, 0]], 2, 2)],
-                             ids=["example1", "identity", "constant-stage"])
-    def test_reference_terms_decide_near_ties(self, case, monkeypatch):
-        # Many candidates bind at the same H(Y2,Y3) or tie at 0; the factored
-        # values only filter, so perturbed ones must leave the winner as it is.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cutset_values_match_reference_terms(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        for _ in range(10):
+            y2_map, y3_map, y4_map, x2, x3 = random_diamond(rng)
+            y2_size, y3_size = max(y2_map) + 1, max(y3_map) + 1
+            y4_onehot = np.eye(max(map(max, y4_map)) + 1)[np.asarray(y4_map)]
+            joints = rng.dirichlet(np.full(x2 * x3, 0.5), size=9)
+            joints[0] = np.eye(x2 * x3)[-1]        # zero entries in a joint
+            joints[1, :x2 * x3 // 2] = 0.0
+            joints[1] /= joints[1].sum()
+            joints = joints.reshape(-1, x2, x3)
+            px1 = rng.dirichlet(np.ones(len(y2_map)))
+            if px1.size > 1:
+                px1[0] = 0.0                       # and a zero source symbol
+                px1 /= px1.sum()
+            p23 = bounds._stage_joint(px1, y2_map, y3_map, (y2_size, y3_size))
+            family = bounds._cutset_family(joints, np.asarray(y4_map))
+            vals = bounds._cutset_values(p23, family)
+            cond = np.broadcast_to(joints[:, None, None], (9, y2_size, y3_size, x2, x3))
+            ref = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond).min(axis=0)
+            assert np.max(np.abs(vals - ref)) < 1e-12
+
+    @pytest.mark.parametrize("case, name", [
+        (case, name) for name in ("_product_family_values", "_cutset_values")
+        for case in [(DIAMOND_Y2, DIAMOND_Y3, DIAMOND_Y4, 2, 2),
+                     ([0, 1], [0, 1], [[0, 1], [2, 3]], 2, 2),
+                     ([0, 0], [0, 0], [[0, 1], [1, 0]], 2, 2)]
+    ], ids=["example1", "identity", "constant-stage",
+            "example1-cutset", "identity-cutset", "constant-stage-cutset"])
+    def test_reference_terms_decide_near_ties(self, case, name, monkeypatch):
+        # Many candidates bind at the same H(Y2,Y3) or tie at 0; the filter
+        # values only pick the winner inside a band of DIAMOND_TIE_TOL, so
+        # perturbed ones must leave it as it is.
         expected = repr(reference_det_diamond(*case, grid_res=4))
-        perturb_factored_values(monkeypatch)
+        perturb_factored_values(monkeypatch, name)
         assert repr(det_diamond_bounds(*case, grid_res=4)) == expected

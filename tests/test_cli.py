@@ -353,6 +353,29 @@ class TestExitCodes:
         assert run(["check-thm3", scen("twrc_xor.json"), "--spec", str(spec),
                     "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("argv, field, value", [
+        (["bounds-diamond", "example1.json"], "x2_size", 2.7),
+        (["region-mac", "mac_correlated.json", "--spec", SILENT_SENDER_SPEC], "x1_size", 2.5),
+        (["check-thm1", "p2p_hybrid.json", "--spec", "p2p_hybrid_spec.json"], "aux_size", 2.9),
+        (["check-thm3", "twrc_xor.json", "--spec", "twrc_xor_spec.json"], "y1_size", 2.5),
+    ], ids=["diamond-x2-size", "mac-x1-size", "spec-aux-size", "thm3-y1-size"])
+    def test_fractional_size_exits_2(self, tmp_path, capsys, argv, field, value):
+        # int() used to truncate each of these to 2, and the run exited 0.
+        def argv_with(size):
+            out = []
+            for i, arg in enumerate(argv):
+                if isinstance(arg, dict) or arg.endswith(".json"):
+                    doc = arg if isinstance(arg, dict) else read_json(scen(arg))
+                    path = tmp_path / f"{i}.json"
+                    path.write_text(json.dumps({**doc, field: size} if field in doc else doc))
+                    arg = str(path)
+                out.append(arg)
+            return out + ["--out", str(tmp_path / "o")]
+
+        assert run(argv_with(2.0)) == 0
+        assert run(argv_with(value)) == 2
+        assert f"{field} must be a whole number, got {value}" in capsys.readouterr().err
+
 
 class TestBoundsTwrc:
     def test_single_distance_schemes(self, tmp_path):
@@ -397,6 +420,20 @@ class TestBoundsDiamond:
         assert doc["hybrid"] == pytest.approx(math.log2(3), abs=1e-9)
         assert doc["adt"] == pytest.approx(1.5, abs=1e-9)
         assert doc["cutset"] == pytest.approx(math.log2(3), abs=1e-9)
+
+    def test_zero_rates_print_without_sign(self, tmp_path):
+        # Relays that see nothing of the source: every family's rate is 0,
+        # which -sum(p log p) of a point mass used to give as -0.0.
+        scenario = tmp_path / "diamond.json"
+        scenario.write_text(json.dumps({"kind": "diamond", "y2_map": [0, 0], "y3_map": [0, 0],
+                                        "y4_map": [[0, 1], [1, 0]],
+                                        "x2_size": 2, "x3_size": 2}))
+        out = str(tmp_path / "dia")
+        assert run(["bounds-diamond", str(scenario), "--out", out]) == 0
+        with open(out + ".json") as fh:
+            assert "-0.0" not in fh.read()
+        res = bounds.det_diamond_bounds([0, 0], [0, 0], [[0, 1], [1, 0]], 2, 2)
+        assert [math.copysign(1.0, v) for v in (res.hybrid, res.adt, res.cutset)] == [1.0] * 3
 
 
 class TestRegionMac:
