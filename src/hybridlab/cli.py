@@ -68,8 +68,11 @@ def _field(doc: dict, name: str):
 
 
 def _number(value, name: str) -> float:
-    """float(value); the library checks the range of the numbers it takes."""
+    """float(value), rejecting JSON booleans (float(True) is 1.0); the library
+    checks the range of the numbers it takes."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{name} must be a number, got {value!r}") from exc

@@ -5,12 +5,20 @@ sigma2), its compress-forward (nnc), amplify-forward (af) and digital-hybrid
 special cases, a derived cutset reference, deterministic parameter
 optimization and the node-distance sweep used for comparison plots.
 
-All rates are in bits per transmission.  The general-region formulas are
-implemented verbatim as printed in the source material, including the
-(1 - alpha) factor in the second numerator, and they overstate the rates: at
-r = 0.3 the fig8 scenario gets R2 = 3.491 and a sum rate of 5.766 bits, above
-the per-user cutset 2.457 and the sum cutset 4.914.  The fix moves recorded
-benchmark values, so it waits for a benchmark change (ROADMAP item 1).
+All rates are in bits per transmission, in one arithmetic: numpy's sqrt and
+log2, which give the same bits on a scalar as on any element of an array.
+Each scheme with free parameters has one rate-terms function (`_nnc_terms`,
+`_hc_special_terms`, `_hc_general_terms`) that takes sigma2 (and alpha, beta)
+as scalars or broadcastable arrays.  The reported points, the batched search
+grids and the scalar refinement all evaluate it, so a grid maximum is the
+maximum a scalar loop over the same points would find.
+
+Known defect: the general-region formulas are implemented verbatim as printed
+in the source material, including the (1 - alpha) factor in the second
+numerator, and they overstate the rates: at r = 0.3 the fig8 scenario gets
+R2 = 3.491 and a sum rate of 5.766 bits, above the per-user cutset 2.457 and
+the sum cutset 4.914.  The fix moves recorded benchmark values, so it waits
+for a benchmark change (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -27,8 +35,6 @@ SIGMA2_GRID_LO = 1e-3
 SIGMA2_GRID_HI = 1e6
 SIGMA2_GRID_POINTS = 120
 ALPHA_BETA_STEP = 0.02
-# Numpy grid values within this of the best are rescored by the scalar formula.
-GRID_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,84 +83,94 @@ class RatePoint:
         return self.R1 + self.R2
 
 
-def gauss_c(x: float) -> float:
-    """Gaussian capacity function C(x) = 0.5 * log2(1 + x)."""
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    return 0.5 * math.log2(1.0 + x)
+def gauss_c(x):
+    """Gaussian capacity function C(x) = 0.5 * log2(1 + x), elementwise for x >= 0."""
+    return 0.5 * np.log2(1.0 + x)
 
 
 def _clamp_pair(r1_terms, r2_terms, scheme: str) -> RatePoint:
     """Each rate is the first minimum of its two terms, clamped at 0."""
     b1 = int(r1_terms[1] < r1_terms[0])
     b2 = int(r2_terms[1] < r2_terms[0])
-    r1, r2 = r1_terms[b1], r2_terms[b2]
+    r1, r2 = float(r1_terms[b1]), float(r2_terms[b2])
     clamped = r1 < 0 or r2 < 0
     return RatePoint(max(r1, 0.0), max(r2, 0.0), scheme, (b1, b2), clamped)
 
 
-def _hc_direction(Sa, Sb, S31, S32, alpha, beta, sigma2,
-                  sqrt=math.sqrt, log2=math.log2):
+def _grid_sums(r1_terms, r2_terms) -> np.ndarray:
+    """Sum rates of array-valued terms, clamped as `_clamp_pair` clamps scalars."""
+    return np.maximum(np.minimum(*r1_terms), 0.0) + np.maximum(np.minimum(*r2_terms), 0.0)
+
+
+def _hc_direction(Sa, Sb, S31, S32, alpha, beta, sigma2):
     """The two rate expressions of the general region for one direction.
 
     For R1 pass (Sa, Sb) = (S23, S31); for R2 pass (S13, S32).  The printed
-    formulas for R2 mirror R1 with those substitutions.  With sqrt/log2 set
-    to np.sqrt/np.log2, beta and sigma2 may be broadcastable arrays.
+    formulas for R2 mirror R1 with those substitutions.
     """
     T = S31 + S32 + 1.0
-    mix = sqrt(alpha / T) + sqrt(beta * sigma2)
-    mix_up = sqrt(alpha * (Sb + 1.0) / T) + sqrt(beta * sigma2)
+    mix = np.sqrt(alpha / T) + np.sqrt(beta * sigma2)
+    mix_up = np.sqrt(alpha * (Sb + 1.0) / T) + np.sqrt(beta * sigma2)
 
     num1 = (alpha * Sa * (Sb + 1.0) / T + beta * Sa + 1.0) * (Sb + 1.0 + sigma2) \
         - Sa * mix_up * mix_up
     den1 = (alpha * Sa / T + beta * Sa + 1.0) * (1.0 + sigma2) - Sa * mix * mix
-    expr1 = 0.5 * log2(num1 / den1)
+    expr1 = 0.5 * np.log2(num1 / den1)
 
     num2 = (alpha * Sa * (Sb + 1.0) / T + (1.0 - alpha) * Sa + 1.0) * (1.0 + sigma2)
     den2 = den1
-    expr2 = 0.5 * log2(num2 / den2) - 0.5 * log2(1.0 + 1.0 / sigma2)   # gauss_c(1/sigma2)
+    expr2 = 0.5 * np.log2(num2 / den2) - gauss_c(1.0 / sigma2)
     return expr1, expr2
+
+
+def _hc_general_terms(ch: GaussianTwrcParams, alpha, beta, sigma2):
+    """(R1 terms, R2 terms) of the general region; every argument after ch
+    may be an array, and they broadcast."""
+    return (_hc_direction(ch.S23, ch.S31, ch.S31, ch.S32, alpha, beta, sigma2),
+            _hc_direction(ch.S13, ch.S32, ch.S31, ch.S32, alpha, beta, sigma2))
 
 
 def hc_general_rates(ch: GaussianTwrcParams, sp: SchemeParams) -> RatePoint:
     """General hybrid-coding rate corner for given (alpha, beta, sigma2);
     it overstates the rates, a known defect (see the module docstring)."""
-    r1 = _hc_direction(ch.S23, ch.S31, ch.S31, ch.S32, sp.alpha, sp.beta, sp.sigma2)
-    r2 = _hc_direction(ch.S13, ch.S32, ch.S31, ch.S32, sp.alpha, sp.beta, sp.sigma2)
-    return _clamp_pair(r1, r2, "hc_general")
+    return _clamp_pair(*_hc_general_terms(ch, sp.alpha, sp.beta, sp.sigma2), "hc_general")
+
+
+def _nnc_terms(ch: GaussianTwrcParams, sigma2):
+    """(R1 terms, R2 terms) of compress-forward; sigma2 may be an array."""
+    pen = gauss_c(1.0 / sigma2)
+    return ((gauss_c(ch.S31 / (1.0 + sigma2)), gauss_c(ch.S23) - pen),
+            (gauss_c(ch.S32 / (1.0 + sigma2)), gauss_c(ch.S13) - pen))
 
 
 def nnc_rates(ch: GaussianTwrcParams, sigma2: float) -> RatePoint:
     """Compress-forward (noisy network coding) corner at quantizer noise sigma2."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    pen = gauss_c(1.0 / sigma2)
-    r1 = (gauss_c(ch.S31 / (1.0 + sigma2)), gauss_c(ch.S23) - pen)
-    r2 = (gauss_c(ch.S32 / (1.0 + sigma2)), gauss_c(ch.S13) - pen)
-    return _clamp_pair(r1, r2, "nnc")
+    return _clamp_pair(*_nnc_terms(ch, sigma2), "nnc")
 
 
 def af_rates(ch: GaussianTwrcParams) -> RatePoint:
     """Amplify-forward corner (no free parameters)."""
     r1 = gauss_c(ch.S23 * ch.S31 / (1.0 + ch.S23 + ch.S31 + ch.S32))
     r2 = gauss_c(ch.S13 * ch.S32 / (1.0 + ch.S13 + ch.S31 + ch.S32))
-    return RatePoint(r1, r2, "af", (0, 0))
+    return RatePoint(float(r1), float(r2), "af", (0, 0))
+
+
+def _hc_special_terms(ch: GaussianTwrcParams, sigma2):
+    """(R1 terms, R2 terms) of the digital-hybrid corner; sigma2 may be an array."""
+    pen = gauss_c(1.0 / sigma2)
+    return ((gauss_c(ch.S31 * (1.0 + ch.S23) / (1.0 + sigma2 + ch.S23)),
+             gauss_c(ch.S23 * sigma2 / (1.0 + sigma2 + ch.S23)) - pen),
+            (gauss_c(ch.S32 * (1.0 + ch.S13) / (1.0 + sigma2 + ch.S13)),
+             gauss_c(ch.S13 * sigma2 / (1.0 + sigma2 + ch.S13)) - pen))
 
 
 def hc_special_rates(ch: GaussianTwrcParams, sigma2: float) -> RatePoint:
     """Digital-hybrid corner (alpha = 0, beta = 1) at quantizer noise sigma2."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    pen = gauss_c(1.0 / sigma2)
-    r1 = (
-        gauss_c(ch.S31 * (1.0 + ch.S23) / (1.0 + sigma2 + ch.S23)),
-        gauss_c(ch.S23 * sigma2 / (1.0 + sigma2 + ch.S23)) - pen,
-    )
-    r2 = (
-        gauss_c(ch.S32 * (1.0 + ch.S13) / (1.0 + sigma2 + ch.S13)),
-        gauss_c(ch.S13 * sigma2 / (1.0 + sigma2 + ch.S13)) - pen,
-    )
-    return _clamp_pair(r1, r2, "hc_special")
+    return _clamp_pair(*_hc_special_terms(ch, sigma2), "hc_special")
 
 
 def cutset_rates(ch: GaussianTwrcParams) -> RatePoint:
@@ -163,7 +179,7 @@ def cutset_rates(ch: GaussianTwrcParams) -> RatePoint:
     Not taken from the source material (which only plots it); labeled as a
     derived reference in all outputs.
     """
-    c31, c23, c32, c13 = (gauss_c(snr) for snr in (ch.S31, ch.S23, ch.S32, ch.S13))
+    c31, c23, c32, c13 = (float(gauss_c(snr)) for snr in (ch.S31, ch.S23, ch.S32, ch.S13))
     r1, r2 = min(c31, c23), min(c32, c13)
     b1 = 0 if c31 <= c23 else 1
     b2 = 0 if c32 <= c13 else 1
@@ -183,19 +199,21 @@ def _log_sigma_grid() -> np.ndarray:
                        SIGMA2_GRID_POINTS)
 
 
-def _optimize_sigma(f) -> tuple[float, float]:
-    """Coarse log-grid argmax over sigma2 refined by golden section in log-space."""
+def _optimize_sigma(terms) -> tuple[float, float]:
+    """Maximize the clamped sum rate of terms(sigma2) over sigma2.
+
+    The whole log-grid is scored in one array call; golden section in
+    log-space then refines between the neighbours of its first maximum,
+    calling the same terms on scalars.
+    """
     grid = _log_sigma_grid()
-    vals = [f(s) for s in grid]
+    vals = _grid_sums(*terms(grid))
     i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    if lo == hi:
-        return float(grid[i]), float(vals[i])
-    x, v, _ = golden_refine(lambda t: f(math.exp(t)), math.log(lo), math.log(hi),
+    x, v, _ = golden_refine(lambda t: _clamp_pair(*terms(math.exp(t)), "").sum_rate,
+                            math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, grid.size - 1)]),
                             tol=1e-10, max_iter=200)
     if v >= vals[i]:
-        return float(math.exp(x)), float(v)
+        return math.exp(x), v
     return float(grid[i]), float(vals[i])
 
 
@@ -208,13 +226,11 @@ def optimize_scheme(ch: GaussianTwrcParams, scheme: str) -> OptimizedScheme:
         pt = cutset_rates(ch)
         return OptimizedScheme("cutset", None, pt, pt.sum_rate)
     if scheme == "nnc":
-        s2, v = _optimize_sigma(lambda s: nnc_rates(ch, s).sum_rate)
-        pt = nnc_rates(ch, s2)
-        return OptimizedScheme("nnc", SchemeParams(0.0, 0.0, s2), pt, v)
+        s2, v = _optimize_sigma(lambda s: _nnc_terms(ch, s))
+        return OptimizedScheme("nnc", SchemeParams(0.0, 0.0, s2), nnc_rates(ch, s2), v)
     if scheme == "hc_special":
-        s2, v = _optimize_sigma(lambda s: hc_special_rates(ch, s).sum_rate)
-        pt = hc_special_rates(ch, s2)
-        return OptimizedScheme("hc_special", SchemeParams(0.0, 1.0, s2), pt, v)
+        s2, v = _optimize_sigma(lambda s: _hc_special_terms(ch, s))
+        return OptimizedScheme("hc_special", SchemeParams(0.0, 1.0, s2), hc_special_rates(ch, s2), v)
     if scheme == "hc_general":
         return _optimize_general(ch)
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -224,34 +240,23 @@ def _general_sum(ch, alpha, beta, sigma2) -> float:
     return hc_general_rates(ch, SchemeParams(alpha, beta, sigma2)).sum_rate
 
 
-def _grid_row_sums(ch: GaussianTwrcParams, alpha: float, betas: np.ndarray,
-                   s2: np.ndarray) -> np.ndarray:
-    """Clamped sum rates on one alpha row, shape (beta, sigma2), in numpy
-    arithmetic.  Agrees with `_general_sum` up to log2 rounding."""
-    b, s = betas[:, None], s2[None, :]
-    with np.errstate(all="ignore"):
-        r1 = _hc_direction(ch.S23, ch.S31, ch.S31, ch.S32, alpha, b, s, np.sqrt, np.log2)
-        r2 = _hc_direction(ch.S13, ch.S32, ch.S31, ch.S32, alpha, b, s, np.sqrt, np.log2)
-        return np.maximum(np.minimum(*r1), 0.0) + np.maximum(np.minimum(*r2), 0.0)
-
-
 def _grid_incumbent(ch: GaussianTwrcParams) -> tuple:
-    """Coarse (alpha, beta, sigma2) grid argmax: (v, alpha, beta, sigma2)."""
+    """Coarse (alpha, beta, sigma2) grid argmax: (v, alpha, beta, sigma2).
+
+    Each alpha row is scored in one array call, and the first strict maximum
+    in (alpha, beta, sigma2) order wins, as a scalar triple loop would pick.
+    """
     step = ALPHA_BETA_STEP
     n = int(round(1.0 / step))
     s2 = _log_sigma_grid()[::6]
     best = (-1.0, 0.0, 0.0, s2[0])
     for ia in range(n + 1):
         alpha = ia * step
-        vals = _grid_row_sums(ch, alpha, np.arange(n - ia + 1) * step, s2)
-        finite = np.isfinite(vals)
-        top = max(float(vals.max(where=finite, initial=-np.inf)), best[0])
-        near = np.flatnonzero((vals >= top - GRID_TIE_TOL) | ~finite)
-        for ib, js in zip(*np.unravel_index(near, vals.shape)):
-            beta = int(ib) * step
-            v = _general_sum(ch, alpha, beta, s2[js])
-            if v > best[0]:
-                best = (v, alpha, beta, s2[js])
+        betas = np.arange(n - ia + 1)[:, None] * step
+        vals = _grid_sums(*_hc_general_terms(ch, alpha, betas, s2))
+        ib, js = np.unravel_index(np.argmax(vals), vals.shape)
+        if vals[ib, js] > best[0]:
+            best = (float(vals[ib, js]), alpha, int(ib) * step, s2[js])
     return best
 
 
@@ -259,24 +264,17 @@ def _optimize_general(ch: GaussianTwrcParams) -> OptimizedScheme:
     """Maximize the general-region sum rate over (alpha, beta, sigma2).
 
     The coarse grid is alpha, beta in steps of ALPHA_BETA_STEP with
-    alpha + beta <= 1, times every sixth point of the sigma2 log-grid.  Each
-    alpha row is evaluated at once in numpy, which serves only as a filter:
-    the points within GRID_TIE_TOL of the larger of the row maximum and the
-    running best, and any point whose numpy value is not finite, are
-    rescored in grid order by the scalar formula `_general_sum`, and the
-    first point whose scalar value is strictly greater than every earlier
-    one is the incumbent.  This is the first scalar maximum over the whole
-    grid, as a plain scalar triple loop would pick.
+    alpha + beta <= 1, times every sixth point of the sigma2 log-grid.
     """
     step = ALPHA_BETA_STEP
     _, alpha, beta, s2 = _grid_incumbent(ch)
     # Refine sigma2 at the incumbent (alpha, beta), then (alpha, beta) by
     # coordinate descent, then sigma2 once more.
-    s2, _ = _optimize_sigma(lambda s: _general_sum(ch, alpha, beta, s))
+    s2, _ = _optimize_sigma(lambda s: _hc_general_terms(ch, alpha, beta, s))
     (alpha, beta), _ = coordinate_descent_triangle(
         lambda a, b: _general_sum(ch, a, b, s2),
         (alpha, beta), steps=(step, step / 4, step / 20))
-    s2, _ = _optimize_sigma(lambda s: _general_sum(ch, alpha, beta, s))
+    s2, _ = _optimize_sigma(lambda s: _hc_general_terms(ch, alpha, beta, s))
     params = SchemeParams(alpha, beta, s2)
     pt = hc_general_rates(ch, params)
     return OptimizedScheme("hc_general", params, pt, pt.sum_rate)

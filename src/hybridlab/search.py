@@ -6,8 +6,9 @@ routines are pure and deterministic given their arguments.
 
 from __future__ import annotations
 
-from math import sqrt
-from typing import Callable, Iterator
+from itertools import chain, combinations
+from math import comb, sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -19,25 +20,22 @@ IMPROVE_TOL = 1e-12
 COORD_MAX_ROUNDS = 60
 
 
-def enumerate_simplex(k: int, m: int) -> Iterator[np.ndarray]:
-    """Lexicographic stream of all pmfs on k symbols with coordinates j/m."""
+def simplex_grid_array(k: int, m: int) -> np.ndarray:
+    """All pmfs on k symbols with coordinates j/m, one per row, lexicographic.
+
+    Stars and bars: each row's counts are the gaps between k - 1 bars placed
+    in slots 1 .. m + k - 1 (and the fixed ends 0 and m + k), with the bar
+    positions in lexicographic order.
+    """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for j in range(remaining + 1):
-            yield from rec(prefix + [j], remaining - j, slots - 1)
-
-    for counts in rec([], m, k):
-        yield np.asarray(counts, dtype=float) / m
-
-
-def simplex_grid_array(k: int, m: int) -> np.ndarray:
-    """All grid pmfs stacked into one (count, k) array, lexicographic order."""
-    return np.stack(list(enumerate_simplex(k, m)))
+    rows = comb(m + k - 1, k - 1)
+    dtype = np.min_scalar_type(m + k)
+    bars = np.fromiter(chain.from_iterable(combinations(range(1, m + k), k - 1)),
+                       dtype=dtype, count=rows * (k - 1)).reshape(rows, k - 1)
+    gaps = np.diff(bars, axis=1, prepend=dtype.type(0), append=dtype.type(m + k))
+    gaps -= 1
+    return gaps / m
 
 
 def golden_refine(

@@ -6,12 +6,14 @@ term.  The deterministic-diamond grid maximizer of `bounds` scores its
 candidates with closed-form entropies instead; with U2 = (Y2, X2) and
 U3 = (Y3, X3) the two must agree term by term.  reference_det_diamond is
 that maximizer's winner rule applied to every candidate's closed-form terms
-at once, with no factored filter.
+at once, with no factored filter.  enumerate_simplex is the plain recursive
+listing of the simplex grid that `search.simplex_grid_array` builds at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -28,6 +30,20 @@ from hybridlab.infotheory import (
     mutual_information,
 )
 from hybridlab.search import simplex_grid_array
+
+
+def enumerate_simplex(k: int, m: int) -> Iterator[np.ndarray]:
+    """Lexicographic stream of all pmfs on k symbols with coordinates j/m."""
+
+    def rec(prefix: list[int], remaining: int, slots: int):
+        if slots == 1:
+            yield prefix + [remaining]
+            return
+        for j in range(remaining + 1):
+            yield from rec(prefix + [j], remaining - j, slots - 1)
+
+    for counts in rec([], m, k):
+        yield np.asarray(counts, dtype=float) / m
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,28 @@ class TestExitCodes:
         assert f"{field} must be a whole number, got {value}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, edits", [
+        (["bounds-diamond", "example1.json"], {"x2_size": True, "y4_map": [[0, 1]]}),
+        (["check-thm1", "p2p_hybrid.json", "--spec", "p2p_hybrid_spec.json"], {"rate": True}),
+    ], ids=["diamond-x2-size", "spec-rate"])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, argv, edits):
+        # float(True) is 1.0, so each of these used to run and exit 0.
+        (field,) = [k for k in edits if edits[k] is True]
+        paths = []
+        for i, arg in enumerate(argv[1:]):
+            if arg.endswith(".json"):
+                doc = read_json(scen(arg))
+                path = tmp_path / f"{i}.json"
+                path.write_text(json.dumps({**doc, **edits} if field in doc else doc))
+                paths.append(str(path))
+            else:
+                paths.append(arg)
+        inputs = set(tmp_path.iterdir())
+        assert run([argv[0], *paths, "--out", str(tmp_path / "o")]) == 2
+        assert f"{field} must be a number, got True" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == inputs
+
+
 class TestBoundsTwrc:
     def test_single_distance_schemes(self, tmp_path):
         out = str(tmp_path / "twrc")

@@ -147,43 +147,22 @@ def reference_grid(ch):
     return best
 
 
-def perturb_grid_rows(monkeypatch):
-    """Move every numpy grid value by up to 4e-13, less than half the tie band."""
-    rng = np.random.default_rng(0)
-    exact = gaussian_twrc._grid_row_sums
-
-    def noisy(*args):
-        vals = exact(*args)
-        return vals + rng.uniform(-4e-13, 4e-13, size=vals.shape)
-
-    monkeypatch.setattr(gaussian_twrc, "_grid_row_sums", noisy)
-
-
 GRID_CHANNELS = (
     [(f"r={r},P={P}", params_from_distance(r, P))
      for r in (0.1, 0.3, 0.5, 0.7, 0.9) for P in (1.0, 100.0)]
     + [("r=0.41,P=10", params_from_distance(0.41, 10.0))]
     + [(f"random{seed}", random_params(seed)) for seed in range(9)]
+    # Every grid point has sum rate exactly 0, so the first point must win.
+    + [("zero", GaussianTwrcParams(S13=0.0, S23=0.0, S31=0.0, S32=0.0))]
 )
 
 
 class TestGeneralGrid:
-    @pytest.mark.parametrize("perturbed", [False, True])
+    # One value: the suffix keeps the ids these cases have always had.
+    @pytest.mark.parametrize("perturbed", [False])
     @pytest.mark.parametrize("ch", [c for _, c in GRID_CHANNELS],
                              ids=[name for name, _ in GRID_CHANNELS])
-    def test_matches_scalar_triple_loop(self, ch, perturbed, monkeypatch):
-        # The scalar rescore decides the incumbent, so numpy values perturbed
-        # by less than half the tie band must not change it.
-        if perturbed:
-            perturb_grid_rows(monkeypatch)
-        assert gaussian_twrc._grid_incumbent(ch) == reference_grid(ch)
-
-    @pytest.mark.parametrize("ch", [GaussianTwrcParams(S13=0.0, S23=0.0, S31=0.0, S32=0.0),
-                                    params_from_distance(0.5)], ids=["zero", "r=0.5"])
-    def test_scalar_formula_decides_near_ties(self, ch, monkeypatch):
-        # On the zero-SNR channel every grid point has sum rate exactly 0, so
-        # the first point must win, also with perturbed numpy values.
-        perturb_grid_rows(monkeypatch)
+    def test_matches_scalar_triple_loop(self, ch, perturbed):
         assert gaussian_twrc._grid_incumbent(ch) == reference_grid(ch)
 
     @pytest.mark.parametrize("r, params, point", [
@@ -201,6 +180,59 @@ class TestGeneralGrid:
         best = optimize_scheme(params_from_distance(r), "hc_general")
         assert best.params == params
         assert best.point == point
+
+
+class TestOneArithmetic:
+    """The rate-terms functions give the same bits on arrays as on scalars."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_array_equals_scalar_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        ch = random_params(seed) if seed else params_from_distance(0.41)
+        n = 400
+        alpha = rng.uniform(0, 1, n)
+        beta = rng.uniform(0, 1, n) * (1.0 - alpha)
+        sigma2 = 10 ** rng.uniform(-3, 6, n)
+        schemes = [
+            (lambda i: hc_general_rates(ch, SchemeParams(alpha[i], beta[i], sigma2[i])),
+             gaussian_twrc._hc_general_terms(ch, alpha, beta, sigma2)),
+            (lambda i: nnc_rates(ch, sigma2[i]), gaussian_twrc._nnc_terms(ch, sigma2)),
+            (lambda i: hc_special_rates(ch, sigma2[i]), gaussian_twrc._hc_special_terms(ch, sigma2)),
+        ]
+        for scalar, (r1, r2) in schemes:
+            sums = gaussian_twrc._grid_sums(r1, r2)
+            for i in range(n):
+                pt = scalar(i)
+                assert (pt.R1, pt.R2) == (max(r1[pt.binding[0]][i], 0.0),
+                                          max(r2[pt.binding[1]][i], 0.0))
+                assert pt.sum_rate == sums[i]
+
+    @pytest.mark.parametrize("ch", [c for _, c in GRID_CHANNELS],
+                             ids=[name for name, _ in GRID_CHANNELS])
+    def test_sigma_grid_index_is_first_scalar_maximum(self, ch, monkeypatch):
+        brackets = []
+
+        def record(f, lo, hi, **kw):
+            brackets.append((lo, hi))
+            return lo, f(lo), True
+
+        monkeypatch.setattr(gaussian_twrc, "golden_refine", record)
+        grid = gaussian_twrc._log_sigma_grid()
+        for scalar, terms in [
+            (lambda s: nnc_rates(ch, s), lambda s: gaussian_twrc._nnc_terms(ch, s)),
+            (lambda s: hc_special_rates(ch, s), lambda s: gaussian_twrc._hc_special_terms(ch, s)),
+            (lambda s: hc_general_rates(ch, SchemeParams(0.3, 0.2, s)),
+             lambda s: gaussian_twrc._hc_general_terms(ch, 0.3, 0.2, s)),
+        ]:
+            best, first = -1.0, None
+            for i, s2 in enumerate(grid):
+                v = scalar(s2).sum_rate
+                if v > best:
+                    best, first = v, i
+            brackets.clear()
+            gaussian_twrc._optimize_sigma(terms)
+            assert brackets == [(math.log(grid[max(first - 1, 0)]),
+                                 math.log(grid[min(first + 1, grid.size - 1)]))]
 
 
 class TestSweep:

@@ -7,36 +7,37 @@ from hypothesis import strategies as st
 
 from hybridlab.search import (
     coordinate_descent_triangle,
-    enumerate_simplex,
     golden_refine,
     simplex_grid_array,
 )
+from oracles import enumerate_simplex
 
 
 class TestSimplexEnumeration:
     @given(st.integers(1, 5), st.integers(1, 8))
     @settings(max_examples=40)
     def test_count_matches_formula(self, dims, res):
-        pts = list(enumerate_simplex(dims, res))
-        assert len(pts) == math.comb(res + dims - 1, dims - 1)
+        assert simplex_grid_array(dims, res).shape == (math.comb(res + dims - 1, dims - 1), dims)
 
     def test_points_sum_to_one(self):
-        for p in enumerate_simplex(3, 4):
+        for p in simplex_grid_array(3, 4):
             assert sum(p) == pytest.approx(1.0, abs=1e-12)
             assert all(x >= 0 for x in p)
 
     def test_lexicographic_order(self):
-        pts = [tuple(p) for p in enumerate_simplex(2, 2)]
-        assert pts == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
+        assert simplex_grid_array(2, 2).tolist() == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
+        assert simplex_grid_array(1, 3).tolist() == [[1.0]]
 
     def test_no_duplicates(self):
-        pts = {tuple(np.round(p, 12)) for p in enumerate_simplex(3, 6)}
+        pts = {tuple(np.round(p, 12)) for p in simplex_grid_array(3, 6)}
         assert len(pts) == math.comb(6 + 3 - 1, 3 - 1)
 
     def test_array_matches_generator(self):
-        arr = simplex_grid_array(3, 5)
-        gen = np.array(list(enumerate_simplex(3, 5)))
-        assert np.allclose(arr, gen)
+        # The recursive listing is the oracle for the stars-and-bars rows.
+        for k in range(1, 7):
+            for m in range(1, 13):
+                oracle = np.array(list(enumerate_simplex(k, m)))
+                assert np.array_equal(simplex_grid_array(k, m), oracle), (k, m)
 
 
 class TestGoldenRefine:
