@@ -442,47 +442,40 @@ def _entropy_last(p: np.ndarray) -> np.ndarray:
     return -np.einsum("...i,...i->...", p, log_p)
 
 
-def _simplex_rank(counts: np.ndarray, m: int) -> np.ndarray:
-    """Row index in simplex_grid_array(k, m) of each count vector (..., k).
-
-    The grid is lexicographic, so a row's index counts the rows that agree
-    with it up to some position i and hold less there.  With r_i the total
-    left at position i, those number C(r_i + a, a) - C(r_i - c_i + a, a) for
-    a = k - 1 - i (a hockey-stick sum of compositions).
-    """
-    k = counts.shape[-1]
-    comb = np.ones((m + 1, k), dtype=np.int64)   # comb[r, a] = C(r + a, a)
-    for a in range(1, k):
-        comb[:, a] = np.cumsum(comb[:, a - 1])
-    left = m - np.cumsum(counts, axis=-1) + counts
-    a = np.arange(k - 1, 0, -1)
-    head, c = left[..., :-1], counts[..., :-1]
-    return (comb[head, a] - comb[head - c, a]).sum(axis=-1)
+def _count_codes(counts: np.ndarray, grid_res: int, axis: int) -> np.ndarray:
+    """One integer per count vector along `axis`: its grid counts read as
+    base-(grid_res + 1) digits, the first entry the most significant.  The
+    codes sort as the vectors do lexicographically, so the rows of
+    simplex_grid_array have increasing codes.  Codes past int64 are Python
+    integers."""
+    n = counts.shape[axis]
+    dtype = np.int64 if (grid_res + 1) ** n <= 2 ** 63 else object
+    weight = np.array([(grid_res + 1) ** k for k in range(n - 1, -1, -1)], dtype=dtype)
+    return np.moveaxis(counts, axis, -1).astype(dtype, copy=False) @ weight
 
 
-def _canonical_kernels(row_grid: np.ndarray, s_size: int):
+def _canonical_kernels(row_grid: np.ndarray, s_size: int, grid_res: int):
     """Canonical kernels of one aux size: (kernel indices, kernels) chunks.
 
-    A kernel is canonical when its columns are in non-increasing
-    lexicographic order and none is all zero.  Every kernel is a relabelling
-    of one canonical kernel, padded with zero columns.  The first row of a
-    canonical kernel is non-increasing, so only kernels with such a row are
-    tried, _SCAN_CHUNK indices at a time, in increasing index order.
+    A kernel is canonical when its column codes (_count_codes) are
+    non-increasing and the last is not 0 (no column is all zero).  Every
+    kernel is a relabelling of one canonical kernel, padded with zero
+    columns.  The first row of a canonical kernel is non-increasing, so only
+    kernels with such a row are tried, _SCAN_CHUNK indices at a time, in
+    increasing index order.
     """
     G = row_grid.shape[0]
     lead = np.flatnonzero((row_grid[:, :-1] >= row_grid[:, 1:]).all(axis=1))
     rest = G ** (s_size - 1)
+    row_counts = np.rint(row_grid * grid_res).astype(np.int64)
     for start in range(0, lead.size * rest, _SCAN_CHUNK):
         pos = np.arange(start, min(start + _SCAN_CHUNK, lead.size * rest))
         idx = lead[pos // rest] * rest + pos % rest
-        K = row_grid[_digits(idx, G, s_size)]           # (B, s, u)
-        a, b = K[..., :-1], K[..., 1:]
-        differ = a != b
-        first = differ.argmax(axis=1)[:, None]
-        ordered = ~differ.any(axis=1) | np.take_along_axis(a > b, first, 1)[:, 0]
-        keep = ordered.all(axis=1) & K[:, :, -1].any(axis=1)
+        rows = _digits(idx, G, s_size)
+        code = _count_codes(row_counts[rows], grid_res, 1)     # (B, u)
+        keep = (code[:, :-1] >= code[:, 1:]).all(axis=1) & (code[:, -1] > 0)
         if keep.any():
-            yield idx[keep], K[keep]
+            yield idx[keep], row_grid[rows[keep]]
 
 
 def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, grid_res: int):
@@ -493,7 +486,9 @@ def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, gri
     s -> x, go to every ordered choice of u of the `size` slots; the other
     slots get zero columns and every encoder column map.  Yields (kernel
     counts (M, s, size), kernel indices, encoder indices) of at most
-    max(_SCAN_CHUNK, C^(size - u)) keys at a time, C = |X|^|S|.
+    max(_SCAN_CHUNK, C^(size - u)) keys at a time, C = |X|^|S|.  A kernel
+    row's index in the size-`size` grid is where its code (_count_codes)
+    sorts among the codes of the grid's rows.
 
     Each key comes once: a candidate whose equal columns carry increasing
     column maps is skipped, since swapping those maps gives the same orbit,
@@ -501,8 +496,9 @@ def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, gri
     """
     n, s_size, u = counts.shape
     C = x_size ** s_size
-    rows = math.comb(grid_res + size - 1, size - 1)
-    row_weight = rows ** np.arange(s_size - 1, -1, -1)
+    grid_codes = _count_codes(np.rint(simplex_grid_array(size, grid_res) * grid_res)
+                              .astype(np.int64), grid_res, 1)
+    row_weight = grid_codes.size ** np.arange(s_size - 1, -1, -1)
     col_weight = C ** np.arange(size - 1, -1, -1)
     free = _digits(np.arange(C ** (size - u)), C, size - u)    # (F, size - u)
     cols = counts.transpose(0, 2, 1)                            # (N, u, s)
@@ -528,7 +524,8 @@ def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, gri
             placed = placed.transpose(0, 1, 3, 2)               # (M, P, s, size)
             once = ~(repeat[lo:hi, None] & swapped[None]).any(axis=-1)
             placed = placed[once]                               # (V, s, size)
-            kern = (_simplex_rank(placed, grid_res) * row_weight).sum(axis=-1)
+            rank = np.searchsorted(grid_codes, _count_codes(placed, grid_res, 2))
+            kern = (rank * row_weight).sum(axis=-1)
             base = (maps[lo:hi, None, :] * col_weight[taken]).sum(axis=-1)
             keys = base[:, :, None] + extra[None]               # (M, P, F)
             yield (np.repeat(placed, free.shape[0], axis=0),
@@ -587,7 +584,7 @@ def _scan_p2p(source, channel, d, aux_cap, grid_res):
         # column map c: the enc index has C-order base-C digits (c_0, ...).
         sel = np.zeros((NE, u * C))
         np.put_along_axis(sel, np.arange(u) * C + _digits(np.arange(NE), C, u), 1.0, 1)
-        for idx, K in _canonical_kernels(row_grid, s_size):
+        for idx, K in _canonical_kernels(row_grid, s_size, grid_res):
             p_su = p_s[None, :, None] * K               # (B, s, u)
             h_u = _entropy_rows(p_su.sum(axis=1), 1)    # (B,)
             i_su = h_s + h_u - _entropy_rows(p_su, (1, 2))
@@ -611,14 +608,15 @@ def _uncoded_ed(source, channel, d) -> float:
 def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
     """The winner (slack, key, E[d]) for one target, and the uncoded E[d].
 
-    The winner is the first key (aux_size, kernel_index, enc_index) whose
-    slack, as computed by _score_candidates, is the largest among the keys
-    whose E[d] so computed is at most target + 1e-12, or (-inf, None, None)
-    when there is none; keys tied in exact arithmetic are thus separated by
-    float rounding.  The fold of _scan_p2p keeps the running best factorized
-    slack of candidates that surely meet the target (p2p_feasibility_sweep)
-    and the candidates in the SCAN_* bands of it.  Only the relabellings
-    (_orbit_keys) of those in the bands of the final best are rescored.
+    The winner is the least (-slack, key, E[d]), key = (aux_size,
+    kernel_index, enc_index), among the keys whose E[d] is at most
+    target + 1e-12, with slack and E[d] computed by _score_candidates; it is
+    (-inf, None, None) when there is none.  Keys tied in exact arithmetic
+    are thus separated by float rounding.  The fold of _scan_p2p keeps the
+    running best factorized slack of candidates that surely meet the target
+    (p2p_feasibility_sweep) and the candidates in the SCAN_* bands of it.
+    Only the relabellings (_orbit_keys) of those in the bands of the final
+    best are rescored, each aux size's group into sizes u .. aux_cap.
     """
     if not math.isfinite(target):
         raise ScenarioError(f"target distortion must be finite, got {target}")
@@ -630,27 +628,25 @@ def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
         b, e = np.nonzero((ed <= limit + ed_tol) & (slack >= best - SCAN_SLACK_TOL))
         found.setdefault(K.shape[2], []).append(
             (np.rint(K[b] * grid_res).astype(int), e, slack[b, e]))
-    near = {}
+    h_s = float(_entropy_rows(source.probs, 0))
+    win = (np.inf, None, None)         # the least (-slack, key, E[d]) so far
     for u, parts in found.items():
         counts, enc, slack = (np.concatenate(a) for a in zip(*parts))
-        if (keep := slack >= best - SCAN_SLACK_TOL).any():
-            near[u] = counts[keep], enc[keep]
-    h_s = float(_entropy_rows(source.probs, 0))
-    win = (-np.inf, None, None)
-    for size in range(1, aux_cap + 1):
-        for counts, enc in (near[u] for u in near if u <= size):
-            for placed, kern, keys in _orbit_keys(counts, enc, size, channel.input_size,
-                                                  grid_res):
+        if not (near := slack >= best - SCAN_SLACK_TOL).any():
+            continue
+        for size in range(u, aux_cap + 1):
+            for placed, kern, keys in _orbit_keys(counts[near], enc[near], size,
+                                                  channel.input_size, grid_res):
                 for lo in range(0, keys.size, _SCAN_CHUNK):
                     part = slice(lo, lo + _SCAN_CHUNK)
                     slack, ed = _score_keys(source.probs, channel.rows, d.table, h_s,
                                             placed[part], keys[part], grid_res)
                     slack = np.where(ed <= limit, slack, -np.inf)
                     i = np.lexsort((keys[part], kern[part], -slack))[0]
-                    key = (size, int(kern[part][i]), int(keys[part][i]))
-                    if slack[i] > win[0] or (slack[i] == win[0] > -np.inf and key < win[1]):
-                        win = (float(slack[i]), key, float(ed[i]))
-    return win, _uncoded_ed(source, channel, d)
+                    if slack[i] > -np.inf:
+                        key = (size, int(kern[part][i]), int(keys[part][i]))
+                        win = min(win, (-float(slack[i]), key, float(ed[i])))
+    return (-win[0], *win[1:]), _uncoded_ed(source, channel, d)
 
 
 def _spec_from_key(source, channel, d, key, grid_res) -> HybridCodeSpec:

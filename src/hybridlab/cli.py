@@ -68,10 +68,10 @@ def _field(doc: dict, name: str):
 
 
 def _number(value, name: str) -> float:
-    """float(value), rejecting JSON booleans (float(True) is 1.0); the library
-    checks the range of the numbers it takes."""
+    """float(value), rejecting JSON booleans and strings (float(True) is 1.0,
+    float("2") is 2.0); the library checks the range of the numbers it takes."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):
             raise TypeError
         return float(value)
     except (TypeError, ValueError) as exc:

@@ -8,10 +8,13 @@ U3 = (Y3, X3) the two must agree term by term.  reference_det_diamond is
 that maximizer's winner rule applied to every candidate's closed-form terms
 at once, with no factored filter.  enumerate_simplex is the plain recursive
 listing of the simplex grid that `search.simplex_grid_array` builds at once.
+exact_p_e1 is the covering-failure probability P(E1) of the p2p random
+codebook, summed over types instead of sampled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,6 +31,7 @@ from hybridlab.infotheory import (
     compose_joint,
     conditional_mutual_information,
     mutual_information,
+    typical_table,
 )
 from hybridlab.search import simplex_grid_array
 
@@ -167,3 +171,50 @@ def reference_det_diamond(y2_map, y3_map, y4_map, x2_size, x3_size, grid_res=6):
         argmax={fam: {"px1": px1_grid[key[0]].tolist(), "candidate_index": key[1],
                       "binding": names[bind]}
                 for fam, (_, bind, key) in best.items()})
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def multinomial_prob(counts: tuple[int, ...], probs: np.ndarray) -> float:
+    """Probability that n = sum(counts) i.i.d. draws from probs hit each
+    symbol the given number of times."""
+    coef = math.factorial(sum(counts))
+    for c in counts:
+        coef //= math.factorial(c)
+    return coef * math.prod(float(p) ** c for p, c in zip(probs, counts))
+
+
+def covering_mass(joint_us: JointPmf, s_type: tuple[int, ...], eps_prime: float) -> float:
+    """q: the p_U^n-mass of the codewords u^n jointly typical (typical_table,
+    slack eps_prime) with a source block s^n of the given type, n = sum.
+
+    A joint (u, s) type is typical cell by cell, and the cells of one source
+    symbol s hold the counts of u over the positions where s^n = s, which
+    are multinomial given the type.  So q is the product over s of the mass
+    of the typical count vectors of that symbol's positions.
+    """
+    u_size, _ = joint_us.dims
+    p_u = joint_us.marginal_pmf(0).probs
+    ok = typical_table(joint_us.probs, sum(s_type), eps_prime)      # (u, s, n + 1)
+    return math.prod(
+        sum(multinomial_prob(c, p_u) for c in compositions(count, u_size)
+            if all(ok[u, s, c[u]] for u in range(u_size)))
+        for s, count in enumerate(s_type))
+
+
+def exact_p_e1(joint_us: JointPmf, n: int, eps_prime: float, m: int) -> float:
+    """P(E1) = sum over source types of p(type) (1 - q)^m: no codeword of m
+    i.i.d. p_U^n codewords is jointly typical with the i.i.d. p_S^n source
+    block, q being covering_mass of the block's type."""
+    _, s_size = joint_us.dims
+    p_s = joint_us.marginal_pmf(1).probs
+    return sum(multinomial_prob(t, p_s) * (1.0 - covering_mass(joint_us, t, eps_prime)) ** m
+               for t in compositions(n, s_size))

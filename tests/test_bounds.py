@@ -199,6 +199,14 @@ class TestP2pOptimize:
             p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
                          target_D=0.1, aux_cap=0)
 
+    def test_column_codes_past_int64(self):
+        # An 11-symbol source at grid 52 has columns of code 53^11 - 1, past
+        # int64; wrapped, the one aux-size-1 kernel read as all zero and the
+        # scan found no candidate.
+        args = (Pmf.uniform(11), ConditionalPmf.bsc(0.1), DistortionMeasure.hamming(11), 1.0, 1)
+        assert bounds._count_codes(np.full((1, 11), 52), 52, 1).tolist() == [53 ** 11 - 1]
+        assert bounds._p2p_winner(*args, 52) == bounds._p2p_winner(*args, 1)
+
     def test_over_cap_raises_before_allocating(self, monkeypatch):
         # BSC at aux size 2, grid 4: 16 encoder maps, and 25 kernels' p(y)
         # of 2 entries per map, 800 entries, the largest of the scan's tables.
@@ -423,7 +431,10 @@ class TestScanOracle:
         (UNIF2, ConditionalPmf([[0.9, 0.1], [0.5, 0.5], [0.0, 1.0]]), 3, 3),
         (Pmf([0.3, 0.7]), ConditionalPmf([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]]),
          2, 5),
-    ], ids=["source3-bsc", "source3-erasure", "input3-binary-out", "input3-ternary-out"])
+        # A zero-probability source symbol makes candidates tie exactly.
+        (Pmf([0.5, 0.0, 0.5]), ConditionalPmf.bsc(0.1), 2, 4),
+    ], ids=["source3-bsc", "source3-erasure", "input3-binary-out", "input3-ternary-out",
+            "source3-zero-bsc"])
     def test_scan_picks_first_reference_maximum_ternary(self, source, channel, aux_cap,
                                                          grid_res):
         d = DistortionMeasure.hamming(source.alphabet_size)
@@ -445,7 +456,7 @@ class TestScanOracle:
         grids = {u: simplex_grid_array(u, grid_res) for u in range(1, aux_cap + 1)}
         keys = []
         for u in range(1, aux_cap + 1):
-            for _, K in bounds._canonical_kernels(grids[u], s_size):
+            for _, K in bounds._canonical_kernels(grids[u], s_size, grid_res):
                 for counts in np.rint(K * grid_res).astype(int):
                     for e in range(C ** u):
                         rep = bounds._score_keys(p_s, W, d_table, h_s, counts[None],
@@ -466,6 +477,18 @@ class TestScanOracle:
                 for e in range(C ** u)]
         assert len(keys) == len(full)
         assert set(keys) == set(full)
+
+    @pytest.mark.parametrize("s_size, x_size, aux_cap, grid_res", [(2, 2, 3, 3), (3, 2, 2, 3)])
+    def test_orbit_batches_of_three_keys(self, monkeypatch, s_size, x_size, aux_cap, grid_res):
+        # Every chunk elsewhere holds more keys than the tests' orbits, so
+        # _orbit_keys yields one batch.  Chunks of 3 split the permutations
+        # into batches and the winner's candidates into groups of one.
+        monkeypatch.setattr(bounds, "_SCAN_CHUNK", 3)
+        self.test_orbits_cover_every_candidate_once(s_size, x_size, aux_cap, grid_res)
+        source = Pmf(np.full(s_size, 1 / s_size))
+        assert_first_reference_maximum(source, ConditionalPmf.bsc(0.1),
+                                       DistortionMeasure.hamming(s_size), aux_cap, grid_res,
+                                       [round(0.05 * i, 10) for i in range(12)])
 
     @pytest.mark.parametrize("scenario, expected", [
         ("bsc_uncoded.json", {

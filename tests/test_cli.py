@@ -62,6 +62,24 @@ BAD_SPEC_RUNS = [(name, sub) for name, (kind, _) in BAD_SPECS.items() for sub in
                  if name != "mac-time-sharing" or sub[0] == "simulate"]
 
 
+def assert_not_a_number(tmp_path, capsys, argv, edits, field):
+    """The run on copies of the argv's JSON files with edits applied exits 2
+    and says that edits[field] is not a number."""
+    paths = []
+    for i, arg in enumerate(argv[1:]):
+        if arg.endswith(".json"):
+            doc = read_json(scen(arg))
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps({**doc, **edits} if field in doc else doc))
+            paths.append(str(path))
+        else:
+            paths.append(arg)
+    inputs = set(tmp_path.iterdir())
+    assert run([argv[0], *paths, "--out", str(tmp_path / "o")]) == 2
+    assert f"{field} must be a number, got {edits[field]!r}" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == inputs
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("name, sub", BAD_SPEC_RUNS,
                              ids=[f"{name}-{sub[0]}" for name, sub in BAD_SPEC_RUNS])
@@ -384,19 +402,15 @@ class TestExitCodes:
     def test_json_boolean_is_not_a_number(self, tmp_path, capsys, argv, edits):
         # float(True) is 1.0, so each of these used to run and exit 0.
         (field,) = [k for k in edits if edits[k] is True]
-        paths = []
-        for i, arg in enumerate(argv[1:]):
-            if arg.endswith(".json"):
-                doc = read_json(scen(arg))
-                path = tmp_path / f"{i}.json"
-                path.write_text(json.dumps({**doc, **edits} if field in doc else doc))
-                paths.append(str(path))
-            else:
-                paths.append(arg)
-        inputs = set(tmp_path.iterdir())
-        assert run([argv[0], *paths, "--out", str(tmp_path / "o")]) == 2
-        assert f"{field} must be a number, got True" in capsys.readouterr().err
-        assert set(tmp_path.iterdir()) == inputs
+        assert_not_a_number(tmp_path, capsys, argv, edits, field)
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["bounds-diamond", "example1.json"], "x2_size", "2"),
+        (["check-thm1", "p2p_hybrid.json", "--spec", "p2p_hybrid_spec.json"], "rate", "0.35"),
+    ], ids=["diamond-x2-size", "spec-rate"])
+    def test_json_string_is_not_a_number(self, tmp_path, capsys, argv, field, value):
+        # float("2") is 2.0, so each of these used to run and exit 0.
+        assert_not_a_number(tmp_path, capsys, argv, {field: value}, field)
 
 
 class TestBoundsTwrc:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -24,6 +25,7 @@ from hybridlab.sim import (
     run_mac,
     run_p2p,
 )
+from oracles import compositions, covering_mass, exact_p_e1
 
 UNIF2 = Pmf.uniform(2)
 HAMMING2 = DistortionMeasure.hamming(2)
@@ -804,3 +806,53 @@ class TestPinnedReports:
         assert len(hit_counts) == 600
         assert 0 in hit_counts and max(hit_counts) > 1
         assert tie_trials == [t for t, c in enumerate(hit_counts) if c != 1]
+
+
+def _p2p_hybrid_joint_us():
+    scenario, spec = _pinned_p2p()
+    joint = bounds._p2p_joint(scenario.source, scenario.channel, scenario.distortion, spec)
+    return scenario, spec, joint.marginal([1, 0])
+
+
+def _brute_covering_mass(joint_us, s, eps_prime):
+    p_u = joint_us.marginal_pmf(0).probs
+    return sum(math.prod(p_u[list(u)])
+               for u in itertools.product(range(joint_us.dims[0]), repeat=len(s))
+               if is_typical((u, s), joint_us, eps_prime))
+
+
+class TestExactE1:
+    """P(E1), the chance that no codeword covers the source block, summed
+    exactly over types (oracles.exact_p_e1) against enumeration and run_p2p."""
+
+    @pytest.mark.parametrize("ternary_u", [False, True], ids=["p2p_hybrid", "ternary_u"])
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_covering_mass_matches_enumeration(self, ternary_u, n):
+        joint_us = (JointPmf([[0.3, 0.1], [0.0, 0.2], [0.15, 0.25]]) if ternary_u
+                    else _p2p_hybrid_joint_us()[2])
+        s_size = joint_us.dims[1]
+        rng = np.random.default_rng(n)
+        for s_type in compositions(n, s_size):
+            s = rng.permutation(np.repeat(np.arange(s_size), s_type))
+            assert covering_mass(joint_us, s_type, 0.5) == pytest.approx(
+                _brute_covering_mass(joint_us, s, 0.5), abs=1e-14)
+
+    def test_type_sum_matches_sum_over_source_blocks(self):
+        joint_us = _p2p_hybrid_joint_us()[2]
+        n, m = 4, 3
+        p_s = joint_us.marginal_pmf(1).probs
+        brute = sum(math.prod(p_s[list(s)]) * (1 - _brute_covering_mass(joint_us, s, 0.5)) ** m
+                    for s in itertools.product(range(joint_us.dims[1]), repeat=n))
+        assert exact_p_e1(joint_us, n, 0.5, m) == pytest.approx(brute, abs=1e-14)
+
+    def test_run_p2p_covering_failure_matches_exact(self):
+        # Criterion 7's settings.  Four two-sided z-tests at a family level
+        # of 1e-3 (Bonferroni, 2.5e-4 each) allow |z| <= 3.66.
+        scenario, spec, joint_us = _p2p_hybrid_joint_us()
+        trials = 2000
+        for n in (8, 12, 16, 20):
+            exact = exact_p_e1(joint_us, n, 0.5, codebook_size(n, spec.rate))
+            rep = run_p2p(scenario, spec, TrialConfig(n=n, trials=trials, epsilon=0.75,
+                                                      epsilon_prime=0.5, seed=0))
+            z = (rep["p_e1"] - exact) / math.sqrt(exact * (1 - exact) / trials)
+            assert abs(z) <= 3.66, f"n={n}: p_e1 {rep['p_e1']} against exact {exact}"
