@@ -41,6 +41,8 @@ BA_TOL = 1e-9
 BA_MAX_ITER = 10_000
 # Stop of one rate-distortion point: successive distortions this close.
 RD_TOL = 1e-13
+# Stop of rd_function's slope search: bound on R(D) minus the returned line.
+RD_GAP = 1e-16
 # Kernel-grid candidates per chunk of the p2p scan.
 _SCAN_CHUNK = 1024
 
@@ -317,7 +319,8 @@ def _rd_point(p_s: np.ndarray, dtab: np.ndarray, beta: float) -> tuple[float, fl
     """One Blahut-Arimoto rate-distortion point at Lagrange slope beta."""
     n_hat = dtab.shape[1]
     q = np.full(n_hat, 1.0 / n_hat)
-    expd = np.exp2(-beta * dtab)
+    # Each row's weights shifted by its minimum: no row underflows to all 0.
+    expd = np.exp2(-beta * (dtab - dtab.min(axis=1, keepdims=True)))
     prev_d = np.inf
     rate, dist = 0.0, 0.0
     for _ in range(BA_MAX_ITER):
@@ -338,6 +341,23 @@ def _rd_point(p_s: np.ndarray, dtab: np.ndarray, beta: float) -> tuple[float, fl
 def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
     """Rate-distortion function R(D) in bits via Blahut-Arimoto.
 
+    Finds the Lagrange slope beta with D(beta) = D, where D(beta) is the
+    distortion of the Blahut-Arimoto point at slope beta and falls with
+    beta.  The bracket [lo, hi] keeps D(lo) > D >= D(hi): lo starts at 0,
+    where D(0+) = d_max, and hi doubles from 1, each doubling moving lo up
+    to the old hi.  Inside the bracket the search is regula falsi on
+    f = D(beta) - D with the Illinois modification (Dowell & Jarratt 1971):
+    an end kept twice in a row has its f halved.  A step that rounding puts
+    outside the bracket falls back to the midpoint.
+
+    Returns the supporting line R(D_hi) + hi * (D_hi - D) at slope -hi,
+    where D_hi = D(hi) <= D.  In exact arithmetic every supporting line is
+    a lower bound on R(D), and R's slope on [D_hi, D] is at most -lo, so
+    this one is within (hi - lo) * (D - D_hi) of R(D).  The search stops
+    when that gap is at most RD_GAP, or when the bracket is narrower than
+    1e-12 relative to hi.  On the hi side the line's last term is never
+    positive; from the lo side it would add up to lo * (D(lo) - D).
+
     Raises ScenarioError when D is below the minimum achievable distortion.
     """
     p_s = source.probs
@@ -353,22 +373,29 @@ def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
         beta_hi = 1e5
         r, _ = _rd_point(p_s, dtab, beta_hi)
         return r
-    lo, hi = 0.0, 1.0
-    while _rd_point(p_s, dtab, hi)[1] > D:
-        hi *= 2.0
-        if hi > 1e7:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        _, dist = _rd_point(p_s, dtab, mid)
-        if dist > D:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
+    lo, f_lo = 0.0, d_max - D
+    hi = 1.0
     rate, dist = _rd_point(p_s, dtab, hi)
-    # Supporting-line correction at slope -beta.
+    while dist > D and hi <= 1e7:
+        lo, f_lo = hi, dist - D
+        hi *= 2.0
+        rate, dist = _rd_point(p_s, dtab, hi)
+    f_hi, kept = dist - D, None
+    while (hi - lo) * (D - dist) > RD_GAP and hi - lo >= 1e-12 * max(1.0, hi):
+        beta = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < beta < hi:
+            beta = 0.5 * (lo + hi)
+        r, dist_b = _rd_point(p_s, dtab, beta)
+        if dist_b > D:
+            lo, f_lo = beta, dist_b - D
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, f_hi, rate, dist = beta, dist_b - D, r, dist_b
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
     return max(rate + hi * (dist - D), 0.0)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -44,6 +45,7 @@ def h2(p):
 
 HAMMING2 = DistortionMeasure.hamming(2)
 UNIF2 = Pmf.uniform(2)
+CRITERION4_TARGETS = [round(0.02 * i, 10) for i in range(1, 26)]
 
 
 def bec(e):
@@ -128,13 +130,48 @@ class TestBlahutArimoto:
         assert capacity(ConditionalPmf.bsc(p)) == pytest.approx(expect, abs=1e-7)
 
     def test_rd_uniform_binary(self):
-        for D in (0.02, 0.1, 0.25, 0.4):
-            assert rd_function(UNIF2, HAMMING2, D) == pytest.approx(1 - h2(D), abs=1e-7)
+        for D in CRITERION4_TARGETS:
+            expect = 1 - h2(D) if D < 0.5 else 0.0
+            assert rd_function(UNIF2, HAMMING2, D) == pytest.approx(expect, abs=1e-14)
 
     def test_rd_nonuniform_binary(self):
         src = Pmf([0.2, 0.8])
         for D in (0.05, 0.1, 0.15):
-            assert rd_function(src, HAMMING2, D) == pytest.approx(h2(0.2) - h2(D), abs=1e-7)
+            assert rd_function(src, HAMMING2, D) == pytest.approx(h2(0.2) - h2(D), abs=1e-14)
+
+    @pytest.mark.parametrize("D", [0.05, 0.25, 0.5, 0.5642055137844612, 0.62])
+    def test_rd_uniform_ternary(self, D):
+        # At D = 0.5642... the search reaches a lo-side point with D(beta)
+        # within 1e-15 of D while D - D(hi) is still 2.4e-5; a stop on that
+        # |D(beta) - D| alone returns hi's line 1.6e-9 below R(D).
+        expect = math.log2(3) - h2(D) - D
+        got = rd_function(Pmf.uniform(3), DistortionMeasure.hamming(3), D)
+        assert got == pytest.approx(expect, abs=1e-14)
+
+    def test_rd_positive_row_minimum(self):
+        # Every row's least distortion is 1, so exp2(-1e5 * d) underflows
+        # to 0 across whole rows unless each row is shifted by its minimum.
+        shifted = DistortionMeasure(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rd_function(UNIF2, shifted, 1.0) == pytest.approx(1.0, abs=1e-14)
+            assert rd_function(UNIF2, shifted, 1 + 1e-6) == pytest.approx(
+                1 - h2(1e-6), abs=1e-14)
+
+    def test_rd_slope_search_work(self, monkeypatch):
+        # Bisection to the same width needs about 42 points per target.
+        point = bounds._rd_point
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return point(*args)
+
+        monkeypatch.setattr(bounds, "_rd_point", counted)
+        for D in CRITERION4_TARGETS:
+            calls.clear()
+            rd_function(UNIF2, HAMMING2, D)
+            assert len(calls) <= 16, (D, len(calls))
 
     def test_rd_zero_beyond_dmax(self):
         assert rd_function(Pmf([0.2, 0.8]), HAMMING2, 0.25) == 0.0
