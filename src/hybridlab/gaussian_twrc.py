@@ -9,9 +9,12 @@ All rates are in bits per transmission, in one arithmetic: numpy's sqrt and
 log2, which give the same bits on a scalar as on any element of an array.
 Each scheme with free parameters has one rate-terms function (`_nnc_terms`,
 `_hc_special_terms`, `_hc_general_terms`) that takes sigma2 (and alpha, beta)
-as scalars or broadcastable arrays.  The reported points, the batched search
-grids and the scalar refinement all evaluate it, so a grid maximum is the
-maximum a scalar loop over the same points would find.
+as scalars or broadcastable arrays.  Each rate is the first minimum of its
+two terms, clamped at 0: `_clamp_pair` on scalars, `_grid_sums` on arrays.
+The reported points, the batched search grids, the golden-section and the
+coordinate-descent refinements all evaluate these, so a grid maximum is the
+maximum a scalar loop over the same points would find.  SNRs above SNR_MAX
+are rejected: beyond it the general region overflows or divides by zero.
 
 Known defect: the general-region formulas are implemented verbatim as printed
 in the source material, including the (1 - alpha) factor in the second
@@ -35,13 +38,16 @@ SIGMA2_GRID_LO = 1e-3
 SIGMA2_GRID_HI = 1e6
 SIGMA2_GRID_POINTS = 120
 ALPHA_BETA_STEP = 0.02
+# Largest accepted SNR (150 dB).  With SNRs in {0, 1e-9, 1e-3, 0.5, 10, 1e4,
+# 1e9, S/3, S}, every scheme is finite and warning-free at S = 2e15, not at 5e15.
+SNR_MAX = 1e15
 
 
 @dataclass(frozen=True)
 class GaussianTwrcParams:
     """Received SNRs (linear scale) of a Gaussian two-way relay network.
 
-    S_jk is the SNR at node j of the signal from node k.
+    S_jk is the SNR at node j of the signal from node k, in [0, SNR_MAX].
     """
 
     S13: float
@@ -51,8 +57,8 @@ class GaussianTwrcParams:
 
     def __post_init__(self):
         for name in ("S13", "S23", "S31", "S32"):
-            if not 0.0 <= getattr(self, name) < math.inf:     # also rejects NaN
-                raise ScenarioError(f"{name} must be a finite nonnegative number")
+            if not 0.0 <= getattr(self, name) <= SNR_MAX:     # also rejects NaN
+                raise ScenarioError(f"{name} must lie in [0, {SNR_MAX:g}]")
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,6 @@ class RatePoint:
     R1: float
     R2: float
     scheme: str
-    binding: tuple[int, int]
-    clamped: bool = False
 
     @property
     def sum_rate(self) -> float:
@@ -90,11 +94,7 @@ def gauss_c(x):
 
 def _clamp_pair(r1_terms, r2_terms, scheme: str) -> RatePoint:
     """Each rate is the first minimum of its two terms, clamped at 0."""
-    b1 = int(r1_terms[1] < r1_terms[0])
-    b2 = int(r2_terms[1] < r2_terms[0])
-    r1, r2 = float(r1_terms[b1]), float(r2_terms[b2])
-    clamped = r1 < 0 or r2 < 0
-    return RatePoint(max(r1, 0.0), max(r2, 0.0), scheme, (b1, b2), clamped)
+    return RatePoint(max(float(min(r1_terms)), 0.0), max(float(min(r2_terms)), 0.0), scheme)
 
 
 def _grid_sums(r1_terms, r2_terms) -> np.ndarray:
@@ -154,7 +154,7 @@ def af_rates(ch: GaussianTwrcParams) -> RatePoint:
     """Amplify-forward corner (no free parameters)."""
     r1 = gauss_c(ch.S23 * ch.S31 / (1.0 + ch.S23 + ch.S31 + ch.S32))
     r2 = gauss_c(ch.S13 * ch.S32 / (1.0 + ch.S13 + ch.S31 + ch.S32))
-    return RatePoint(float(r1), float(r2), "af", (0, 0))
+    return RatePoint(float(r1), float(r2), "af")
 
 
 def _hc_special_terms(ch: GaussianTwrcParams, sigma2):
@@ -180,18 +180,13 @@ def cutset_rates(ch: GaussianTwrcParams) -> RatePoint:
     derived reference in all outputs.
     """
     c31, c23, c32, c13 = (float(gauss_c(snr)) for snr in (ch.S31, ch.S23, ch.S32, ch.S13))
-    r1, r2 = min(c31, c23), min(c32, c13)
-    b1 = 0 if c31 <= c23 else 1
-    b2 = 0 if c32 <= c13 else 1
-    return RatePoint(r1, r2, "cutset (derived reference, not from source)", (b1, b2))
+    return RatePoint(min(c31, c23), min(c32, c13), "cutset (derived reference, not from source)")
 
 
 @dataclass(frozen=True)
 class OptimizedScheme:
-    scheme: str
     params: SchemeParams | None
     point: RatePoint
-    sum_rate: float
 
 
 def _log_sigma_grid() -> np.ndarray:
@@ -199,8 +194,8 @@ def _log_sigma_grid() -> np.ndarray:
                        SIGMA2_GRID_POINTS)
 
 
-def _optimize_sigma(terms) -> tuple[float, float]:
-    """Maximize the clamped sum rate of terms(sigma2) over sigma2.
+def _optimize_sigma(terms) -> float:
+    """The sigma2 that maximizes the clamped sum rate of terms(sigma2).
 
     The whole log-grid is scored in one array call; golden section in
     log-space then refines between the neighbours of its first maximum,
@@ -212,32 +207,24 @@ def _optimize_sigma(terms) -> tuple[float, float]:
     x, v, _ = golden_refine(lambda t: _clamp_pair(*terms(math.exp(t)), "").sum_rate,
                             math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, grid.size - 1)]),
                             tol=1e-10, max_iter=200)
-    if v >= vals[i]:
-        return math.exp(x), v
-    return float(grid[i]), float(vals[i])
+    return math.exp(x) if v >= vals[i] else float(grid[i])
 
 
 def optimize_scheme(ch: GaussianTwrcParams, scheme: str) -> OptimizedScheme:
     """Deterministically maximize the sum rate over the scheme's free parameters."""
     if scheme == "af":
-        pt = af_rates(ch)
-        return OptimizedScheme("af", None, pt, pt.sum_rate)
+        return OptimizedScheme(None, af_rates(ch))
     if scheme == "cutset":
-        pt = cutset_rates(ch)
-        return OptimizedScheme("cutset", None, pt, pt.sum_rate)
+        return OptimizedScheme(None, cutset_rates(ch))
     if scheme == "nnc":
-        s2, v = _optimize_sigma(lambda s: _nnc_terms(ch, s))
-        return OptimizedScheme("nnc", SchemeParams(0.0, 0.0, s2), nnc_rates(ch, s2), v)
+        s2 = _optimize_sigma(lambda s: _nnc_terms(ch, s))
+        return OptimizedScheme(SchemeParams(0.0, 0.0, s2), nnc_rates(ch, s2))
     if scheme == "hc_special":
-        s2, v = _optimize_sigma(lambda s: _hc_special_terms(ch, s))
-        return OptimizedScheme("hc_special", SchemeParams(0.0, 1.0, s2), hc_special_rates(ch, s2), v)
+        s2 = _optimize_sigma(lambda s: _hc_special_terms(ch, s))
+        return OptimizedScheme(SchemeParams(0.0, 1.0, s2), hc_special_rates(ch, s2))
     if scheme == "hc_general":
         return _optimize_general(ch)
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _general_sum(ch, alpha, beta, sigma2) -> float:
-    return hc_general_rates(ch, SchemeParams(alpha, beta, sigma2)).sum_rate
 
 
 def _grid_incumbent(ch: GaussianTwrcParams) -> tuple:
@@ -270,14 +257,13 @@ def _optimize_general(ch: GaussianTwrcParams) -> OptimizedScheme:
     _, alpha, beta, s2 = _grid_incumbent(ch)
     # Refine sigma2 at the incumbent (alpha, beta), then (alpha, beta) by
     # coordinate descent, then sigma2 once more.
-    s2, _ = _optimize_sigma(lambda s: _hc_general_terms(ch, alpha, beta, s))
+    s2 = _optimize_sigma(lambda s: _hc_general_terms(ch, alpha, beta, s))
     (alpha, beta), _ = coordinate_descent_triangle(
-        lambda a, b: _general_sum(ch, a, b, s2),
+        lambda a, b: _clamp_pair(*_hc_general_terms(ch, a, b, s2), "").sum_rate,
         (alpha, beta), steps=(step, step / 4, step / 20))
-    s2, _ = _optimize_sigma(lambda s: _hc_general_terms(ch, alpha, beta, s))
+    s2 = _optimize_sigma(lambda s: _hc_general_terms(ch, alpha, beta, s))
     params = SchemeParams(alpha, beta, s2)
-    pt = hc_general_rates(ch, params)
-    return OptimizedScheme("hc_general", params, pt, pt.sum_rate)
+    return OptimizedScheme(params, hc_general_rates(ch, params))
 
 
 def params_from_distance(r: float, P: float = 10.0, path_loss_exp: float = 3.0) -> GaussianTwrcParams:
@@ -307,8 +293,8 @@ def fig8_sweep(P: float = 10.0, r_grid=None, path_loss_exp: float = 3.0) -> list
             "r": float(r),
             "R_CS": cutset_rates(ch).sum_rate,
             "R_AF": af_rates(ch).sum_rate,
-            "R_NNC": optimize_scheme(ch, "nnc").sum_rate,
-            "R_HC": optimize_scheme(ch, "hc_special").sum_rate,
+            "R_NNC": optimize_scheme(ch, "nnc").point.sum_rate,
+            "R_HC": optimize_scheme(ch, "hc_special").point.sum_rate,
         })
     return rows
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import time
@@ -230,8 +231,10 @@ class TestExitCodes:
         ({"r_grid": [0.5, 1.5]}, ["--sweep"]),
         ({"r_grid": [0.0, 0.5]}, ["--sweep"]),
         ({"r_grid": []}, ["--sweep"]),
+        ({"P": 1e200}, ["--r", "0.5"]),
+        ({"P": 1e200}, ["--sweep"]),
     ], ids=["P-negative", "P-nan", "ple-not-number", "ple-inf", "r-grid-above-1",
-            "r-grid-0", "r-grid-empty"])
+            "r-grid-0", "r-grid-empty", "P-snr-over-bound", "P-snr-over-bound-sweep"])
     def test_twrc_scenario_numbers(self, tmp_path, capsys, fields, args):
         scenario = tmp_path / "twrc.json"
         scenario.write_text(json.dumps({"kind": "twrc_gaussian", **fields}))
@@ -297,8 +300,8 @@ class TestExitCodes:
                     "--target-d", "0.15", flag, "0",
                     "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("snr", [-1.0, float("nan"), float("inf")],
-                             ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("snr", [-1.0, float("nan"), float("inf"), 1e16],
+                             ids=["negative", "nan", "inf", "over-bound"])
     def test_explicit_snr_must_be_finite_nonnegative(self, tmp_path, snr):
         scenario = tmp_path / "snr.json"
         scenario.write_text(json.dumps({"kind": "twrc_gaussian", "S13": snr,
@@ -446,6 +449,34 @@ class TestBoundsTwrc:
         schemes = read_json(str(tmp_path / "s.json"))["schemes"]
         assert len(schemes) == 5
         assert all(set(v) == base for v in schemes.values())
+
+    # Zero and tiny SNRs next to ones at the bound: above it, hc_general
+    # divides by zero on such channels.
+    @pytest.mark.parametrize("snrs", [(1e15, 1e15, 1e15, 1e15), (0.0, 1e15, 1e-3, 0.0),
+                                      (1e15, 0.0, 0.0, 1e15), (1e-9, 1e15, 1e15, 0.5)])
+    def test_snrs_at_the_bound_give_finite_rates(self, tmp_path, snrs):
+        scenario = tmp_path / "snr.json"
+        scenario.write_text(json.dumps({"kind": "twrc_gaussian",
+                                        **dict(zip(("S13", "S23", "S31", "S32"), snrs))}))
+        assert run(["bounds-twrc", str(scenario), "--out", str(tmp_path / "s")]) == 0
+        schemes = read_json(str(tmp_path / "s.json"))["schemes"]
+        assert len(schemes) == 5
+        assert all(math.isfinite(row[k]) for row in schemes.values()
+                   for k in ("R1", "R2", "sum_rate"))
+
+    # sha256 of the bytes bounds-twrc writes for fig8.json.  The optimizers'
+    # bookkeeping may change; these outputs may not.
+    @pytest.mark.parametrize("args, suffix, digest", [
+        (["--r", "0.3"], ".json", "6289e002207fdddd0d4f982c9068f40b523c2c091b1884e7e3dbb8971e5a3309"),
+        (["--r", "0.5"], ".json", "82853318a5e9b7b716b35008e0b8416ac33fca36bdad71c760d9344139f5b2dd"),
+        (["--r", "0.7"], ".json", "ccf8cc79a5a49e69bf2fcf4b86d77122ad295d5adb30a76d3a432a3b74044a33"),
+        (["--sweep"], ".csv", "b820c0f822d555195b7ee014b668754a62e6a74b6eee0883ce00e1af7bf96baf"),
+    ], ids=["r0.3", "r0.5", "r0.7", "sweep"])
+    def test_fig8_outputs_are_pinned(self, tmp_path, args, suffix, digest):
+        out = str(tmp_path / "fig8")
+        assert run(["bounds-twrc", scen("fig8.json"), *args, "--out", out]) == 0
+        with open(out + suffix, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 class TestBoundsDiamond:

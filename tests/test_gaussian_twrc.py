@@ -96,15 +96,15 @@ class TestSchemeRates:
 
     def test_binding_term_is_the_first_minimum(self):
         pt = gaussian_twrc._clamp_pair((0.5, 0.5), (0.7, -0.2), "x")
-        assert pt.binding == (0, 1)
-        assert (pt.R1, pt.R2, pt.clamped) == (0.5, 0.0, True)
-        assert gaussian_twrc._clamp_pair((0.3, 0.2), (0.1, 0.4), "x").binding == (1, 0)
+        assert (pt.R1, pt.R2) == (0.5, 0.0)
+        pt = gaussian_twrc._clamp_pair((0.3, 0.2), (0.1, 0.4), "x")
+        assert (pt.R1, pt.R2) == (0.2, 0.1)
 
 
 class TestOptimization:
     def test_scheme_ordering_midpoint(self):
         p = params_from_distance(0.5)
-        sums = {name: optimize_scheme(p, name).sum_rate
+        sums = {name: optimize_scheme(p, name).point.sum_rate
                 for name in ("af", "nnc", "hc_special", "hc_general", "cutset")}
         assert sums["cutset"] >= sums["hc_general"] - 1e-9
         assert sums["hc_general"] >= sums["hc_special"] - 1e-9
@@ -115,7 +115,7 @@ class TestOptimization:
         p = params_from_distance(0.3)
         best = optimize_scheme(p, "nnc")
         fixed = nnc_rates(p, sigma2=1.0)
-        assert best.sum_rate >= fixed.sum_rate - 1e-9
+        assert best.point.sum_rate >= fixed.sum_rate - 1e-9
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -140,7 +140,7 @@ def reference_grid(ch):
         for ib in range(n - ia + 1):
             beta = ib * step
             for s2 in sgrid[::6]:
-                v = gaussian_twrc._general_sum(ch, alpha, beta, s2)
+                v = hc_general_rates(ch, SchemeParams(alpha, beta, s2)).sum_rate
                 if v > best[0]:
                     best = (v, alpha, beta, s2)
     _REFERENCE_GRIDS[key] = best
@@ -167,14 +167,11 @@ class TestGeneralGrid:
 
     @pytest.mark.parametrize("r, params, point", [
         (0.3, SchemeParams(alpha=0.621, beta=0.009999999999999998, sigma2=4.368477857839868),
-         RatePoint(R1=2.2749981623136235, R2=3.4909003769724705, scheme="hc_general",
-                   binding=(1, 0), clamped=False)),
+         RatePoint(R1=2.2749981623136235, R2=3.4909003769724705, scheme="hc_general")),
         (0.5, SchemeParams(alpha=0.2, beta=0.02, sigma2=12.949165324529844),
-         RatePoint(R1=3.040863042416072, R2=3.040863042416072, scheme="hc_general",
-                   binding=(1, 1), clamped=False)),
+         RatePoint(R1=3.040863042416072, R2=3.040863042416072, scheme="hc_general")),
         (0.7, SchemeParams(alpha=0.621, beta=0.009999999999999998, sigma2=4.368477857839868),
-         RatePoint(R1=3.4909003769724696, R2=2.2749981623136235, scheme="hc_general",
-                   binding=(0, 1), clamped=False)),
+         RatePoint(R1=3.4909003769724696, R2=2.2749981623136235, scheme="hc_general")),
     ])
     def test_optimize_pins_recorded_result(self, r, params, point):
         best = optimize_scheme(params_from_distance(r), "hc_general")
@@ -201,10 +198,10 @@ class TestOneArithmetic:
         ]
         for scalar, (r1, r2) in schemes:
             sums = gaussian_twrc._grid_sums(r1, r2)
+            rates1, rates2 = (np.maximum(np.minimum(*terms), 0.0) for terms in (r1, r2))
             for i in range(n):
                 pt = scalar(i)
-                assert (pt.R1, pt.R2) == (max(r1[pt.binding[0]][i], 0.0),
-                                          max(r2[pt.binding[1]][i], 0.0))
+                assert (pt.R1, pt.R2) == (rates1[i], rates2[i])
                 assert pt.sum_rate == sums[i]
 
     @pytest.mark.parametrize("ch", [c for _, c in GRID_CHANNELS],
