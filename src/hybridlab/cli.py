@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
+import html
 import json
+import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -144,19 +148,6 @@ def build_mac_spec(doc: dict) -> bounds.MacHybridSpec:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _report_to_dict(r: bounds.BoundReport) -> dict:
-    return {
-        "constraints": [
-            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs} for c in r.constraints
-        ],
-        "satisfied": r.satisfied,
-        "binding_constraint": r.binding_constraint,
-        "distortions": list(r.distortions),
-        "value": r.value,
-        "info": r.info,
-    }
-
-
 def write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -239,13 +230,7 @@ def cmd_bounds_diamond(opts: dict) -> dict:
     res = bounds.det_diamond_bounds(
         _field(doc, "y2_map"), _field(doc, "y3_map"), _field(doc, "y4_map"),
         _count(doc, "x2_size"), _count(doc, "x3_size"), grid_res=int(opts.get("grid_res", 6)))
-    return {".json": {
-        "hybrid": res.hybrid,
-        "adt": res.adt,
-        "cutset": res.cutset,
-        "hybrid_binding": res.hybrid_binding,
-        "argmax": res.argmax,
-    }}
+    return {".json": asdict(res)}
 
 
 def cmd_region_mac(opts: dict) -> dict:
@@ -266,12 +251,12 @@ def cmd_region_mac(opts: dict) -> dict:
     # The region check is where the spec meets the scenario, so it runs first.
     report = bounds.mac_region_check(scenario.sources, scenario.mac, scenario.d1, scenario.d2,
                                      mspec, scenario.x1_size, scenario.x2_size)
-    result: dict = {"report": _report_to_dict(report)}
+    result: dict = {"report": asdict(report)}
     if substitution:
         reduced = (bounds.lossless_reduced_values(scenario.sources, scenario.mac, px1, px2)
                    if substitution == "lossless"
                    else bounds.distributed_reduced_values(scenario.sources, k1, k2, px1, px2))
-        result["reduced_constraints"] = [list(pair) for pair in reduced]
+        result["reduced_constraints"] = reduced
     return {".json": result}
 
 
@@ -284,7 +269,7 @@ def cmd_check_thm1(opts: dict) -> dict:
             scenario.source, scenario.channel, scenario.distortion,
             target_D=float(opts["target_d"]), aux_cap=int(opts.get("aux_cap", 4)),
             grid_res=int(opts.get("grid_res", 12)))
-        result["report"] = _report_to_dict(report)
+        result["report"] = asdict(report)
         if spec is not None:
             result["spec"] = {
                 "aux_size": spec.aux_size,
@@ -299,7 +284,7 @@ def cmd_check_thm1(opts: dict) -> dict:
         spec = build_p2p_spec(load_json(opts["spec"]))
         report = bounds.check_p2p(
             scenario.source, scenario.channel, scenario.distortion, spec)
-        result["report"] = _report_to_dict(report)
+        result["report"] = asdict(report)
     return {".json": result}
 
 
@@ -316,7 +301,7 @@ def cmd_check_thm3(opts: dict) -> dict:
         relay_map=_field(spec_doc, "relay_map"),
     )
     report = bounds.twrc_region_check(uplink, downlink, y1_size, y2_size, spec)
-    return {".json": {"report": _report_to_dict(report)}}
+    return {".json": {"report": asdict(report)}}
 
 
 def cmd_simulate(opts: dict) -> dict:
@@ -383,7 +368,8 @@ def render_svg(header: list[str], rows: list[list[float]]) -> str:
         f'<text x="{x1p - 20:.2f}" y="{y0 + 24:.2f}" font-size="12">{xmax:.4g}</text>',
         f'<text x="{x0 - 50:.2f}" y="{y0:.2f}" font-size="12">{ymin:.4g}</text>',
         f'<text x="{x0 - 50:.2f}" y="{y1p + 8:.2f}" font-size="12">{ymax:.4g}</text>',
-        f'<text x="{(x0 + x1p) / 2 - 10:.2f}" y="{y0 + 36:.2f}" font-size="12">{header[0]}</text>',
+        f'<text x="{(x0 + x1p) / 2 - 10:.2f}" y="{y0 + 36:.2f}" font-size="12">'
+        f'{html.escape(header[0])}</text>',
     ]
     for si, name in enumerate(header[1:]):
         color = _PALETTE[si % len(_PALETTE)]
@@ -398,7 +384,7 @@ def render_svg(header: list[str], rows: list[list[float]]) -> str:
         ly = 30 + 18 * si
         parts.append(
             f'<line x1="560" y1="{ly}" x2="590" y2="{ly}" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="596" y="{ly + 4}" font-size="12">{name}</text>')
+        parts.append(f'<text x="596" y="{ly + 4}" font-size="12">{html.escape(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -441,6 +427,7 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridlab",
@@ -525,10 +512,14 @@ def dispatch(subcommand: str, options: dict) -> int:
     """Run one subcommand, then write its artifacts and the manifest.
 
     The subcommand computes every artifact before the first is written, so
-    a run that fails leaves no file behind.
+    a run that fails leaves no file behind.  An --out whose directory does
+    not exist fails before any work.
     """
     started = time.time()
     opts = dict(options)
+    out_dir = os.path.dirname(opts["out"]) or "."
+    if not os.path.isdir(out_dir):
+        raise ScenarioError(f"--out {opts['out']}: {out_dir} is not an existing directory")
     outputs = []
     for suffix, content in _DISPATCH[subcommand](opts).items():
         path = opts["out"] + suffix

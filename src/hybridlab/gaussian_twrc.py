@@ -10,11 +10,12 @@ log2, which give the same bits on a scalar as on any element of an array.
 Each scheme with free parameters has one rate-terms function (`_nnc_terms`,
 `_hc_special_terms`, `_hc_general_terms`) that takes sigma2 (and alpha, beta)
 as scalars or broadcastable arrays.  Each rate is the first minimum of its
-two terms, clamped at 0: `_clamp_pair` on scalars, `_grid_sums` on arrays.
-The reported points, the batched search grids, the golden-section and the
-coordinate-descent refinements all evaluate these, so a grid maximum is the
-maximum a scalar loop over the same points would find.  SNRs above SNR_MAX
-are rejected: beyond it the general region overflows or divides by zero.
+two terms, clamped at 0.  Every search evaluation (the batched grids, the
+golden-section and the coordinate-descent refinements) scores the clamped
+sum with `_grid_sums`, on arrays and scalars alike, so a grid maximum is the
+maximum a scalar loop over the same points would find; `_clamp_pair` builds
+only the reported points.  SNRs above SNR_MAX are rejected: beyond it the
+general region overflows or divides by zero.
 
 Known defect: the general-region formulas are implemented verbatim as printed
 in the source material, including the (1 - alpha) factor in the second
@@ -97,8 +98,9 @@ def _clamp_pair(r1_terms, r2_terms, scheme: str) -> RatePoint:
     return RatePoint(max(float(min(r1_terms)), 0.0), max(float(min(r2_terms)), 0.0), scheme)
 
 
-def _grid_sums(r1_terms, r2_terms) -> np.ndarray:
-    """Sum rates of array-valued terms, clamped as `_clamp_pair` clamps scalars."""
+def _grid_sums(r1_terms, r2_terms):
+    """Sum rates of scalar or array terms, clamped as `_clamp_pair` clamps a
+    reported point; every search evaluation scores with this."""
     return np.maximum(np.minimum(*r1_terms), 0.0) + np.maximum(np.minimum(*r2_terms), 0.0)
 
 
@@ -199,12 +201,12 @@ def _optimize_sigma(terms) -> float:
 
     The whole log-grid is scored in one array call; golden section in
     log-space then refines between the neighbours of its first maximum,
-    calling the same terms on scalars.
+    scoring the same terms on scalars.
     """
     grid = _log_sigma_grid()
     vals = _grid_sums(*terms(grid))
     i = int(np.argmax(vals))
-    x, v, _ = golden_refine(lambda t: _clamp_pair(*terms(math.exp(t)), "").sum_rate,
+    x, v, _ = golden_refine(lambda t: _grid_sums(*terms(math.exp(t))),
                             math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, grid.size - 1)]),
                             tol=1e-10, max_iter=200)
     return math.exp(x) if v >= vals[i] else float(grid[i])
@@ -259,7 +261,7 @@ def _optimize_general(ch: GaussianTwrcParams) -> OptimizedScheme:
     # coordinate descent, then sigma2 once more.
     s2 = _optimize_sigma(lambda s: _hc_general_terms(ch, alpha, beta, s))
     (alpha, beta), _ = coordinate_descent_triangle(
-        lambda a, b: _clamp_pair(*_hc_general_terms(ch, a, b, s2), "").sum_rate,
+        lambda a, b: _grid_sums(*_hc_general_terms(ch, a, b, s2)),
         (alpha, beta), steps=(step, step / 4, step / 20))
     s2 = _optimize_sigma(lambda s: _hc_general_terms(ch, alpha, beta, s))
     params = SchemeParams(alpha, beta, s2)

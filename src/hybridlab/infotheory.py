@@ -211,45 +211,31 @@ class DistortionMeasure:
         return DistortionMeasure(1.0 - np.eye(k))
 
 
-def _xlogx_sum(p: np.ndarray) -> float:
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask])))
-
-
 def entropy(p: "Pmf | JointPmf | np.ndarray") -> float:
     """Shannon entropy in bits, with 0 log 0 := 0."""
     a = p.probs if isinstance(p, (Pmf, JointPmf)) else np.asarray(p, dtype=float)
-    return -_xlogx_sum(a)
+    a = a[a > 0]
+    return -float(np.sum(a * np.log2(a)))
 
 
 def mutual_information(joint: JointPmf, axes_a: SeqT[int], axes_b: SeqT[int]) -> float:
-    """I(A;B) in bits from a joint pmf; tiny negatives are clamped to 0."""
-    sa, sb = set(axes_a), set(axes_b)
-    if sa & sb:
-        raise ValueError("axis sets overlap")
-    h_a = entropy(joint.marginal(sorted(sa)))
-    h_b = entropy(joint.marginal(sorted(sb)))
-    h_ab = entropy(joint.marginal(sorted(sa | sb)))
-    return _clamp_mi(h_a + h_b - h_ab)
+    """I(A;B) in bits from a joint pmf: I(A;B|C) with C empty."""
+    return conditional_mutual_information(joint, axes_a, axes_b, ())
 
 
 def conditional_mutual_information(
     joint: JointPmf, axes_a: SeqT[int], axes_b: SeqT[int], axes_c: SeqT[int]
 ) -> float:
-    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), in bits."""
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), in bits, with H(C) = 0
+    for an empty C; tiny negatives are clamped to 0."""
     sa, sb, sc = set(axes_a), set(axes_b), set(axes_c)
     if sa & sb or sa & sc or sb & sc:
         raise ValueError("axis sets overlap")
-    if not sc:
-        return mutual_information(joint, axes_a, axes_b)
     h_ac = entropy(joint.marginal(sorted(sa | sc)))
     h_bc = entropy(joint.marginal(sorted(sb | sc)))
     h_abc = entropy(joint.marginal(sorted(sa | sb | sc)))
-    h_c = entropy(joint.marginal(sorted(sc)))
-    return _clamp_mi(h_ac + h_bc - h_abc - h_c)
-
-
-def _clamp_mi(value: float) -> float:
+    h_c = entropy(joint.marginal(sorted(sc))) if sc else 0.0
+    value = h_ac + h_bc - h_abc - h_c
     if value < -NEG_MI_TOL:
         raise ValueError(f"mutual information {value} below round-off tolerance")
     return max(value, 0.0)

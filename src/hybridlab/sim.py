@@ -645,22 +645,17 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
                                  return_counts=True)
         for row, count in zip(rows.tolist(), counts.tolist()):
             cells[tuple(row[:n]), tuple(row[n:2 * n])][row[-1]] += count
-    max_ratio = 0.0
-    well_sampled = 0
     cell_stats = {}
     for key, vec in sorted(cells.items()):
         total = int(vec.sum())
         if total < min_count:
             continue
-        well_sampled += 1
         emp = vec / total
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(pattern_prob > 0, emp / pattern_prob, 0.0)
-        cell_ratio = float(ratios.max())
-        max_ratio = max(max_ratio, cell_ratio)
         cell_stats[key] = {
             "count": total,
-            "max_ratio": cell_ratio,
+            "max_ratio": float(ratios.max()),
             "histogram": vec.astype(int).tolist(),
         }
     return {
@@ -668,9 +663,9 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
         "rate": rate,
         "trials": outer_trials,
         "kept": kept,
-        "well_sampled_cells": well_sampled,
-        "conclusive": well_sampled > 0,
-        "max_ratio": max_ratio if well_sampled else None,
+        "well_sampled_cells": len(cell_stats),
+        "conclusive": bool(cell_stats),
+        "max_ratio": max((c["max_ratio"] for c in cell_stats.values()), default=None),
         "cells": cell_stats,
     }
 

@@ -4,6 +4,7 @@ import json
 import math
 import time
 from importlib import resources
+from xml.etree import ElementTree
 
 import pytest
 
@@ -41,6 +42,14 @@ SILENT_SENDER_SPEC = {
     "enc1": [[[0, 0], [0, 0]]], "enc2": [[[0, 1], [0, 1]]],
     "dec1": [[[[0, 0]] * 2, [[1, 1]] * 2]], "dec2": [[[[0, 1]] * 2] * 2],
     "R1": 0.5, "R2": 0.5}
+
+PINNED_SPECS = {
+    "lossless": {"px1": [0.5, 0.5], "px2": [0.5, 0.5]},
+    "distributed": {"px1": [0.5, 0.5], "px2": [0.5, 0.5],
+                    "k1": [[0.8, 0.2], [0.2, 0.8]], "k2": [[0.7, 0.3], [0.3, 0.7]]},
+    "identity": MAC_IDENTITY_SPEC,
+}
+PINNED_CSV = "r,R_CS,R_AF\n0.1,1.5,1.25\n0.5,2,1.75\n0.9,1.375,1.125\n"
 
 # Spec edits that make a spec stop fitting its scenario, run under each
 # subcommand that takes the spec; each run used to exit 0 or 4.
@@ -164,6 +173,21 @@ class TestExitCodes:
         assert run(["bounds-twrc", scen("fig8.json"), "--sweep", "--r", "1.5",
                     "--out", str(tmp_path / "o")]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["check-thm1", scen("p2p_hybrid.json"), "--spec", scen("p2p_hybrid_spec.json")],
+        ["plot", "CSV"],
+    ], ids=["check-thm1", "plot"])
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_out_needs_an_existing_directory(self, tmp_path, capsys, argv, parent):
+        # The run used to do all its work and then exit 4 on the first write.
+        inputs = [tmp_path / "data.csv", tmp_path / "file"]
+        inputs[0].write_text(PINNED_CSV)
+        inputs[1].write_text("")
+        argv = [str(inputs[0]) if a == "CSV" else a for a in argv]
+        assert run(argv + ["--out", str(tmp_path / parent / "o")]) == 2
+        assert "is not an existing directory" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == inputs
 
     def test_mac_rows_must_match_encoder_alphabets(self, tmp_path):
         # The scenario declares 2 x 1 inputs for a MAC with 4 rows.  Sender 2
@@ -633,6 +657,16 @@ class TestPlot:
         assert run(["plot", str(csv_path), "--out", b]) == 0
         assert open(a + ".svg", "rb").read() == open(b + ".svg", "rb").read()
 
+    def test_markup_in_header_is_escaped(self, tmp_path):
+        # The header used to go into the SVG verbatim, which expat rejects.
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("r&s,a<b&c\n0,1\n1,2\n")
+        out = str(tmp_path / "fig")
+        assert run(["plot", str(csv_path), "--out", out]) == 0
+        root = ElementTree.parse(out + ".svg").getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "r&s" in texts and "a<b&c" in texts
+
     def test_too_few_rows(self, tmp_path):
         csv_path = tmp_path / "data.csv"
         csv_path.write_text("x,a\n")
@@ -649,6 +683,52 @@ class TestPlot:
         csv_path.write_text(f"x,a\n0,1\n1,{cell}\n")
         assert run(["plot", str(csv_path), "--out", str(tmp_path / "f")]) == 2
         assert list(tmp_path.iterdir()) == [csv_path]
+
+
+class TestPinnedOutputs:
+    # sha256 of the bytes each deterministic subcommand writes.  "SPEC" in
+    # an argv stands for a file holding PINNED_SPECS[spec], "CSV" for one
+    # holding PINNED_CSV.  bounds-twrc is pinned by test_fig8_outputs_are_pinned
+    # and the simulator by tests/data/sim_pins.json.
+    @pytest.mark.parametrize("argv, spec, suffix, digest", [
+        (["bounds-diamond", scen("example1.json")], None, ".json",
+         "d127bec4dce4ff1b119a28dd2fd4b23b4819ff51bdf7b97a36a95e3af27599c0"),
+        (["region-mac", scen("mac_correlated.json"), "--spec", "SPEC",
+          "--substitution", "lossless"], "lossless", ".json",
+         "ce838f6deef6446ab00671b175c5039e6b0ea0d97fa72f7678fb31c8030f4561"),
+        (["region-mac", scen("mac_noiseless_pair.json"), "--spec", "SPEC",
+          "--substitution", "distributed"], "distributed", ".json",
+         "1ac7dffe2157e09ee5acce1ca10c0a0e655bedfb7c9364588ee725c8f94818bc"),
+        (["region-mac", scen("mac_noiseless_pair.json"), "--spec", "SPEC"], "identity", ".json",
+         "fd91e4f3389bc1ccf558cd8604c93b5e4babf16f320cec73751f6744a5d2090f"),
+        (["check-thm1", scen("p2p_hybrid.json"), "--spec", scen("p2p_hybrid_spec.json")],
+         None, ".json", "63248eafc41a25f8fcdb167a0f598ef368371ef61c3c0e585d73f0011cf56942"),
+        (["check-thm1", scen("bsc_uncoded.json"), "--spec", scen("bsc_uncoded_spec.json")],
+         None, ".json", "55ffa41c3c835d90ef78497e115c15a9e3b66655494b90f9a906588305f3973e"),
+        (["check-thm1", scen("p2p_hybrid.json"), "--spec", scen("p2p_underrate_spec.json")],
+         None, ".json", "6cd8b9a8b6eb3a684c21b9a7b57eb18b90bbb6a3ea51ca6a94537172ea36941f"),
+        (["check-thm1", scen("bsc_uncoded.json"), "--optimize", "--target-d", "0.15",
+          "--aux-cap", "3", "--grid-res", "6"], None, ".json",
+         "b565942ad869888fec04e7f7507f362ec64a188f9fdcb1de89e38ea6ad06a3a2"),
+        (["check-thm3", scen("twrc_xor.json"), "--spec", scen("twrc_xor_spec.json")],
+         None, ".json", "cb98e76c21142470636952206108efa49b075008ca64752a94697243c60e7b27"),
+        (["plot", "CSV"], None, ".svg",
+         "146cc91ec2a2f916740b1644789e7d972bf937e5cfb31e24d4ca7c74caf420b8"),
+    ], ids=["diamond", "mac-lossless", "mac-distributed", "mac-identity", "thm1-hybrid",
+            "thm1-uncoded", "thm1-underrate", "thm1-optimize", "thm3-xor", "plot"])
+    def test_outputs_are_pinned(self, tmp_path, argv, spec, suffix, digest):
+        files = {"SPEC": tmp_path / "spec.json", "CSV": tmp_path / "data.csv"}
+        files["SPEC"].write_text(json.dumps(PINNED_SPECS.get(spec)))
+        files["CSV"].write_text(PINNED_CSV)
+        out = str(tmp_path / "out")
+        assert run([str(files.get(a, a)) for a in argv] + ["--out", out]) == 0
+        with open(out + suffix, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestReplay:
