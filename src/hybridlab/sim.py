@@ -25,14 +25,17 @@ Trials run in chunks of at most _CHUNK_SYMBOLS codeword symbols.  The only
 per-trial work is drawing each trial's uniforms from its own streams; the
 symbols, typicality tests, index selection, channel outputs, error events
 and distortions are computed for the whole chunk at once.  The exception is
-the MAC decoder's search over every index pair, which holds an (m1, m2)
-table per trial and so runs one trial at a time.  Every typicality test,
-at the encoders and the decoders, goes through infotheory's one kernel: a
-matmul of one-hot layouts gives each pair's cell counts, and a table of the
-test at every count 0..n decides each cell.  Every symbol, whether source,
-codeword or channel output, comes from one inverse cdf (_symbols).  Every
-stream draws the same values in the same order as a trial-by-trial loop
-would, so the reports do not depend on the chunk size.
+the MAC decoder's pair search, which scores each trial's own table of
+index pairs and so runs one trial at a time.  It scores only the pairs of
+codewords whose (u_k, y) cell counts, found for the whole chunk at once,
+some typical triple can have, and that is exact (see run_mac).  Every
+typicality test, at the encoders and the decoders, goes through
+infotheory's one kernel: a matmul of one-hot layouts gives each pair's cell
+counts, and a table of the test at every count 0..n decides each cell.
+Every symbol, whether source, codeword or channel output, comes from one
+inverse cdf (_symbols).  Every stream draws the same values in the same
+order as a trial-by-trial loop would, so the reports do not depend on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -508,6 +511,61 @@ def _p2p_report(n, e1, e2, e3, dists) -> dict:
 _MAC_EVENTS = ("e1", "e2", "e3", "e4", "e5", "e6")
 
 
+def _count_ranges(ok: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each sender's [lo, hi] cell-count ranges in a typical triple.
+
+    ok is the (|U1|, |U2|, |Y|, n + 1) typical_table of p(u1, u2, y).  The
+    ranges of the (u1, y) cells u1*|Y| + y sum the first and the last count
+    ok accepts over u2; those of the (u2, y) cells u2*|Y| + y sum them over
+    u1.  A cell that accepts no count has first count n + 1, above any
+    count, so its ranges are empty.
+    """
+    n = ok.shape[-1] - 1
+    lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), n + 1)
+    hi = n - ok[..., ::-1].argmax(axis=-1)
+    return [(lo.sum(axis=1).ravel(), hi.sum(axis=1).ravel()),
+            (lo.sum(axis=0).ravel(), hi.sum(axis=0).ravel())]
+
+
+def _cell_counts(cells: np.ndarray, size: int) -> np.ndarray:
+    """How often each value 0..size-1 occurs in each sequence of cells
+    (..., m, n): (..., m, size), from one bincount."""
+    lead = cells.shape[:-1]
+    offsets = np.arange(math.prod(lead)).reshape(*lead, 1) * size
+    counts = np.bincount((cells + offsets).ravel(), minlength=math.prod(lead) * size)
+    return counts.reshape(*lead, size)
+
+
+def _pair_search(cb1: np.ndarray, cb2: np.ndarray, y: np.ndarray, ok: np.ndarray,
+                 idx1: np.ndarray, idx2: np.ndarray):
+    """The MAC decoder's pair search for a chunk of trials.
+
+    cb1 (trials, m1, n), cb2 (trials, m2, n) and y (trials, n) are the
+    codebooks and channel outputs, ok the (|U1|, |U2|, |Y|, n + 1)
+    typical_table of p(u1, u2, y), and idx1, idx2 the chosen indices.  Each
+    sender's searched indices are the chosen one, then the other codewords
+    whose cell counts with y are in _count_ranges.  Yields, per trial,
+    sender 1's and sender 2's searched indices and typical_pairs on them.
+    """
+    u1_size, u2_size, y_size, _ = ok.shape
+    rows = np.arange(y.shape[0])
+    cells = [cb * y_size + y[:, None, :] for cb in (cb1, cb2)]
+    orders, left = [], []
+    for z, (lo, hi), chosen in zip(cells, _count_ranges(ok), (idx1, idx2)):
+        counts = _cell_counts(z, lo.size)
+        # Rank 0 for the chosen codeword, 1 for the others left, 2 for the pruned.
+        rank = 2 - ((counts >= lo) & (counts <= hi)).all(axis=-1)
+        rank[rows, chosen] = 0
+        orders.append(np.argsort(rank, axis=1, kind="stable"))
+        left.append((rank < 2).sum(axis=1))
+    a, b = cells[0][rows[:, None], orders[0]], cb2[rows[:, None], orders[1]]
+    # The test of cell (u1*|Y| + y, u2) at every count 0..n.
+    pair_ok = ok.transpose(0, 2, 1, 3).reshape(u1_size * y_size, u2_size, -1)
+    for row in rows:
+        r1, r2 = orders[0][row, :left[0][row]], orders[1][row, :left[1][row]]
+        yield r1, r2, typical_pairs(a[row, :r1.size], b[row, :r2.size], pair_ok)
+
+
 def run_mac(scenario: MacScenario, spec: MacHybridSpec,
             config: TrialConfig) -> dict:
     """Monte Carlo trials of the two-sender scheme with a joint decoder.
@@ -515,12 +573,19 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     Event accounting: E1/E2 are the per-sender covering failures, E3 is the
     chosen pair falling outside the typical set at the decoder, and E4/E5/E6
     are the packing confusions with both, only the first, or only the second
-    index wrong.  The decoder searches every index pair exhaustively and
-    falls back to pair (0, 0) unless exactly one pair is typical.  Streams,
-    encoding and channel are drawn per chunk of trials as in run_p2p.  The
-    pair search is typical_pairs on each trial's cells (u1, y) against its
-    sender-2 codewords, one matmul for every pair's cell counts; the memory
-    cap bounds those counts and their one-hot factors.
+    index wrong.  The decoder finds every typical index pair and falls back
+    to pair (0, 0) unless exactly one pair is typical.  Streams, encoding
+    and channel are drawn per chunk of trials as in run_p2p.  The pair
+    search (_pair_search) first drops each codeword whose (u_k, y) cell
+    counts with y fall outside _count_ranges.  That is exact: a typical
+    triple's (u1, y) counts are sums over u2 of counts the typicality table
+    accepts (the marginal property of typical sequences, El Gamal & Kim,
+    Network Information Theory, section 2.5), and so lie in those ranges;
+    likewise its (u2, y) counts.  So the events and the decoded pair are
+    those of the search over every pair.  typical_pairs scores the pairs of
+    the codewords left, one matmul for their cell counts; the memory cap
+    bounds those counts and their one-hot factors when every codeword is
+    left.
     """
     if spec.q_pmf.alphabet_size != 1:
         raise ScenarioError("simulation supports a trivial time-sharing alphabet only")
@@ -534,30 +599,29 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     m1 = codebook_size(n, spec.R1)
     m2 = codebook_size(n, spec.R2)
     u1_size, u2_size, y_size = j_uuy.dims
-    # Float entries of the pair search: both one-hot factors and the counts.
+    # Float entries of the pair search: both one-hot factors and the counts,
+    # for a trial whose every codeword is left after _pair_search's pruning.
     pair_entries = (u1_size * y_size * m1 + u2_size * m2) * n + m1 * m2 * j_uuy.probs.size
     if max((m1 + m2) * n, pair_entries) > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(
             f"codebooks need {(m1 + m2) * n} symbols and the pair search "
             f"{pair_entries} entries, cap is {MEMORY_CAP_SYMBOLS}")
     s2_size = scenario.sources.dims[1]
-    # The test of cell (u1*|Y| + y, u2) at every count 0..n.
-    ok = typical_table(j_uuy.probs.transpose(0, 2, 1).reshape(u1_size * y_size, u2_size),
-                       n, config.epsilon)
+    ok = typical_table(j_uuy.probs, n, config.epsilon)
     events = {key: np.empty(trials, dtype=bool) for key in _MAC_EVENTS}
     d1s = np.empty(trials)
     d2s = np.empty(trials)
     enc1, enc2 = spec.enc1[0], spec.enc2[0]
     dec1, dec2 = spec.dec1[0], spec.dec2[0]
     ok1, ok2 = (typical_table(joint.probs, n, config.epsilon_prime) for joint in (j_us1, j_us2))
+    p_u1, p_u2 = j_us1.marginal_pmf(0).probs, j_us2.marginal_pmf(0).probs
     streams = _Streams(config.seed, trials, senders=2)
     for ts in _chunks(trials, (m1 + m2) * n):
         rows = np.arange(ts.size)
         flat_s = _symbols(streams.uniforms(_SOURCE, ts, (n,)), scenario.sources.probs.ravel())
         s1, s2 = np.divmod(flat_s, s2_size)
-        cb1 = _symbols(streams.uniforms(_CODEBOOK, 2 * ts, (m1, n)), j_us1.marginal_pmf(0).probs)
-        cb2 = _symbols(streams.uniforms(_CODEBOOK, 2 * ts + 1, (m2, n)),
-                       j_us2.marginal_pmf(0).probs)
+        cb1 = _symbols(streams.uniforms(_CODEBOOK, 2 * ts, (m1, n)), p_u1)
+        cb2 = _symbols(streams.uniforms(_CODEBOOK, 2 * ts + 1, (m2, n)), p_u2)
         (idx1, idx2), (events["e1"][ts], events["e2"][ts]) = _select(
             [_pair_typical(cb1, s1, ok1), _pair_typical(cb2, s2, ok2)],
             streams.draws(_TIEBREAK, ts, 1))
@@ -567,18 +631,18 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
                      scenario.mac.rows[x1 * scenario.x2_size + x2])
         h1 = np.zeros(ts.size, dtype=int)
         h2 = np.zeros(ts.size, dtype=int)
-        for row, t in enumerate(ts):
-            typ = typical_pairs(cb1[row] * y_size + y[row], cb2[row], ok)
-            i1, i2 = idx1[row], idx2[row]
-            # Typical pairs other than the chosen one: in its row, its column, neither.
-            chosen, in_row, in_col = typ[i1, i2], typ[i1].sum(), typ[:, i2].sum()
+        searches = _pair_search(cb1, cb2, y, ok, idx1, idx2)
+        for row, (t, (r1, r2, typ)) in enumerate(zip(ts, searches)):
+            # Row and column 0 are the chosen pair's.  Typical pairs other
+            # than it: in its row, its column, neither.
+            chosen, in_row, in_col = typ[0, 0], typ[0].sum(), typ[:, 0].sum()
             events["e3"][t] = not chosen
             events["e4"][t] = typ.sum() - in_row - in_col + chosen > 0
             events["e5"][t] = in_col > chosen
             events["e6"][t] = in_row > chosen
             hits = np.argwhere(typ)
             if hits.shape[0] == 1:
-                h1[row], h2[row] = hits[0]
+                h1[row], h2[row] = r1[hits[0, 0]], r2[hits[0, 1]]
         u1_hat, u2_hat = cb1[rows, h1], cb2[rows, h2]
         d1s[ts] = scenario.d1.table[s1, dec1[u1_hat, u2_hat, y]].mean(axis=1)
         d2s[ts] = scenario.d2.table[s2, dec2[u1_hat, u2_hat, y]].mean(axis=1)

@@ -502,6 +502,27 @@ class TestRunMac:
         with pytest.raises(MemoryCapError):
             run_mac(scenario, spec, config)
 
+    def test_pair_search_work(self, monkeypatch):
+        # The benchmark's 256 x 256 pair search.  u_j = s_j and y = (s1, s2),
+        # so a cell (u1, y) whose y does not carry u1 has probability 0 and
+        # accepts only count 0: a sender-1 codeword is left only if it is
+        # the s1 that y carries, and likewise for sender 2.  Scoring every
+        # pair was 5 * 256 * 256.
+        scored = []
+
+        def counted(a, b, ok):
+            scored.append(math.prod(a.shape[:-1]) * b.shape[-2])
+            return typical_pairs(a, b, ok)
+
+        monkeypatch.setattr(sim, "typical_pairs", counted)
+        scenario, spec = identity_mac()
+        report = run_mac(scenario, spec, TrialConfig(
+            n=8, trials=5, epsilon=0.75, epsilon_prime=0.5, seed=0))
+        assert repr(report) == PINNED["mac_identity_n8_seed0"]
+        # The encoders score each sender's 256 codewords against its source block.
+        decoder = sum(scored) - 2 * 5 * 256
+        assert 5 <= decoder <= 0.01 * 5 * 256 * 256, decoder
+
 
 def einsum_typical_pairs(cb1, cb2, y, p_uuy, epsilon):
     """An earlier pair search of run_mac, kept as the reference: one-hot
@@ -550,14 +571,18 @@ class TestPairSearchOracle:
                            cb1.shape[1], epsilon)
         return typical_pairs(cb1 * y_size + y, cb2, ok)
 
-    def test_matches_einsum_on_random_problems(self):
+    @classmethod
+    def random_problems(cls):
         rng = np.random.default_rng(20261018)
-        some_typical = zero_cells = 0
         for _ in range(300):
             u1_size, u2_size = rng.integers(1, 4, size=2)
             y_size = rng.integers(1, 5)
             n = rng.integers(1, 13)
-            cb1, cb2, y, p, eps = self.problem(rng, u1_size, u2_size, y_size, n)
+            yield cls.problem(rng, u1_size, u2_size, y_size, n)
+
+    def test_matches_einsum_on_random_problems(self):
+        some_typical = zero_cells = 0
+        for cb1, cb2, y, p, eps in self.random_problems():
             want = einsum_typical_pairs(cb1, cb2, y, p, eps)
             got = self.gemm_mask(cb1, cb2, y, p, eps)
             assert got.shape == want.shape and got.dtype == bool
@@ -565,6 +590,98 @@ class TestPairSearchOracle:
             some_typical += bool(want.any())
             zero_cells += bool((p == 0).any())
         assert some_typical >= 100 and zero_cells >= 100
+
+    @staticmethod
+    def check_pruned_search(cb1, cb2, y, p, epsilon, i1, i2):
+        """sim._pair_search on one trial with chosen pair (i1, i2): its mask,
+        scattered back to (m1, m2), and the values run_mac reads from it
+        against the einsum search.  Returns the searched indices."""
+        want = einsum_typical_pairs(cb1, cb2, y, p, epsilon)
+        ok = typical_table(p, cb1.shape[1], epsilon)
+        [(r1, r2, typ)] = sim._pair_search(cb1[None], cb2[None], y[None], ok,
+                                           np.array([i1]), np.array([i2]))
+        assert r1[0] == i1 and r2[0] == i2
+        assert np.unique(r1).size == r1.size and np.unique(r2).size == r2.size
+        full = np.zeros(want.shape, dtype=bool)
+        full[np.ix_(r1, r2)] = typ
+        assert np.array_equal(full, want)
+        # Row and column 0 are the chosen pair's: chosen, in its row, in its
+        # column, in all, and the unique typical pair through the index maps.
+        got = (typ[0, 0], typ[0].sum(), typ[:, 0].sum(), typ.sum())
+        assert got == (want[i1, i2], want[i1].sum(), want[:, i2].sum(), want.sum())
+        hits = np.argwhere(typ)
+        if hits.shape[0] == 1:
+            assert [r1[hits[0, 0]], r2[hits[0, 1]]] == np.argwhere(want)[0].tolist()
+        return r1, r2
+
+    def test_pruned_search_on_random_problems(self):
+        rng = np.random.default_rng(24)
+        pruned = 0
+        for cb1, cb2, y, p, eps in self.random_problems():
+            i1, i2 = rng.integers(cb1.shape[0]), rng.integers(cb2.shape[0])
+            r1, r2 = self.check_pruned_search(cb1, cb2, y, p, eps, i1, i2)
+            pruned += r1.size * r2.size < cb1.shape[0] * cb2.shape[0]
+        assert pruned >= 100
+
+    def test_cell_accepting_no_count_prunes_every_pair(self):
+        # At n = 4 a cell of probability 0.3 with eps = 0.01 accepts no
+        # count, so every (u1, y) and (u2, y) range holding it is empty.
+        rng = np.random.default_rng(5)
+        p = np.array([[[0.3, 0.2]], [[0.25, 0.25]]])       # (u1, u2, y)
+        ok = typical_table(p, 4, 0.01)
+        assert not ok[0, 0, 0].any()
+        cb1, cb2, y = rng.integers(2, size=(9, 4)), np.zeros((6, 4), dtype=int), rng.integers(2, size=4)
+        r1, r2 = self.check_pruned_search(cb1, cb2, y, p, 0.01, 4, 2)
+        assert r1.tolist() == [4] and r2.tolist() == [2]
+
+    def test_large_epsilon_prunes_nothing(self):
+        # Every cell positive and eps = 1e9: each cell accepts every count.
+        rng = np.random.default_rng(6)
+        p = rng.random((2, 3, 2)) + 0.1
+        p /= p.sum()
+        cb1, cb2, y = rng.integers(2, size=(7, 5)), rng.integers(3, size=(5, 5)), rng.integers(2, size=5)
+        r1, r2 = self.check_pruned_search(cb1, cb2, y, p, 1e9, 3, 0)
+        assert r1.tolist() == [3, 0, 1, 2, 4, 5, 6] and r2.tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("sender", [0, 1])
+    def test_one_codeword_sender(self, sender):
+        rng = np.random.default_rng(7 + sender)
+        for _ in range(50):
+            cb1, cb2, y, p, eps = self.problem(rng, 2, 2, 3, int(rng.integers(1, 9)))
+            cbs = [cb1, cb2]
+            cbs[sender] = cbs[sender][:1]
+            i1, i2 = rng.integers(cbs[0].shape[0]), rng.integers(cbs[1].shape[0])
+            self.check_pruned_search(*cbs, y, p, eps, i1, i2)
+
+    def test_typical_counts_lie_in_the_summed_ranges(self):
+        # Every type (joint count table) of n symbols is tried, so the
+        # ranges hold every typical pair's (u1, y) and (u2, y) counts.
+        rng = np.random.default_rng(11)
+        typical_types = boundary = 0
+        for _ in range(300):
+            while True:
+                shape = tuple(rng.integers(1, 4, size=3))
+                if math.prod(shape) <= 8:
+                    break
+            n = int(rng.integers(1, 7))
+            p = rng.random(shape) * (rng.random(shape) < 0.75)
+            p.flat[rng.integers(p.size)] += 0.1
+            p /= p.sum()
+            cell = tuple(rng.choice(np.argwhere(p > 0)))
+            eps = abs(rng.integers(n + 1) / n - p[cell]) / p[cell]
+            if eps == 0 or rng.random() < 0.3:
+                eps = 2 * rng.random()
+            ok = typical_table(p, n, eps)
+            boundary += bool((np.abs(np.arange(n + 1) / n - p[cell]) == eps * p[cell]).any())
+            types = np.array(list(compositions(n, p.size))).reshape(-1, *shape)
+            accepted = np.take_along_axis(ok[None], types[..., None], axis=-1)[..., 0]
+            typical = types[accepted.all(axis=(1, 2, 3))]
+            (lo1, hi1), (lo2, hi2) = sim._count_ranges(ok)
+            for counts, lo, hi in ((typical.sum(axis=2), lo1, hi1), (typical.sum(axis=1), lo2, hi2)):
+                counts = counts.reshape(typical.shape[0], lo.size)
+                assert ((lo <= counts) & (counts <= hi)).all()
+            typical_types += typical.shape[0]
+        assert typical_types >= 2000 and boundary >= 100
 
     def test_counts_above_255(self):
         # One u1/u2 symbol and a skewed two-symbol y at n = 300: a cell
