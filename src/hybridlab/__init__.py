@@ -15,6 +15,5 @@ from .infotheory import (  # noqa: F401
     compose_joint,
     conditional_mutual_information,
     entropy,
-    is_typical,
     mutual_information,
 )

@@ -207,20 +207,20 @@ def cmd_bounds_twrc(opts: dict) -> dict:
         r_grid = [_number(x, "r_grid entry") for x in r_grid]
     snrs = ("S13", "S23", "S31", "S32")
     ch = None
-    if opts.get("r") is not None:     # before the sweep, so a bad --r costs no work
+    if opts["r"] is not None:     # before the sweep, so a bad --r costs no work
         ch = gaussian_twrc.params_from_distance(opts["r"], power, ple)
-    elif not opts.get("sweep"):
+    elif not opts["sweep"]:
         if not all(k in doc for k in snrs):
             raise ScenarioError("need --sweep, --r, or explicit SNRs S13..S32")
         ch = gaussian_twrc.GaussianTwrcParams(**{k: _number(doc[k], k) for k in snrs})
     artifacts = {}
     result: dict = {"schemes": {}}
-    if opts.get("sweep"):
+    if opts["sweep"]:
         rows = gaussian_twrc.fig8_sweep(power, r_grid=r_grid, path_loss_exp=ple)
         artifacts[".csv"] = gaussian_twrc.sweep_to_csv(rows)
         result["sweep_rows"] = len(rows)
     if ch is not None:
-        result["schemes"] = _twrc_schemes(ch, with_params=opts.get("r") is not None)
+        result["schemes"] = _twrc_schemes(ch, with_params=opts["r"] is not None)
     artifacts[".json"] = result
     return artifacts
 
@@ -229,7 +229,7 @@ def cmd_bounds_diamond(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "diamond")
     res = bounds.det_diamond_bounds(
         _field(doc, "y2_map"), _field(doc, "y3_map"), _field(doc, "y4_map"),
-        _count(doc, "x2_size"), _count(doc, "x3_size"), grid_res=int(opts.get("grid_res", 6)))
+        _count(doc, "x2_size"), _count(doc, "x3_size"), grid_res=opts["grid_res"])
     return {".json": asdict(res)}
 
 
@@ -237,7 +237,7 @@ def cmd_region_mac(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "mac")
     scenario = build_mac_scenario(doc)
     spec_doc = load_json(opts["spec"])
-    substitution = opts.get("substitution")
+    substitution = opts["substitution"]
     if substitution:
         px1, px2 = _build(Pmf, spec_doc, "px1"), _build(Pmf, spec_doc, "px2")
     if substitution == "lossless":
@@ -264,11 +264,10 @@ def cmd_check_thm1(opts: dict) -> dict:
     doc = load_scenario(opts["scenario"], "p2p")
     scenario = build_p2p_scenario(doc)
     result: dict = {}
-    if opts.get("optimize"):
+    if opts["optimize"]:
         report, spec = bounds.p2p_optimize(
             scenario.source, scenario.channel, scenario.distortion,
-            target_D=float(opts["target_d"]), aux_cap=int(opts.get("aux_cap", 4)),
-            grid_res=int(opts.get("grid_res", 12)))
+            target_D=opts["target_d"], aux_cap=opts["aux_cap"], grid_res=opts["grid_res"])
         result["report"] = asdict(report)
         if spec is not None:
             result["spec"] = {
@@ -279,7 +278,7 @@ def cmd_check_thm1(opts: dict) -> dict:
                 "rate": spec.rate,
             }
     else:
-        if not opts.get("spec"):
+        if not opts["spec"]:
             raise ScenarioError("need --spec FILE or --optimize")
         spec = build_p2p_spec(load_json(opts["spec"]))
         report = bounds.check_p2p(
@@ -306,26 +305,24 @@ def cmd_check_thm3(opts: dict) -> dict:
 
 def cmd_simulate(opts: dict) -> dict:
     seed = opts["seed"]
-    lemma1 = opts.get("lemma1")
+    lemma1 = opts["lemma1"]
     if lemma1:
         doc = load_json(opts["scenario"])
     else:
         doc = load_scenario(opts["scenario"], ("p2p", "mac"))
-    if opts.get("eps_prime") is None:   # a value given on the command line wins
+    if opts["eps_prime"] is None:   # a value given on the command line wins
         opts["eps_prime"] = _number(doc.get("eps_prime", 0.2), "eps_prime") if lemma1 else 0.2
-    eps_prime = float(opts["eps_prime"])
     if lemma1:
         check = sim.lemma1_check(
-            n=int(opts["n"]), rate=_finite(_field(doc, "rate"), "rate"),
-            joint_us=_build(JointPmf, doc, "joint_us"), eps_prime=eps_prime,
-            outer_trials=int(opts["trials"]), seed=seed,
-            min_count=int(opts.get("min_count", 50)))
+            n=opts["n"], rate=_finite(_field(doc, "rate"), "rate"),
+            joint_us=_build(JointPmf, doc, "joint_us"), eps_prime=opts["eps_prime"],
+            outer_trials=opts["trials"], seed=seed, min_count=opts["min_count"])
         check["cells"] = {repr(k): v for k, v in check["cells"].items()}
         return {".json": {"independence_check": check}}
     spec_doc = load_json(opts["spec"])
     configs = [sim.TrialConfig(
-        n=int(n), trials=int(opts["trials"]), epsilon=float(opts["eps"]),
-        epsilon_prime=eps_prime, seed=seed) for n in opts.get("n_sweep") or [int(opts["n"])]]
+        n=n, trials=opts["trials"], epsilon=opts["eps"], epsilon_prime=opts["eps_prime"],
+        seed=seed) for n in opts["n_sweep"] or [opts["n"]]]
     if doc["kind"] == "p2p":
         scenario, spec, run = build_p2p_scenario(doc), build_p2p_spec(spec_doc), sim.run_p2p
     else:
@@ -496,12 +493,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_options(args: argparse.Namespace) -> dict:
     opts = {k: v for k, v in vars(args).items() if k != "subcommand"}
     if args.subcommand == "simulate":
-        if opts.get("n_sweep"):
+        if opts["n_sweep"]:
             try:
-                opts["n_sweep"] = [int(v) for v in str(opts["n_sweep"]).split(",")]
+                opts["n_sweep"] = [int(v) for v in opts["n_sweep"].split(",")]
             except ValueError as exc:
                 raise ScenarioError(f"--n-sweep needs comma-separated integers: {exc}") from exc
-        if not opts.get("lemma1") and not opts.get("spec"):
+        if not opts["lemma1"] and not opts["spec"]:
             raise ScenarioError("simulate needs --spec unless --lemma1 is given")
     if args.subcommand == "check-thm1" and args.optimize and args.target_d is None:
         raise ScenarioError("--optimize requires --target-d")

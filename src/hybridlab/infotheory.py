@@ -2,12 +2,12 @@
 
 Probability vectors, row-stochastic kernels, dense joints, entropies and
 mutual informations (base-2 throughout), plus relative-slack typicality
-(Orlitsky-Roche; El Gamal & Kim, ch. 2).  is_typical is the one-sequence
-definition.  The simulators run every typicality test through one batched
-kernel: typical_table tabulates the test of each cell at every count, and
-typical_pairs reads it for every pair of sequences, with the cell counts
-from one matmul.  All containers are immutable after construction and all
-operations are pure, so everything here is safe to share across workers.
+(Orlitsky-Roche; El Gamal & Kim, ch. 2).  The library has one typicality
+test, a batched kernel: typical_table tabulates the test of each cell at
+every count, and typical_pairs reads it for every pair of sequences, with
+the cell counts from one matmul.  All containers are immutable after
+construction and all operations are pure, so everything here is safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -87,12 +87,6 @@ class Pmf:
     @staticmethod
     def uniform(k: int) -> "Pmf":
         return Pmf(np.full(k, 1.0 / k))
-
-    @staticmethod
-    def point_mass(k: int, index: int) -> "Pmf":
-        v = np.zeros(k)
-        v[index] = 1.0
-        return Pmf(v)
 
 
 @dataclass(frozen=True)
@@ -270,34 +264,6 @@ def compose_joint(
         idx_shape.append(kernel.output_size)
         probs = probs[..., None] * k.reshape(idx_shape)
     return JointPmf(probs)
-
-
-def is_typical(
-    seq: "np.ndarray | SeqT[int] | tuple",
-    ref: "Pmf | JointPmf",
-    epsilon: float,
-) -> bool:
-    """Relative-slack typicality: |count(x)/n - p(x)| <= eps * p(x) for all x.
-
-    `seq` is a single index sequence when `ref` is a Pmf, or a tuple of
-    equal-length sequences (one per axis) when `ref` is a JointPmf.  Symbols
-    of reference probability zero force the corresponding count to be zero.
-    This is the one-sequence definition, counted directly; the simulators
-    use the batched typical_table/typical_pairs kernel.
-    """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
-    if isinstance(ref, Pmf):
-        seq = (seq,)
-    seqs = [np.asarray(s, dtype=int) for s in seq]
-    if len(seqs) != ref.probs.ndim:
-        raise ValueError("tuple arity does not match joint axes")
-    n = seqs[0].size
-    if any(s.size != n for s in seqs):
-        raise ValueError("sequence length mismatch")
-    p = ref.probs.ravel()
-    counts = np.bincount(np.ravel_multi_index(tuple(seqs), ref.probs.shape), minlength=p.size)
-    return bool(np.all(np.abs(counts / n - p) <= epsilon * p))
 
 
 def typical_table(p: np.ndarray, n: int, epsilon: float) -> np.ndarray:

@@ -29,9 +29,10 @@ the MAC decoder's pair search, which scores each trial's own table of
 index pairs and so runs one trial at a time.  It scores only the pairs of
 codewords whose (u_k, y) cell counts, found for the whole chunk at once,
 some typical triple can have, and that is exact (see run_mac).  Every
-typicality test, at the encoders and the decoders, goes through
-infotheory's one kernel: a matmul of one-hot layouts gives each pair's cell
-counts, and a table of the test at every count 0..n decides each cell.
+typicality test, at the encoders, the decoders and the exact n = 2 oracle,
+goes through infotheory's one kernel: a matmul of one-hot layouts gives
+each pair's cell counts, and a table of the test at every count 0..n
+decides each cell.
 Every symbol, whether source, codeword or channel output, comes from one
 inverse cdf (_symbols).  Every stream draws the same values in the same
 order as a trial-by-trial loop would, so the reports do not depend on the
@@ -50,8 +51,8 @@ import numpy as np
 
 from .bounds import HybridCodeSpec, MacHybridSpec, _mac_joint, _p2p_joint
 from .infotheory import (MEMORY_CAP_SYMBOLS, ConditionalPmf, DistortionMeasure,
-                         JointPmf, MemoryCapError, Pmf, ScenarioError, is_typical,
-                         typical_pairs, typical_table)
+                         JointPmf, MemoryCapError, Pmf, ScenarioError, typical_pairs,
+                         typical_table)
 
 # Codeword symbols per chunk of batched trials.  A chunk holds several int64
 # and float64 arrays per symbol, about 600 kB in all at 2^13; 2^15 raised
@@ -737,49 +738,43 @@ def lemma1_check(n: int, rate: float, joint_us: JointPmf, eps_prime: float,
 def lemma1_exact_n2(rate: float, joint_us: JointPmf, eps_prime: float) -> dict:
     """Exact conditional law of the unselected codeword at blocklength 2.
 
-    Enumerates every (codebook, source block) combination for the two-word
-    codebook, computes the exact probability that index 0 is selected under
-    the typicality rule with uniform tie-break, and returns per-cell
-    conditional pmfs of codeword 1 plus the overall maximum ratio to the
-    i.i.d. generation pmf.
+    Weighs every (codeword 0, source block, codeword 1) combination of the
+    two-word codebook by its probability times the chance that index 0 is
+    selected under the typicality rule with uniform tie-break; one
+    typical_pairs call tests every source block against every codeword
+    pattern.  Returns per-cell conditional pmfs of codeword 1, with cells
+    keyed (codeword 0, source block) in sorted order, plus the overall
+    maximum ratio to the i.i.d. generation pmf.  The |S|^2 |U|^4 table of
+    combinations is capped at MEMORY_CAP_SYMBOLS entries.
     """
-    n = 2
-    if codebook_size(n, rate) != 2:
+    if codebook_size(2, rate) != 2:
         raise ValueError("oracle covers exactly the two-codeword regime")
+    if not math.inf > eps_prime > 0:
+        raise ScenarioError("lemma1_exact_n2 needs a finite eps_prime > 0")
     u_size, s_size = joint_us.dims
-    p_u = joint_us.marginal_pmf(0).probs
-    p_s = joint_us.marginal_pmf(1).probs
-    patterns = list(iproduct(range(u_size), repeat=n))
-    s_blocks = list(iproduct(range(s_size), repeat=n))
-    pat_prob = {pat: float(np.prod(p_u[list(pat)])) for pat in patterns}
-    cell_mass: dict[tuple, dict[tuple, float]] = {}
-    for s_pat in s_blocks:
-        ps = float(np.prod(p_s[list(s_pat)]))
-        if ps == 0:
-            continue
-        for c0 in patterns:
-            for c1 in patterns:
-                w = ps * pat_prob[c0] * pat_prob[c1]
-                if w == 0:
-                    continue
-                hits = [is_typical((c, s_pat), joint_us, eps_prime) for c in (c0, c1)]
-                if hits[0]:
-                    p_sel = 0.5 if hits[1] else 1.0
-                elif hits[1]:
-                    p_sel = 0.0
-                else:
-                    p_sel = 0.5
-                if p_sel == 0:
-                    continue
-                cell = cell_mass.setdefault((c0, s_pat), {})
-                cell[c1] = cell.get(c1, 0.0) + w * p_sel
-    result = {}
-    max_ratio = 0.0
-    for (c0, s_pat), dist in sorted(cell_mass.items()):
-        total = sum(dist.values())
-        cond = {c1: v / total for c1, v in dist.items()}
-        for c1, q in cond.items():
-            if pat_prob[c1] > 0:
-                max_ratio = max(max_ratio, q / pat_prob[c1])
-        result[(c0, s_pat)] = {"mass": total, "conditional": cond}
-    return {"cells": result, "max_ratio": max_ratio}
+    if s_size ** 2 * u_size ** 4 > MEMORY_CAP_SYMBOLS:
+        raise MemoryCapError(f"{s_size}^2 * {u_size}^4 (source block, codeword pair) "
+                             f"combinations exceed the cap of {MEMORY_CAP_SYMBOLS}")
+    # Length-2 patterns of each alphabet in C order, and their probabilities.
+    patterns = list(iproduct(range(u_size), repeat=2))
+    blocks = list(iproduct(range(s_size), repeat=2))
+    p_pat, p_block = (np.multiply.outer(p, p).ravel() for p in
+                      (joint_us.marginal_pmf(0).probs, joint_us.marginal_pmf(1).probs))
+    hit = typical_pairs(np.array(blocks), np.array(patterns),
+                        typical_table(joint_us.probs.T, 2, eps_prime))
+    # Axes (codeword 0, source block, codeword 1).  Index 0 is selected
+    # surely when only codeword 0 is typical, never when only codeword 1
+    # is, and with chance 1/2 otherwise.
+    p_sel = (1.0 + hit.T[:, :, None] - hit) / 2
+    weight = p_block[:, None] * p_pat[:, None, None] * p_pat
+    mass, kept = weight * p_sel, (weight != 0) & (p_sel != 0)
+    p_pat = p_pat.tolist()
+    cells, max_ratio = {}, 0.0
+    for c0, s in np.argwhere(kept.any(axis=2)).tolist():
+        c1s = np.flatnonzero(kept[c0, s]).tolist()
+        dist = mass[c0, s, c1s].tolist()
+        total = sum(dist)
+        cond = {patterns[c1]: v / total for c1, v in zip(c1s, dist)}
+        max_ratio = max(max_ratio, *(q / p_pat[c1] for c1, q in zip(c1s, cond.values())))
+        cells[patterns[c0], blocks[s]] = {"mass": total, "conditional": cond}
+    return {"cells": cells, "max_ratio": max_ratio}

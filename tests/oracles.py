@@ -8,15 +8,17 @@ U3 = (Y3, X3) the two must agree term by term.  reference_det_diamond is
 that maximizer's winner rule applied to every candidate's closed-form terms
 at once, with no factored filter.  enumerate_simplex is the plain recursive
 listing of the simplex grid that `search.simplex_grid_array` builds at once.
-exact_p_e1 is the covering-failure probability P(E1) of the p2p random
-codebook, summed over types instead of sampled.
+is_typical is relative-slack typicality counted one sequence at a time,
+the definition that the library's batched typical_table/typical_pairs
+kernel is checked against.  exact_p_e1 is the covering-failure probability
+P(E1) of the p2p random codebook, summed over types instead of sampled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence as SeqT
 
 import numpy as np
 
@@ -171,6 +173,34 @@ def reference_det_diamond(y2_map, y3_map, y4_map, x2_size, x3_size, grid_res=6):
         argmax={fam: {"px1": px1_grid[key[0]].tolist(), "candidate_index": key[1],
                       "binding": names[bind]}
                 for fam, (_, bind, key) in best.items()})
+
+
+def is_typical(
+    seq: "np.ndarray | SeqT[int] | tuple",
+    ref: "Pmf | JointPmf",
+    epsilon: float,
+) -> bool:
+    """Relative-slack typicality: |count(x)/n - p(x)| <= eps * p(x) for all x.
+
+    `seq` is a single index sequence when `ref` is a Pmf, or a tuple of
+    equal-length sequences (one per axis) when `ref` is a JointPmf.  Symbols
+    of reference probability zero force the corresponding count to be zero.
+    This is the one-sequence definition, counted directly; the simulators
+    use the batched typical_table/typical_pairs kernel.
+    """
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    if isinstance(ref, Pmf):
+        seq = (seq,)
+    seqs = [np.asarray(s, dtype=int) for s in seq]
+    if len(seqs) != ref.probs.ndim:
+        raise ValueError("tuple arity does not match joint axes")
+    n = seqs[0].size
+    if any(s.size != n for s in seqs):
+        raise ValueError("sequence length mismatch")
+    p = ref.probs.ravel()
+    counts = np.bincount(np.ravel_multi_index(tuple(seqs), ref.probs.shape), minlength=p.size)
+    return bool(np.all(np.abs(counts / n - p) <= epsilon * p))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

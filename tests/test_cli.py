@@ -2,8 +2,11 @@ import ast
 import hashlib
 import json
 import math
+import re
+import shlex
 import time
 from importlib import resources
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -729,6 +732,27 @@ class TestPinnedOutputs:
 class TestParser:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+
+
+def readme_commands() -> list[str]:
+    """The `hybridlab ...` lines of README's sh blocks, continuations joined."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        lines += block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("hybridlab ")]
+
+
+class TestReadme:
+    def test_cli_examples_run_as_written(self, tmp_path, monkeypatch):
+        # Each command runs in order, so later ones read what earlier ones
+        # wrote (plot reads sweep.csv); $SCEN is the bundled scenarios.
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert len(commands) == 10
+        for line in commands:
+            argv = shlex.split(line.replace("$SCEN", str(SCENARIOS)), comments=True)
+            assert run(argv[1:]) == 0, line
 
 
 class TestReplay:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hybridlab import bounds, cli, sim
 from hybridlab.bounds import HybridCodeSpec, MacHybridSpec, lossless_mac_spec
 from hybridlab.infotheory import (ConditionalPmf, DistortionMeasure, JointPmf, Pmf,
-                                  ScenarioError, is_typical, typical_pairs, typical_table)
+                                  ScenarioError, typical_pairs, typical_table)
 from hybridlab.sim import (
     MacScenario,
     MemoryCapError,
@@ -25,7 +26,7 @@ from hybridlab.sim import (
     run_mac,
     run_p2p,
 )
-from oracles import compositions, covering_mass, exact_p_e1
+from oracles import compositions, covering_mass, exact_p_e1, is_typical
 
 UNIF2 = Pmf.uniform(2)
 HAMMING2 = DistortionMeasure.hamming(2)
@@ -755,6 +756,35 @@ class TestInverseCdf:
 IDENTITY_COUPLING = JointPmf(np.eye(2) / 2)
 
 
+def lemma1_pin_inputs():
+    """(rate, joint_us, eps_prime) for the exact n = 2 oracle: lemma1.json,
+    the identity coupling at five slacks, and 320 seeded random joints with
+    |U| and |S| in 1..4, zero cells and slacks from 0.05 to 10.  Every other
+    joint has dyadic cells and a round slack, so some counts sit exactly on
+    the typicality boundary."""
+    doc = json.loads((SCENARIOS / "lemma1.json").read_text())
+    yield doc["rate"], JointPmf(doc["joint_us"]), doc["eps_prime"]
+    for eps_prime in (0.05, 0.25, 0.5, 1.0, 2.0):
+        yield 0.5, IDENTITY_COUPLING, eps_prime
+    rng = np.random.default_rng(20261020)
+    for i in range(320):
+        u_size, s_size = rng.integers(1, 5, size=2)
+        if i % 2:
+            probs = rng.integers(0, 4, size=(u_size, s_size)).astype(float)
+            eps_prime = float(rng.choice([0.05, 0.25, 0.5, 1.0, 2.0, 3.0, 10.0]))
+        else:
+            probs = rng.random((u_size, s_size)) * (rng.random((u_size, s_size)) >= 0.3)
+            eps_prime = float(np.exp(rng.uniform(np.log(0.05), np.log(10.0))))
+        probs.flat[rng.integers(probs.size)] += 1.0
+        yield float(rng.uniform(0.5, 0.75)), JointPmf(probs / probs.sum()), eps_prime
+
+
+# sha256 of the reprs of lemma1_exact_n2 over lemma1_pin_inputs (every mass
+# and ratio, and the order of the cells), recorded from a loop that tested
+# each combination with the one-sequence is_typical.
+LEMMA1_EXACT_PIN = "3a6ab6a76cef82d3a120582b67c1dfd38d83c0fc6cf7926321c70bdfb6ec7170"
+
+
 class TestLemma1:
     def test_exact_oracle_identity_coupling(self):
         res = lemma1_exact_n2(0.5, IDENTITY_COUPLING, eps_prime=0.25)
@@ -762,9 +792,29 @@ class TestLemma1:
         for cell in res["cells"].values():
             assert sum(cell["conditional"].values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_exact_oracle_pinned(self):
+        digest = hashlib.sha256()
+        for rate, joint_us, eps_prime in lemma1_pin_inputs():
+            digest.update(repr(lemma1_exact_n2(rate, joint_us, eps_prime)).encode())
+        assert digest.hexdigest() == LEMMA1_EXACT_PIN
+
     def test_exact_oracle_rejects_other_sizes(self):
         with pytest.raises(ValueError):
             lemma1_exact_n2(1.5, IDENTITY_COUPLING, eps_prime=0.25)
+
+    @pytest.mark.parametrize("eps_prime", [0.0, -1.0, math.inf, math.nan])
+    def test_exact_oracle_rejects_bad_slack(self, eps_prime):
+        with pytest.raises(ScenarioError):
+            lemma1_exact_n2(0.5, IDENTITY_COUPLING, eps_prime)
+
+    def test_exact_oracle_capped_before_allocating(self, monkeypatch):
+        # |S|^2 |U|^4 = 64 combinations for the identity coupling.
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 64)
+        assert lemma1_exact_n2(0.5, IDENTITY_COUPLING, 0.25)["cells"]
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", 63)
+        monkeypatch.setattr(sim, "typical_pairs", None)     # no table may be built
+        with pytest.raises(MemoryCapError):
+            lemma1_exact_n2(0.5, IDENTITY_COUPLING, 0.25)
 
     def test_empirical_check_deterministic(self):
         a = lemma1_check(2, 0.5, IDENTITY_COUPLING, 0.25, outer_trials=400,
