@@ -34,7 +34,7 @@ from .infotheory import (
     entropy,
     mutual_information,
 )
-from .search import simplex_grid_array
+from .search import first_near_max, simplex_grid_array
 
 MARGIN = 1e-9
 BA_TOL = 1e-9
@@ -165,7 +165,7 @@ def _p2p_joint(source: Pmf, channel: ConditionalPmf, d: DistortionMeasure,
     _check_map(spec.dec_map, "dec_map", (u_size, channel.output_size), d.table.shape[1])
     enc = ConditionalPmf.deterministic(spec.enc_map, channel.input_size)
     return compose_joint(
-        JointPmf.from_pmf(source),
+        JointPmf(source.probs),
         [(spec.aux_kernel, [0]), (enc, [1, 0]), (channel, [2])],
     )
 
@@ -980,13 +980,12 @@ def det_diamond_bounds(
     family a(x2|y2) b(x3|y3) and the independent family (row-constant a and
     b), _cutset_values for the joint (cutset) family.  Its winner is the
     first (px1 index, candidate index) whose filter value is at least the
-    family's largest minus DIAMOND_TIE_TOL: one pass over px1 records each
-    row's largest value, and the first row that reaches that band is
-    evaluated again to find its first candidate in it.  _det_diamond_terms
-    of that one candidate gives the reported value (0.0, never -0.0, for a
-    zero rate) and binding term.  The filters agree with _det_diamond_terms
-    to a few ulps, so the winner does not depend on their summation order
-    as long as no value lies closer to the band's edge than that.
+    family's largest minus DIAMOND_TIE_TOL (first_near_max, one row per
+    px1).  _det_diamond_terms of that one candidate gives the reported value
+    (0.0, never -0.0, for a zero rate) and binding term.  The filters agree
+    with _det_diamond_terms to a few ulps, so the winner does not depend on
+    their summation order as long as no value lies closer to the band's edge
+    than that.
 
     Raises MemoryCapError before allocating when one px1 row of the hybrid
     family, Na * Nb values with Na = G2^|Y2| and Nb = G3^|Y3| candidate
@@ -1033,10 +1032,8 @@ def det_diamond_bounds(
     shape = (1, y2_size, y3_size, x2_size, x3_size)
     best = {}
     for fam, (values, candidate, family) in families.items():
-        tops = [values(p23, family).max() for p23 in p23_grid]
-        floor = max(tops) - DIAMOND_TIE_TOL
-        pi = next(i for i, top in enumerate(tops) if top >= floor)
-        k = int(np.argmax(values(p23_grid[pi], family) >= floor))
+        pi, k, _ = first_near_max(lambda i: values(p23_grid[i], family), len(p23_grid),
+                                  DIAMOND_TIE_TOL)
         cond = np.broadcast_to(candidate(family, k), shape)
         terms = _det_diamond_terms(px1_grid[pi], y2_map, y3_map, y4_onehot, cond)[:, 0]
         best[fam] = (float(terms.min()) + 0.0, int(terms.argmin()), (pi, k))

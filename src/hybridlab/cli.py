@@ -47,9 +47,9 @@ from .infotheory import (
 
 def load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
@@ -388,9 +388,9 @@ def render_svg(header: list[str], rows: list[list[float]]) -> str:
 
 def cmd_plot(opts: dict) -> dict:
     try:
-        with open(opts["csv"]) as fh:
+        with open(opts["csv"], encoding="utf-8") as fh:
             reader = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {opts['csv']}: {exc}") from exc
     cells = [row for row in reader[1:] if row]
     if not cells:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .infotheory import ScenarioError
-from .search import coordinate_descent_triangle, golden_refine
+from .search import coordinate_descent_triangle, first_near_max, golden_refine
 
 SIGMA2_GRID_LO = 1e-3
 SIGMA2_GRID_HI = 1e6
@@ -207,8 +207,7 @@ def _optimize_sigma(terms) -> float:
     vals = _grid_sums(*terms(grid))
     i = int(np.argmax(vals))
     x, v, _ = golden_refine(lambda t: _grid_sums(*terms(math.exp(t))),
-                            math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, grid.size - 1)]),
-                            tol=1e-10, max_iter=200)
+                            math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, grid.size - 1)]))
     return math.exp(x) if v >= vals[i] else float(grid[i])
 
 
@@ -232,21 +231,20 @@ def optimize_scheme(ch: GaussianTwrcParams, scheme: str) -> OptimizedScheme:
 def _grid_incumbent(ch: GaussianTwrcParams) -> tuple:
     """Coarse (alpha, beta, sigma2) grid argmax: (v, alpha, beta, sigma2).
 
-    Each alpha row is scored in one array call, and the first strict maximum
-    in (alpha, beta, sigma2) order wins, as a scalar triple loop would pick.
+    Each alpha row is scored in one array call, and the first maximum in
+    (alpha, beta, sigma2) order wins, as a scalar triple loop would pick.
     """
     step = ALPHA_BETA_STEP
     n = int(round(1.0 / step))
     s2 = _log_sigma_grid()[::6]
-    best = (-1.0, 0.0, 0.0, s2[0])
-    for ia in range(n + 1):
-        alpha = ia * step
+
+    def row(ia):
         betas = np.arange(n - ia + 1)[:, None] * step
-        vals = _grid_sums(*_hc_general_terms(ch, alpha, betas, s2))
-        ib, js = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[ib, js] > best[0]:
-            best = (float(vals[ib, js]), alpha, int(ib) * step, s2[js])
-    return best
+        return _grid_sums(*_hc_general_terms(ch, ia * step, betas, s2))
+
+    ia, k, v = first_near_max(row, n + 1, 0.0)
+    ib, js = divmod(k, s2.size)
+    return v, ia * step, ib * step, s2[js]
 
 
 def _optimize_general(ch: GaussianTwrcParams) -> OptimizedScheme:

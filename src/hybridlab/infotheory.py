@@ -48,8 +48,9 @@ def as_table(values, name: str, whole: bool = False) -> np.ndarray:
         t = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{name} must be a numeric array: {exc}") from exc
-    if whole and not np.all((t >= 0) & (np.mod(t, 1) == 0)):
-        raise ScenarioError(f"{name} symbols must be nonnegative integers")
+    # In range first: np.mod warns on inf, and the cast wraps at 2**63.
+    if whole and not (np.all((t >= 0) & (t < 2.0 ** 63)) and np.all(np.mod(t, 1) == 0)):
+        raise ScenarioError(f"{name} symbols must be nonnegative integers below 2**63")
     return t.astype(int) if whole else t
 
 
@@ -84,10 +85,6 @@ class Pmf:
     def alphabet_size(self) -> int:
         return self.probs.size
 
-    @staticmethod
-    def uniform(k: int) -> "Pmf":
-        return Pmf(np.full(k, 1.0 / k))
-
 
 @dataclass(frozen=True)
 class ConditionalPmf:
@@ -113,10 +110,6 @@ class ConditionalPmf:
     @staticmethod
     def identity(k: int) -> "ConditionalPmf":
         return ConditionalPmf(np.eye(k))
-
-    @staticmethod
-    def bsc(p: float) -> "ConditionalPmf":
-        return ConditionalPmf([[1 - p, p], [p, 1 - p]])
 
     @staticmethod
     def deterministic(table, output_size: int) -> "ConditionalPmf":
@@ -149,10 +142,6 @@ class JointPmf:
     @property
     def num_axes(self) -> int:
         return self.probs.ndim
-
-    @staticmethod
-    def from_pmf(p: Pmf) -> "JointPmf":
-        return JointPmf(p.probs)
 
     @staticmethod
     def product(*parts: "Pmf | JointPmf") -> "JointPmf":
@@ -199,10 +188,6 @@ class DistortionMeasure:
                 "distortion table must be 2-D and nonempty with finite nonnegative entries")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
-
-    @staticmethod
-    def hamming(k: int) -> "DistortionMeasure":
-        return DistortionMeasure(1.0 - np.eye(k))
 
 
 def entropy(p: "Pmf | JointPmf | np.ndarray") -> float:

@@ -1,7 +1,7 @@
 """Deterministic optimization helpers shared by the bound evaluators.
 
-Simplex grids, golden-section refinement and coordinate descent.  All
-routines are pure and deterministic given their arguments.
+Simplex grids, the grid-winner rule, golden section and coordinate
+descent.  All routines are pure and deterministic given their arguments.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from typing import Callable
 import numpy as np
 
 GOLDEN = (sqrt(5.0) - 1.0) / 2.0
+# Golden section's bracket width and step cap (converged=False when hit).
+GOLDEN_TOL = 1e-10
+GOLDEN_MAX_ITER = 200
 # Refinement accepts only improvements beyond this to avoid cycling on
 # piecewise-smooth objectives.
 IMPROVE_TOL = 1e-12
@@ -38,30 +41,39 @@ def simplex_grid_array(k: int, m: int) -> np.ndarray:
     return gaps / m
 
 
-def golden_refine(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> tuple[float, float, bool]:
+def first_near_max(values: Callable[[int], np.ndarray], rows: int,
+                   tol: float) -> tuple[int, int, float]:
+    """The first entry whose value is at least the largest minus tol.
+
+    values(i) scores row i; entries are ordered by row, then in C order
+    within a row.  One pass records each row's largest value, and only the
+    first row that reaches the band is scored again.  Returns (row, C-order
+    index within that row, value).
+    """
+    tops = [np.max(values(i)) for i in range(rows)]
+    floor = max(tops) - tol
+    row = next(i for i, top in enumerate(tops) if top >= floor)
+    vals = np.ravel(values(row))
+    k = int(np.argmax(vals >= floor))
+    return row, k, float(vals[k])
+
+
+def golden_refine(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, bool]:
     """Golden-section maximization on [lo, hi].
 
-    Returns (x, f(x), converged); `converged` is False when the iteration cap
-    was hit before the bracket shrank below tol.
+    Returns (x, f(x), converged); `converged` is False when GOLDEN_MAX_ITER
+    steps did not shrink the bracket below GOLDEN_TOL.
     """
     if not lo < hi:
         raise ValueError("invalid bracket")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     converged = True
     it = 0
-    while b - a > tol:
-        if it >= max_iter:
+    while b - a > GOLDEN_TOL:
+        if it >= GOLDEN_MAX_ITER:
             converged = False
             break
         if f1 < f2:
@@ -82,7 +94,7 @@ def golden_refine(
 def coordinate_descent_triangle(
     f: Callable[[float, float], float],
     start: tuple[float, float],
-    steps: tuple[float, ...] = (0.02, 0.005, 0.001),
+    steps: tuple[float, ...],
 ) -> tuple[tuple[float, float], float]:
     """Coordinate ascent of f(alpha, beta) on {a, b >= 0, a + b <= 1}.
 

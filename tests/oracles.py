@@ -12,6 +12,8 @@ is_typical is relative-slack typicality counted one sequence at a time,
 the definition that the library's batched typical_table/typical_pairs
 kernel is checked against.  exact_p_e1 is the covering-failure probability
 P(E1) of the p2p random codebook, summed over types instead of sampled.
+uniform_pmf, bsc_kernel and hamming_measure build the tests' common source,
+channel and distortion.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from hybridlab import bounds
 from hybridlab.bounds import BoundReport, Constraint
 from hybridlab.infotheory import (
     ConditionalPmf,
+    DistortionMeasure,
     JointPmf,
     Pmf,
     ScenarioError,
@@ -36,6 +39,19 @@ from hybridlab.infotheory import (
     typical_table,
 )
 from hybridlab.search import simplex_grid_array
+
+
+def uniform_pmf(k: int) -> Pmf:
+    return Pmf(np.full(k, 1.0 / k))
+
+
+def bsc_kernel(p: float) -> ConditionalPmf:
+    """Binary symmetric channel with crossover probability p."""
+    return ConditionalPmf([[1 - p, p], [p, 1 - p]])
+
+
+def hamming_measure(k: int) -> DistortionMeasure:
+    return DistortionMeasure(1.0 - np.eye(k))
 
 
 def enumerate_simplex(k: int, m: int) -> Iterator[np.ndarray]:
@@ -87,7 +103,7 @@ def diamond_bound(
         raise ScenarioError("broadcast output does not factor as (y2, y3)")
     if x2_size * x3_size != mac.input_size:
         raise ScenarioError("MAC rows must be indexed by (x2, x3)")
-    j0 = compose_joint(JointPmf.from_pmf(spec.px1), [(broadcast, [0])])
+    j0 = compose_joint(JointPmf(spec.px1.probs), [(broadcast, [0])])
     j0 = j0.split_axis(1, (y2_size, y3_size))       # (x1, y2, y3)
     enc2 = ConditionalPmf.deterministic(spec.map2, x2_size)
     enc3 = ConditionalPmf.deterministic(spec.map3, x3_size)

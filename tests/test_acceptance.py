@@ -16,10 +16,11 @@ import pytest
 
 from hybridlab import bounds, cli, gaussian_twrc, sim
 from hybridlab.infotheory import ConditionalPmf, DistortionMeasure, JointPmf, Pmf
+from oracles import bsc_kernel, hamming_measure, uniform_pmf
 
 SCENARIOS = resources.files("hybridlab") / "scenarios"
-HAMMING2 = DistortionMeasure.hamming(2)
-UNIF2 = Pmf.uniform(2)
+HAMMING2 = hamming_measure(2)
+UNIF2 = uniform_pmf(2)
 
 
 def scen(name: str) -> str:
@@ -96,7 +97,7 @@ def test_criterion_3_scheme_special_cases():
 
 
 def test_criterion_4_separation_recovery():
-    channel = ConditionalPmf.bsc(0.1)
+    channel = bsc_kernel(0.1)
     targets = [round(0.02 * i, 10) for i in range(1, 26)]   # 0.02 .. 0.50
     with Budget(5.0):
         achievable = bounds.p2p_feasibility_sweep(
@@ -128,7 +129,7 @@ def test_criterion_5_mac_substitution_identities():
         # Distributed-compression substitution over the noiseless pair channel.
         doc = load("mac_noiseless_pair.json")
         sources = JointPmf(doc["sources"])
-        k1, k2 = ConditionalPmf.bsc(0.2), ConditionalPmf.bsc(0.3)
+        k1, k2 = bsc_kernel(0.2), bsc_kernel(0.3)
         spec = bounds.distributed_mac_spec(k1, k2, UNIF2, UNIF2)
         rep = bounds.mac_region_check(sources, ConditionalPmf.identity(4),
                                       HAMMING2, HAMMING2, spec, 2, 2)
@@ -139,7 +140,7 @@ def test_criterion_5_mac_substitution_identities():
 
 
 def test_criterion_6_uncoded_distortion():
-    scenario = sim.P2pScenario(source=UNIF2, channel=ConditionalPmf.bsc(0.1),
+    scenario = sim.P2pScenario(source=UNIF2, channel=bsc_kernel(0.1),
                                distortion=HAMMING2)
     spec = bounds.HybridCodeSpec.uncoded(enc=[0, 1], dec=[0, 1], num_sources=2)
     with Budget(0.7):

@@ -36,15 +36,16 @@ from hybridlab.infotheory import (
     ScenarioError,
 )
 from hybridlab.search import simplex_grid_array
-from oracles import DiamondSpec, diamond_bound, reference_det_diamond, relay_forwarding_spec
+from oracles import (DiamondSpec, bsc_kernel, diamond_bound, hamming_measure, reference_det_diamond,
+                     relay_forwarding_spec, uniform_pmf)
 
 
 def h2(p):
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-HAMMING2 = DistortionMeasure.hamming(2)
-UNIF2 = Pmf.uniform(2)
+HAMMING2 = hamming_measure(2)
+UNIF2 = uniform_pmf(2)
 CRITERION4_TARGETS = [round(0.02 * i, 10) for i in range(1, 26)]
 
 
@@ -56,7 +57,7 @@ def bec(e):
 class TestCheckP2p:
     def test_uncoded_satisfied_by_convention(self):
         spec = HybridCodeSpec.uncoded(enc=[0, 1], dec=[0, 1], num_sources=2)
-        rep = check_p2p(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, spec)
+        rep = check_p2p(UNIF2, bsc_kernel(0.1), HAMMING2, spec)
         assert rep.satisfied
         assert rep.info["uncoded"]
         c = rep.constraints[0]
@@ -68,7 +69,7 @@ class TestCheckP2p:
         # holds with a wide gap.
         spec = HybridCodeSpec(
             aux_size=2,
-            aux_kernel=ConditionalPmf.bsc(0.3),
+            aux_kernel=bsc_kernel(0.3),
             enc_map=[[0, 0], [1, 1]],
             dec_map=[[0, 1, 0], [0, 1, 1]],
             rate=0.35,
@@ -84,12 +85,12 @@ class TestCheckP2p:
         # lhs is I(S;Shat) of the test channel, rhs is I(X;Y).
         spec = HybridCodeSpec(
             aux_size=2,
-            aux_kernel=ConditionalPmf.bsc(0.2),
+            aux_kernel=bsc_kernel(0.2),
             enc_map=[[0, 0], [1, 1]],
             dec_map=[[0, 0], [1, 1]],
             rate=0.5,
         )
-        rep = check_p2p(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, spec)
+        rep = check_p2p(UNIF2, bsc_kernel(0.1), HAMMING2, spec)
         c = rep.constraints[0]
         assert c.lhs == pytest.approx(1 - h2(0.2), abs=1e-12)
         # Here x = u and u is uniform, so rhs is the BSC mutual information.
@@ -112,7 +113,7 @@ class TestCheckP2p:
 
 class TestBlahutArimoto:
     def test_bsc_capacity(self):
-        assert capacity(ConditionalPmf.bsc(0.1)) == pytest.approx(1 - h2(0.1), abs=1e-8)
+        assert capacity(bsc_kernel(0.1)) == pytest.approx(1 - h2(0.1), abs=1e-8)
 
     def test_bec_capacity(self):
         assert capacity(bec(0.5)) == pytest.approx(0.5, abs=1e-8)
@@ -127,7 +128,7 @@ class TestBlahutArimoto:
     @settings(max_examples=30, deadline=None)
     def test_bsc_capacity_formula(self, p):
         expect = 1.0 if p in (0.0,) else (0.0 if p == 0.5 else 1 - h2(p))
-        assert capacity(ConditionalPmf.bsc(p)) == pytest.approx(expect, abs=1e-7)
+        assert capacity(bsc_kernel(p)) == pytest.approx(expect, abs=1e-7)
 
     def test_rd_uniform_binary(self):
         for D in CRITERION4_TARGETS:
@@ -145,7 +146,7 @@ class TestBlahutArimoto:
         # within 1e-15 of D while D - D(hi) is still 2.4e-5; a stop on that
         # |D(beta) - D| alone returns hi's line 1.6e-9 below R(D).
         expect = math.log2(3) - h2(D) - D
-        got = rd_function(Pmf.uniform(3), DistortionMeasure.hamming(3), D)
+        got = rd_function(uniform_pmf(3), hamming_measure(3), D)
         assert got == pytest.approx(expect, abs=1e-14)
 
     def test_rd_positive_row_minimum(self):
@@ -189,43 +190,43 @@ class TestBlahutArimoto:
 
 class TestP2pOptimize:
     def test_uncoded_hits_crossover_distortion(self):
-        rep, spec = p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+        rep, spec = p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2,
                                  target_D=0.10, aux_cap=2, grid_res=4)
         assert rep.info["achievable"]
         assert rep.info["uncoded_distortion"] == pytest.approx(0.1, abs=1e-12)
 
     def test_infeasible_below_channel_limit(self):
         # R(0.02) > C for BSC(0.1), so no spec can satisfy the condition.
-        rep, _ = p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+        rep, _ = p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2,
                               target_D=0.02, aux_cap=2, grid_res=4)
         assert not rep.info["achievable"]
 
     def test_loose_target_achievable(self):
-        rep, spec = p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+        rep, spec = p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2,
                                  target_D=0.45, aux_cap=2, grid_res=4)
         assert rep.info["achievable"]
         assert spec is not None
 
     def test_deterministic_tie_break(self):
-        a = p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+        a = p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2,
                          target_D=0.3, aux_cap=2, grid_res=3)
-        b = p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+        b = p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2,
                          target_D=0.3, aux_cap=2, grid_res=3)
         assert np.array_equal(a[1].enc_map, b[1].enc_map)
         assert np.allclose(a[1].aux_kernel.rows, b[1].aux_kernel.rows)
 
     def test_sweep_matches_single_calls(self):
         targets = [0.05, 0.15, 0.3]
-        sweep = p2p_feasibility_sweep(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+        sweep = p2p_feasibility_sweep(UNIF2, bsc_kernel(0.1), HAMMING2,
                                       targets, aux_cap=2, grid_res=4)
-        singles = [p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+        singles = [p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2,
                                 target_D=t, aux_cap=2, grid_res=4)[0].info["achievable"]
                    for t in targets]
         assert sweep == singles
 
     def test_sweep_monotone(self):
         targets = [round(0.02 * i, 10) for i in range(1, 25)]
-        sweep = p2p_feasibility_sweep(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+        sweep = p2p_feasibility_sweep(UNIF2, bsc_kernel(0.1), HAMMING2,
                                       targets, aux_cap=2, grid_res=4)
         # Once a target is achievable every looser target stays achievable.
         first = sweep.index(True)
@@ -233,14 +234,14 @@ class TestP2pOptimize:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+            p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2,
                          target_D=0.1, aux_cap=0)
 
     def test_column_codes_past_int64(self):
         # An 11-symbol source at grid 52 has columns of code 53^11 - 1, past
         # int64; wrapped, the one aux-size-1 kernel read as all zero and the
         # scan found no candidate.
-        args = (Pmf.uniform(11), ConditionalPmf.bsc(0.1), DistortionMeasure.hamming(11), 1.0, 1)
+        args = (uniform_pmf(11), bsc_kernel(0.1), hamming_measure(11), 1.0, 1)
         assert bounds._count_codes(np.full((1, 11), 52), 52, 1).tolist() == [53 ** 11 - 1]
         assert bounds._p2p_winner(*args, 52) == bounds._p2p_winner(*args, 1)
 
@@ -251,12 +252,12 @@ class TestP2pOptimize:
             raise AssertionError("built the encoder maps before the cap check")
 
         monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 800)
-        p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=0.1,
+        p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2, target_D=0.1,
                      aux_cap=2, grid_res=4)
         monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 799)
         monkeypatch.setattr(bounds, "_digits", no_tables)
         with pytest.raises(MemoryCapError, match="16 encoder maps at aux size 2 need 800"):
-            p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=0.1,
+            p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2, target_D=0.1,
                          aux_cap=2, grid_res=4)
 
     def test_quaternary_scan_over_cap(self, monkeypatch):
@@ -267,8 +268,8 @@ class TestP2pOptimize:
 
         monkeypatch.setattr(bounds, "_digits", no_tables)
         with pytest.raises(MemoryCapError, match="4294967296 encoder maps"):
-            p2p_feasibility_sweep(Pmf.uniform(4), ConditionalPmf(np.eye(4)),
-                                  DistortionMeasure.hamming(4), [0.1], aux_cap=4, grid_res=1)
+            p2p_feasibility_sweep(uniform_pmf(4), ConditionalPmf(np.eye(4)),
+                                  hamming_measure(4), [0.1], aux_cap=4, grid_res=1)
 
     def test_row_grid_over_cap_raises_before_allocating(self, monkeypatch):
         # Grid 400 at aux size 4 has C(403, 3) = 10827401 simplex rows of 4
@@ -279,7 +280,7 @@ class TestP2pOptimize:
 
         monkeypatch.setattr(bounds, "simplex_grid_array", no_grid)
         with pytest.raises(MemoryCapError, match="10827401 rows, 43309604 entries"):
-            p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=0.15,
+            p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2, target_D=0.15,
                          aux_cap=4, grid_res=400)
 
     def test_row_grid_cap_is_exact(self, monkeypatch):
@@ -303,10 +304,10 @@ class TestP2pOptimize:
 
         monkeypatch.setattr(bounds, "_canonical_kernels", no_chunks)
         with pytest.raises(ScenarioError, match="must be finite"):
-            p2p_feasibility_sweep(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, [0.1, bad],
+            p2p_feasibility_sweep(UNIF2, bsc_kernel(0.1), HAMMING2, [0.1, bad],
                                   aux_cap=2, grid_res=4)
         with pytest.raises(ScenarioError, match="must be finite"):
-            p2p_optimize(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2, target_D=bad,
+            p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2, target_D=bad,
                          aux_cap=2, grid_res=4)
 
     @pytest.mark.parametrize("aux_cap, grid_res", [(0, 4), (2, 0)])
@@ -314,7 +315,7 @@ class TestP2pOptimize:
         # aux_cap=0 used to scan nothing and report even uncoded targets
         # infeasible; grid_res=0 failed inside the simplex enumeration.
         with pytest.raises(ValueError, match="aux_cap and grid_res must be >= 1"):
-            p2p_feasibility_sweep(UNIF2, ConditionalPmf.bsc(0.1), HAMMING2,
+            p2p_feasibility_sweep(UNIF2, bsc_kernel(0.1), HAMMING2,
                                   [0.2, 0.5], aux_cap=aux_cap, grid_res=grid_res)
 
 
@@ -323,7 +324,7 @@ def scenario_channel(name):
         return ConditionalPmf(json.load(fh)["channel"])
 
 
-ORACLE_CHANNELS = {"bsc": ConditionalPmf.bsc(0.1),
+ORACLE_CHANNELS = {"bsc": bsc_kernel(0.1),
                    "erasure": scenario_channel("p2p_hybrid.json")}
 
 
@@ -463,18 +464,18 @@ class TestScanOracle:
                                        aux_cap, grid_res, [round(0.02 * i, 10) for i in range(26)])
 
     @pytest.mark.parametrize("source, channel, aux_cap, grid_res", [
-        (Pmf([0.2, 0.3, 0.5]), ConditionalPmf.bsc(0.1), 2, 4),
+        (Pmf([0.2, 0.3, 0.5]), bsc_kernel(0.1), 2, 4),
         (Pmf([0.2, 0.3, 0.5]), ORACLE_CHANNELS["erasure"], 3, 2),
         (UNIF2, ConditionalPmf([[0.9, 0.1], [0.5, 0.5], [0.0, 1.0]]), 3, 3),
         (Pmf([0.3, 0.7]), ConditionalPmf([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]]),
          2, 5),
         # A zero-probability source symbol makes candidates tie exactly.
-        (Pmf([0.5, 0.0, 0.5]), ConditionalPmf.bsc(0.1), 2, 4),
+        (Pmf([0.5, 0.0, 0.5]), bsc_kernel(0.1), 2, 4),
     ], ids=["source3-bsc", "source3-erasure", "input3-binary-out", "input3-ternary-out",
             "source3-zero-bsc"])
     def test_scan_picks_first_reference_maximum_ternary(self, source, channel, aux_cap,
                                                          grid_res):
-        d = DistortionMeasure.hamming(source.alphabet_size)
+        d = hamming_measure(source.alphabet_size)
         assert_first_reference_maximum(source, channel, d, aux_cap, grid_res,
                                        [round(0.03 * i, 10) for i in range(24)])
 
@@ -523,8 +524,8 @@ class TestScanOracle:
         monkeypatch.setattr(bounds, "_SCAN_CHUNK", 3)
         self.test_orbits_cover_every_candidate_once(s_size, x_size, aux_cap, grid_res)
         source = Pmf(np.full(s_size, 1 / s_size))
-        assert_first_reference_maximum(source, ConditionalPmf.bsc(0.1),
-                                       DistortionMeasure.hamming(s_size), aux_cap, grid_res,
+        assert_first_reference_maximum(source, bsc_kernel(0.1),
+                                       hamming_measure(s_size), aux_cap, grid_res,
                                        [round(0.05 * i, 10) for i in range(12)])
 
     @pytest.mark.parametrize("scenario, expected", [
@@ -599,8 +600,8 @@ class TestMacRegion:
 
     def test_distributed_substitution_matches_reduction(self):
         sources = correlated_sources()
-        k1 = ConditionalPmf.bsc(0.2)
-        k2 = ConditionalPmf.bsc(0.3)
+        k1 = bsc_kernel(0.2)
+        k2 = bsc_kernel(0.3)
         spec = distributed_mac_spec(k1, k2, UNIF2, UNIF2)
         rep = mac_region_check(sources, ConditionalPmf.identity(4),
                                HAMMING2, HAMMING2, spec, 2, 2)
@@ -761,7 +762,7 @@ class TestDiamond:
         y3 = np.array(DIAMOND_Y3)
         bc = ConditionalPmf.deterministic(y2 * 2 + y3, 4)
         mac = ConditionalPmf.deterministic(np.asarray(DIAMOND_Y4).reshape(-1), 3)
-        spec = DiamondSpec(px1=Pmf.uniform(3),
+        spec = DiamondSpec(px1=uniform_pmf(3),
                            k2=ConditionalPmf.identity(2),
                            k3=ConditionalPmf.identity(2),
                            map2=[[0, 0], [1, 1]], map3=[[0, 0], [1, 1]])

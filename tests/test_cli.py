@@ -70,6 +70,9 @@ BAD_SPECS = {
     "mac-aux1-row-sum": ("mac", {"aux1": [[[0.9, 0.0], [0.0, 1.0]]]}),
     "mac-aux2-negative": ("mac", {"aux2": [[[1.2, -0.2], [0.0, 1.0]]]}),
     "mac-aux1-nan": ("mac", {"aux1": [[[math.nan, 1.0], [0.0, 1.0]]]}),
+    # Past 2**63 the cast to int wraps, and np.mod warns on inf.
+    "p2p-dec-past-int64": ("p2p", {"dec_map": [[1e20, 1, 0], [0, 1, 1]]}),
+    "p2p-enc-infinite": ("p2p", {"enc_map": [[0, math.inf], [1, 1]]}),
 }
 BAD_SPEC_RUNS = [(name, sub) for name, (kind, _) in BAD_SPECS.items() for sub in SUBCOMMANDS[kind]
                  if name != "mac-time-sharing" or sub[0] == "simulate"]
@@ -161,6 +164,19 @@ class TestExitCodes:
     def test_missing_scenario_file(self, tmp_path):
         assert run(["check-thm1", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv, name, content", [
+        (["check-thm1", "FILE", "--optimize", "--target-d", "0.1"], "scen.json",
+         b"\xff\xfe{\"kind\": \"p2p\"}"),
+        (["plot", "FILE"], "data.csv", b"x,a\n0,1\n1,\xff\n"),
+    ], ids=["scenario", "plot-csv"])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, argv, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "codec can't decode" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_wrong_kind(self, tmp_path):
         assert run(["bounds-twrc", scen("bsc_uncoded.json"),

@@ -11,6 +11,7 @@ from hybridlab.infotheory import (
     JointPmf,
     Pmf,
     ScenarioError,
+    as_table,
     compose_joint,
     conditional_mutual_information,
     entropy,
@@ -18,7 +19,7 @@ from hybridlab.infotheory import (
     typical_pairs,
     typical_table,
 )
-from oracles import is_typical
+from oracles import bsc_kernel, is_typical, uniform_pmf
 
 
 def h2(p):
@@ -65,6 +66,16 @@ class TestConstruction:
         with pytest.raises(ScenarioError):
             build()
 
+    @pytest.mark.parametrize("value", [1e20, math.inf, 2.0 ** 63], ids=["1e20", "inf", "2**63"])
+    def test_symbols_past_int64_rejected(self, value):
+        # Checked before np.mod (which warns on inf) and before the cast
+        # (which wraps at 2**63).
+        with pytest.raises(ScenarioError, match="below 2"):
+            as_table([value], "dec_map", whole=True)
+
+    def test_largest_symbol_below_2_to_the_63_kept(self):
+        assert as_table([2.0 ** 63 - 1024], "dec_map", whole=True).tolist() == [2 ** 63 - 1024]
+
     def test_immutable(self):
         p = Pmf([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -77,13 +88,13 @@ class TestConstruction:
 
 class TestEntropy:
     def test_uniform_binary(self):
-        assert entropy(Pmf.uniform(2)) == pytest.approx(1.0, abs=1e-12)
+        assert entropy(uniform_pmf(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
         assert entropy(Pmf([0.0, 1.0, 0.0])) == 0.0
 
     def test_uniform_ternary(self):
-        assert entropy(Pmf.uniform(3)) == pytest.approx(math.log2(3), abs=1e-12)
+        assert entropy(uniform_pmf(3)) == pytest.approx(math.log2(3), abs=1e-12)
 
     @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=6))
     def test_bounded_by_log_alphabet(self, weights):
@@ -95,7 +106,7 @@ class TestEntropy:
     def test_uniform_maximizes(self, k):
         rng = np.random.default_rng(k)
         for _ in range(20):
-            assert entropy(random_pmf(rng, k)) <= entropy(Pmf.uniform(k)) + 1e-12
+            assert entropy(random_pmf(rng, k)) <= entropy(uniform_pmf(k)) + 1e-12
 
 
 class TestMutualInformation:
@@ -108,8 +119,8 @@ class TestMutualInformation:
         assert mutual_information(j, [0], [1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_bsc_uniform_input(self):
-        j = compose_joint(JointPmf.from_pmf(Pmf.uniform(2)),
-                          [(ConditionalPmf.bsc(0.1), [0])])
+        j = compose_joint(JointPmf(uniform_pmf(2).probs),
+                          [(bsc_kernel(0.1), [0])])
         assert mutual_information(j, [0], [1]) == pytest.approx(1 - h2(0.1), abs=1e-12)
 
     def test_overlapping_axes_rejected(self):
@@ -129,28 +140,28 @@ class TestMutualInformation:
     def test_conditional_mi_chain(self):
         # I(A;B|C) on a Markov chain A - C - B is zero.
         pa = Pmf([0.5, 0.5])
-        j = compose_joint(JointPmf.from_pmf(pa),
-                          [(ConditionalPmf.bsc(0.2), [0]),
-                           (ConditionalPmf.bsc(0.3), [1])])
+        j = compose_joint(JointPmf(pa.probs),
+                          [(bsc_kernel(0.2), [0]),
+                           (bsc_kernel(0.3), [1])])
         assert conditional_mutual_information(j, [0], [2], [1]) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestComposeJoint:
     def test_identity_kernel(self):
-        j = compose_joint(JointPmf.from_pmf(Pmf([0.3, 0.7])),
+        j = compose_joint(JointPmf([0.3, 0.7]),
                           [(ConditionalPmf.identity(2), [0])])
         assert np.allclose(j.probs, [[0.3, 0], [0, 0.7]])
 
     def test_bsc_product(self):
-        j = compose_joint(JointPmf.from_pmf(Pmf.uniform(2)),
-                          [(ConditionalPmf.bsc(0.25), [0])])
+        j = compose_joint(JointPmf(uniform_pmf(2).probs),
+                          [(bsc_kernel(0.25), [0])])
         assert float(j.probs[0, 1] + j.probs[1, 0]) == pytest.approx(0.25, abs=1e-12)
 
     def test_data_processing(self):
         # Brute-force check on a small chain: I(S;Y) <= I(S;U).
-        j = compose_joint(JointPmf.from_pmf(Pmf([0.4, 0.6])),
-                          [(ConditionalPmf.bsc(0.1), [0]),
-                           (ConditionalPmf.bsc(0.2), [1])])
+        j = compose_joint(JointPmf([0.4, 0.6]),
+                          [(bsc_kernel(0.1), [0]),
+                           (bsc_kernel(0.2), [1])])
         assert mutual_information(j, [0], [2]) <= mutual_information(j, [0], [1]) + 1e-12
 
     @given(st.integers(0, 500))
@@ -160,22 +171,22 @@ class TestComposeJoint:
         src = random_pmf(rng, 3)
         rows = rng.random((3, 2)) + 1e-3
         rows /= rows.sum(axis=1, keepdims=True)
-        j = compose_joint(JointPmf.from_pmf(src), [(ConditionalPmf(rows), [0])])
+        j = compose_joint(JointPmf(src.probs), [(ConditionalPmf(rows), [0])])
         assert np.allclose(j.marginal([0]).probs, src.probs, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compose_joint(JointPmf.from_pmf(Pmf.uniform(3)),
-                          [(ConditionalPmf.bsc(0.1), [0])])
+            compose_joint(JointPmf(uniform_pmf(3).probs),
+                          [(bsc_kernel(0.1), [0])])
 
 
 class TestTypicality:
     def test_exact_empirical_always_typical(self):
         seq = [0, 0, 1, 1]
-        assert is_typical(seq, Pmf.uniform(2), 1e-9)
+        assert is_typical(seq, uniform_pmf(2), 1e-9)
 
     def test_all_zeros_not_typical(self):
-        assert not is_typical([0, 0, 0, 0], Pmf.uniform(2), 0.1)
+        assert not is_typical([0, 0, 0, 0], uniform_pmf(2), 0.1)
 
     def test_zero_probability_symbol_forces_false(self):
         assert not is_typical([0, 1, 2, 0], Pmf([0.5, 0.5, 0.0]), 5.0)

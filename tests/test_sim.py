@@ -10,8 +10,8 @@ import pytest
 
 from hybridlab import bounds, cli, sim
 from hybridlab.bounds import HybridCodeSpec, MacHybridSpec, lossless_mac_spec
-from hybridlab.infotheory import (ConditionalPmf, DistortionMeasure, JointPmf, Pmf,
-                                  ScenarioError, typical_pairs, typical_table)
+from hybridlab.infotheory import (ConditionalPmf, JointPmf, Pmf, ScenarioError, typical_pairs,
+                                  typical_table)
 from hybridlab.sim import (
     MacScenario,
     MemoryCapError,
@@ -26,10 +26,11 @@ from hybridlab.sim import (
     run_mac,
     run_p2p,
 )
-from oracles import compositions, covering_mass, exact_p_e1, is_typical
+from oracles import (bsc_kernel, compositions, covering_mass, exact_p_e1, hamming_measure,
+                     is_typical, uniform_pmf)
 
-UNIF2 = Pmf.uniform(2)
-HAMMING2 = DistortionMeasure.hamming(2)
+UNIF2 = uniform_pmf(2)
+HAMMING2 = hamming_measure(2)
 
 
 def bec(e):
@@ -40,7 +41,7 @@ def erasure_scenario():
     scenario = P2pScenario(source=UNIF2, channel=bec(0.5), distortion=HAMMING2)
     spec = HybridCodeSpec(
         aux_size=2,
-        aux_kernel=ConditionalPmf.bsc(0.3),
+        aux_kernel=bsc_kernel(0.3),
         enc_map=[[0, 0], [1, 1]],
         dec_map=[[0, 1, 0], [0, 1, 1]],
         rate=0.35,
@@ -262,7 +263,7 @@ class TestRunP2p:
         assert reps[0] != reps[1]
 
     def test_uncoded_distortion_matches_channel(self):
-        scenario = P2pScenario(source=UNIF2, channel=ConditionalPmf.bsc(0.1),
+        scenario = P2pScenario(source=UNIF2, channel=bsc_kernel(0.1),
                                distortion=HAMMING2)
         spec = HybridCodeSpec.uncoded(enc=[0, 1], dec=[0, 1], num_sources=2)
         cfg = TrialConfig(n=500, trials=40, epsilon=0.3, epsilon_prime=0.2, seed=0)
@@ -388,7 +389,7 @@ class TestRunMac:
     def test_rejects_time_sharing(self):
         scenario, spec = self.scenario_and_spec()
         bad = lossless_mac_spec(scenario.sources, UNIF2, UNIF2, 4)
-        object.__setattr__(bad, "q_pmf", Pmf.uniform(2))
+        object.__setattr__(bad, "q_pmf", uniform_pmf(2))
         cfg = TrialConfig(n=4, trials=2, epsilon=0.75, epsilon_prime=0.5)
         with pytest.raises(ValueError):
             run_mac(scenario, bad, cfg)
@@ -911,7 +912,7 @@ def _pinned_cases():
             n=n, trials=40, epsilon=0.75, epsilon_prime=0.5, seed=seed))
         for n in (8, 20, 32) for seed in range(4)
     }
-    bsc = P2pScenario(source=UNIF2, channel=ConditionalPmf.bsc(0.1), distortion=HAMMING2)
+    bsc = P2pScenario(source=UNIF2, channel=bsc_kernel(0.1), distortion=HAMMING2)
     uncoded = HybridCodeSpec.uncoded(enc=[0, 1], dec=[0, 1], num_sources=2)
     cases["uncoded_n1000_seed0"] = lambda: run_p2p(
         bsc, uncoded, TrialConfig(n=1000, trials=40, seed=0))
