@@ -411,6 +411,7 @@ def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
 # answers from the factorized values; the bands say where that could differ.
 SCAN_SLACK_TOL = 1e-12
 SCAN_ED_TOL = 1e-13    # times the largest distortion value
+TARGET_D_TOL = 1e-12   # an E[d] at most D + TARGET_D_TOL meets the target D
 
 
 def _digits(idx: np.ndarray, base: int, count: int) -> np.ndarray:
@@ -637,17 +638,18 @@ def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
 
     The winner is the least (-slack, key, E[d]), key = (aux_size,
     kernel_index, enc_index), among the keys whose E[d] is at most
-    target + 1e-12, with slack and E[d] computed by _score_candidates; it is
-    (-inf, None, None) when there is none.  Keys tied in exact arithmetic
-    are thus separated by float rounding.  The fold of _scan_p2p keeps the
-    running best factorized slack of candidates that surely meet the target
-    (p2p_feasibility_sweep) and the candidates in the SCAN_* bands of it.
-    Only the relabellings (_orbit_keys) of those in the bands of the final
-    best are rescored, each aux size's group into sizes u .. aux_cap.
+    target + TARGET_D_TOL, with slack and E[d] computed by
+    _score_candidates; it is (-inf, None, None) when there is none.  Keys
+    tied in exact arithmetic are thus separated by float rounding.  The
+    fold of _scan_p2p keeps the running best factorized slack of candidates
+    that surely meet the target (p2p_feasibility_sweep) and the candidates
+    in the SCAN_* bands of it.  Only the relabellings (_orbit_keys) of
+    those in the bands of the final best are rescored, each aux size's
+    group into sizes u .. aux_cap.
     """
     if not math.isfinite(target):
         raise ScenarioError(f"target distortion must be finite, got {target}")
-    limit = float(target) + 1e-12
+    limit = float(target) + TARGET_D_TOL
     ed_tol = SCAN_ED_TOL * max(1.0, float(d.table.max()))
     best, found = -np.inf, {}          # u -> [(counts, enc, slack)]
     for K, slack, ed in _scan_p2p(source, channel, d, aux_cap, grid_res):
@@ -723,7 +725,7 @@ def p2p_optimize(
     spec = replace(spec, rate=0.5 * (c.lhs + c.rhs))
     return replace(report, info={
         **report.info,
-        "achievable": bool(uncoded_ed <= target_D + 1e-12 or best_slack > MARGIN),
+        "achievable": bool(uncoded_ed <= target_D + TARGET_D_TOL or best_slack > MARGIN),
         "best_slack": best_slack,
         "best_distortion": best_ed,
         "uncoded_distortion": uncoded_ed,
@@ -740,26 +742,26 @@ def p2p_feasibility_sweep(
 ) -> list[bool]:
     """Achievability of each target distortion D, from one factorized scan.
 
-    D is achievable when the uncoded E[d] is at most D + 1e-12 or the best
-    factorized slack among candidates that surely meet D (E[d] below
-    D + 1e-12 by more than the SCAN_ED_TOL band) exceeds MARGIN.  The fold of
-    _scan_p2p buckets each slack at the least sorted target it surely meets;
-    a prefix max gives each target's best, and nothing is rescored.  That is
-    p2p_optimize's answer for D alone unless some E[d] lies within the
-    SCAN_ED_TOL band of D + 1e-12 or the best slack within SCAN_SLACK_TOL of
-    MARGIN, where the two arithmetics may disagree.
+    D is achievable when the uncoded E[d] is at most D + TARGET_D_TOL or the
+    best factorized slack among candidates that surely meet D (E[d] below
+    D + TARGET_D_TOL by more than the SCAN_ED_TOL band) exceeds MARGIN.  The
+    fold of _scan_p2p buckets each slack at the least sorted target it
+    surely meets; a prefix max gives each target's best, and nothing is
+    rescored.  That is p2p_optimize's answer for D alone unless some E[d]
+    lies within the SCAN_ED_TOL band of D + TARGET_D_TOL or the best slack
+    within SCAN_SLACK_TOL of MARGIN, where the two arithmetics may disagree.
     """
     targets = np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(targets)):
         raise ScenarioError(f"target distortions must be finite, got {targets.tolist()}")
-    limit = np.sort(targets) + 1e-12
+    limit = np.sort(targets) + TARGET_D_TOL
     ed_tol = SCAN_ED_TOL * max(1.0, float(d.table.max()))
     best = np.full(limit.size + 1, -np.inf)        # the last bucket meets no target
     for _, slack, ed in _scan_p2p(source, channel, d, aux_cap, grid_res):
         np.maximum.at(best, np.searchsorted(limit - ed_tol, ed.ravel()), slack.ravel())
-    best = np.maximum.accumulate(best[:-1])[np.searchsorted(limit, targets + 1e-12)]
+    best = np.maximum.accumulate(best[:-1])[np.searchsorted(limit, targets + TARGET_D_TOL)]
     uncoded_ed = _uncoded_ed(source, channel, d)
-    return [bool(uncoded_ed <= target + 1e-12 or slack > MARGIN)
+    return [bool(uncoded_ed <= target + TARGET_D_TOL or slack > MARGIN)
             for target, slack in zip(targets, best)]
 
 

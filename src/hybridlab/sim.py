@@ -27,12 +27,12 @@ symbols, typicality tests, index selection, channel outputs, error events
 and distortions are computed for the whole chunk at once.  The exception is
 the MAC decoder's pair search, which scores each trial's own table of
 index pairs and so runs one trial at a time.  It scores only the pairs of
-codewords whose (u_k, y) cell counts, found for the whole chunk at once,
-some typical triple can have, and that is exact (see run_mac).  Every
-typicality test, at the encoders, the decoders and the exact n = 2 oracle,
-goes through infotheory's one kernel: a matmul of one-hot layouts gives
-each pair's cell counts, and a table of the test at every count 0..n
-decides each cell.
+codewords whose (u_k, y) cell counts some typical triple can have, a test
+run for the whole chunk at once, and that is exact (see run_mac).  Every
+typicality test, at the encoders, the decoders, the decoder's pruning and
+the exact n = 2 oracle, goes through infotheory's one kernel: a matmul of
+one-hot layouts gives each pair's cell counts, and a table of the test at
+every count 0..n (typical_table) decides each cell.
 Every symbol, whether source, codeword or channel output, comes from one
 inverse cdf (_symbols).  Every stream draws the same values in the same
 order as a trial-by-trial loop would, so the reports do not depend on the
@@ -311,6 +311,8 @@ class TrialConfig:
         if self.n < 1 or self.trials < 1:
             raise ScenarioError("n and trials must be >= 1")
         _root_words(self.seed)          # raises on a seed SeedSequence rejects
+        if self.trials > MEMORY_CAP_SYMBOLS:   # run_p2p and run_mac keep arrays of trials
+            raise MemoryCapError(f"{self.trials} trials exceed the cap of {MEMORY_CAP_SYMBOLS}")
 
 
 def codebook_size(n: int, rate: float) -> int:
@@ -512,29 +514,22 @@ def _p2p_report(n, e1, e2, e3, dists) -> dict:
 _MAC_EVENTS = ("e1", "e2", "e3", "e4", "e5", "e6")
 
 
-def _count_ranges(ok: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each sender's [lo, hi] cell-count ranges in a typical triple.
+def _count_ranges(ok: np.ndarray) -> list[np.ndarray]:
+    """Each sender's typicality table of the (u_k, y) counts in a typical
+    triple.
 
-    ok is the (|U1|, |U2|, |Y|, n + 1) typical_table of p(u1, u2, y).  The
-    ranges of the (u1, y) cells u1*|Y| + y sum the first and the last count
-    ok accepts over u2; those of the (u2, y) cells u2*|Y| + y sum them over
-    u1.  A cell that accepts no count has first count n + 1, above any
-    count, so its ranges are empty.
+    ok is the (|U1|, |U2|, |Y|, n + 1) typical_table of p(u1, u2, y).
+    Sender 1's (|U1|, |Y|, n + 1) table accepts the counts from the sum over
+    u2 of the first count ok accepts to the sum of the last; sender 2's sums
+    over u1.  A cell that accepts no count has first count n + 1, above any
+    count, so each sum over it accepts none.
     """
     n = ok.shape[-1] - 1
     lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), n + 1)
     hi = n - ok[..., ::-1].argmax(axis=-1)
-    return [(lo.sum(axis=1).ravel(), hi.sum(axis=1).ravel()),
-            (lo.sum(axis=0).ravel(), hi.sum(axis=0).ravel())]
-
-
-def _cell_counts(cells: np.ndarray, size: int) -> np.ndarray:
-    """How often each value 0..size-1 occurs in each sequence of cells
-    (..., m, n): (..., m, size), from one bincount."""
-    lead = cells.shape[:-1]
-    offsets = np.arange(math.prod(lead)).reshape(*lead, 1) * size
-    counts = np.bincount((cells + offsets).ravel(), minlength=math.prod(lead) * size)
-    return counts.reshape(*lead, size)
+    k = np.arange(n + 1)
+    return [(lo.sum(axis=axis)[..., None] <= k) & (k <= hi.sum(axis=axis)[..., None])
+            for axis in (1, 0)]
 
 
 def _pair_search(cb1: np.ndarray, cb2: np.ndarray, y: np.ndarray, ok: np.ndarray,
@@ -545,21 +540,20 @@ def _pair_search(cb1: np.ndarray, cb2: np.ndarray, y: np.ndarray, ok: np.ndarray
     codebooks and channel outputs, ok the (|U1|, |U2|, |Y|, n + 1)
     typical_table of p(u1, u2, y), and idx1, idx2 the chosen indices.  Each
     sender's searched indices are the chosen one, then the other codewords
-    whose cell counts with y are in _count_ranges.  Yields, per trial,
+    typical with y under its _count_ranges table.  Yields, per trial,
     sender 1's and sender 2's searched indices and typical_pairs on them.
     """
     u1_size, u2_size, y_size, _ = ok.shape
     rows = np.arange(y.shape[0])
-    cells = [cb * y_size + y[:, None, :] for cb in (cb1, cb2)]
     orders, left = [], []
-    for z, (lo, hi), chosen in zip(cells, _count_ranges(ok), (idx1, idx2)):
-        counts = _cell_counts(z, lo.size)
+    for cb, ranges, chosen in zip((cb1, cb2), _count_ranges(ok), (idx1, idx2)):
         # Rank 0 for the chosen codeword, 1 for the others left, 2 for the pruned.
-        rank = 2 - ((counts >= lo) & (counts <= hi)).all(axis=-1)
+        rank = 2 - _pair_typical(cb, y, ranges)
         rank[rows, chosen] = 0
         orders.append(np.argsort(rank, axis=1, kind="stable"))
         left.append((rank < 2).sum(axis=1))
-    a, b = cells[0][rows[:, None], orders[0]], cb2[rows[:, None], orders[1]]
+    a = (cb1 * y_size + y[:, None, :])[rows[:, None], orders[0]]
+    b = cb2[rows[:, None], orders[1]]
     # The test of cell (u1*|Y| + y, u2) at every count 0..n.
     pair_ok = ok.transpose(0, 2, 1, 3).reshape(u1_size * y_size, u2_size, -1)
     for row in rows:
@@ -577,16 +571,16 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
     index wrong.  The decoder finds every typical index pair and falls back
     to pair (0, 0) unless exactly one pair is typical.  Streams, encoding
     and channel are drawn per chunk of trials as in run_p2p.  The pair
-    search (_pair_search) first drops each codeword whose (u_k, y) cell
-    counts with y fall outside _count_ranges.  That is exact: a typical
-    triple's (u1, y) counts are sums over u2 of counts the typicality table
-    accepts (the marginal property of typical sequences, El Gamal & Kim,
-    Network Information Theory, section 2.5), and so lie in those ranges;
-    likewise its (u2, y) counts.  So the events and the decoded pair are
-    those of the search over every pair.  typical_pairs scores the pairs of
-    the codewords left, one matmul for their cell counts; the memory cap
-    bounds those counts and their one-hot factors when every codeword is
-    left.
+    search (_pair_search) first drops each codeword that is not typical
+    with y under its sender's _count_ranges table.  That is exact: a
+    typical triple's (u1, y) counts are sums over u2 of counts the
+    typicality table accepts (the marginal property of typical sequences,
+    El Gamal & Kim, Network Information Theory, section 2.5), and so lie in
+    the ranges that table accepts; likewise its (u2, y) counts.  So the
+    events and the decoded pair are those of the search over every pair.
+    typical_pairs scores the pairs of the codewords left, one matmul for
+    their cell counts; the memory cap bounds those counts and their one-hot
+    factors when every codeword is left.
     """
     if spec.q_pmf.alphabet_size != 1:
         raise ScenarioError("simulation supports a trivial time-sharing alphabet only")

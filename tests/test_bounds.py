@@ -177,6 +177,16 @@ class TestBlahutArimoto:
     def test_rd_zero_beyond_dmax(self):
         assert rd_function(Pmf([0.2, 0.8]), HAMMING2, 0.25) == 0.0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: _rd_point runs all BA_MAX_ITER iterations near the "
+        "slope of D = 0.49 and stops with the erasure column at q = 0.05, not 0"))
+    def test_rd_ignores_a_column_at_dmax(self):
+        # The erasure column costs d_max = 0.5 from either symbol, so it
+        # never lowers the rate and R(D) = 1 - h(D).
+        erasure = DistortionMeasure([[0, 1, 0.5], [1, 0, 0.5]])
+        got = rd_function(UNIF2, erasure, 0.49)
+        assert got == pytest.approx(1 - h2(0.49), abs=bounds.BA_TOL)
+
     def test_rd_below_minimum_raises(self):
         with pytest.raises(ValueError):
             rd_function(UNIF2, HAMMING2, -0.05)

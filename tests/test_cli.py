@@ -365,6 +365,20 @@ class TestExitCodes:
                     "--n", "9", "--trials", "1", "--eps", "0.75", "--eps-prime", "0.5",
                     "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("kind", ["p2p", "mac"])
+    def test_trials_over_cap_exit_3_and_write_nothing(self, tmp_path, kind):
+        # 10^15 trials would need 909 TiB for one per-trial flag array.
+        if kind == "p2p":
+            scenario, spec = scen("p2p_hybrid.json"), scen("p2p_hybrid_spec.json")
+        else:
+            scenario, spec = scen("mac_noiseless_pair.json"), str(tmp_path / "spec.json")
+            Path(spec).write_text(json.dumps(MAC_IDENTITY_SPEC))
+        out = tmp_path / "out" / "o"
+        out.parent.mkdir()
+        assert run(["simulate", scenario, "--spec", spec, "--n", "8",
+                    "--trials", str(10 ** 15), "--out", str(out)]) == 3
+        assert list(out.parent.iterdir()) == []
+
     def test_diamond_needs_positive_grid(self, tmp_path):
         assert run(["bounds-diamond", scen("example1.json"), "--grid-res", "0",
                     "--out", str(tmp_path / "o")]) == 2

@@ -236,6 +236,22 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(n=8, trials=10, epsilon=0.3, epsilon_prime=0.0)
 
+    @pytest.mark.parametrize("kind", ["p2p", "mac"])
+    def test_trials_capped_before_allocating(self, monkeypatch, kind):
+        # Caps that the codebooks (6 x 8 p2p symbols) and the MAC pair
+        # search ((8*4 + 2*4) * 4 + 4*4*16 = 416 entries) fit under.
+        if kind == "p2p":
+            (scenario, spec), run, n, cap = erasure_scenario(), run_p2p, 8, 64
+        else:
+            scenario, spec = identity_mac()
+            spec, run, n, cap = replace(spec, R1=0.5, R2=0.5), run_mac, 4, 416
+        monkeypatch.setattr(sim, "MEMORY_CAP_SYMBOLS", cap)
+        report = run(scenario, spec, TrialConfig(n=n, trials=cap, epsilon=0.75,
+                                                 epsilon_prime=0.5))
+        assert report["trials"] == cap
+        with pytest.raises(MemoryCapError):
+            TrialConfig(n=n, trials=cap + 1, epsilon=0.75, epsilon_prime=0.5)
+
 
 class TestRunP2p:
     def test_report_shape_and_ranges(self):
@@ -521,8 +537,9 @@ class TestRunMac:
         report = run_mac(scenario, spec, TrialConfig(
             n=8, trials=5, epsilon=0.75, epsilon_prime=0.5, seed=0))
         assert repr(report) == PINNED["mac_identity_n8_seed0"]
-        # The encoders score each sender's 256 codewords against its source block.
-        decoder = sum(scored) - 2 * 5 * 256
+        # The encoders score each sender's 256 codewords against its source
+        # block, and the pruning each sender's 256 codewords against y.
+        decoder = sum(scored) - 2 * 2 * 5 * 256
         assert 5 <= decoder <= 0.01 * 5 * 256 * 256, decoder
 
 
@@ -657,7 +674,7 @@ class TestPairSearchOracle:
 
     def test_typical_counts_lie_in_the_summed_ranges(self):
         # Every type (joint count table) of n symbols is tried, so the
-        # ranges hold every typical pair's (u1, y) and (u2, y) counts.
+        # tables accept every typical pair's (u1, y) and (u2, y) counts.
         rng = np.random.default_rng(11)
         typical_types = boundary = 0
         for _ in range(300):
@@ -678,10 +695,10 @@ class TestPairSearchOracle:
             types = np.array(list(compositions(n, p.size))).reshape(-1, *shape)
             accepted = np.take_along_axis(ok[None], types[..., None], axis=-1)[..., 0]
             typical = types[accepted.all(axis=(1, 2, 3))]
-            (lo1, hi1), (lo2, hi2) = sim._count_ranges(ok)
-            for counts, lo, hi in ((typical.sum(axis=2), lo1, hi1), (typical.sum(axis=1), lo2, hi2)):
-                counts = counts.reshape(typical.shape[0], lo.size)
-                assert ((lo <= counts) & (counts <= hi)).all()
+            ranges1, ranges2 = sim._count_ranges(ok)
+            for counts, ranges in ((typical.sum(axis=2), ranges1), (typical.sum(axis=1), ranges2)):
+                assert ranges.shape == counts.shape[1:] + (n + 1,)
+                assert np.take_along_axis(ranges[None], counts[..., None], axis=-1).all()
             typical_types += typical.shape[0]
         assert typical_types >= 2000 and boundary >= 100
 
