@@ -10,12 +10,14 @@ log2, which give the same bits on a scalar as on any element of an array.
 Each scheme with free parameters has one rate-terms function (`_nnc_terms`,
 `_hc_special_terms`, `_hc_general_terms`) that takes sigma2 (and alpha, beta)
 as scalars or broadcastable arrays.  Each rate is the first minimum of its
-two terms, clamped at 0.  Every search evaluation (the batched grids, the
-golden-section and the coordinate-descent refinements) scores the clamped
-sum with `_grid_sums`, on arrays and scalars alike, so a grid maximum is the
+two terms, clamped at 0.  Every search evaluation scores the clamped sum
+with `_grid_sums`, on arrays and scalars alike, so a grid maximum is the
 maximum a scalar loop over the same points would find; `_clamp_pair` builds
-only the reported points.  SNRs above SNR_MAX are rejected: beyond it the
-general region overflows or divides by zero.
+only the reported points.  `nnc` and `hc_special` score a finite set of
+closed-form sigma2 candidates that holds the exact optimum, in one array
+call; `hc_general` is searched by a batched grid, golden section over sigma2
+and coordinate descent over (alpha, beta).  SNRs above SNR_MAX are rejected:
+beyond it the general region overflows or divides by zero.
 
 Known defect: the general-region formulas are implemented verbatim as printed
 in the source material, including the (1 - alpha) factor in the second
@@ -197,7 +199,8 @@ def _log_sigma_grid() -> np.ndarray:
 
 
 def _optimize_sigma(terms) -> float:
-    """The sigma2 that maximizes the clamped sum rate of terms(sigma2).
+    """The sigma2 that maximizes the clamped sum rate of terms(sigma2), for
+    `hc_general` at fixed (alpha, beta).
 
     The whole log-grid is scored in one array call; golden section in
     log-space then refines between the neighbours of its first maximum,
@@ -211,17 +214,70 @@ def _optimize_sigma(terms) -> float:
     return math.exp(x) if v >= vals[i] else float(grid[i])
 
 
+def _nnc_sigma_candidates(ch: GaussianTwrcParams) -> list[float]:
+    """Per user, with (Sa, Sb) = (S23, S31) for user 1 and (S13, S32) for
+    user 2: the crossing (1 + Sb) / Sa of its two terms, the zero 1 / Sa of
+    its increasing term, and the stationary point (1 + Sb) / (Sb - 1) of its
+    decreasing term plus the other user's increasing term."""
+    cands = []
+    for Sa, Sb in ((ch.S23, ch.S31), (ch.S13, ch.S32)):
+        if Sa > 0:
+            cands += [(1.0 + Sb) / Sa, 1.0 / Sa]
+        if Sb > 1:
+            cands.append((1.0 + Sb) / (Sb - 1.0))
+    return cands
+
+
+def _hc_special_sigma_candidates(ch: GaussianTwrcParams) -> list[float]:
+    """Per user, with (Sa, Sb, So) = (S23, S31, S13) for user 1 and
+    (S13, S32, S23) for user 2, A = 1 + Sa, B = 1 + So and K = Sb * A: the
+    crossing A (1 + Sb) / Sa of its two terms, the zero A / Sa of its
+    increasing term, and the stationary point of its decreasing term plus the
+    other user's increasing term, the positive root of
+    (B - K) s^2 + 2 A B s + A B (A + K) = 0, which exists only when K > B."""
+    cands = []
+    for Sa, Sb, So in ((ch.S23, ch.S31, ch.S13), (ch.S13, ch.S32, ch.S23)):
+        A, B = 1.0 + Sa, 1.0 + So
+        K = Sb * A
+        if Sa > 0:
+            cands += [A * (1.0 + Sb) / Sa, A / Sa]
+        if K > B:
+            # The root without cancellation: both numerator terms are positive.
+            AB = A * B
+            cands.append((AB + math.sqrt(AB * AB + (K - B) * AB * (A + K))) / (K - B))
+    return cands
+
+
+def _best_sigma(terms, candidates: list[float]) -> float:
+    """The first sigma2 of largest clamped sum among the ascending candidates,
+    scored in one array call (`first_near_max`'s rule at tolerance 0).
+
+    A candidate past DBL_MAX / SNR_MAX is dropped, since the terms form
+    SNR * sigma2; every rate there is below 1e-260 bits.  With no candidate
+    left every sigma2 scores 0, and sigma2 = 1 is returned.
+    """
+    s2 = np.sort(np.array([c for c in candidates if math.isfinite(c * SNR_MAX)] or [1.0]))
+    return float(s2[np.argmax(_grid_sums(*terms(s2)))])
+
+
 def optimize_scheme(ch: GaussianTwrcParams, scheme: str) -> OptimizedScheme:
-    """Deterministically maximize the sum rate over the scheme's free parameters."""
+    """Deterministically maximize the sum rate over the scheme's free parameters.
+
+    For `nnc` and `hc_special` each rate is max(min(a, b), 0), a decreasing
+    and b increasing in sigma2, and both clamped sums tend to 0 as sigma2 -> 0
+    and as sigma2 -> inf.  So the exact optimum is among the crossings of a
+    and b, the zeros of b and the stationary points of a1 + b2 and a2 + b1,
+    which `_best_sigma` scores.  `hc_general` is searched by `_optimize_general`.
+    """
     if scheme == "af":
         return OptimizedScheme(None, af_rates(ch))
     if scheme == "cutset":
         return OptimizedScheme(None, cutset_rates(ch))
     if scheme == "nnc":
-        s2 = _optimize_sigma(lambda s: _nnc_terms(ch, s))
+        s2 = _best_sigma(lambda s: _nnc_terms(ch, s), _nnc_sigma_candidates(ch))
         return OptimizedScheme(SchemeParams(0.0, 0.0, s2), nnc_rates(ch, s2))
     if scheme == "hc_special":
-        s2 = _optimize_sigma(lambda s: _hc_special_terms(ch, s))
+        s2 = _best_sigma(lambda s: _hc_special_terms(ch, s), _hc_special_sigma_candidates(ch))
         return OptimizedScheme(SchemeParams(0.0, 1.0, s2), hc_special_rates(ch, s2))
     if scheme == "hc_general":
         return _optimize_general(ch)

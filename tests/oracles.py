@@ -13,7 +13,9 @@ the definition that the library's batched typical_table/typical_pairs
 kernel is checked against.  exact_p_e1 is the covering-failure probability
 P(E1) of the p2p random codebook, summed over types instead of sampled.
 uniform_pmf, bsc_kernel and hamming_measure build the tests' common source,
-channel and distortion.
+channel and distortion.  dense_sigma_max is the relay sum rate's maximum over
+a dense log grid of sigma2, the bound that the exact sigma2 optimum of
+`gaussian_twrc.optimize_scheme` must reach.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from hybridlab import bounds
 from hybridlab.bounds import BoundReport, Constraint
+from hybridlab.gaussian_twrc import _grid_sums
 from hybridlab.infotheory import (
     ConditionalPmf,
     DistortionMeasure,
@@ -264,3 +267,9 @@ def exact_p_e1(joint_us: JointPmf, n: int, eps_prime: float, m: int) -> float:
     p_s = joint_us.marginal_pmf(1).probs
     return sum(multinomial_prob(t, p_s) * (1.0 - covering_mass(joint_us, t, eps_prime)) ** m
                for t in compositions(n, s_size))
+
+
+def dense_sigma_max(terms) -> float:
+    """Largest clamped sum rate of terms(sigma2) over 100 001 log-spaced
+    sigma2 in [1e-10, 1e12], scored in one `_grid_sums` call."""
+    return float(np.max(_grid_sums(*terms(np.logspace(-10.0, 12.0, 100_001)))))

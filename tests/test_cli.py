@@ -521,12 +521,52 @@ class TestBoundsTwrc:
         assert all(math.isfinite(row[k]) for row in schemes.values()
                    for k in ("R1", "R2", "sum_rate"))
 
+    # Channels where the former sigma2 grid and golden section fell short:
+    # hc_special's optimum lies at sigma2 of about 2.1e6, past the grid's 1e6,
+    # and nnc's at about 53.7, while the grid picked a lower peak near 0.84.
+    @pytest.mark.parametrize("P, ple, r, scheme, floor", [
+        (1e5, 2, 0.05, "hc_special", 16.6836), (0.01, 4, 0.3, "nnc", 0.016663)],
+        ids=["hc_special-P1e5", "nnc-P0.01"])
+    def test_sigma2_optimum_is_exact(self, tmp_path, P, ple, r, scheme, floor):
+        scenario = tmp_path / "twrc.json"
+        scenario.write_text(json.dumps({"kind": "twrc_gaussian", "P": P, "path_loss_exp": ple}))
+        assert run(["bounds-twrc", str(scenario), "--r", str(r), "--out", str(tmp_path / "s")]) == 0
+        assert read_json(str(tmp_path / "s.json"))["schemes"][scheme]["sum_rate"] >= floor
+
+    # Edge channels of nnc's and hc_special's sigma2 candidate sets: by SNRs,
+    # the zero channel, the one-sided ones, an nnc channel with no candidate,
+    # all four at SNR_MAX, mixed extremes, and an S23 so small that S13 times
+    # user 1's crossing overflows; by distance, the zero channel and subnormal
+    # SNRs, which have no candidate either.
+    @pytest.mark.parametrize("doc, args", [
+        ({"S13": 0.0, "S23": 0.0, "S31": 0.0, "S32": 0.0}, []),
+        ({"S13": 2.0, "S23": 0.0, "S31": 5.0, "S32": 3.0}, []),
+        ({"S13": 0.0, "S23": 2.0, "S31": 5.0, "S32": 3.0}, []),
+        ({"S13": 0.0, "S23": 0.0, "S31": 0.5, "S32": 1.0}, []),
+        ({"S13": 1e15, "S23": 1e15, "S31": 1e15, "S32": 1e15}, []),
+        ({"S13": 1e15, "S23": 1e-9, "S31": 1e15, "S32": 1e-9}, []),
+        ({"S13": 1e15, "S23": 1e-300, "S31": 1e15, "S32": 1e15}, []),
+        ({"P": 0.0}, ["--r", "0.5"]),
+        ({"P": 5e-324}, ["--r", "0.5"]),
+    ], ids=["zero", "S23=0", "S13=0", "nnc-no-candidate", "all-max", "mixed", "tiny-S23",
+            "zero-by-distance", "subnormal"])
+    def test_sigma2_edge_channels(self, tmp_path, doc, args):
+        scenario = tmp_path / "twrc.json"
+        scenario.write_text(json.dumps({"kind": "twrc_gaussian", **doc}))
+        assert run(["bounds-twrc", str(scenario), *args, "--out", str(tmp_path / "s")]) == 0
+        schemes = read_json(str(tmp_path / "s.json"))["schemes"]
+        assert all(math.isfinite(row[k]) for row in schemes.values()
+                   for k in ("R1", "R2", "sum_rate"))
+        if args:
+            for scheme in ("nnc", "hc_special"):
+                assert (schemes[scheme]["sum_rate"], schemes[scheme]["sigma2"]) == (0.0, 1.0)
+
     # sha256 of the bytes bounds-twrc writes for fig8.json.  The optimizers'
     # bookkeeping may change; these outputs may not.
     @pytest.mark.parametrize("args, suffix, digest", [
-        (["--r", "0.3"], ".json", "6289e002207fdddd0d4f982c9068f40b523c2c091b1884e7e3dbb8971e5a3309"),
-        (["--r", "0.5"], ".json", "82853318a5e9b7b716b35008e0b8416ac33fca36bdad71c760d9344139f5b2dd"),
-        (["--r", "0.7"], ".json", "ccf8cc79a5a49e69bf2fcf4b86d77122ad295d5adb30a76d3a432a3b74044a33"),
+        (["--r", "0.3"], ".json", "1f4123a85a8957e4f395e8473d0ec325d73160d137207670f1db55ad8941bd52"),
+        (["--r", "0.5"], ".json", "996342d6100905be696d401fa1967f55922c6cf10a749cdf65f98b73ae754d33"),
+        (["--r", "0.7"], ".json", "0cee691061555373af3cc4edcf897110b533bc775be70db346caf1530b3145bc"),
         (["--sweep"], ".csv", "b820c0f822d555195b7ee014b668754a62e6a74b6eee0883ce00e1af7bf96baf"),
     ], ids=["r0.3", "r0.5", "r0.7", "sweep"])
     def test_fig8_outputs_are_pinned(self, tmp_path, args, suffix, digest):

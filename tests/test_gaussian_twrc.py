@@ -22,6 +22,7 @@ from hybridlab.gaussian_twrc import (
     params_from_distance,
     sweep_to_csv,
 )
+from oracles import dense_sigma_max
 
 snr = st.floats(0.1, 50.0)
 
@@ -230,6 +231,47 @@ class TestOneArithmetic:
             gaussian_twrc._optimize_sigma(terms)
             assert brackets == [(math.log(grid[max(first - 1, 0)]),
                                  math.log(grid[min(first + 1, grid.size - 1)]))]
+
+
+# Seeded random SNRs over nine decades, channels that bounds-twrc reaches by
+# distance (among them the two where the former sigma2 grid and golden section
+# fell short: P = 1e5, exponent 2, r = 0.05 and P = 0.01, exponent 4, r = 0.3),
+# and edge channels.
+SIGMA_CHANNELS = (
+    [GaussianTwrcParams(*10 ** np.random.default_rng(seed).uniform(-3, 6, 4)) for seed in range(30)]
+    + [params_from_distance(r, P, ple) for P in (0.01, 1.0, 1e3, 1e5) for ple in (2, 3, 4)
+       for r in (0.05, 0.3, 0.5, 0.8, 0.95)]
+    + [GaussianTwrcParams(*snrs) for snrs in [
+        (0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 5.0, 3.0), (0.0, 2.0, 5.0, 3.0), (0.0, 0.0, 0.5, 1.0),
+        (1e15, 1e15, 1e15, 1e15), (1e15, 1e-9, 1e15, 1e-9), (1e15, 1e-300, 1e15, 1e15),
+        (4e-323, 4e-323, 4e-323, 4e-323)]]
+)
+
+
+class TestExactSigma:
+    """nnc and hc_special take the best of a finite set of sigma2 candidates."""
+
+    @pytest.mark.parametrize("scheme, terms", [("nnc", gaussian_twrc._nnc_terms),
+                                               ("hc_special", gaussian_twrc._hc_special_terms)],
+                             ids=["nnc", "hc_special"])
+    def test_never_below_a_dense_sigma2_grid(self, scheme, terms):
+        for ch in SIGMA_CHANNELS:
+            best = optimize_scheme(ch, scheme).point.sum_rate
+            assert best >= dense_sigma_max(lambda s: terms(ch, s)) - 1e-12, ch
+
+    def test_no_candidate_gives_sigma2_1(self):
+        zero = GaussianTwrcParams(S13=0.0, S23=0.0, S31=0.0, S32=0.0)
+        one_sided = GaussianTwrcParams(S13=0.0, S23=0.0, S31=0.5, S32=1.0)
+        assert gaussian_twrc._nnc_sigma_candidates(one_sided) == []
+        for ch in (zero, one_sided):
+            for scheme in ("nnc", "hc_special"):
+                best = optimize_scheme(ch, scheme)
+                assert (best.point.sum_rate, best.params.sigma2) == (0.0, 1.0)
+
+    def test_ties_go_to_the_least_sigma2(self):
+        # Every sigma2 scores 0; the stationary points are 4 / 2 and 6 / 4.
+        ch = GaussianTwrcParams(S13=0.0, S23=0.0, S31=3.0, S32=5.0)
+        assert optimize_scheme(ch, "nnc").params.sigma2 == 1.5
 
 
 class TestSweep:
