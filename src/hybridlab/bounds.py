@@ -512,11 +512,13 @@ def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, gri
     counts (N, s, u) holds the grid counts of canonical kernels and enc (N,)
     their encoder indices.  The u columns, each with its encoder column map
     s -> x, go to every ordered choice of u of the `size` slots; the other
-    slots get zero columns and every encoder column map.  Yields (kernel
-    counts (M, s, size), kernel indices, encoder indices) of at most
-    max(_SCAN_CHUNK, C^(size - u)) keys at a time, C = |X|^|S|.  A kernel
-    row's index in the size-`size` grid is where its code (_count_codes)
-    sorts among the codes of the grid's rows.
+    slots get zero columns and column map 0.  An empty slot's column map
+    multiplies probability 0, so every map there gives bit-identical slack
+    and E[d], and map 0 gives the least key: no other map can win.  Yields
+    (kernel counts (M, s, size), kernel indices, encoder indices) of 1 to
+    _SCAN_CHUNK keys at a time.  A kernel row's index in the size-`size`
+    grid is where its code (_count_codes) sorts among the codes of the
+    grid's rows.
 
     Each key comes once: a candidate whose equal columns carry increasing
     column maps is skipped, since swapping those maps gives the same orbit,
@@ -528,7 +530,6 @@ def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, gri
                               .astype(np.int64), grid_res, 1)
     row_weight = grid_codes.size ** np.arange(s_size - 1, -1, -1)
     col_weight = C ** np.arange(size - 1, -1, -1)
-    free = _digits(np.arange(C ** (size - u)), C, size - u)    # (F, size - u)
     cols = counts.transpose(0, 2, 1)                            # (N, u, s)
     maps = _digits(enc, C, u)                                   # (N, u)
     equal = (cols[:, 1:] == cols[:, :-1]).all(axis=2)           # (N, u - 1)
@@ -536,28 +537,25 @@ def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, gri
     cols, maps = cols[ordered], maps[ordered]
     repeat = equal[ordered] & (maps[:, :-1] == maps[:, 1:])
     perms = itertools.permutations(range(size), u)
-    step = max(1, _SCAN_CHUNK // free.shape[0])
-    while (taken := np.array(list(itertools.islice(perms, step)), dtype=int)).size:
+    while (taken := np.array(list(itertools.islice(perms, _SCAN_CHUNK)), dtype=int)).size:
         P = taken.shape[0]
-        unused = np.ones((P, size), dtype=bool)
-        unused[np.arange(P)[:, None], taken] = False
-        left = np.nonzero(unused)[1].reshape(P, size - u)
-        extra = (free @ col_weight[left].T).T                   # (P, F)
         swapped = taken[:, :-1] > taken[:, 1:]                  # (P, u - 1)
-        batch = max(1, step // P)
+        batch = _SCAN_CHUNK // P                                # P <= _SCAN_CHUNK
         for lo in range(0, cols.shape[0], batch):
             hi = min(lo + batch, cols.shape[0])
+            once = ~(repeat[lo:hi, None] & swapped[None]).any(axis=-1)
+            if not once.any():
+                continue
             placed = np.zeros((hi - lo, P, size, s_size), dtype=int)
             placed[:, np.arange(P)[:, None], taken] = cols[lo:hi, None]
             placed = placed.transpose(0, 1, 3, 2)               # (M, P, s, size)
-            once = ~(repeat[lo:hi, None] & swapped[None]).any(axis=-1)
-            placed = placed[once]                               # (V, s, size)
+            # C order: numpy sums in memory order, and a key's reference
+            # slack and E[d] are the bits of its C-ordered kernel.
+            placed = np.ascontiguousarray(placed[once])         # (V, s, size)
             rank = np.searchsorted(grid_codes, _count_codes(placed, grid_res, 2))
             kern = (rank * row_weight).sum(axis=-1)
-            base = (maps[lo:hi, None, :] * col_weight[taken]).sum(axis=-1)
-            keys = base[:, :, None] + extra[None]               # (M, P, F)
-            yield (np.repeat(placed, free.shape[0], axis=0),
-                   np.repeat(kern, free.shape[0]), keys[once].ravel())
+            keys = (maps[lo:hi, None, :] * col_weight[taken]).sum(axis=-1)
+            yield placed, kern, keys[once]
 
 
 def _scan_p2p(source, channel, d, aux_cap, grid_res):
@@ -645,7 +643,9 @@ def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
     that surely meet the target (p2p_feasibility_sweep) and the candidates
     in the SCAN_* bands of it.  Only the relabellings (_orbit_keys) of
     those in the bands of the final best are rescored, each aux size's
-    group into sizes u .. aux_cap.
+    group into sizes u .. aux_cap, one batch of at most _SCAN_CHUNK keys at
+    a time; empty aux slots take column map 0 alone, the least key of their
+    bit-identical scores.
     """
     if not math.isfinite(target):
         raise ScenarioError(f"target distortion must be finite, got {target}")
@@ -666,15 +666,13 @@ def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
         for size in range(u, aux_cap + 1):
             for placed, kern, keys in _orbit_keys(counts[near], enc[near], size,
                                                   channel.input_size, grid_res):
-                for lo in range(0, keys.size, _SCAN_CHUNK):
-                    part = slice(lo, lo + _SCAN_CHUNK)
-                    slack, ed = _score_keys(source.probs, channel.rows, d.table, h_s,
-                                            placed[part], keys[part], grid_res)
-                    slack = np.where(ed <= limit, slack, -np.inf)
-                    i = np.lexsort((keys[part], kern[part], -slack))[0]
-                    if slack[i] > -np.inf:
-                        key = (size, int(kern[part][i]), int(keys[part][i]))
-                        win = min(win, (-float(slack[i]), key, float(ed[i])))
+                slack, ed = _score_keys(source.probs, channel.rows, d.table, h_s,
+                                        placed, keys, grid_res)
+                slack = np.where(ed <= limit, slack, -np.inf)
+                i = np.lexsort((keys, kern, -slack))[0]
+                if slack[i] > -np.inf:
+                    key = (size, int(kern[i]), int(keys[i]))
+                    win = min(win, (-float(slack[i]), key, float(ed[i])))
     return (-win[0], *win[1:]), _uncoded_ed(source, channel, d)
 
 

@@ -311,7 +311,8 @@ def cmd_simulate(opts: dict) -> dict:
     else:
         doc = load_scenario(opts["scenario"], ("p2p", "mac"))
     if opts["eps_prime"] is None:   # a value given on the command line wins
-        opts["eps_prime"] = _number(doc.get("eps_prime", 0.2), "eps_prime") if lemma1 else 0.2
+        default = sim.TrialConfig.epsilon_prime
+        opts["eps_prime"] = _number(doc.get("eps_prime", default), "eps_prime") if lemma1 else default
     if lemma1:
         check = sim.lemma1_check(
             n=opts["n"], rate=_finite(_field(doc, "rate"), "rate"),
@@ -472,10 +473,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--eps", type=float, default=0.3)
+    p.add_argument("--eps", type=float, default=sim.TrialConfig.epsilon)
     p.add_argument("--eps-prime", type=float, default=None,
-                   help="typicality slack eps' (default 0.2; with --lemma1 the "
-                        "scenario's eps_prime when it has one)")
+                   help=f"typicality slack eps' (default {sim.TrialConfig.epsilon_prime:g}; "
+                        "with --lemma1 the scenario's eps_prime when it has one)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-sweep", default=None,
                    help="comma-separated block lengths, one aggregate row each")

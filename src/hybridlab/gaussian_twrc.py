@@ -5,12 +5,17 @@ sigma2), its compress-forward (nnc), amplify-forward (af) and digital-hybrid
 special cases, a derived cutset reference, deterministic parameter
 optimization and the node-distance sweep used for comparison plots.
 
+`nnc` and the digital-hybrid corner `hc_special` are one quantize-forward
+(qf) family: user k's `hc_special` terms are `nnc`'s at sigma2 / (1 + Sa_k),
+Sa_k the SNR of the relay's link to user k's receiver (S23 for R1, S13 for
+R2).  One terms function and one sigma2 candidate list serve both, at the
+per-user scales of `_qf_scales`.
+
 All rates are in bits per transmission, in one arithmetic: numpy's sqrt and
 log2, which give the same bits on a scalar as on any element of an array.
-Each scheme with free parameters has one rate-terms function (`_nnc_terms`,
-`_hc_special_terms`, `_hc_general_terms`) that takes sigma2 (and alpha, beta)
-as scalars or broadcastable arrays.  Each rate is the first minimum of its
-two terms, clamped at 0.  Every search evaluation scores the clamped sum
+The rate terms (`_qf_terms`, `_hc_general_terms`) take sigma2 (and alpha,
+beta) as scalars or broadcastable arrays.  Each rate is the first minimum of
+its two terms, clamped at 0.  Every search evaluation scores the clamped sum
 with `_grid_sums`, on arrays and scalars alike, so a grid maximum is the
 maximum a scalar loop over the same points would find; `_clamp_pair` builds
 only the reported points.  `nnc` and `hc_special` score a finite set of
@@ -140,18 +145,30 @@ def hc_general_rates(ch: GaussianTwrcParams, sp: SchemeParams) -> RatePoint:
     return _clamp_pair(*_hc_general_terms(ch, sp.alpha, sp.beta, sp.sigma2), "hc_general")
 
 
-def _nnc_terms(ch: GaussianTwrcParams, sigma2):
-    """(R1 terms, R2 terms) of compress-forward; sigma2 may be an array."""
-    pen = gauss_c(1.0 / sigma2)
-    return ((gauss_c(ch.S31 / (1.0 + sigma2)), gauss_c(ch.S23) - pen),
-            (gauss_c(ch.S32 / (1.0 + sigma2)), gauss_c(ch.S13) - pen))
+def _qf_scales(ch: GaussianTwrcParams, scheme: str) -> tuple[float, float]:
+    """Per-user sigma2 scales: (1, 1) for `nnc`, (1 + S23, 1 + S13) for
+    `hc_special`."""
+    return (1.0, 1.0) if scheme == "nnc" else (1.0 + ch.S23, 1.0 + ch.S13)
+
+
+def _qf_terms(ch: GaussianTwrcParams, sigma2, scales):
+    """(R1 terms, R2 terms) of a quantize-forward corner; sigma2 may be an
+    array.  User k's are compress-forward's at sigma2 / scales[k], multiplied
+    out so that scales (1, 1) give compress-forward's bits."""
+    A1, A2 = scales
+    return ((gauss_c(ch.S31 * A1 / (A1 + sigma2)), gauss_c(ch.S23) - gauss_c(A1 / sigma2)),
+            (gauss_c(ch.S32 * A2 / (A2 + sigma2)), gauss_c(ch.S13) - gauss_c(A2 / sigma2)))
+
+
+def _qf_rates(ch: GaussianTwrcParams, sigma2: float, scheme: str) -> RatePoint:
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    return _clamp_pair(*_qf_terms(ch, sigma2, _qf_scales(ch, scheme)), scheme)
 
 
 def nnc_rates(ch: GaussianTwrcParams, sigma2: float) -> RatePoint:
     """Compress-forward (noisy network coding) corner at quantizer noise sigma2."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    return _clamp_pair(*_nnc_terms(ch, sigma2), "nnc")
+    return _qf_rates(ch, sigma2, "nnc")
 
 
 def af_rates(ch: GaussianTwrcParams) -> RatePoint:
@@ -161,20 +178,10 @@ def af_rates(ch: GaussianTwrcParams) -> RatePoint:
     return RatePoint(float(r1), float(r2), "af")
 
 
-def _hc_special_terms(ch: GaussianTwrcParams, sigma2):
-    """(R1 terms, R2 terms) of the digital-hybrid corner; sigma2 may be an array."""
-    pen = gauss_c(1.0 / sigma2)
-    return ((gauss_c(ch.S31 * (1.0 + ch.S23) / (1.0 + sigma2 + ch.S23)),
-             gauss_c(ch.S23 * sigma2 / (1.0 + sigma2 + ch.S23)) - pen),
-            (gauss_c(ch.S32 * (1.0 + ch.S13) / (1.0 + sigma2 + ch.S13)),
-             gauss_c(ch.S13 * sigma2 / (1.0 + sigma2 + ch.S13)) - pen))
-
-
 def hc_special_rates(ch: GaussianTwrcParams, sigma2: float) -> RatePoint:
-    """Digital-hybrid corner (alpha = 0, beta = 1) at quantizer noise sigma2."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    return _clamp_pair(*_hc_special_terms(ch, sigma2), "hc_special")
+    """Digital-hybrid corner (alpha = 0, beta = 1) at quantizer noise sigma2;
+    within a few ulps of the printed formulas."""
+    return _qf_rates(ch, sigma2, "hc_special")
 
 
 def cutset_rates(ch: GaussianTwrcParams) -> RatePoint:
@@ -214,37 +221,25 @@ def _optimize_sigma(terms) -> float:
     return math.exp(x) if v >= vals[i] else float(grid[i])
 
 
-def _nnc_sigma_candidates(ch: GaussianTwrcParams) -> list[float]:
+def _qf_sigma_candidates(ch: GaussianTwrcParams, scales) -> list[float]:
     """Per user, with (Sa, Sb) = (S23, S31) for user 1 and (S13, S32) for
-    user 2: the crossing (1 + Sb) / Sa of its two terms, the zero 1 / Sa of
-    its increasing term, and the stationary point (1 + Sb) / (Sb - 1) of its
-    decreasing term plus the other user's increasing term."""
-    cands = []
-    for Sa, Sb in ((ch.S23, ch.S31), (ch.S13, ch.S32)):
-        if Sa > 0:
-            cands += [(1.0 + Sb) / Sa, 1.0 / Sa]
-        if Sb > 1:
-            cands.append((1.0 + Sb) / (Sb - 1.0))
-    return cands
-
-
-def _hc_special_sigma_candidates(ch: GaussianTwrcParams) -> list[float]:
-    """Per user, with (Sa, Sb, So) = (S23, S31, S13) for user 1 and
-    (S13, S32, S23) for user 2, A = 1 + Sa, B = 1 + So and K = Sb * A: the
+    user 2, A its own scale, B the other user's and K = Sb * A: the
     crossing A (1 + Sb) / Sa of its two terms, the zero A / Sa of its
-    increasing term, and the stationary point of its decreasing term plus the
-    other user's increasing term, the positive root of
-    (B - K) s^2 + 2 A B s + A B (A + K) = 0, which exists only when K > B."""
+    increasing term, and the stationary point of its decreasing term plus
+    the other user's increasing term, the positive root of
+    (B - K) s^2 + 2 A B s + A B (A + K) = 0, which exists only when K > B.
+    At scales (1, 1) these are (1 + Sb) / Sa, 1 / Sa and (1 + Sb) / (Sb - 1)."""
     cands = []
-    for Sa, Sb, So in ((ch.S23, ch.S31, ch.S13), (ch.S13, ch.S32, ch.S23)):
-        A, B = 1.0 + Sa, 1.0 + So
+    for Sa, Sb, A, B in ((ch.S23, ch.S31, *scales), (ch.S13, ch.S32, *scales[::-1])):
         K = Sb * A
         if Sa > 0:
             cands += [A * (1.0 + Sb) / Sa, A / Sa]
         if K > B:
-            # The root without cancellation: both numerator terms are positive.
+            # Both numerator terms are positive.  The discriminant / 4 is
+            # A B K (A + K - B); A - B is exactly 0 at scales (1, 1), which
+            # so give (1 + Sb) / (Sb - 1) bit for bit.
             AB = A * B
-            cands.append((AB + math.sqrt(AB * AB + (K - B) * AB * (A + K))) / (K - B))
+            cands.append((AB + math.sqrt(AB * K * ((A - B) + K))) / (K - B))
     return cands
 
 
@@ -273,12 +268,11 @@ def optimize_scheme(ch: GaussianTwrcParams, scheme: str) -> OptimizedScheme:
         return OptimizedScheme(None, af_rates(ch))
     if scheme == "cutset":
         return OptimizedScheme(None, cutset_rates(ch))
-    if scheme == "nnc":
-        s2 = _best_sigma(lambda s: _nnc_terms(ch, s), _nnc_sigma_candidates(ch))
-        return OptimizedScheme(SchemeParams(0.0, 0.0, s2), nnc_rates(ch, s2))
-    if scheme == "hc_special":
-        s2 = _best_sigma(lambda s: _hc_special_terms(ch, s), _hc_special_sigma_candidates(ch))
-        return OptimizedScheme(SchemeParams(0.0, 1.0, s2), hc_special_rates(ch, s2))
+    if scheme in ("nnc", "hc_special"):
+        beta, rates = (0.0, nnc_rates) if scheme == "nnc" else (1.0, hc_special_rates)
+        scales = _qf_scales(ch, scheme)
+        s2 = _best_sigma(lambda s: _qf_terms(ch, s, scales), _qf_sigma_candidates(ch, scales))
+        return OptimizedScheme(SchemeParams(0.0, beta, s2), rates(ch, s2))
     if scheme == "hc_general":
         return _optimize_general(ch)
     raise ValueError(f"unknown scheme {scheme!r}")

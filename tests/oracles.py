@@ -15,7 +15,9 @@ P(E1) of the p2p random codebook, summed over types instead of sampled.
 uniform_pmf, bsc_kernel and hamming_measure build the tests' common source,
 channel and distortion.  dense_sigma_max is the relay sum rate's maximum over
 a dense log grid of sigma2, the bound that the exact sigma2 optimum of
-`gaussian_twrc.optimize_scheme` must reach.
+`gaussian_twrc.optimize_scheme` must reach.  hc_special_printed_terms is the
+digital-hybrid relay corner as printed, which the library evaluates as
+compress-forward at scaled quantizer noise.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from hybridlab import bounds
 from hybridlab.bounds import BoundReport, Constraint
-from hybridlab.gaussian_twrc import _grid_sums
+from hybridlab.gaussian_twrc import _grid_sums, gauss_c
 from hybridlab.infotheory import (
     ConditionalPmf,
     DistortionMeasure,
@@ -273,3 +275,13 @@ def dense_sigma_max(terms) -> float:
     """Largest clamped sum rate of terms(sigma2) over 100 001 log-spaced
     sigma2 in [1e-10, 1e12], scored in one `_grid_sums` call."""
     return float(np.max(_grid_sums(*terms(np.logspace(-10.0, 12.0, 100_001)))))
+
+
+def hc_special_printed_terms(ch, sigma2):
+    """(R1 terms, R2 terms) of the digital-hybrid corner (alpha = 0,
+    beta = 1) as the source material prints them; sigma2 may be an array."""
+    pen = gauss_c(1.0 / sigma2)
+    return ((gauss_c(ch.S31 * (1.0 + ch.S23) / (1.0 + sigma2 + ch.S23)),
+             gauss_c(ch.S23 * sigma2 / (1.0 + sigma2 + ch.S23)) - pen),
+            (gauss_c(ch.S32 * (1.0 + ch.S13) / (1.0 + sigma2 + ch.S13)),
+             gauss_c(ch.S13 * sigma2 / (1.0 + sigma2 + ch.S13)) - pen))

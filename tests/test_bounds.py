@@ -493,8 +493,9 @@ class TestScanOracle:
         (2, 2, 3, 3), (2, 2, 4, 2), (2, 3, 2, 3), (3, 2, 2, 3), (3, 2, 3, 1)])
     def test_orbits_cover_every_candidate_once(self, s_size, x_size, aux_cap, grid_res):
         # Expanding every canonical candidate gives every key of the full
-        # scan exactly once, each with its representative's reference slack
-        # and E[d], and placed kernel counts that match its kernel index.
+        # scan whose empty aux slots carry column map 0 exactly once, each
+        # with its representative's reference slack and E[d], and placed
+        # kernel counts that match its kernel index.
         rng = np.random.default_rng(13)
         p_s = rng.dirichlet(np.ones(s_size))
         W = rng.dirichlet(np.ones(3), size=x_size)
@@ -520,11 +521,39 @@ class TestScanOracle:
                                 assert np.allclose(slack, rep[0], rtol=0, atol=1e-12)
                                 assert np.allclose(ed, rep[1], rtol=0, atol=1e-12)
                                 keys += [(size, k, m) for k, m in zip(kern.tolist(), enc.tolist())]
-        full = [(u, k, e) for u in range(1, aux_cap + 1)
-                for k in range(grids[u].shape[0] ** s_size)
-                for e in range(C ** u)]
+        full = []
+        for u in range(1, aux_cap + 1):
+            kernels = grids[u][bounds._digits(np.arange(grids[u].shape[0] ** s_size),
+                                              grids[u].shape[0], s_size)]   # (K, s, u)
+            empty = (kernels == 0).all(axis=1)                               # (K, u)
+            maps = bounds._digits(np.arange(C ** u), C, u)                   # (E, u)
+            k, e = np.nonzero(~(empty[:, None] & (maps[None] != 0)).any(axis=2))
+            full += [(u, int(a), int(b)) for a, b in zip(k, e)]
         assert len(keys) == len(full)
         assert set(keys) == set(full)
+
+    @pytest.mark.parametrize("s_size, x_size, size", [(2, 2, 3), (3, 2, 2), (2, 3, 3)])
+    def test_empty_slot_maps_score_identically(self, s_size, x_size, size):
+        # An empty aux slot's column map multiplies probability 0, so keys
+        # that differ only there score bit-identical slack and E[d]: the
+        # orbits enumerate map 0 alone for such slots.
+        rng = np.random.default_rng(29)
+        grid_res, C = 4, x_size ** s_size
+        p_s = rng.dirichlet(np.ones(s_size))
+        W = rng.dirichlet(np.ones(3), size=x_size)
+        d_table = rng.random((s_size, 2))
+        h_s = float(bounds._entropy_rows(p_s, 0))
+        col_weight = C ** np.arange(size - 1, -1, -1)
+        for _ in range(20):
+            counts = rng.multinomial(grid_res, np.ones(size - 1) / (size - 1), size=s_size)
+            slot = int(rng.integers(size))
+            counts = np.insert(counts, slot, 0, axis=1)                     # (s, size)
+            maps = rng.integers(C, size=size)
+            maps[slot] = 0
+            enc = int(maps @ col_weight) + np.arange(C) * col_weight[slot]
+            slack, ed = bounds._score_keys(p_s, W, d_table, h_s,
+                                           np.repeat(counts[None], C, axis=0), enc, grid_res)
+            assert (slack == slack[0]).all() and (ed == ed[0]).all()
 
     @pytest.mark.parametrize("s_size, x_size, aux_cap, grid_res", [(2, 2, 3, 3), (3, 2, 2, 3)])
     def test_orbit_batches_of_three_keys(self, monkeypatch, s_size, x_size, aux_cap, grid_res):

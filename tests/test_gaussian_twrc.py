@@ -22,7 +22,7 @@ from hybridlab.gaussian_twrc import (
     params_from_distance,
     sweep_to_csv,
 )
-from oracles import dense_sigma_max
+from oracles import dense_sigma_max, hc_special_printed_terms
 
 snr = st.floats(0.1, 50.0)
 
@@ -31,6 +31,12 @@ def random_params(seed):
     rng = np.random.default_rng(seed)
     s = 10 ** rng.uniform(-1, 2, size=4)
     return GaussianTwrcParams(S13=s[0], S23=s[1], S31=s[2], S32=s[3])
+
+
+def qf_terms(ch, scheme):
+    """The rate terms of sigma2 that optimize_scheme scores for scheme."""
+    scales = gaussian_twrc._qf_scales(ch, scheme)
+    return lambda s: gaussian_twrc._qf_terms(ch, s, scales)
 
 
 class TestGaussC:
@@ -194,8 +200,8 @@ class TestOneArithmetic:
         schemes = [
             (lambda i: hc_general_rates(ch, SchemeParams(alpha[i], beta[i], sigma2[i])),
              gaussian_twrc._hc_general_terms(ch, alpha, beta, sigma2)),
-            (lambda i: nnc_rates(ch, sigma2[i]), gaussian_twrc._nnc_terms(ch, sigma2)),
-            (lambda i: hc_special_rates(ch, sigma2[i]), gaussian_twrc._hc_special_terms(ch, sigma2)),
+            (lambda i: nnc_rates(ch, sigma2[i]), qf_terms(ch, "nnc")(sigma2)),
+            (lambda i: hc_special_rates(ch, sigma2[i]), qf_terms(ch, "hc_special")(sigma2)),
         ]
         for scalar, (r1, r2) in schemes:
             sums = gaussian_twrc._grid_sums(r1, r2)
@@ -217,8 +223,8 @@ class TestOneArithmetic:
         monkeypatch.setattr(gaussian_twrc, "golden_refine", record)
         grid = gaussian_twrc._log_sigma_grid()
         for scalar, terms in [
-            (lambda s: nnc_rates(ch, s), lambda s: gaussian_twrc._nnc_terms(ch, s)),
-            (lambda s: hc_special_rates(ch, s), lambda s: gaussian_twrc._hc_special_terms(ch, s)),
+            (lambda s: nnc_rates(ch, s), qf_terms(ch, "nnc")),
+            (lambda s: hc_special_rates(ch, s), qf_terms(ch, "hc_special")),
             (lambda s: hc_general_rates(ch, SchemeParams(0.3, 0.2, s)),
              lambda s: gaussian_twrc._hc_general_terms(ch, 0.3, 0.2, s)),
         ]:
@@ -251,18 +257,16 @@ SIGMA_CHANNELS = (
 class TestExactSigma:
     """nnc and hc_special take the best of a finite set of sigma2 candidates."""
 
-    @pytest.mark.parametrize("scheme, terms", [("nnc", gaussian_twrc._nnc_terms),
-                                               ("hc_special", gaussian_twrc._hc_special_terms)],
-                             ids=["nnc", "hc_special"])
-    def test_never_below_a_dense_sigma2_grid(self, scheme, terms):
+    @pytest.mark.parametrize("scheme", ["nnc", "hc_special"])
+    def test_never_below_a_dense_sigma2_grid(self, scheme):
         for ch in SIGMA_CHANNELS:
             best = optimize_scheme(ch, scheme).point.sum_rate
-            assert best >= dense_sigma_max(lambda s: terms(ch, s)) - 1e-12, ch
+            assert best >= dense_sigma_max(qf_terms(ch, scheme)) - 1e-12, ch
 
     def test_no_candidate_gives_sigma2_1(self):
         zero = GaussianTwrcParams(S13=0.0, S23=0.0, S31=0.0, S32=0.0)
         one_sided = GaussianTwrcParams(S13=0.0, S23=0.0, S31=0.5, S32=1.0)
-        assert gaussian_twrc._nnc_sigma_candidates(one_sided) == []
+        assert gaussian_twrc._qf_sigma_candidates(one_sided, (1.0, 1.0)) == []
         for ch in (zero, one_sided):
             for scheme in ("nnc", "hc_special"):
                 best = optimize_scheme(ch, scheme)
@@ -272,6 +276,38 @@ class TestExactSigma:
         # Every sigma2 scores 0; the stationary points are 4 / 2 and 6 / 4.
         ch = GaussianTwrcParams(S13=0.0, S23=0.0, S31=3.0, S32=5.0)
         assert optimize_scheme(ch, "nnc").params.sigma2 == 1.5
+
+
+class TestQuantizeForward:
+    """hc_special is nnc with user k's quantizer noise divided by 1 + Sa_k."""
+
+    # The two forms round differently; 1e-13 is about 14 ulps of the largest
+    # term on these channels (about 50 bits).  The largest difference on
+    # this grid is 7.1e-15.
+    PRINTED_TOL = 1e-13
+
+    def test_matches_the_printed_formulas(self):
+        s = np.logspace(-10.0, 12.0, 2201)
+        for ch in SIGMA_CHANNELS:
+            for got, ref in zip(qf_terms(ch, "hc_special")(s), hc_special_printed_terms(ch, s)):
+                for a, b in zip(got, ref):
+                    assert np.abs(a - b).max() <= self.PRINTED_TOL, ch
+
+    def test_symmetric_channel_gives_the_nnc_optimum(self):
+        # With S13 = S23 both scales are A = 1 + S23, so hc_special's sum at
+        # sigma2 is nnc's at sigma2 / A, and the optima are equal.
+        rng = np.random.default_rng(31)
+        channels = [GaussianTwrcParams(s[0], s[0], s[1], s[2])
+                    for s in 10 ** rng.uniform(-3, 6, (40, 3))]
+        fig8_mid = params_from_distance(0.5, 10.0, 3.0)     # fig8.json at r = 0.5
+        for ch in channels + [fig8_mid]:
+            hc, nnc = optimize_scheme(ch, "hc_special"), optimize_scheme(ch, "nnc")
+            assert hc.point.sum_rate == pytest.approx(nnc.point.sum_rate, rel=0, abs=1e-12), ch
+        # The loop ends on fig8_mid, whose recorded optima are
+        # 82.0125 = 81 * 1.0125.
+        assert hc.params.sigma2 == pytest.approx((1.0 + fig8_mid.S23) * nnc.params.sigma2,
+                                                 rel=1e-12)
+        assert (nnc.params.sigma2, hc.params.sigma2) == pytest.approx((1.0125, 82.0125), rel=1e-12)
 
 
 class TestSweep:
