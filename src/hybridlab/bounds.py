@@ -705,29 +705,24 @@ def p2p_optimize(
     aux alphabet up to aux_cap; enc maps are enumerated exhaustively and the
     reconstruction map is the per-(u, y) distortion minimizer.  Infeasibility
     at this resolution is reported, not raised.  The winner is the one the
-    reference formula picks among all candidates (_p2p_winner); its slack
-    and the uncoded E[d] decide "achievable".  check_p2p evaluates it once,
-    and its rate is the midpoint 0.5 (I(S;U) + I(U;Y)) of that constraint.
+    reference formula picks among all candidates (_p2p_winner); the report
+    is check_p2p's of the returned spec, with two entries added to its info:
+    the least uncoded E[d] ("uncoded_distortion") and "achievable", which is
+    that E[d] <= target_D + TARGET_D_TOL or the report's own "satisfied".
+    The spec's rate is the midpoint 0.5 (I(S;U) + I(U;Y)) of its constraint.
     """
-    (best_slack, key, best_ed), uncoded_ed = _p2p_winner(source, channel, d, target_D,
-                                                         aux_cap, grid_res)
-    if key is None:
-        report = BoundReport(
-            constraints=(), satisfied=False, binding_constraint="feasibility",
-            info={"achievable": False, "reason": "no candidate met the distortion target"},
-        )
-        return report, None
-    spec = _spec_from_key(source, channel, d, key, grid_res)
-    report = check_p2p(source, channel, d, spec)
-    c = report.constraints[0]
-    spec = replace(spec, rate=0.5 * (c.lhs + c.rhs))
-    return replace(report, info={
-        **report.info,
-        "achievable": bool(uncoded_ed <= target_D + TARGET_D_TOL or best_slack > MARGIN),
-        "best_slack": best_slack,
-        "best_distortion": best_ed,
-        "uncoded_distortion": uncoded_ed,
-    }), spec
+    (_, key, _), uncoded_ed = _p2p_winner(source, channel, d, target_D, aux_cap, grid_res)
+    spec = None
+    report = BoundReport(constraints=(), satisfied=False, binding_constraint="feasibility",
+                         info={"reason": "no candidate met the distortion target"})
+    if key is not None:
+        spec = _spec_from_key(source, channel, d, key, grid_res)
+        report = check_p2p(source, channel, d, spec)
+        c = report.constraints[0]
+        spec = replace(spec, rate=0.5 * (c.lhs + c.rhs))
+    achievable = bool(uncoded_ed <= target_D + TARGET_D_TOL or report.satisfied)
+    return replace(report, info={**report.info, "achievable": achievable,
+                                 "uncoded_distortion": uncoded_ed}), spec
 
 
 def p2p_feasibility_sweep(
@@ -935,19 +930,16 @@ def _product_family_values(p23: np.ndarray, family: tuple) -> np.ndarray:
     return np.minimum(np.minimum(t2, t3), np.minimum(t4, h23)).ravel()
 
 
-def _cutset_family(joints: np.ndarray, y4_map: np.ndarray) -> tuple:
+def _cutset_family(joints: np.ndarray, y4_onehot: np.ndarray) -> tuple:
     """Joint pmfs g (J, x2, x3) of (X2, X3) and their (J,) entropies
-    H(Y4|X2), H(Y4|X3) and H(Y4), which no source pmf changes.  The pmf of
-    (X2, Y4), (X3, Y4), Y4, X2 or X3 sums the cells of g that share it."""
-    flat = joints.reshape(joints.shape[0], -1)
-    x2, x3 = np.indices(y4_map.shape) * (int(y4_map.max()) + 1)
-
-    def entropy(key):
-        group = np.unique(key, return_inverse=True)[1].ravel()
-        return _entropy_rows(flat @ np.eye(group.max() + 1)[group], 1)
-
-    return (joints, entropy(x2 + y4_map) - entropy(x2), entropy(x3 + y4_map) - entropy(x3),
-            entropy(y4_map))
+    H(Y4|X2), H(Y4|X3) and H(Y4), which no source pmf changes.  Each g is
+    pushed through the y4 map by the einsums of _product_family."""
+    p_x2y4 = np.einsum("jcd,cde->jce", joints, y4_onehot)
+    p_x3y4 = np.einsum("jcd,cde->jde", joints, y4_onehot)
+    return (joints,
+            _entropy_rows(p_x2y4, (1, 2)) - _entropy_rows(joints.sum(axis=2), 1),
+            _entropy_rows(p_x3y4, (1, 2)) - _entropy_rows(joints.sum(axis=1), 1),
+            _entropy_rows(p_x2y4.sum(axis=1), 1))
 
 
 def _cutset_values(p23: np.ndarray, family: tuple) -> np.ndarray:
@@ -989,8 +981,8 @@ def det_diamond_bounds(
 
     Raises MemoryCapError before allocating when one px1 row of the hybrid
     family, Na * Nb values with Na = G2^|Y2| and Nb = G3^|Y3| candidate
-    kernels, its factor tables, or the grid of joint pmfs of (X2, X3)
-    exceed MEMORY_CAP_SYMBOLS entries.
+    kernels, its factor tables, or the grid of joint pmfs of (X2, X3) or
+    their pmfs of (X2, Y4) and (X3, Y4) exceed MEMORY_CAP_SYMBOLS entries.
     """
     y2_map, y3_map, y4_map = (as_table(m, name, whole=True) for m, name in (
         (y2_map, "y2_map"), (y3_map, "y3_map"), (y4_map, "y4_map")))
@@ -1006,11 +998,12 @@ def det_diamond_bounds(
     nb = math.comb(grid_res + x3_size - 1, x3_size - 1) ** y3_size
     factors = (na + nb) * max(y2_size, y3_size) * x2_size * x3_size * y4_size
     joints = math.comb(grid_res + x2_size * x3_size - 1, x2_size * x3_size - 1)
-    if max(na * nb, factors, joints * x2_size * x3_size) > MEMORY_CAP_SYMBOLS:
+    cutset = joints * max(x2_size * x3_size, (x2_size + x3_size) * y4_size)
+    if max(na * nb, factors, cutset) > MEMORY_CAP_SYMBOLS:
         raise MemoryCapError(
             f"the diamond's hybrid family has {na} x {nb} candidates and its cutset "
-            f"family {joints} joint pmfs of (X2, X3) per source pmf, over the cap "
-            f"of {MEMORY_CAP_SYMBOLS} entries")
+            f"family {joints} joint pmfs of (X2, X3) per source pmf, {cutset} entries "
+            f"with their pmfs of (X2, Y4) and (X3, Y4); the cap is {MEMORY_CAP_SYMBOLS}")
     y4_onehot = np.zeros((x2_size, x3_size, y4_size))
     y4_onehot[np.arange(x2_size)[:, None], np.arange(x3_size)[None, :], y4_map] = 1.0
 
@@ -1025,7 +1018,7 @@ def det_diamond_bounds(
             np.repeat(a_const[:, None], y2_size, axis=1),
             np.repeat(b_const[:, None], y3_size, axis=1), y4_onehot)),
         "cutset": (_cutset_values, lambda family, k: family[0][k],
-                   _cutset_family(joint_grid, y4_map)),
+                   _cutset_family(joint_grid, y4_onehot)),
     }
     px1_grid = simplex_grid_array(y2_map.size, grid_res)
     p23_grid = [_stage_joint(px1, y2_map, y3_map, (y2_size, y3_size)) for px1 in px1_grid]

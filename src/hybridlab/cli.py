@@ -501,8 +501,13 @@ def _resolve_options(args: argparse.Namespace) -> dict:
                 raise ScenarioError(f"--n-sweep needs comma-separated integers: {exc}") from exc
         if not opts["lemma1"] and not opts["spec"]:
             raise ScenarioError("simulate needs --spec unless --lemma1 is given")
-    if args.subcommand == "check-thm1" and args.optimize and args.target_d is None:
-        raise ScenarioError("--optimize requires --target-d")
+        if opts["lemma1"] and (opts["spec"] or opts["n_sweep"]):
+            raise ScenarioError("--lemma1 takes neither --spec nor --n-sweep")
+    if args.subcommand == "check-thm1":
+        if args.optimize != (args.target_d is not None):
+            raise ScenarioError("--optimize and --target-d are given together or not at all")
+        if args.optimize and args.spec:
+            raise ScenarioError("--optimize takes no --spec")
     return opts
 
 

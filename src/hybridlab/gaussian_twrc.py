@@ -328,30 +328,26 @@ def params_from_distance(r: float, P: float = 10.0, path_loss_exp: float = 3.0) 
                               S31=g31 * g31 * P, S32=g32 * g32 * P)
 
 
+# (column, scheme) of each sweep row after r, in CSV order.
+SWEEP_COLUMNS = (("R_CS", "cutset"), ("R_AF", "af"), ("R_NNC", "nnc"), ("R_HC", "hc_special"))
+
+
 def fig8_sweep(P: float = 10.0, r_grid=None, path_loss_exp: float = 3.0) -> list[dict]:
     """Sum-rate comparison of cutset / af / nnc / digital-hybrid versus
-    relay position r.  Returns rows with keys r, R_CS, R_AF, R_NNC, R_HC.
-    Every distance is checked before the first row is computed."""
+    relay position r.  Returns rows with keys r and the SWEEP_COLUMNS, each
+    the sum rate of optimize_scheme for its scheme.  Every distance is
+    checked before the first row is computed."""
     if r_grid is None:
         r_grid = [round(0.05 * i, 10) for i in range(1, 20)]
     if not r_grid:
         raise ScenarioError("r_grid must hold at least one distance")
     channels = [params_from_distance(r, P, path_loss_exp) for r in r_grid]
-    rows = []
-    for r, ch in zip(r_grid, channels):
-        rows.append({
-            "r": float(r),
-            "R_CS": cutset_rates(ch).sum_rate,
-            "R_AF": af_rates(ch).sum_rate,
-            "R_NNC": optimize_scheme(ch, "nnc").point.sum_rate,
-            "R_HC": optimize_scheme(ch, "hc_special").point.sum_rate,
-        })
-    return rows
+    return [{"r": float(r), **{col: optimize_scheme(ch, scheme).point.sum_rate
+                               for col, scheme in SWEEP_COLUMNS}}
+            for r, ch in zip(r_grid, channels)]
 
 
 def sweep_to_csv(rows: list[dict]) -> str:
-    lines = ["r,R_CS,R_AF,R_NNC,R_HC"]
-    for row in rows:
-        lines.append("%.6f,%.6f,%.6f,%.6f,%.6f" % (
-            row["r"], row["R_CS"], row["R_AF"], row["R_NNC"], row["R_HC"]))
+    cols = ["r"] + [col for col, _ in SWEEP_COLUMNS]
+    lines = [",".join(cols)] + [",".join("%.6f" % row[c] for c in cols) for row in rows]
     return "\n".join(lines) + "\n"

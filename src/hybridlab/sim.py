@@ -539,26 +539,23 @@ def _pair_search(cb1: np.ndarray, cb2: np.ndarray, y: np.ndarray, ok: np.ndarray
     cb1 (trials, m1, n), cb2 (trials, m2, n) and y (trials, n) are the
     codebooks and channel outputs, ok the (|U1|, |U2|, |Y|, n + 1)
     typical_table of p(u1, u2, y), and idx1, idx2 the chosen indices.  Each
-    sender's searched indices are the chosen one, then the other codewords
-    typical with y under its _count_ranges table.  Yields, per trial,
-    sender 1's and sender 2's searched indices and typical_pairs on them.
+    sender's searched indices are, in ascending order, the chosen one and
+    the other codewords typical with y under its _count_ranges table.
+    Yields, per trial, sender 1's and sender 2's searched indices and
+    typical_pairs on them.
     """
     u1_size, u2_size, y_size, _ = ok.shape
     rows = np.arange(y.shape[0])
-    orders, left = [], []
+    masks = []
     for cb, ranges, chosen in zip((cb1, cb2), _count_ranges(ok), (idx1, idx2)):
-        # Rank 0 for the chosen codeword, 1 for the others left, 2 for the pruned.
-        rank = 2 - _pair_typical(cb, y, ranges)
-        rank[rows, chosen] = 0
-        orders.append(np.argsort(rank, axis=1, kind="stable"))
-        left.append((rank < 2).sum(axis=1))
-    a = (cb1 * y_size + y[:, None, :])[rows[:, None], orders[0]]
-    b = cb2[rows[:, None], orders[1]]
+        mask = _pair_typical(cb, y, ranges)
+        mask[rows, chosen] = True
+        masks.append(mask)
     # The test of cell (u1*|Y| + y, u2) at every count 0..n.
     pair_ok = ok.transpose(0, 2, 1, 3).reshape(u1_size * y_size, u2_size, -1)
     for row in rows:
-        r1, r2 = orders[0][row, :left[0][row]], orders[1][row, :left[1][row]]
-        yield r1, r2, typical_pairs(a[row, :r1.size], b[row, :r2.size], pair_ok)
+        r1, r2 = np.flatnonzero(masks[0][row]), np.flatnonzero(masks[1][row])
+        yield r1, r2, typical_pairs(cb1[row, r1] * y_size + y[row], cb2[row, r2], pair_ok)
 
 
 def run_mac(scenario: MacScenario, spec: MacHybridSpec,
@@ -628,9 +625,10 @@ def run_mac(scenario: MacScenario, spec: MacHybridSpec,
         h2 = np.zeros(ts.size, dtype=int)
         searches = _pair_search(cb1, cb2, y, ok, idx1, idx2)
         for row, (t, (r1, r2, typ)) in enumerate(zip(ts, searches)):
-            # Row and column 0 are the chosen pair's.  Typical pairs other
-            # than it: in its row, its column, neither.
-            chosen, in_row, in_col = typ[0, 0], typ[0].sum(), typ[:, 0].sum()
+            # The chosen pair's row and column.  Typical pairs other than
+            # it: in its row, its column, neither.
+            i, j = np.searchsorted(r1, idx1[row]), np.searchsorted(r2, idx2[row])
+            chosen, in_row, in_col = typ[i, j], typ[i].sum(), typ[:, j].sum()
             events["e3"][t] = not chosen
             events["e4"][t] = typ.sum() - in_row - in_col + chosen > 0
             events["e5"][t] = in_col > chosen

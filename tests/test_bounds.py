@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -608,6 +609,51 @@ class TestScanOracle:
         assert np.allclose(spec.aux_kernel.rows, expected["aux_kernel"], rtol=0, atol=1e-15)
 
 
+def optimizer_corpus():
+    """The bundled BSC and erasure channels at five targets and grids 6 and
+    12, then 300 random problems with two random targets each."""
+    for _, channel in sorted(ORACLE_CHANNELS.items()):
+        for target in (0.05, 0.1, 0.15, 0.2, 0.3):
+            for grid_res in (6, 12):
+                yield UNIF2, channel, HAMMING2, target, 4, grid_res
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        source, channel, d, aux_cap, grid_res = random_p2p_problem(rng)
+        for _ in range(2):
+            yield source, channel, d, float(rng.random() * d.table.max()), aux_cap, grid_res
+
+
+class TestOptimizerReport:
+    """p2p_optimize reports check_p2p of the spec it returns, plus two
+    entries: the uncoded E[d] and the verdict read from the report."""
+
+    def test_report_is_check_p2p_of_its_spec(self):
+        verdicts = {True: 0, False: 0, None: 0}
+        for source, channel, d, target, aux_cap, grid_res in optimizer_corpus():
+            rep, spec = p2p_optimize(source, channel, d, target, aux_cap, grid_res)
+            info = dict(rep.info)
+            achievable = info.pop("achievable")
+            uncoded_ed = info.pop("uncoded_distortion")
+            assert uncoded_ed == bounds._uncoded_ed(source, channel, d)
+            assert achievable is (uncoded_ed <= target + bounds.TARGET_D_TOL or rep.satisfied)
+            if spec is None:
+                assert (rep.constraints, rep.satisfied, info) == (
+                    (), False, {"reason": "no candidate met the distortion target"})
+            else:
+                want = dataclasses.asdict(check_p2p(source, channel, d, spec))
+                assert repr({**dataclasses.asdict(rep), "info": info}) == repr(want)
+            verdicts[None if spec is None else achievable] += 1
+        assert min(verdicts.values()) >= 10, verdicts
+
+    def test_every_report_has_the_optimizer_entries(self):
+        # An infeasible target, a coded winner and an uncoded one.
+        for target, aux_cap in ((0.05, 1), (0.15, 3), (0.45, 1)):
+            rep, _ = p2p_optimize(UNIF2, bsc_kernel(0.1), HAMMING2, target_D=target,
+                                  aux_cap=aux_cap, grid_res=4)
+            assert {"achievable", "uncoded_distortion"} <= rep.info.keys()
+            assert not {"best_slack", "best_distortion"} & rep.info.keys()
+
+
 def correlated_sources():
     return JointPmf([[0.35, 0.15], [0.15, 0.35]])
 
@@ -848,6 +894,16 @@ class TestDiamond:
             det_diamond_bounds(*CONSTANT_STAGE_CYCLIC, grid_res=6)
         assert time.perf_counter() - start < 1.0
 
+    def test_cutset_y4_tables_over_cap_raise_before_allocating(self):
+        # Ternary relays and an injective y4 map at grid 12: the 125970 joint
+        # pmfs of (X2, X3) hold 9 entries each, within the cap, but their
+        # pmfs of (X2, Y4) and (X3, Y4) hold 2 x 27.
+        start = time.perf_counter()
+        with pytest.raises(MemoryCapError, match="125970 joint pmfs .* 6802380 entries"):
+            det_diamond_bounds([0, 0], [0, 0], [[0, 1, 2], [3, 4, 5], [6, 7, 8]], 3, 3,
+                               grid_res=12)
+        assert time.perf_counter() - start < 1.0
+
 
 def random_diamond(rng):
     """|X1| <= 4, |X2|, |X3| <= 3, stage maps into at most 3 symbols."""
@@ -975,7 +1031,7 @@ class TestDiamondFactored:
                 px1[0] = 0.0                       # and a zero source symbol
                 px1 /= px1.sum()
             p23 = bounds._stage_joint(px1, y2_map, y3_map, (y2_size, y3_size))
-            family = bounds._cutset_family(joints, np.asarray(y4_map))
+            family = bounds._cutset_family(joints, y4_onehot)
             vals = bounds._cutset_values(p23, family)
             cond = np.broadcast_to(joints[:, None, None], (9, y2_size, y3_size, x2, x3))
             ref = bounds._det_diamond_terms(px1, y2_map, y3_map, y4_onehot, cond).min(axis=0)

@@ -115,6 +115,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--eps-prime", "0"],
         ["check-thm1", scen("p2p_hybrid.json"), "--optimize", "--target-d", "NaN"],
+        ["check-thm1", scen("p2p_hybrid.json"), "--optimize"],
         # inf * 0 is NaN in the slack of a zero-probability cell, which
         # used to fail every sequence and exit 0 with p_error 1.
         ["simulate", scen("p2p_hybrid.json"), "--spec", scen("p2p_hybrid_spec.json"),
@@ -122,9 +123,25 @@ class TestExitCodes:
         ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--eps-prime", "inf"],
         ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--min-count", "-3"],
         ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--min-count", "0"],
-    ], ids=["lemma1-eps-prime-0", "target-d-nan", "p2p-eps-inf", "lemma1-eps-prime-inf",
-            "lemma1-min-count-negative", "lemma1-min-count-0"])
+    ], ids=["lemma1-eps-prime-0", "target-d-nan", "optimize-without-target-d", "p2p-eps-inf",
+            "lemma1-eps-prime-inf", "lemma1-min-count-negative", "lemma1-min-count-0"])
     def test_bad_option_value_exits_2(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["check-thm1", scen("p2p_hybrid.json"), "--spec", scen("p2p_hybrid_spec.json"),
+         "--optimize", "--target-d", "0.15", "--aux-cap", "2", "--grid-res", "4"],
+        ["check-thm1", scen("p2p_hybrid.json"), "--spec", scen("p2p_hybrid_spec.json"),
+         "--target-d", "0.15"],
+        ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--trials", "3",
+         "--spec", scen("p2p_hybrid_spec.json")],
+        ["simulate", scen("lemma1.json"), "--lemma1", "--n", "2", "--trials", "3",
+         "--n-sweep", "4,8"],
+    ], ids=["optimize-spec", "target-d-without-optimize", "lemma1-spec", "lemma1-n-sweep"])
+    def test_flag_the_mode_ignores_exits_2(self, tmp_path, capsys, argv):
+        # Each of these used to run, exit 0 and silently ignore one flag.
         assert run(argv + ["--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
@@ -782,7 +799,7 @@ class TestPinnedOutputs:
          None, ".json", "6cd8b9a8b6eb3a684c21b9a7b57eb18b90bbb6a3ea51ca6a94537172ea36941f"),
         (["check-thm1", scen("bsc_uncoded.json"), "--optimize", "--target-d", "0.15",
           "--aux-cap", "3", "--grid-res", "6"], None, ".json",
-         "b565942ad869888fec04e7f7507f362ec64a188f9fdcb1de89e38ea6ad06a3a2"),
+         "39843e814bbbaac46c3d4edb064b3b9bf622cffc8359709862e008b8156f0534"),
         (["check-thm3", scen("twrc_xor.json"), "--spec", scen("twrc_xor_spec.json")],
          None, ".json", "cb98e76c21142470636952206108efa49b075008ca64752a94697243c60e7b27"),
         (["plot", "CSV"], None, ".svg",

@@ -619,14 +619,17 @@ class TestPairSearchOracle:
         ok = typical_table(p, cb1.shape[1], epsilon)
         [(r1, r2, typ)] = sim._pair_search(cb1[None], cb2[None], y[None], ok,
                                            np.array([i1]), np.array([i2]))
-        assert r1[0] == i1 and r2[0] == i2
-        assert np.unique(r1).size == r1.size and np.unique(r2).size == r2.size
+        # The indices ascend, and the chosen pair sits at its searchsorted
+        # position.
+        assert np.all(np.diff(r1) > 0) and np.all(np.diff(r2) > 0)
+        i, j = np.searchsorted(r1, i1), np.searchsorted(r2, i2)
+        assert r1[i] == i1 and r2[j] == i2
         full = np.zeros(want.shape, dtype=bool)
         full[np.ix_(r1, r2)] = typ
         assert np.array_equal(full, want)
-        # Row and column 0 are the chosen pair's: chosen, in its row, in its
+        # The chosen pair's row and column: chosen, in its row, in its
         # column, in all, and the unique typical pair through the index maps.
-        got = (typ[0, 0], typ[0].sum(), typ[:, 0].sum(), typ.sum())
+        got = (typ[i, j], typ[i].sum(), typ[:, j].sum(), typ.sum())
         assert got == (want[i1, i2], want[i1].sum(), want[:, i2].sum(), want.sum())
         hits = np.argwhere(typ)
         if hits.shape[0] == 1:
@@ -660,7 +663,7 @@ class TestPairSearchOracle:
         p /= p.sum()
         cb1, cb2, y = rng.integers(2, size=(7, 5)), rng.integers(3, size=(5, 5)), rng.integers(2, size=5)
         r1, r2 = self.check_pruned_search(cb1, cb2, y, p, 1e9, 3, 0)
-        assert r1.tolist() == [3, 0, 1, 2, 4, 5, 6] and r2.tolist() == [0, 1, 2, 3, 4]
+        assert r1.tolist() == [0, 1, 2, 3, 4, 5, 6] and r2.tolist() == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("sender", [0, 1])
     def test_one_codeword_sender(self, sender):
