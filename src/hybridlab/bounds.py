@@ -403,12 +403,16 @@ def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
 # Exhaustive point-to-point optimizer
 # ---------------------------------------------------------------------------
 
+# A scan candidate is (aux size, kernel counts, column maps) from scan to spec:
+# p(u | s) is counts / grid_res, shape (s, size), and aux symbol u sends s to
+# x = _column_maps(...)[maps[u], s].  Candidates are ordered lexicographically.
+#
 # The factorized scan sums in another order than the reference arithmetic of
 # _score_candidates, so the two differ by a few ulps.  _p2p_winner's fold
 # keeps the canonical candidates within these bands of its target's best and
 # rescores their orbits by the reference arithmetic, which alone decides
-# p2p_optimize's winner, reported values and feasibility.  The sweep's fold
-# answers from the factorized values; the bands say where that could differ.
+# p2p_optimize's winner.  The sweep's fold answers from the factorized
+# values; the bands say where that could differ.
 SCAN_SLACK_TOL = 1e-12
 SCAN_ED_TOL = 1e-13    # times the largest distortion value
 TARGET_D_TOL = 1e-12   # an E[d] at most D + TARGET_D_TOL meets the target D
@@ -424,6 +428,11 @@ def _digits(idx: np.ndarray, base: int, count: int) -> np.ndarray:
     return digits
 
 
+def _column_maps(x_size: int, s_size: int) -> np.ndarray:
+    """Every encoder column map s -> x, (x_size ** s_size, s_size), lexicographic."""
+    return _digits(np.arange(x_size ** s_size), x_size, s_size)
+
+
 def _xlog2x(p: np.ndarray) -> np.ndarray:
     return p * np.log2(p, out=np.zeros_like(p), where=p > 0)
 
@@ -432,17 +441,17 @@ def _entropy_rows(p: np.ndarray, axis) -> np.ndarray:
     return -_xlog2x(p).sum(axis=axis)
 
 
-def _score_candidates(p_su, wm, d_table, h_s):
+def _score_candidates(p_su, w_maps, d_table, h_s):
     """Reference slack I(U;Y) - I(S;U) and minimum-distortion E[d].
 
-    p_su is p(s, u) per candidate, shape (N, s, u), and wm the channel rows
-    W[x(u, s)] laid out (N, s, u, y).  These are the values the optimizer
-    reports and compares.
+    p_su is p(s, u) per candidate, shape (N, s, u), and w_maps the channel
+    rows of each aux symbol's column map, w_col[maps] of shape (N, u, s, y).
+    These are the values that pick p2p_optimize's winner.
     """
     h_u = _entropy_rows(p_su.sum(axis=1), 1)
     h_su = _entropy_rows(p_su, (1, 2))
     i_su = h_s + h_u - h_su
-    p_suy = p_su[..., None] * wm
+    p_suy = p_su[..., None] * w_maps.transpose(0, 2, 1, 3)
     p_uy = p_suy.sum(axis=1)
     h_y = _entropy_rows(p_uy.sum(axis=1), 1)
     h_uy = _entropy_rows(p_uy, (1, 2))
@@ -451,87 +460,62 @@ def _score_candidates(p_su, wm, d_table, h_s):
     return i_uy - i_su, ed
 
 
-def _score_keys(p_s, W, d_table, h_s, counts, enc, grid_res):
-    """_score_candidates of keys given as kernel grid counts (N, s, u) and
-    encoder indices (N,)."""
-    n, s_size, u = counts.shape
-    enc_maps = _digits(enc, W.shape[0], u * s_size).reshape(n, u, s_size)
-    wm = W[enc_maps].transpose(0, 2, 1, 3)
-    return _score_candidates(p_s[None, :, None] * (counts / grid_res), wm, d_table, h_s)
-
-
 def _entropy_last(p: np.ndarray) -> np.ndarray:
     """Entropy over the last axis, for the scan's filter only.
 
     Faster than _entropy_rows and equal to it within a few ulps, which the
-    SCAN_* bands absorb; reported values come from _entropy_rows.
+    SCAN_* bands absorb; the winner is picked by _entropy_rows.
     """
     log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
     return -np.einsum("...i,...i->...", p, log_p)
 
 
-def _count_codes(counts: np.ndarray, grid_res: int, axis: int) -> np.ndarray:
-    """One integer per count vector along `axis`: its grid counts read as
-    base-(grid_res + 1) digits, the first entry the most significant.  The
-    codes sort as the vectors do lexicographically, so the rows of
-    simplex_grid_array have increasing codes.  Codes past int64 are Python
-    integers."""
-    n = counts.shape[axis]
-    dtype = np.int64 if (grid_res + 1) ** n <= 2 ** 63 else object
-    weight = np.array([(grid_res + 1) ** k for k in range(n - 1, -1, -1)], dtype=dtype)
-    return np.moveaxis(counts, axis, -1).astype(dtype, copy=False) @ weight
+def _canonical_kernels(u: int, s_size: int, grid_res: int):
+    """Grid counts (B, s, u) of the canonical kernels of aux size u, in chunks.
 
-
-def _canonical_kernels(row_grid: np.ndarray, s_size: int, grid_res: int):
-    """Canonical kernels of one aux size: (kernel indices, kernels) chunks.
-
-    A kernel is canonical when its column codes (_count_codes) are
-    non-increasing and the last is not 0 (no column is all zero).  Every
-    kernel is a relabelling of one canonical kernel, padded with zero
-    columns.  The first row of a canonical kernel is non-increasing, so only
-    kernels with such a row are tried, _SCAN_CHUNK indices at a time, in
-    increasing index order.
+    A kernel is canonical when its columns are lexicographically
+    non-increasing and the last is not all zero.  Every kernel is a
+    relabelling of one canonical kernel, padded with zero columns.  The
+    first row of a canonical kernel is non-increasing, so only kernels with
+    such a row are tried, _SCAN_CHUNK at a time, in lexicographic order of
+    their rows.
     """
-    G = row_grid.shape[0]
-    lead = np.flatnonzero((row_grid[:, :-1] >= row_grid[:, 1:]).all(axis=1))
+    grid = np.rint(simplex_grid_array(u, grid_res) * grid_res).astype(np.int64)   # (G, u)
+    G = grid.shape[0]
+    lead = np.flatnonzero((grid[:, :-1] >= grid[:, 1:]).all(axis=1))
     rest = G ** (s_size - 1)
-    row_counts = np.rint(row_grid * grid_res).astype(np.int64)
     for start in range(0, lead.size * rest, _SCAN_CHUNK):
         pos = np.arange(start, min(start + _SCAN_CHUNK, lead.size * rest))
-        idx = lead[pos // rest] * rest + pos % rest
-        rows = _digits(idx, G, s_size)
-        code = _count_codes(row_counts[rows], grid_res, 1)     # (B, u)
-        keep = (code[:, :-1] >= code[:, 1:]).all(axis=1) & (code[:, -1] > 0)
+        counts = grid[_digits(lead[pos // rest] * rest + pos % rest, G, s_size)]
+        # Columns j, j + 1 are out of order when j is smaller in their first unequal row.
+        diff = counts[:, :, :-1] - counts[:, :, 1:]                 # (B, s, u - 1)
+        late, tied = diff[:, 0] < 0, diff[:, 0] == 0
+        for row in diff.transpose(1, 0, 2)[1:]:
+            late |= tied & (row < 0)
+            tied &= row == 0
+        keep = ~late.any(axis=1) & counts[:, :, -1].any(axis=1)
         if keep.any():
-            yield idx[keep], row_grid[rows[keep]]
+            yield counts[keep]
 
 
-def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, grid_res: int):
+def _orbit_keys(counts: np.ndarray, maps: np.ndarray, size: int):
     """Relabellings of canonical candidates into `size` aux symbols.
 
-    counts (N, s, u) holds the grid counts of canonical kernels and enc (N,)
-    their encoder indices.  The u columns, each with its encoder column map
-    s -> x, go to every ordered choice of u of the `size` slots; the other
+    counts (N, s, u) holds the grid counts of canonical kernels and maps
+    (N, u) their column map indices.  The u columns, each with its column
+    map, go to every ordered choice of u of the `size` slots; the other
     slots get zero columns and column map 0.  An empty slot's column map
     multiplies probability 0, so every map there gives bit-identical slack
-    and E[d], and map 0 gives the least key: no other map can win.  Yields
-    (kernel counts (M, s, size), kernel indices, encoder indices) of 1 to
-    _SCAN_CHUNK keys at a time.  A kernel row's index in the size-`size`
-    grid is where its code (_count_codes) sorts among the codes of the
-    grid's rows.
+    and E[d], and map 0 gives the least candidate: no other map can win.
+    Yields (counts (M, s, size), maps (M, size)) of 1 to _SCAN_CHUNK
+    candidates at a time.
 
-    Each key comes once: a candidate whose equal columns carry increasing
+    Each candidate comes once: one whose equal columns carry increasing
     column maps is skipped, since swapping those maps gives the same orbit,
     and equal (column, column map) pairs keep their order among the slots.
     """
     n, s_size, u = counts.shape
-    C = x_size ** s_size
-    grid_codes = _count_codes(np.rint(simplex_grid_array(size, grid_res) * grid_res)
-                              .astype(np.int64), grid_res, 1)
-    row_weight = grid_codes.size ** np.arange(s_size - 1, -1, -1)
-    col_weight = C ** np.arange(size - 1, -1, -1)
     cols = counts.transpose(0, 2, 1)                            # (N, u, s)
-    maps = _digits(enc, C, u)                                   # (N, u)
     equal = (cols[:, 1:] == cols[:, :-1]).all(axis=2)           # (N, u - 1)
     ordered = ~(equal & (maps[:, :-1] < maps[:, 1:])).any(axis=1)
     cols, maps = cols[ordered], maps[ordered]
@@ -546,32 +530,33 @@ def _orbit_keys(counts: np.ndarray, enc: np.ndarray, size: int, x_size: int, gri
             once = ~(repeat[lo:hi, None] & swapped[None]).any(axis=-1)
             if not once.any():
                 continue
+            rows = np.arange(P)[:, None]
             placed = np.zeros((hi - lo, P, size, s_size), dtype=int)
-            placed[:, np.arange(P)[:, None], taken] = cols[lo:hi, None]
-            placed = placed.transpose(0, 1, 3, 2)               # (M, P, s, size)
-            # C order: numpy sums in memory order, and a key's reference
+            placed[:, rows, taken] = cols[lo:hi, None]
+            placed_maps = np.zeros((hi - lo, P, size), dtype=int)
+            placed_maps[:, rows, taken] = maps[lo:hi, None]
+            # C order: numpy sums in memory order, and a candidate's reference
             # slack and E[d] are the bits of its C-ordered kernel.
-            placed = np.ascontiguousarray(placed[once])         # (V, s, size)
-            rank = np.searchsorted(grid_codes, _count_codes(placed, grid_res, 2))
-            kern = (rank * row_weight).sum(axis=-1)
-            keys = (maps[lo:hi, None, :] * col_weight[taken]).sum(axis=-1)
-            yield placed, kern, keys[once]
+            yield (np.ascontiguousarray(placed.transpose(0, 1, 3, 2)[once]),  # (V, s, size)
+                   placed_maps[once])
 
 
 def _scan_p2p(source, channel, d, aux_cap, grid_res):
     """Factorized scan of the canonical candidates, one kernel chunk at a time.
 
-    Yields (K, slack, ed) per chunk of canonical kernels K (B, s, u): slack
-    and ed (B, C^u) hold the factorized slack and E[d] of each kernel with
-    each encoder map.  It keeps no bests; each caller folds for its own job.
+    Yields (counts, slack, ed) per chunk of canonical kernels, counts (B, s,
+    u): slack and ed (B, C, ..., C), with one axis of C column maps per aux
+    symbol, hold the factorized slack and E[d] of each kernel with each
+    choice of column maps.  It keeps no bests; each caller folds for its
+    own job.
 
-    Relabelling the aux symbols, with the kernel columns and the encoder-map
-    rows, and adding aux symbols of probability 0 leave slack and E[d]
+    Relabelling the aux symbols, with the kernel columns and their column
+    maps, and adding aux symbols of probability 0 leave slack and E[d]
     unchanged, so only canonical kernels (_canonical_kernels) are scored,
-    each with every encoder map.  The encoder map acts on each aux symbol on
-    its own, so p(u, y), H(U, Y) and E[d] are sums over u of pieces that
-    depend on one column map s -> x each, evaluated once per kernel chunk;
-    only H(Y) is taken of the summed p(y).
+    each with every choice of column maps.  The encoder acts on each aux
+    symbol on its own, so p(u, y), H(U, Y) and E[d] are sums over u of
+    pieces that depend on one column map s -> x each, evaluated once per
+    kernel chunk; only H(Y) is taken of the summed p(y).
 
     Raises MemoryCapError before allocating when the encoder-map tables of
     the largest aux size, or its simplex row grid, exceed MEMORY_CAP_SYMBOLS
@@ -583,7 +568,6 @@ def _scan_p2p(source, channel, d, aux_cap, grid_res):
     p_s = source.probs
     s_size = p_s.size
     x_size = channel.input_size
-    W = channel.rows
     # The largest aux size holds the most encoder maps: their (u, s) tables,
     # the (u * C)-column selection matrix and a kernel chunk's p(y) per map.
     maps = x_size ** (aux_cap * s_size)
@@ -599,91 +583,92 @@ def _scan_p2p(source, channel, d, aux_cap, grid_res):
             f"the simplex grid at aux size {aux_cap} and resolution {grid_res} has "
             f"{rows} rows, {rows * aux_cap} entries, cap is {MEMORY_CAP_SYMBOLS}")
     h_s = float(_entropy_rows(p_s, 0))
-    col_maps = _digits(np.arange(x_size ** s_size), x_size, s_size)   # (C, s)
-    C = col_maps.shape[0]
-    w_col = W[col_maps]                                  # (C, s, y)
+    w_col = channel.rows[_column_maps(x_size, s_size)]   # (C, s, y)
+    C = w_col.shape[0]
     wd_col = w_col[..., None] * d.table[None, :, None, :]  # (C, s, y, r)
     for u in range(1, aux_cap + 1):
-        row_grid = simplex_grid_array(u, grid_res)      # (G, u)
         NE = C ** u
-        # sel[e, i * C + c] = 1 where enc map e sends aux symbol i through
-        # column map c: the enc index has C-order base-C digits (c_0, ...).
+        # sel[e, i * C + c] = 1 where the e-th choice of column maps, in C
+        # order over (c_0, ..., c_{u-1}), sends aux symbol i through map c.
         sel = np.zeros((NE, u * C))
         np.put_along_axis(sel, np.arange(u) * C + _digits(np.arange(NE), C, u), 1.0, 1)
-        for idx, K in _canonical_kernels(row_grid, s_size, grid_res):
-            p_su = p_s[None, :, None] * K               # (B, s, u)
+        for counts in _canonical_kernels(u, s_size, grid_res):
+            B = counts.shape[0]
+            p_su = p_s[None, :, None] * (counts / grid_res)     # (B, s, u)
             h_u = _entropy_rows(p_su.sum(axis=1), 1)    # (B,)
             i_su = h_s + h_u - _entropy_rows(p_su, (1, 2))
             # p(u, y) and E[d] pieces of each (aux symbol, column map).
-            q = np.einsum("bsu,csy->bucy", p_su, w_col).reshape(idx.size, u * C, -1)
+            q = np.einsum("bsu,csy->bucy", p_su, w_col).reshape(B, u * C, -1)
             cost = np.einsum("bsu,csyr->bucyr", p_su, wd_col)
-            ed = cost.min(axis=-1).sum(axis=-1).reshape(idx.size, -1) @ sel.T
+            ed = cost.min(axis=-1).sum(axis=-1).reshape(B, -1) @ sel.T
             h_uy = _entropy_last(q) @ sel.T             # (B, NE)
             h_y = _entropy_last(sel @ q)
-            yield K, h_u[:, None] + h_y - h_uy - i_su[:, None], ed
+            slack = h_u[:, None] + h_y - h_uy - i_su[:, None]
+            yield counts, slack.reshape((B,) + (C,) * u), ed.reshape((B,) + (C,) * u)
 
 
 def _uncoded_ed(source, channel, d) -> float:
     """The least uncoded (aux size 1) E[d], by _score_candidates."""
-    C = channel.input_size ** source.alphabet_size
-    ones = np.ones((C, source.alphabet_size, 1), dtype=int)
-    _, ed = _score_keys(source.probs, channel.rows, d.table, 0.0, ones, np.arange(C), 1)
+    w_col = channel.rows[_column_maps(channel.input_size, source.alphabet_size)]
+    p_su = np.tile(source.probs[:, None], (w_col.shape[0], 1, 1))   # (C, s, 1)
+    _, ed = _score_candidates(p_su, w_col[:, None], d.table, 0.0)   # maps[c] = (c,)
     return float(ed.min())
 
 
 def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
     """The winner (slack, key, E[d]) for one target, and the uncoded E[d].
 
-    The winner is the least (-slack, key, E[d]), key = (aux_size,
-    kernel_index, enc_index), among the keys whose E[d] is at most
-    target + TARGET_D_TOL, with slack and E[d] computed by
-    _score_candidates; it is (-inf, None, None) when there is none.  Keys
-    tied in exact arithmetic are thus separated by float rounding.  The
-    fold of _scan_p2p keeps the running best factorized slack of candidates
-    that surely meet the target (p2p_feasibility_sweep) and the candidates
-    in the SCAN_* bands of it.  Only the relabellings (_orbit_keys) of
-    those in the bands of the final best are rescored, each aux size's
-    group into sizes u .. aux_cap, one batch of at most _SCAN_CHUNK keys at
-    a time; empty aux slots take column map 0 alone, the least key of their
-    bit-identical scores.
+    A key is a candidate (aux size, count rows, column maps), the counts and
+    maps as tuples.  The winner is the least (-slack, key) among the
+    candidates whose E[d] is at most target + TARGET_D_TOL, with slack and
+    E[d] computed by _score_candidates; it is (-inf, None, None) when there
+    is none.  Candidates tied in exact arithmetic are thus separated by
+    float rounding.  The fold of _scan_p2p keeps the running best
+    factorized slack of candidates that surely meet the target
+    (p2p_feasibility_sweep) and the candidates in the SCAN_* bands of it.
+    Only the relabellings (_orbit_keys) of those in the bands of the final
+    best are rescored, each aux size's group into sizes u .. aux_cap, one
+    batch of at most _SCAN_CHUNK candidates at a time; empty aux slots take
+    column map 0 alone, the least key of their bit-identical scores.
     """
     if not math.isfinite(target):
         raise ScenarioError(f"target distortion must be finite, got {target}")
     limit = float(target) + TARGET_D_TOL
     ed_tol = SCAN_ED_TOL * max(1.0, float(d.table.max()))
-    best, found = -np.inf, {}          # u -> [(counts, enc, slack)]
-    for K, slack, ed in _scan_p2p(source, channel, d, aux_cap, grid_res):
+    best, found = -np.inf, {}          # u -> [(counts, maps, slack)]
+    for counts, slack, ed in _scan_p2p(source, channel, d, aux_cap, grid_res):
         best = max(best, slack[ed <= limit - ed_tol].max(initial=-np.inf))
-        b, e = np.nonzero((ed <= limit + ed_tol) & (slack >= best - SCAN_SLACK_TOL))
-        found.setdefault(K.shape[2], []).append(
-            (np.rint(K[b] * grid_res).astype(int), e, slack[b, e]))
-    h_s = float(_entropy_rows(source.probs, 0))
+        hit = np.argwhere((ed <= limit + ed_tol) & (slack >= best - SCAN_SLACK_TOL))
+        found.setdefault(counts.shape[2], []).append(
+            (counts[hit[:, 0]], hit[:, 1:], slack[tuple(hit.T)]))
+    p_s = source.probs
+    h_s = float(_entropy_rows(p_s, 0))
+    w_col = channel.rows[_column_maps(channel.input_size, p_s.size)]
     win = (np.inf, None, None)         # the least (-slack, key, E[d]) so far
     for u, parts in found.items():
-        counts, enc, slack = (np.concatenate(a) for a in zip(*parts))
+        counts, maps, slack = (np.concatenate(a) for a in zip(*parts))
         if not (near := slack >= best - SCAN_SLACK_TOL).any():
             continue
         for size in range(u, aux_cap + 1):
-            for placed, kern, keys in _orbit_keys(counts[near], enc[near], size,
-                                                  channel.input_size, grid_res):
-                slack, ed = _score_keys(source.probs, channel.rows, d.table, h_s,
-                                        placed, keys, grid_res)
+            for placed, placed_maps in _orbit_keys(counts[near], maps[near], size):
+                slack, ed = _score_candidates(p_s[None, :, None] * (placed / grid_res),
+                                              w_col[placed_maps], d.table, h_s)
                 slack = np.where(ed <= limit, slack, -np.inf)
-                i = np.lexsort((keys, kern, -slack))[0]
+                flat = placed.reshape(placed.shape[0], -1)
+                i = np.lexsort((*placed_maps.T[::-1], *flat.T[::-1], -slack))[0]
                 if slack[i] > -np.inf:
-                    key = (size, int(kern[i]), int(keys[i]))
+                    key = (size, tuple(map(tuple, placed[i].tolist())),
+                           tuple(placed_maps[i].tolist()))
                     win = min(win, (-float(slack[i]), key, float(ed[i])))
     return (-win[0], *win[1:]), _uncoded_ed(source, channel, d)
 
 
 def _spec_from_key(source, channel, d, key, grid_res) -> HybridCodeSpec:
-    """The spec of a scan key, with its minimal-distortion decoder and rate 0."""
-    u, kern_idx, enc_idx = key
-    s_size = source.alphabet_size
-    row_grid = simplex_grid_array(u, grid_res)
-    rows = _digits(np.array([kern_idx]), row_grid.shape[0], s_size)[0]
-    kernel = ConditionalPmf(np.clip(row_grid[rows], 0, 1))
-    enc = _digits(np.array([enc_idx]), channel.input_size, u * s_size).reshape(u, s_size)
+    """The spec of a scan key (aux size, count rows, column maps), with its
+    minimal-distortion decoder and rate 0."""
+    u, counts, maps = key
+    kernel = ConditionalPmf(np.array(counts) / grid_res)
+    enc = _column_maps(channel.input_size, source.alphabet_size)[list(maps)]   # (u, s)
     spec = HybridCodeSpec(u, kernel, enc, np.zeros((u, channel.output_size), dtype=int), 0.0)
     p_suy = _p2p_joint(source, channel, d, spec).marginal([0, 1, 3]).probs
     # Minimal-expected-distortion reconstruction per (u, y).
@@ -705,10 +690,12 @@ def p2p_optimize(
     aux alphabet up to aux_cap; enc maps are enumerated exhaustively and the
     reconstruction map is the per-(u, y) distortion minimizer.  Infeasibility
     at this resolution is reported, not raised.  The winner is the one the
-    reference formula picks among all candidates (_p2p_winner); the report
-    is check_p2p's of the returned spec, with two entries added to its info:
-    the least uncoded E[d] ("uncoded_distortion") and "achievable", which is
-    that E[d] <= target_D + TARGET_D_TOL or the report's own "satisfied".
+    reference formula picks among all candidates (_p2p_winner): the largest
+    slack, ties going to the least candidate in (aux size, kernel count
+    rows, column maps) order.  The report is check_p2p's of the returned
+    spec, with two entries added to its info: the least uncoded E[d]
+    ("uncoded_distortion") and "achievable", which is that E[d] <=
+    target_D + TARGET_D_TOL or the report's own "satisfied".
     The spec's rate is the midpoint 0.5 (I(S;U) + I(U;Y)) of its constraint.
     """
     (_, key, _), uncoded_ed = _p2p_winner(source, channel, d, target_D, aux_cap, grid_res)

@@ -322,8 +322,12 @@ def params_from_distance(r: float, P: float = 10.0, path_loss_exp: float = 3.0) 
     if not 0.0 < r < 1.0:
         raise ScenarioError(f"distance r={r} must lie strictly in (0, 1)")
     e = path_loss_exp / 2.0
-    g13 = g31 = r ** (-e)
-    g23 = g32 = (1.0 - r) ** (-e)
+    try:
+        g13 = g31 = r ** (-e)
+        g23 = g32 = (1.0 - r) ** (-e)
+    except OverflowError:
+        raise ScenarioError(f"path_loss_exp={path_loss_exp} at distance r={r} gives a gain "
+                            "past the float range") from None
     return GaussianTwrcParams(S13=g13 * g13 * P, S23=g23 * g23 * P,
                               S31=g31 * g31 * P, S32=g32 * g32 * P)
 

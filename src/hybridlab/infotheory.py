@@ -59,6 +59,8 @@ def _normalized(values, name: str, ndim: int | None, axis: int | None) -> np.nda
     (any when None), nonempty, nonnegative and summing to 1 over axis (over
     all entries when None) within RENORM_TOL, renormalized and frozen."""
     a = as_table(values, name)
+    if a.ndim == 0:
+        raise ScenarioError(f"{name} must be an array, not a single number")
     if a.size == 0 or ndim not in (None, a.ndim):
         raise ScenarioError(f"{name} must be nonempty" + (f" with {ndim} axes" if ndim else ""))
     if (a < 0).any():

@@ -60,6 +60,10 @@ from .infotheory import (MEMORY_CAP_SYMBOLS, ConditionalPmf, DistortionMeasure,
 # for no less memory.
 _CHUNK_SYMBOLS = 2 ** 13
 
+# Largest distortion entry run_p2p takes.  Its half-width squares deviations
+# of at most this, and MEMORY_CAP_SYMBOLS trials of them still sum finitely.
+DISTORTION_MAX = 1e150
+
 # Stream purposes for counter-based seed derivation.
 _SOURCE, _CODEBOOK, _CHANNEL, _TIEBREAK = 0, 1, 2, 3
 
@@ -453,6 +457,8 @@ def run_p2p(scenario: P2pScenario, spec: HybridCodeSpec,
     time loop would draw them.
     """
     joint = _p2p_joint(scenario.source, scenario.channel, scenario.distortion, spec)
+    if scenario.distortion.table.max() > DISTORTION_MAX:
+        raise ScenarioError(f"the simulator takes distortion entries up to {DISTORTION_MAX:g}")
     joint_us = joint.marginal([1, 0])   # (u, s)
     joint_uy = joint.marginal([1, 3])   # (u, y)
     n, trials = config.n, config.trials

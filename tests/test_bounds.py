@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
 import time
@@ -249,12 +251,16 @@ class TestP2pOptimize:
                          target_D=0.1, aux_cap=0)
 
     def test_column_codes_past_int64(self):
-        # An 11-symbol source at grid 52 has columns of code 53^11 - 1, past
-        # int64; wrapped, the one aux-size-1 kernel read as all zero and the
-        # scan found no candidate.
+        # An 11-symbol source at grid 52 has columns that, read as base-53
+        # codes, reach 53^11 - 1, past int64; wrapped, the one aux-size-1
+        # kernel read as all zero and the scan found no candidate.  Both
+        # grids must give the same slack, kernel pmf, column maps and E[d].
         args = (uniform_pmf(11), bsc_kernel(0.1), hamming_measure(11), 1.0, 1)
-        assert bounds._count_codes(np.full((1, 11), 52), 52, 1).tolist() == [53 ** 11 - 1]
-        assert bounds._p2p_winner(*args, 52) == bounds._p2p_winner(*args, 1)
+        wins = []
+        for grid_res in (52, 1):
+            (slack, (size, counts, maps), ed), _ = bounds._p2p_winner(*args, grid_res)
+            wins.append((slack, size, (np.array(counts) / grid_res).tolist(), maps, ed))
+        assert wins[0] == wins[1]
 
     def test_over_cap_raises_before_allocating(self, monkeypatch):
         # BSC at aux size 2, grid 4: 16 encoder maps, and 25 kernels' p(y)
@@ -339,20 +345,46 @@ ORACLE_CHANNELS = {"bsc": bsc_kernel(0.1),
                    "erasure": scenario_channel("p2p_hybrid.json")}
 
 
+def candidates(u, s_size, x_size, grid_res, index=None):
+    """Scan candidates of aux size u in key order, or those at the flat
+    positions `index` of that order: count rows (N, s, u) and column maps
+    (N, u).  Grid rows and column maps are each listed in lexicographic
+    order, so C order over (kernel rows, column maps) is key order."""
+    grid = np.rint(simplex_grid_array(u, grid_res) * grid_res).astype(int)
+    shape = (grid.shape[0],) * s_size + (x_size ** s_size,) * u
+    digits = np.unravel_index(np.arange(math.prod(shape)) if index is None else index, shape)
+    return grid[np.stack(digits[:s_size], axis=-1)], np.stack(digits[s_size:], axis=-1)
+
+
+def as_key(u, counts, maps):
+    """The winner's key form of one candidate: (u, count rows, column maps)."""
+    return u, tuple(map(tuple, np.asarray(counts).tolist())), tuple(np.asarray(maps).tolist())
+
+
+def column_channels(channel, s_size):
+    """w_col[c] = the channel rows W[x(s)] of column map c, (C, s, y), with
+    the maps listed lexicographically."""
+    return channel.rows[np.array(list(itertools.product(range(channel.input_size),
+                                                        repeat=s_size)))]
+
+
+def reference_scores(p_s, w_col, d_table, h_s, counts, maps, grid_res):
+    return bounds._score_candidates(p_s[None, :, None] * (counts / grid_res), w_col[maps],
+                                    d_table, h_s)
+
+
 def brute_force_scores(channel, aux_cap, grid_res):
     """(key, slack, E[d]) of every candidate, each built by _spec_from_key
     and scored by check_p2p, independently of the scan's arithmetic."""
     scores = []
     for u in range(1, aux_cap + 1):
-        kernels = simplex_grid_array(u, grid_res).shape[0] ** UNIF2.alphabet_size
-        encs = channel.input_size ** (u * UNIF2.alphabet_size)
-        for kern in range(kernels):
-            for enc in range(encs):
-                key = (u, kern, enc)
-                spec = bounds._spec_from_key(UNIF2, channel, HAMMING2, key, grid_res)
-                rep = check_p2p(UNIF2, channel, HAMMING2, spec)
-                c = rep.constraints[0]
-                scores.append((key, c.rhs - c.lhs, rep.distortions[0]))
+        for counts, maps in zip(*candidates(u, UNIF2.alphabet_size, channel.input_size,
+                                            grid_res)):
+            key = as_key(u, counts, maps)
+            spec = bounds._spec_from_key(UNIF2, channel, HAMMING2, key, grid_res)
+            rep = check_p2p(UNIF2, channel, HAMMING2, spec)
+            c = rep.constraints[0]
+            scores.append((key, c.rhs - c.lhs, rep.distortions[0]))
     return scores
 
 
@@ -360,22 +392,17 @@ def assert_first_reference_maximum(source, channel, d, aux_cap, grid_res, target
     """Every candidate scored by the reference formula at once: the winner
     path, run for each target on its own, must return exactly the first
     maximum in key order among those that meet the target."""
-    W, p_s = channel.rows, source.probs
-    s_size = source.alphabet_size
+    p_s, s_size = source.probs, source.alphabet_size
     h_s = float(bounds._entropy_rows(p_s, 0))
+    w_col = column_channels(channel, s_size)
     keys, slacks, eds = [], [], []
     for u in range(1, aux_cap + 1):
-        grid = simplex_grid_array(u, grid_res)
-        kernels = grid[bounds._digits(np.arange(grid.shape[0] ** s_size), grid.shape[0], s_size)]
-        x_size = channel.input_size
-        enc_maps = bounds._digits(np.arange(x_size ** (u * s_size)), x_size,
-                                  u * s_size).reshape(-1, u, s_size)
-        kern, enc = np.divmod(np.arange(kernels.shape[0] * enc_maps.shape[0]),
-                              enc_maps.shape[0])
-        wm = W[enc_maps[enc]].transpose(0, 2, 1, 3)
-        slack, ed = bounds._score_candidates(p_s[None, :, None] * kernels[kern], wm,
-                                             d.table, h_s)
-        keys += [(u, int(k), int(e)) for k, e in zip(kern, enc)]
+        counts, maps = candidates(u, s_size, channel.input_size, grid_res)
+        # Key order is the lexicographic order of (count rows, column maps).
+        flat = np.concatenate([counts.reshape(len(maps), -1), maps], axis=1)
+        assert (np.lexsort(flat.T[::-1]) == np.arange(len(maps))).all()
+        slack, ed = reference_scores(p_s, w_col, d.table, h_s, counts, maps, grid_res)
+        keys += [(u, c, m) for c, m in zip(counts, maps)]
         slacks.append(slack)
         eds.append(ed)
     slack, ed = np.concatenate(slacks), np.concatenate(eds)
@@ -388,7 +415,8 @@ def assert_first_reference_maximum(source, channel, d, aux_cap, grid_res, target
             assert best_key is None
             continue
         i = int(np.argmax(np.where(feas, slack, -np.inf)))
-        assert (best_key, best_slack, best_ed) == (keys[i], float(slack[i]), float(ed[i]))
+        assert (best_key, best_slack, best_ed) == (as_key(*keys[i]), float(slack[i]),
+                                                   float(ed[i]))
 
 
 def random_p2p_problem(rng):
@@ -449,9 +477,12 @@ class TestScanOracle:
             for _ in range(3):
                 u = int(rng.integers(1, aux_cap + 1))
                 kernels = simplex_grid_array(u, grid_res).shape[0] ** source.alphabet_size
-                key = (u, int(rng.integers(kernels)),
-                       int(rng.integers(channel.input_size ** (u * source.alphabet_size))))
-                spec = bounds._spec_from_key(source, channel, d, key, grid_res)
+                encs = channel.input_size ** (u * source.alphabet_size)
+                kern, enc = int(rng.integers(kernels)), int(rng.integers(encs))
+                counts, maps = candidates(u, source.alphabet_size, channel.input_size,
+                                          grid_res, [kern * encs + enc])
+                spec = bounds._spec_from_key(source, channel, d,
+                                             as_key(u, counts[0], maps[0]), grid_res)
                 targets.append(check_p2p(source, channel, d, spec).distortions[0])
             sweep = p2p_feasibility_sweep(source, channel, d, targets, aux_cap, grid_res)
             singles = [p2p_optimize(source, channel, d, t, aux_cap, grid_res)[0].info["achievable"]
@@ -493,43 +524,37 @@ class TestScanOracle:
     @pytest.mark.parametrize("s_size, x_size, aux_cap, grid_res", [
         (2, 2, 3, 3), (2, 2, 4, 2), (2, 3, 2, 3), (3, 2, 2, 3), (3, 2, 3, 1)])
     def test_orbits_cover_every_candidate_once(self, s_size, x_size, aux_cap, grid_res):
-        # Expanding every canonical candidate gives every key of the full
-        # scan whose empty aux slots carry column map 0 exactly once, each
-        # with its representative's reference slack and E[d], and placed
-        # kernel counts that match its kernel index.
+        # Expanding every canonical candidate gives every candidate of the
+        # full scan whose empty aux slots carry column map 0 exactly once,
+        # each with its representative's reference slack and E[d].
         rng = np.random.default_rng(13)
         p_s = rng.dirichlet(np.ones(s_size))
         W = rng.dirichlet(np.ones(3), size=x_size)
         d_table = rng.random((s_size, 2))
         h_s = float(bounds._entropy_rows(p_s, 0))
         C = x_size ** s_size
-        grids = {u: simplex_grid_array(u, grid_res) for u in range(1, aux_cap + 1)}
+        w_col = column_channels(ConditionalPmf(W), s_size)
         keys = []
         for u in range(1, aux_cap + 1):
-            for _, K in bounds._canonical_kernels(grids[u], s_size, grid_res):
-                for counts in np.rint(K * grid_res).astype(int):
-                    for e in range(C ** u):
-                        rep = bounds._score_keys(p_s, W, d_table, h_s, counts[None],
-                                                 np.array([e]), grid_res)
+            for K in bounds._canonical_kernels(u, s_size, grid_res):
+                for counts in K:
+                    for maps in itertools.product(range(C), repeat=u):
+                        maps = np.array([maps])
+                        rep = reference_scores(p_s, w_col, d_table, h_s, counts[None], maps,
+                                               grid_res)
                         for size in range(u, aux_cap + 1):
-                            grid = grids[size]
-                            for placed, kern, enc in bounds._orbit_keys(
-                                    counts[None], np.array([e]), size, x_size, grid_res):
-                                rows = bounds._digits(kern, grid.shape[0], s_size)
-                                assert np.array_equal(grid[rows], placed / grid_res)
-                                slack, ed = bounds._score_keys(p_s, W, d_table, h_s, placed,
-                                                               enc, grid_res)
+                            for placed, placed_maps in bounds._orbit_keys(counts[None], maps,
+                                                                          size):
+                                slack, ed = reference_scores(p_s, w_col, d_table, h_s, placed,
+                                                             placed_maps, grid_res)
                                 assert np.allclose(slack, rep[0], rtol=0, atol=1e-12)
                                 assert np.allclose(ed, rep[1], rtol=0, atol=1e-12)
-                                keys += [(size, k, m) for k, m in zip(kern.tolist(), enc.tolist())]
+                                keys += [as_key(size, c, m) for c, m in zip(placed, placed_maps)]
         full = []
         for u in range(1, aux_cap + 1):
-            kernels = grids[u][bounds._digits(np.arange(grids[u].shape[0] ** s_size),
-                                              grids[u].shape[0], s_size)]   # (K, s, u)
-            empty = (kernels == 0).all(axis=1)                               # (K, u)
-            maps = bounds._digits(np.arange(C ** u), C, u)                   # (E, u)
-            k, e = np.nonzero(~(empty[:, None] & (maps[None] != 0)).any(axis=2))
-            full += [(u, int(a), int(b)) for a, b in zip(k, e)]
+            counts, maps = candidates(u, s_size, x_size, grid_res)
+            keep = ~((counts == 0).all(axis=1) & (maps != 0)).any(axis=1)
+            full += [as_key(u, c, m) for c, m in zip(counts[keep], maps[keep])]
         assert len(keys) == len(full)
         assert set(keys) == set(full)
 
@@ -544,16 +569,15 @@ class TestScanOracle:
         W = rng.dirichlet(np.ones(3), size=x_size)
         d_table = rng.random((s_size, 2))
         h_s = float(bounds._entropy_rows(p_s, 0))
-        col_weight = C ** np.arange(size - 1, -1, -1)
+        w_col = column_channels(ConditionalPmf(W), s_size)
         for _ in range(20):
             counts = rng.multinomial(grid_res, np.ones(size - 1) / (size - 1), size=s_size)
             slot = int(rng.integers(size))
             counts = np.insert(counts, slot, 0, axis=1)                     # (s, size)
-            maps = rng.integers(C, size=size)
-            maps[slot] = 0
-            enc = int(maps @ col_weight) + np.arange(C) * col_weight[slot]
-            slack, ed = bounds._score_keys(p_s, W, d_table, h_s,
-                                           np.repeat(counts[None], C, axis=0), enc, grid_res)
+            maps = np.repeat(rng.integers(C, size=size)[None], C, axis=0)   # (C, size)
+            maps[:, slot] = np.arange(C)
+            slack, ed = reference_scores(p_s, w_col, d_table, h_s,
+                                         np.repeat(counts[None], C, axis=0), maps, grid_res)
             assert (slack == slack[0]).all() and (ed == ed[0]).all()
 
     @pytest.mark.parametrize("s_size, x_size, aux_cap, grid_res", [(2, 2, 3, 3), (3, 2, 2, 3)])
@@ -623,6 +647,20 @@ def optimizer_corpus():
             yield source, channel, d, float(rng.random() * d.table.max()), aux_cap, grid_res
 
 
+def pin_corpus():
+    """The bundled BSC and erasure channels at five targets, at grid 6 with
+    aux cap 4 and at grid 12 with aux cap 3, then 150 random problems
+    (seed 31) with one random target each."""
+    for _, channel in sorted(ORACLE_CHANNELS.items()):
+        for target in (0.05, 0.1, 0.15, 0.2, 0.3):
+            for aux_cap, grid_res in ((4, 6), (3, 12)):
+                yield UNIF2, channel, HAMMING2, target, aux_cap, grid_res
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        source, channel, d, aux_cap, grid_res = random_p2p_problem(rng)
+        yield source, channel, d, float(rng.random() * d.table.max()), aux_cap, grid_res
+
+
 class TestOptimizerReport:
     """p2p_optimize reports check_p2p of the spec it returns, plus two
     entries: the uncoded E[d] and the verdict read from the report."""
@@ -644,6 +682,22 @@ class TestOptimizerReport:
                 assert repr({**dataclasses.asdict(rep), "info": info}) == repr(want)
             verdicts[None if spec is None else achievable] += 1
         assert min(verdicts.values()) >= 10, verdicts
+
+    def test_corpus_digest(self):
+        # One sha256 over repr of every report and spec of pin_corpus: 20
+        # bundled cases and 150 random ones, about 0.6 s.  Any change to a
+        # winner, its tie-break or a reported bit shows here.
+        digest, kinds = hashlib.sha256(), {None: 0, True: 0, False: 0}
+        for case in pin_corpus():
+            rep, spec = p2p_optimize(*case)
+            fields = None if spec is None else (
+                spec.aux_size, spec.aux_kernel.rows.tolist(), spec.enc_map.tolist(),
+                spec.dec_map.tolist(), spec.rate)
+            digest.update(repr((dataclasses.asdict(rep), fields)).encode())
+            kinds[None if spec is None else rep.satisfied] += 1
+        assert kinds == {None: 63, True: 94, False: 13}
+        assert digest.hexdigest() == \
+            "d4a09ac15051cd887338a3dcab98654f70bee25ea7c036ce40d5f0d969dc5c67"
 
     def test_every_report_has_the_optimizer_entries(self):
         # An infeasible target, a coded winner and an uncoded one.

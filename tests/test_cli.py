@@ -303,6 +303,41 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [scenario]
 
+    def test_scalar_joint_exits_2(self, tmp_path, capsys):
+        # A 0-d joint used to reach `flags.writeable` on a numpy scalar and
+        # exit 4 with "Cannot set flags on array scalars".
+        scenario = tmp_path / "mac.json"
+        scenario.write_text(json.dumps({**read_json(scen("mac_correlated.json")), "sources": 1}))
+        assert run(["region-mac", str(scenario), "--spec",
+                    scen("mac_correlated_lossless_spec.json"), "--substitution", "lossless",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "field 'sources': joint pmf must be an array" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    @pytest.mark.parametrize("args", [["--r", "0.3"], ["--sweep"]], ids=["r", "sweep"])
+    def test_gain_past_float_range_exits_2(self, tmp_path, capsys, args):
+        # r ** (-1000) used to raise OverflowError before the SNR check and
+        # exit 4 with "Numerical result out of range".
+        scenario = tmp_path / "twrc.json"
+        scenario.write_text(json.dumps({**read_json(scen("fig8.json")), "path_loss_exp": 2000}))
+        assert run(["bounds-twrc", str(scenario), *args, "--out", str(tmp_path / "o")]) == 2
+        assert "path_loss_exp=2000.0 at distance r=" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    def test_simulated_distortion_past_bound_exits_2(self, tmp_path, capsys):
+        # The distortion half-width squared 1e300 and exited 4 on the
+        # overflow; the bound checks exactly what the simulator takes.
+        scenario = tmp_path / "p2p.json"
+        doc = read_json(scen("p2p_hybrid.json"))
+        doc["distortion"][0][1] = 1e300
+        scenario.write_text(json.dumps(doc))
+        argv = [str(scenario), "--spec", scen("p2p_hybrid_spec.json")]
+        assert run(["simulate", *argv, "--n", "4", "--trials", "3",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "takes distortion entries up to 1e+150" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scenario]
+        assert run(["check-thm1", *argv, "--out", str(tmp_path / "o")]) == 0
+
     def test_diamond_over_cap_exits_3(self, tmp_path, capsys):
         # Ternary relays at grid 6 hold 21952 x 21952 hybrid candidates per
         # source pmf, over the 2^22 cap.
