@@ -406,6 +406,9 @@ def rd_function(source: Pmf, d: DistortionMeasure, D: float) -> float:
 # A scan candidate is (aux size, kernel counts, column maps) from scan to spec:
 # p(u | s) is counts / grid_res, shape (s, size), and aux symbol u sends s to
 # x = _column_maps(...)[maps[u], s].  Candidates are ordered lexicographically.
+# The scan covers the source's support.  A choice that multiplies probability 0
+# changes no bit of a slack or E[d], so a key takes the least: column map 0 in an
+# empty aux slot, row (0, ..., 0, grid_res) and encoder symbol 0 off the support.
 #
 # The factorized scan sums in another order than the reference arithmetic of
 # _score_candidates, so the two differ by a few ulps.  _p2p_winner's fold
@@ -504,11 +507,9 @@ def _orbit_keys(counts: np.ndarray, maps: np.ndarray, size: int):
     counts (N, s, u) holds the grid counts of canonical kernels and maps
     (N, u) their column map indices.  The u columns, each with its column
     map, go to every ordered choice of u of the `size` slots; the other
-    slots get zero columns and column map 0.  An empty slot's column map
-    multiplies probability 0, so every map there gives bit-identical slack
-    and E[d], and map 0 gives the least candidate: no other map can win.
-    Yields (counts (M, s, size), maps (M, size)) of 1 to _SCAN_CHUNK
-    candidates at a time.
+    slots get zero columns and column map 0, the least of their
+    bit-identical choices (see the SCAN_* comment).  Yields (counts (M, s,
+    size), maps (M, size)) of 1 to _SCAN_CHUNK candidates at a time.
 
     Each candidate comes once: one whose equal columns carry increasing
     column maps is skipped, since swapping those maps gives the same orbit,
@@ -535,20 +536,17 @@ def _orbit_keys(counts: np.ndarray, maps: np.ndarray, size: int):
             placed[:, rows, taken] = cols[lo:hi, None]
             placed_maps = np.zeros((hi - lo, P, size), dtype=int)
             placed_maps[:, rows, taken] = maps[lo:hi, None]
-            # C order: numpy sums in memory order, and a candidate's reference
-            # slack and E[d] are the bits of its C-ordered kernel.
-            yield (np.ascontiguousarray(placed.transpose(0, 1, 3, 2)[once]),  # (V, s, size)
-                   placed_maps[once])
+            yield placed.transpose(0, 1, 3, 2)[once], placed_maps[once]     # (V, s, size)
 
 
 def _scan_p2p(source, channel, d, aux_cap, grid_res):
     """Factorized scan of the canonical candidates, one kernel chunk at a time.
 
     Yields (counts, slack, ed) per chunk of canonical kernels, counts (B, s,
-    u): slack and ed (B, C, ..., C), with one axis of C column maps per aux
-    symbol, hold the factorized slack and E[d] of each kernel with each
-    choice of column maps.  It keeps no bests; each caller folds for its
-    own job.
+    u) with s the symbols of nonzero probability: slack and ed (B, C, ...,
+    C), with one axis of C column maps per aux symbol, hold the factorized
+    slack and E[d] of each kernel with each choice of column maps.  It
+    keeps no bests; each caller folds for its own job.
 
     Relabelling the aux symbols, with the kernel columns and their column
     maps, and adding aux symbols of probability 0 leave slack and E[d]
@@ -558,14 +556,15 @@ def _scan_p2p(source, channel, d, aux_cap, grid_res):
     pieces that depend on one column map s -> x each, evaluated once per
     kernel chunk; only H(Y) is taken of the summed p(y).
 
-    Raises MemoryCapError before allocating when the encoder-map tables of
-    the largest aux size, or its simplex row grid, exceed MEMORY_CAP_SYMBOLS
-    entries.
+    Raises MemoryCapError before allocating when the scan's tables on the
+    support, or the rescoring's channel rows of every column map of the
+    whole source alphabet, exceed MEMORY_CAP_SYMBOLS entries.
     """
     if aux_cap < 1 or grid_res < 1:
         raise ScenarioError("aux_cap and grid_res must be >= 1")
     _check_distortion(d, source.alphabet_size)
-    p_s = source.probs
+    support = source.probs > 0
+    p_s = source.probs[support]
     s_size = p_s.size
     x_size = channel.input_size
     # The largest aux size holds the most encoder maps: their (u, s) tables,
@@ -582,10 +581,14 @@ def _scan_p2p(source, channel, d, aux_cap, grid_res):
         raise MemoryCapError(
             f"the simplex grid at aux size {aux_cap} and resolution {grid_res} has "
             f"{rows} rows, {rows * aux_cap} entries, cap is {MEMORY_CAP_SYMBOLS}")
+    if (x_size ** source.alphabet_size * source.alphabet_size * channel.output_size
+            > MEMORY_CAP_SYMBOLS):
+        raise MemoryCapError(f"the channel rows of the {x_size}^{source.alphabet_size} column maps "
+                             f"of the whole source alphabet exceed {MEMORY_CAP_SYMBOLS} entries")
     h_s = float(_entropy_rows(p_s, 0))
     w_col = channel.rows[_column_maps(x_size, s_size)]   # (C, s, y)
     C = w_col.shape[0]
-    wd_col = w_col[..., None] * d.table[None, :, None, :]  # (C, s, y, r)
+    wd_col = w_col[..., None] * d.table[support][None, :, None, :]  # (C, s, y, r)
     for u in range(1, aux_cap + 1):
         NE = C ** u
         # sel[e, i * C + c] = 1 where the e-th choice of column maps, in C
@@ -616,20 +619,19 @@ def _uncoded_ed(source, channel, d) -> float:
 
 
 def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
-    """The winner (slack, key, E[d]) for one target, and the uncoded E[d].
+    """The winning key for one target, or None when no candidate meets it.
 
     A key is a candidate (aux size, count rows, column maps), the counts and
     maps as tuples.  The winner is the least (-slack, key) among the
     candidates whose E[d] is at most target + TARGET_D_TOL, with slack and
-    E[d] computed by _score_candidates; it is (-inf, None, None) when there
-    is none.  Candidates tied in exact arithmetic are thus separated by
-    float rounding.  The fold of _scan_p2p keeps the running best
-    factorized slack of candidates that surely meet the target
+    E[d] computed by _score_candidates.  Candidates tied in exact arithmetic
+    are thus separated by float rounding.  The fold of _scan_p2p keeps the
+    running best factorized slack of candidates that surely meet the target
     (p2p_feasibility_sweep) and the candidates in the SCAN_* bands of it.
     Only the relabellings (_orbit_keys) of those in the bands of the final
     best are rescored, each aux size's group into sizes u .. aux_cap, one
-    batch of at most _SCAN_CHUNK candidates at a time; empty aux slots take
-    column map 0 alone, the least key of their bit-identical scores.
+    batch of at most _SCAN_CHUNK candidates at a time, each written back to
+    the whole source alphabet by the SCAN_* comment's rule.
     """
     if not math.isfinite(target):
         raise ScenarioError(f"target distortion must be finite, got {target}")
@@ -643,24 +645,30 @@ def _p2p_winner(source, channel, d, target, aux_cap, grid_res):
             (counts[hit[:, 0]], hit[:, 1:], slack[tuple(hit.T)]))
     p_s = source.probs
     h_s = float(_entropy_rows(p_s, 0))
-    w_col = channel.rows[_column_maps(channel.input_size, p_s.size)]
-    win = (np.inf, None, None)         # the least (-slack, key, E[d]) so far
+    col_maps = _column_maps(channel.input_size, p_s.size)
+    w_col = channel.rows[col_maps]
+    # Support column map c is full map widen[c], encoder symbol 0 off the support.
+    widen = np.flatnonzero((col_maps[:, p_s == 0] == 0).all(axis=1))
+    win = (np.inf, None)               # the least (-slack, key) so far
     for u, parts in found.items():
         counts, maps, slack = (np.concatenate(a) for a in zip(*parts))
         if not (near := slack >= best - SCAN_SLACK_TOL).any():
             continue
         for size in range(u, aux_cap + 1):
             for placed, placed_maps in _orbit_keys(counts[near], maps[near], size):
-                slack, ed = _score_candidates(p_s[None, :, None] * (placed / grid_res),
-                                              w_col[placed_maps], d.table, h_s)
+                # Fresh and so C-ordered, as numpy sums in memory order.
+                full = np.tile(np.eye(size, dtype=int)[-1] * grid_res, (len(placed), p_s.size, 1))
+                full[:, p_s > 0] = placed
+                full_maps = widen[placed_maps]
+                slack, ed = _score_candidates(p_s[None, :, None] * (full / grid_res),
+                                              w_col[full_maps], d.table, h_s)
                 slack = np.where(ed <= limit, slack, -np.inf)
-                flat = placed.reshape(placed.shape[0], -1)
-                i = np.lexsort((*placed_maps.T[::-1], *flat.T[::-1], -slack))[0]
+                flat = full.reshape(len(full), -1)
+                i = np.lexsort((*full_maps.T[::-1], *flat.T[::-1], -slack))[0]
                 if slack[i] > -np.inf:
-                    key = (size, tuple(map(tuple, placed[i].tolist())),
-                           tuple(placed_maps[i].tolist()))
-                    win = min(win, (-float(slack[i]), key, float(ed[i])))
-    return (-win[0], *win[1:]), _uncoded_ed(source, channel, d)
+                    key = (size, tuple(map(tuple, full[i].tolist())), tuple(full_maps[i].tolist()))
+                    win = min(win, (-float(slack[i]), key))
+    return win[1]
 
 
 def _spec_from_key(source, channel, d, key, grid_res) -> HybridCodeSpec:
@@ -692,13 +700,15 @@ def p2p_optimize(
     at this resolution is reported, not raised.  The winner is the one the
     reference formula picks among all candidates (_p2p_winner): the largest
     slack, ties going to the least candidate in (aux size, kernel count
-    rows, column maps) order.  The report is check_p2p's of the returned
-    spec, with two entries added to its info: the least uncoded E[d]
+    rows, column maps) order.  Only the source's support is scanned (see
+    the SCAN_* comment).  The report is check_p2p's of the returned spec,
+    with two entries added to its info: the least uncoded E[d]
     ("uncoded_distortion") and "achievable", which is that E[d] <=
     target_D + TARGET_D_TOL or the report's own "satisfied".
     The spec's rate is the midpoint 0.5 (I(S;U) + I(U;Y)) of its constraint.
     """
-    (_, key, _), uncoded_ed = _p2p_winner(source, channel, d, target_D, aux_cap, grid_res)
+    key = _p2p_winner(source, channel, d, target_D, aux_cap, grid_res)
+    uncoded_ed = _uncoded_ed(source, channel, d)
     spec = None
     report = BoundReport(constraints=(), satisfied=False, binding_constraint="feasibility",
                          info={"reason": "no candidate met the distortion target"})

@@ -258,7 +258,8 @@ class TestP2pOptimize:
         args = (uniform_pmf(11), bsc_kernel(0.1), hamming_measure(11), 1.0, 1)
         wins = []
         for grid_res in (52, 1):
-            (slack, (size, counts, maps), ed), _ = bounds._p2p_winner(*args, grid_res)
+            size, counts, maps = key = bounds._p2p_winner(*args, grid_res)
+            slack, ed = key_scores(*args[:3], key, grid_res)
             wins.append((slack, size, (np.array(counts) / grid_res).tolist(), maps, ed))
         assert wins[0] == wins[1]
 
@@ -288,6 +289,31 @@ class TestP2pOptimize:
             p2p_feasibility_sweep(uniform_pmf(4), ConditionalPmf(np.eye(4)),
                                   hamming_measure(4), [0.1], aux_cap=4, grid_res=1)
 
+    def test_whole_alphabet_maps_over_cap(self, monkeypatch):
+        # The scan sees the one-symbol support of [1, 0, ..., 0], but the
+        # rescoring and _uncoded_ed take the channel rows of all 2^22 column
+        # maps of the 22 symbols: 2^22 * 22 * 2 entries, over the 2^22 cap.
+        def no_tables(idx, base, count):
+            raise AssertionError("built the encoder maps before the cap check")
+
+        args = bsc_kernel(0.1), DistortionMeasure([[0.0, 1.0]] + [[1.0, 0.0]] * 21)
+        monkeypatch.setattr(bounds, "_digits", no_tables)
+        with pytest.raises(MemoryCapError, match="2\\^22 column maps"):
+            p2p_feasibility_sweep(Pmf([1.0] + [0.0] * 21), *args, [0.1], aux_cap=2)
+        with pytest.raises(MemoryCapError, match="2\\^22 column maps"):
+            p2p_optimize(Pmf([1.0] + [0.0] * 21), *args, 0.1, aux_cap=2)
+
+    def test_whole_alphabet_cap_is_exact(self, monkeypatch):
+        # [1, 0] over a BSC at aux size 1 and grid 1: the scan's largest table
+        # has 4 entries, and the 4 column maps of both symbols have 2 channel
+        # rows of 2 entries each, 16 entries.
+        args = Pmf([1.0, 0.0]), bsc_kernel(0.1), HAMMING2, 0.15
+        monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 16)
+        p2p_optimize(*args, aux_cap=1, grid_res=1)
+        monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 15)
+        with pytest.raises(MemoryCapError, match="2\\^2 column maps .* exceed 15 entries"):
+            p2p_optimize(*args, aux_cap=1, grid_res=1)
+
     def test_row_grid_over_cap_raises_before_allocating(self, monkeypatch):
         # Grid 400 at aux size 4 has C(403, 3) = 10827401 simplex rows of 4
         # entries, ten times the 2^22 cap, while the 256 encoder maps need
@@ -307,8 +333,7 @@ class TestP2pOptimize:
         args = (Pmf([1.0]), ConditionalPmf([[0.5, 0.5]]), DistortionMeasure([[0.0, 1.0]]),
                 0.5, 3, 4)
         monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 45)
-        (_, key, _), _ = bounds._p2p_winner(*args)
-        assert key is not None
+        assert bounds._p2p_winner(*args) is not None
         monkeypatch.setattr(bounds, "MEMORY_CAP_SYMBOLS", 44)
         with pytest.raises(MemoryCapError, match="15 rows, 45 entries, cap is 44"):
             bounds._p2p_winner(*args)
@@ -373,6 +398,15 @@ def reference_scores(p_s, w_col, d_table, h_s, counts, maps, grid_res):
                                     d_table, h_s)
 
 
+def key_scores(source, channel, d, key, grid_res):
+    """The reference slack and E[d] of one key, as floats."""
+    p_s, (_, counts, maps) = source.probs, key
+    slack, ed = reference_scores(p_s, column_channels(channel, p_s.size), d.table,
+                                 float(bounds._entropy_rows(p_s, 0)), np.array([counts]),
+                                 np.array([maps]), grid_res)
+    return float(slack[0]), float(ed[0])
+
+
 def brute_force_scores(channel, aux_cap, grid_res):
     """(key, slack, E[d]) of every candidate, each built by _spec_from_key
     and scored by check_p2p, independently of the scan's arithmetic."""
@@ -406,15 +440,15 @@ def assert_first_reference_maximum(source, channel, d, aux_cap, grid_res, target
         slacks.append(slack)
         eds.append(ed)
     slack, ed = np.concatenate(slacks), np.concatenate(eds)
+    assert bounds._uncoded_ed(source, channel, d) == float(ed[:channel.input_size ** s_size].min())
     for target in targets:
-        (best_slack, best_key, best_ed), uncoded_ed = bounds._p2p_winner(
-            source, channel, d, target, aux_cap, grid_res)
+        best_key = bounds._p2p_winner(source, channel, d, target, aux_cap, grid_res)
         feas = ed <= target + 1e-12
-        assert uncoded_ed == float(ed[:channel.input_size ** s_size].min())
         if not feas.any():
             assert best_key is None
             continue
         i = int(np.argmax(np.where(feas, slack, -np.inf)))
+        best_slack, best_ed = key_scores(source, channel, d, best_key, grid_res)
         assert (best_key, best_slack, best_ed) == (as_key(*keys[i]), float(slack[i]),
                                                    float(ed[i]))
 
@@ -451,14 +485,15 @@ class TestScanOracle:
         scores = brute_force_scores(channel, 3, 3)
         by_key = {key: (slack, ed) for key, slack, ed in scores}
         uncoded = min(ed for key, _, ed in scores if key[0] == 1)
+        assert bounds._uncoded_ed(UNIF2, channel, HAMMING2) == pytest.approx(uncoded, abs=1e-12)
         for target in self.TARGETS:
-            (best_slack, best_key, best_ed), uncoded_ed = bounds._p2p_winner(
-                UNIF2, channel, HAMMING2, target, aux_cap=3, grid_res=3)
-            assert uncoded_ed == pytest.approx(uncoded, abs=1e-12)
+            best_key = bounds._p2p_winner(UNIF2, channel, HAMMING2, target, aux_cap=3,
+                                          grid_res=3)
             feasible = [slack for _, slack, ed in scores if ed <= target + 1e-12]
             if not feasible:
                 assert best_key is None
                 continue
+            best_slack, best_ed = key_scores(UNIF2, channel, HAMMING2, best_key, 3)
             assert best_slack == pytest.approx(max(feasible), abs=1e-12)
             slack, ed = by_key[best_key]
             assert best_ed == pytest.approx(ed, abs=1e-12)
@@ -661,6 +696,37 @@ def pin_corpus():
         yield source, channel, d, float(rng.random() * d.table.max()), aux_cap, grid_res
 
 
+def zero_probability_corpus():
+    """Sources with a zero-probability symbol where its ties multiply most:
+    [1, 0] and [0, 1] over the bundled BSC and erasure channels at three
+    targets, grid 12 and aux cap 4, then [0.5, 0, 0.5] with a 3 x 2
+    distortion table at grid 6 and aux cap 3."""
+    d3 = DistortionMeasure([[0.0, 1.0], [0.25, 0.75], [1.0, 0.0]])
+    channels = [channel for _, channel in sorted(ORACLE_CHANNELS.items())]
+    for channel in channels:
+        for probs in ([1, 0], [0, 1]):
+            for target in (0.05, 0.15, 0.3):
+                yield Pmf(probs), channel, HAMMING2, target, 4, 12
+    for channel in channels:
+        for target in (0.05, 0.15, 0.3):
+            yield Pmf([0.5, 0, 0.5]), channel, d3, target, 3, 6
+
+
+def corpus_digest(corpus):
+    """One sha256 over repr of every p2p_optimize report and spec of a
+    corpus, and the count of infeasible (None), satisfied and unsatisfied
+    reports."""
+    digest, kinds = hashlib.sha256(), {None: 0, True: 0, False: 0}
+    for case in corpus:
+        rep, spec = p2p_optimize(*case)
+        fields = None if spec is None else (
+            spec.aux_size, spec.aux_kernel.rows.tolist(), spec.enc_map.tolist(),
+            spec.dec_map.tolist(), spec.rate)
+        digest.update(repr((dataclasses.asdict(rep), fields)).encode())
+        kinds[None if spec is None else rep.satisfied] += 1
+    return digest.hexdigest(), kinds
+
+
 class TestOptimizerReport:
     """p2p_optimize reports check_p2p of the spec it returns, plus two
     entries: the uncoded E[d] and the verdict read from the report."""
@@ -687,17 +753,36 @@ class TestOptimizerReport:
         # One sha256 over repr of every report and spec of pin_corpus: 20
         # bundled cases and 150 random ones, about 0.6 s.  Any change to a
         # winner, its tie-break or a reported bit shows here.
-        digest, kinds = hashlib.sha256(), {None: 0, True: 0, False: 0}
-        for case in pin_corpus():
-            rep, spec = p2p_optimize(*case)
-            fields = None if spec is None else (
-                spec.aux_size, spec.aux_kernel.rows.tolist(), spec.enc_map.tolist(),
-                spec.dec_map.tolist(), spec.rate)
-            digest.update(repr((dataclasses.asdict(rep), fields)).encode())
-            kinds[None if spec is None else rep.satisfied] += 1
+        digest, kinds = corpus_digest(pin_corpus())
         assert kinds == {None: 63, True: 94, False: 13}
-        assert digest.hexdigest() == \
+        assert digest == \
             "d4a09ac15051cd887338a3dcab98654f70bee25ea7c036ce40d5f0d969dc5c67"
+
+    def test_zero_probability_digest(self):
+        # zero_probability_corpus's digest, recorded before the scan dropped
+        # zero-probability symbols, when its 18 cases took about 80 s on a
+        # 2-core host.
+        start = time.perf_counter()
+        digest, kinds = corpus_digest(zero_probability_corpus())
+        assert kinds == {None: 0, True: 15, False: 3}
+        assert digest == "3bd4702d57e23a60f7bbcc4a47984b2132c5ad76dfd74242b7dc93e4b8019a28"
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("channel_name", sorted(ORACLE_CHANNELS))
+    def test_rescoring_ignores_zero_probability_symbols(self, monkeypatch, channel_name):
+        # A zero-probability symbol's kernel row and encoder symbol are
+        # written back, not scanned, so they add no rescored keys.  Scanned
+        # like the others, they made 3 439 492 rows on either channel.
+        rows, score = [], bounds._score_candidates
+
+        def counted(p_su, *args):
+            rows.append(p_su.shape[0])
+            return score(p_su, *args)
+
+        monkeypatch.setattr(bounds, "_score_candidates", counted)
+        p2p_optimize(Pmf([1, 0]), ORACLE_CHANNELS[channel_name], HAMMING2, 0.15,
+                     aux_cap=4, grid_res=12)
+        assert 0 < sum(rows) < 1000
 
     def test_every_report_has_the_optimizer_entries(self):
         # An infeasible target, a coded winner and an uncoded one.

@@ -5,6 +5,7 @@ import math
 import re
 import shlex
 import time
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from xml.etree import ElementTree
@@ -177,6 +178,27 @@ class TestExitCodes:
                     "--grid-res", "400", "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("resource cap: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_optimize_long_zero_tail_exits_3(self, tmp_path, capsys, monkeypatch):
+        # [1] and 24 zeros: the one-symbol scan fits the cap, but the channel
+        # rows of all 2^25 column maps of the whole alphabet, which the
+        # rescoring takes, need 2^25 * 25 * 2 entries; their digits alone
+        # came to 6.7 GB.
+        def small_digits(idx, base, count):
+            assert idx.size * count <= 2 ** 22, "built a table past the cap"
+            return digits(idx, base, count)
+
+        digits = bounds._digits
+        monkeypatch.setattr(bounds, "_digits", small_digits)
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps({**read_json(scen("bsc_uncoded.json")),
+                                    "source": [1] + [0] * 24,
+                                    "distortion": [[0, 1]] + [[1, 0]] * 24}))
+        assert run(["check-thm1", str(path), "--optimize", "--target-d", "0.15",
+                    "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "resource cap: the channel rows of the 2^25 column maps")
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_scenario_file(self, tmp_path):
         assert run(["check-thm1", str(tmp_path / "nope.json"),
@@ -685,6 +707,24 @@ class TestCheckThm1:
                     "--out", out]) == 0
         doc = read_json(out + ".json")
         assert doc["report"]["info"]["achievable"] is True
+
+    def test_optimize_cap_counts_the_support(self, tmp_path):
+        # Counting both symbols of [1, 0], aux size 6 has 4096 encoder maps
+        # needing 8388608 entries, over the 2^22 cap, and the run exited 3.
+        # Its one-symbol support has 64 maps.
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps({**read_json(scen("bsc_uncoded.json")), "source": [1, 0]}))
+        out = str(tmp_path / "opt")
+        assert run(["check-thm1", str(path), "--optimize", "--target-d", "0.15",
+                    "--aux-cap", "6", "--out", out]) == 0
+        doc = read_json(out + ".json")
+        scenario = cli.build_p2p_scenario(read_json(path))
+        report = bounds.check_p2p(scenario.source, scenario.channel, scenario.distortion,
+                                  cli.build_p2p_spec(doc["spec"]))
+        want = json.loads(json.dumps(asdict(report)))
+        assert doc["report"]["info"].pop("achievable") is True
+        doc["report"]["info"].pop("uncoded_distortion")
+        assert doc["report"] == want
 
 
 class TestCheckThm3:
